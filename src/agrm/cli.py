@@ -34,6 +34,7 @@ from .data import (
 from .gradients import fd_check
 from .head import ABLATIONS, ACTIVATIONS, AGG_MODES, FeaturePair, HeadConfig, head_forward, init_head
 from .trainer import (
+    PRESET_NAMES,
     Checkpoint,
     TrainConfig,
     evaluate,
@@ -43,8 +44,6 @@ from .trainer import (
     save_checkpoint,
     train,
 )
-
-PRESET_CHOICES = ("paper", "recovery")
 
 
 def _fmt(x) -> str:
@@ -508,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-fraction", type=float, default=0.25)
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--normalize", action="store_true", help="min-max scores to [0,5]")
-    p.add_argument("--preset", choices=PRESET_CHOICES, default="paper")
+    p.add_argument("--preset", choices=PRESET_NAMES, default="paper")
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--weight-decay", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)

@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .head import FeaturePair, HeadConfig, HeadParams, _as_feature, head_forward, init_head
+from .head import FeaturePair, HeadConfig, HeadParams, head_forward, init_head
 
 __all__ = [
     "DIMS",
-    "DIM_TEMPLATES",
     "FeatureRecord",
     "MosTransform",
     "SynthConfig",
@@ -38,7 +37,6 @@ __all__ = [
     "save_records",
     "normalize_mos",
     "split",
-    "to_pairs",
     "synth_generate",
 ]
 
@@ -46,34 +44,25 @@ logger = logging.getLogger(__name__)
 
 DIMS = ("quality", "consistency", "authenticity")
 
-# Fixed text templates per assessment dimension.  Consistency has no fixed
-# template: each item is assessed against its own generation prompt, so the
-# entry is None.  No encoder in this package consumes these; they document
-# what the text features are meant to embed.
-DIM_TEMPLATES = {
-    "quality": "A photo of good quality and clear details",
-    "consistency": None,
-    "authenticity": "A photo with genuine scene content and no synthetic artifacts",
-}
-
 _FIELD_KEYS = ("id", "fi", "ft", "mos", "dim")
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureRecord:
-    """One annotated item: feature pair, mean opinion score, dimension tag."""
+@dataclass(frozen=True, eq=False, kw_only=True)
+class FeatureRecord(FeaturePair):
+    """One annotated item: feature pair, mean opinion score, dimension tag.
+
+    A record is a ``FeaturePair``, so its vectors are checked once, when the
+    record is built, and it goes to the head as it is.
+    """
 
     id: str
-    f_i: np.ndarray
-    f_t: np.ndarray
     mos: float
     dim: str
 
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"id must be a non-empty string, got {self.id!r}")
-        object.__setattr__(self, "f_i", _as_feature("f_i", self.f_i))
-        object.__setattr__(self, "f_t", _as_feature("f_t", self.f_t))
+        super().__post_init__()
         object.__setattr__(self, "mos", float(self.mos))
         if not math.isfinite(self.mos):
             raise ValueError(f"mos must be finite, got {self.mos!r}")
@@ -92,11 +81,8 @@ class FeatureRecord:
         )
 
     def pair(self) -> FeaturePair:
-        return FeaturePair(f_i=self.f_i, f_t=self.f_t)
-
-
-def to_pairs(records) -> list[FeaturePair]:
-    return [r.pair() for r in records]
+        """The record itself, which is already a feature pair."""
+        return self
 
 
 def dim_counts(records) -> dict:

@@ -1,12 +1,15 @@
 """Hand-derived reverse-mode gradients of the batch loss through the head.
 
-The loss depends on each item's rescaled mean grade, and the mean grade
-telescopes to 1 plus the sum of the cumulative curves, so the per-item
-backward pass runs through the k-1 logistic evaluations rather than the k
-band masses; the two forms are identical term by term.  The correlation
-penalty couples items through the batch mean, batch deviation and the
-correlation coefficient itself, and all three couplings are differentiated
-exactly.  The absolute-error term uses subgradient 0 at an exact tie.
+The forward pass is the head's own, so training scores each item exactly as
+``head_forward`` does.  The loss depends on each item's rescaled mean grade,
+and the mean grade telescopes to 1 plus the sum of the k-1 cumulative curves,
+so the per-item backward pass needs only each curve's logistic slope
+s (1 - s).  Those slopes are read off the band masses the forward already
+returned: s is the mass above a grade, 1 - s the mass at or below it, both
+taken as cumulative sums of the masses.  The correlation penalty couples
+items through the batch mean, batch deviation and the correlation
+coefficient itself, and all three couplings are differentiated exactly.  The
+absolute-error term uses subgradient 0 at an exact tie.
 
 ``fd_check`` validates the whole thing against central differences,
 coordinate by coordinate.  Failures are reported in the result, not thrown.
@@ -24,10 +27,8 @@ from .head import (
     PARAM_FIELDS,
     FeaturePair,
     HeadParams,
-    _ability_parts,
     _act_deriv,
-    _difficulty_parts,
-    _inputs,
+    _forward,
     grade_positions,
 )
 
@@ -55,56 +56,16 @@ class GradReport:
     gamma_violations: int = 0
 
 
-@dataclass
-class _Trace:
-    """Per-item intermediates needed by the backward pass."""
+def _slopes(probs) -> np.ndarray:
+    """Logistic slopes s_m (1 - s_m) of the k-1 cumulative curves.
 
-    x: np.ndarray
-    prior_in: np.ndarray
-    temp_in: np.ndarray
-    softmax_p: np.ndarray | None
-    theta: float
-    pre_b: float
-    pre_g: float
-    gamma: float
-    s: np.ndarray  # cumulative curve values, one per threshold
-    sp: np.ndarray  # their logistic slopes s * (1 - s)
-    q_rescaled: float
-
-
-def _forward_trace(hp: HeadParams, fp: FeaturePair) -> _Trace:
-    cfg = hp.config
-    x, prior_in, temp_in = _inputs(hp, fp)
-    theta, softmax_p = _ability_parts(hp, x)
-    _, _, _, pre_b, pre_g, beta1, gamma = _difficulty_parts(hp, prior_in, temp_in)
-    if gamma <= 0.0:
-        raise ValueError(
-            f"unimodality constraint violated: spacing gamma = {gamma!r} <= 0 "
-            f"(activation {cfg.activation!r}, eta = {cfg.eta!r})"
-        )
-    c = cfg.d * cfg.alpha
-    s = np.empty(cfg.k - 1)
-    for m in range(cfg.k - 1):
-        s[m] = core.sigmoid(c * (theta - (beta1 + m * gamma)))
-    # score through the same band-mass route as head_forward, so the two
-    # agree bitwise; the backward pass works on s via the telescoped identity
-    probs = core.agrm_probs(
-        core.AgrmParams(theta=theta, beta1=beta1, gamma=gamma, d=cfg.d, alpha=cfg.alpha, k=cfg.k)
-    )
-    q = core.expected_score(probs)
-    return _Trace(
-        x=x,
-        prior_in=prior_in,
-        temp_in=temp_in,
-        softmax_p=softmax_p,
-        theta=theta,
-        pre_b=pre_b,
-        pre_g=pre_g,
-        gamma=gamma,
-        s=s,
-        sp=s * (1.0 - s),
-        q_rescaled=core.rescale_score(q, cfg.k),
-    )
+    s_m is the mass above grade m and 1 - s_m the mass at or below it, each
+    summed from the tail it covers so neither is a difference near 1.
+    """
+    p = np.fromiter(probs, dtype=np.float64, count=len(probs))
+    below = np.cumsum(p[:-1])
+    above = np.cumsum(p[:0:-1])[::-1]
+    return below * above
 
 
 def _zero_grads(hp: HeadParams) -> dict[str, np.ndarray]:
@@ -153,8 +114,8 @@ def batch_loss_and_grads(
     if lam > 0.0 and len(pairs) < 2:
         raise ValueError("the correlation penalty needs at least 2 items per batch")
     cfg = hp.config
-    traces = [_forward_trace(hp, fp) for fp in pairs]
-    q = np.array([tr.q_rescaled for tr in traces])
+    passes = [_forward(hp, fp) for fp in pairs]
+    q = np.array([ps.out.q_rescaled for ps in passes])
     loss = losses.total_loss(losses.ScoreBatch(predicted=q, target=t), lam, epsilon, literal_target)
     upstream = _loss_upstream(q, t, lam, epsilon, literal_target)
 
@@ -164,34 +125,35 @@ def batch_loss_and_grads(
     violations = 0
     grade_idx = np.arange(cfg.k - 1, dtype=np.float64)  # d beta_m / d gamma
     pos = grade_positions(cfg.k)
-    for tr, u in zip(traces, upstream):
-        if tr.gamma <= thr:
+    for ps, u in zip(passes, upstream):
+        if ps.out.gamma <= thr:
             violations += 1
+        sp = _slopes(ps.out.probs)
         uq = u * 5.0 / (cfg.k - 1)  # through the [1,k] -> [0,5] rescale
-        total_slope = float(tr.sp.sum())
+        total_slope = float(sp.sum())
         theta_bar = uq * c * total_slope
         beta1_bar = -uq * c * total_slope
-        gamma_bar = -uq * c * float(grade_idx @ tr.sp)
+        gamma_bar = -uq * c * float(grade_idx @ sp)
 
-        db = beta1_bar * _act_deriv(cfg.activation, tr.pre_b)
-        dg = gamma_bar * _act_deriv(cfg.activation, tr.pre_g)
-        grads["phi_beta_w"] += db * tr.prior_in
+        db = beta1_bar * _act_deriv(cfg.activation, ps.pre_b)
+        dg = gamma_bar * _act_deriv(cfg.activation, ps.pre_g)
+        grads["phi_beta_w"] += db * ps.prior_in
         grads["phi_beta_b"] += db
-        grads["phi_gamma_w"] += dg * tr.prior_in
+        grads["phi_gamma_w"] += dg * ps.prior_in
         grads["phi_gamma_b"] += dg
         if cfg.ablation != "no_temperature":
             dtau = db + dg
-            grads["phi_i_w"] += dtau * tr.temp_in
+            grads["phi_i_w"] += dtau * ps.temp_in
             grads["phi_i_b"] += dtau
 
         if cfg.agg_mode == "linear":
-            grads["agg_w"] += theta_bar * tr.x
+            grads["agg_w"] += theta_bar * ps.x
             grads["agg_b"] += theta_bar
         else:
-            p = tr.softmax_p
+            p = ps.softmax_p
             pbar = theta_bar * cfg.lambda_s * pos
             lbar = p * (pbar - float(pbar @ p))
-            grads["agg_w"] += np.outer(lbar, tr.x)
+            grads["agg_w"] += np.outer(lbar, ps.x)
             grads["agg_b"] += lbar
 
     return GradReport(loss=loss, grads=grads, gamma_violations=violations)
@@ -205,7 +167,7 @@ def _loss_only(
     epsilon: float,
     literal_target: bool,
 ) -> float:
-    q = np.array([_forward_trace(hp, fp).q_rescaled for fp in pairs])
+    q = np.array([_forward(hp, fp).out.q_rescaled for fp in pairs])
     return losses.total_loss(losses.ScoreBatch(predicted=q, target=t), lam, epsilon, literal_target)
 
 
@@ -237,10 +199,9 @@ def fd_check(
     if hp.config.activation == "relu":
         near_b = near_g = False
         for fp in pairs:
-            _, prior_in, temp_in = _inputs(hp, fp)
-            _, _, _, pre_b, pre_g, _, _ = _difficulty_parts(hp, prior_in, temp_in)
-            near_b = near_b or abs(pre_b) < RELU_KINK_MARGIN
-            near_g = near_g or abs(pre_g) < RELU_KINK_MARGIN
+            ps = _forward(hp, fp)
+            near_b = near_b or abs(ps.pre_b) < RELU_KINK_MARGIN
+            near_g = near_g or abs(ps.pre_g) < RELU_KINK_MARGIN
         skip["phi_beta_w"] = skip["phi_beta_b"] = near_b
         skip["phi_gamma_w"] = skip["phi_gamma_b"] = near_g
         skip["phi_i_w"] = skip["phi_i_b"] = near_b or near_g

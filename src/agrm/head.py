@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,10 +71,6 @@ def _telu_deriv(x: float) -> float:
     return t + x * (1.0 - t * t) * math.exp(x)
 
 
-def _softplus(x: float) -> float:
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-
-
 def _act_value(name: str, x: float) -> float:
     if name == "telu":
         return telu(x)
@@ -82,7 +79,7 @@ def _act_value(name: str, x: float) -> float:
     if name == "relu":
         return x if x > 0.0 else 0.0
     if name == "softplus":
-        return _softplus(x)
+        return core._softplus(x)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -306,36 +303,34 @@ def difficulty_forward(hp: HeadParams, fp: FeaturePair) -> tuple[float, float]:
     return parts[5], parts[6]
 
 
-def head_forward(hp: HeadParams, fp: FeaturePair) -> HeadOutput:
-    """Full forward pass: features to grade distribution and rescaled score.
+class _Pass(NamedTuple):
+    """One forward pass plus the intermediates the backward pass reads."""
 
-    A non-positive spacing means the grade bands have collapsed and no
-    distribution exists; that raises.  A positive spacing at or below the
-    unimodality threshold is computable but unguaranteed, so it only warns
-    (the telu default cannot get there).
-    """
+    out: HeadOutput
+    x: np.ndarray
+    prior_in: np.ndarray
+    temp_in: np.ndarray
+    softmax_p: np.ndarray | None
+    pre_b: float
+    pre_g: float
+
+
+def _forward(hp: HeadParams, fp: FeaturePair) -> _Pass:
+    """The head forward shared by scoring and training; raises on gamma <= 0."""
     cfg = hp.config
     x, prior_in, temp_in = _inputs(hp, fp)
-    theta, _ = _ability_parts(hp, x)
-    b_prior, g_prior, tau, _, _, beta1, gamma = _difficulty_parts(hp, prior_in, temp_in)
+    theta, softmax_p = _ability_parts(hp, x)
+    b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma = _difficulty_parts(hp, prior_in, temp_in)
     if gamma <= 0.0:
         raise ValueError(
             f"unimodality constraint violated: spacing gamma = {gamma!r} <= 0 "
             f"(activation {cfg.activation!r}, eta = {cfg.eta!r})"
         )
-    if gamma <= core.gamma_threshold(cfg.d, cfg.alpha):
-        warnings.warn(
-            f"spacing gamma = {gamma:.6g} at or below the unimodality threshold "
-            f"{core.gamma_threshold(cfg.d, cfg.alpha):.6g}; grade distribution "
-            "may be multimodal",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     probs = core.agrm_probs(
         core.AgrmParams(theta=theta, beta1=beta1, gamma=gamma, d=cfg.d, alpha=cfg.alpha, k=cfg.k)
     )
     q = core.expected_score(probs)
-    return HeadOutput(
+    out = HeadOutput(
         theta=theta,
         beta1_prior=b_prior,
         gamma_prior=g_prior,
@@ -346,6 +341,28 @@ def head_forward(hp: HeadParams, fp: FeaturePair) -> HeadOutput:
         q=q,
         q_rescaled=core.rescale_score(q, cfg.k),
     )
+    return _Pass(out, x, prior_in, temp_in, softmax_p, pre_b, pre_g)
+
+
+def head_forward(hp: HeadParams, fp: FeaturePair) -> HeadOutput:
+    """Full forward pass: features to grade distribution and rescaled score.
+
+    A non-positive spacing means the grade bands have collapsed and no
+    distribution exists; that raises.  A positive spacing at or below the
+    unimodality threshold is computable but unguaranteed, so it only warns
+    (the telu default cannot get there).
+    """
+    cfg = hp.config
+    out = _forward(hp, fp).out
+    threshold = core.gamma_threshold(cfg.d, cfg.alpha)
+    if out.gamma <= threshold:
+        warnings.warn(
+            f"spacing gamma = {out.gamma:.6g} at or below the unimodality threshold "
+            f"{threshold:.6g}; grade distribution may be multimodal",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return out
 
 
 def _solve_gamma_bias(activation: str, eta: float, d: float, alpha: float) -> float:

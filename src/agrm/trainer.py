@@ -109,7 +109,14 @@ class EpochStats:
 
 @dataclass
 class Checkpoint:
-    """Trained head plus everything needed to audit or resume the run."""
+    """Trained head, its training config and per-epoch history.
+
+    No optimizer moments or shuffle state are saved: a checkpoint can be
+    audited and evaluated, not resumed.  ``seed`` and ``epochs_completed``
+    repeat ``config.seed`` and ``config.epochs`` after ``train``; a planted
+    head saved by ``synth`` records the synthesis seed and 0 epochs, which a
+    ``TrainConfig`` cannot hold.
+    """
 
     head: HeadParams
     config: TrainConfig
@@ -221,7 +228,7 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
             batch = [train_set[i] for i in idx]
             rep = batch_loss_and_grads(
                 head,
-                [r.pair() for r in batch],
+                batch,
                 np.array([r.mos for r in batch]),
                 lam=cfg.lam,
                 epsilon=cfg.epsilon,
@@ -261,7 +268,7 @@ def evaluate(model, records) -> tuple:
     if len(records) < 2:
         raise ValueError(f"evaluation needs >= 2 records, got {len(records)}")
     head = _head_of(model)
-    preds = [head_forward(head, r.pair()).q_rescaled for r in records]
+    preds = [head_forward(head, r).q_rescaled for r in records]
     mos = [r.mos for r in records]
     return srcc(preds, mos), plcc_metric(preds, mos)
 
@@ -292,6 +299,9 @@ def _head_from_doc(doc: dict) -> HeadParams:
         name: np.asarray(doc["params"][name], dtype=np.float64)
         for name in PARAM_FIELDS
     }
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"malformed checkpoint: head.params.{name} has non-finite entries")
     return HeadParams(
         config=HeadConfig(**doc["config"]),
         d_img=doc["d_img"],
@@ -317,6 +327,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as handle:
         doc = json.loads(handle.read().decode("utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed checkpoint: expected an object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unrecognized checkpoint format version {version!r}")
@@ -324,13 +336,15 @@ def load_checkpoint(path) -> Checkpoint:
         config = TrainConfig(**doc["train_config"])
         history = [EpochStats(**row) for row in doc["history"]]
         head = _head_from_doc(doc["head"])
+        seed = doc["rng"]["seed"]
+        epochs_completed = doc["rng"]["epochs_completed"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint: {exc}") from exc
     return Checkpoint(
         head=head,
         config=config,
         history=history,
-        seed=doc["rng"]["seed"],
-        epochs_completed=doc["rng"]["epochs_completed"],
+        seed=seed,
+        epochs_completed=epochs_completed,
         version=version,
     )

@@ -284,6 +284,58 @@ class TestTrainEval:
         assert code == 2
 
 
+def _drop_rng(doc):
+    del doc["rng"]
+
+
+def _drop_head(doc):
+    del doc["head"]
+
+
+def _as_array(doc):
+    return [doc]
+
+
+def _nan_weight(doc):
+    doc["head"]["params"]["agg_w"][0] = float("nan")
+
+
+def _inf_weight(doc):
+    doc["head"]["params"]["phi_gamma_b"] = float("inf")
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            (_drop_rng, "rng"),
+            (_drop_head, "head"),
+            (_as_array, "object"),
+            (_nan_weight, "agg_w"),
+            (_inf_weight, "phi_gamma_b"),
+        ],
+        ids=["missing-rng", "missing-head", "top-level-array", "nan-weight", "inf-weight"],
+    )
+    def test_eval_exits_2_with_one_error_line(self, capsys, tmp_path, corrupt, named):
+        data = tmp_path / "d.jsonl"
+        ckpt = tmp_path / "p.json"
+        code, _, _ = run(
+            capsys, "synth", "--n", "12", "--d-img", "3", "--d-txt", "3",
+            "--out", str(data), "--planted-out", str(ckpt),
+        )
+        assert code == 0
+        doc = json.loads(ckpt.read_text())
+        doc = corrupt(doc) or doc
+        ckpt.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data))
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1 and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert named in err
+
+
 class TestFdCheck:
     def test_default_passes(self, capsys):
         code, doc, _ = run_json(capsys, "fd-check")

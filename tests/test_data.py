@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import json
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 
 from agrm.data import (
-    DIM_TEMPLATES,
     DIMS,
     FeatureRecord,
     MosTransform,
@@ -16,9 +16,8 @@ from agrm.data import (
     save_records,
     split,
     synth_generate,
-    to_pairs,
 )
-from agrm.head import HeadConfig, head_forward, init_head
+from agrm.head import FeaturePair, HeadConfig, head_forward, init_head
 from agrm.losses import srcc
 
 
@@ -61,20 +60,24 @@ class TestFeatureRecord:
         assert np.array_equal(p.f_i, r.f_i)
         assert np.array_equal(p.f_t, r.f_t)
 
-    def test_to_pairs_length(self):
-        assert len(to_pairs([rec(0), rec(1)])) == 2
+    def test_record_is_a_feature_pair(self):
+        r = rec()
+        assert isinstance(r, FeaturePair)
+        assert r.pair() is r
 
+    def test_scores_like_the_bare_pair(self):
+        hp = init_head(2, 2, seed=0)
+        r = rec()
+        a = head_forward(hp, r)
+        b = head_forward(hp, FeaturePair(f_i=r.f_i, f_t=r.f_t))
+        # ProbVector compares by identity, so compare its entries
+        assert dataclasses.replace(a, probs=tuple(a.probs)) == dataclasses.replace(
+            b, probs=tuple(b.probs)
+        )
 
-class TestTemplates:
-    def test_every_dim_has_an_entry(self):
-        assert set(DIM_TEMPLATES) == set(DIMS)
-
-    def test_consistency_uses_per_item_prompt(self):
-        assert DIM_TEMPLATES["consistency"] is None
-
-    def test_fixed_templates_are_text(self):
-        for d in ("quality", "authenticity"):
-            assert isinstance(DIM_TEMPLATES[d], str) and DIM_TEMPLATES[d]
+    def test_metadata_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            FeatureRecord([1.0], [1.0], "r0", 0.0, "quality")
 
 
 class TestLoadSave:

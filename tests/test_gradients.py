@@ -30,6 +30,20 @@ def make_batch(rng, hp, n=8):
     return pairs, q + offs
 
 
+# every activation x aggregation at k = 3 and 5, then the default head under
+# each ablation other than "none" (already in the grid)
+PERFECT_FIT_CONFIGS = [
+    HeadConfig(k=k, activation=act, agg_mode=agg)
+    for act in ACTIVATIONS
+    for agg in AGG_MODES
+    for k in (3, 5)
+] + [HeadConfig(ablation=abl) for abl in ABLATIONS if abl != "none"]
+
+
+def config_id(cfg):
+    return f"{cfg.activation}-{cfg.agg_mode}-k{cfg.k}-{cfg.ablation}"
+
+
 class TestBatchLossAndGrads:
     def test_loss_matches_direct_evaluation(self):
         from agrm.losses import ScoreBatch, total_loss
@@ -51,9 +65,14 @@ class TestBatchLossAndGrads:
         for name, g in rep.grads.items():
             assert g.shape == getattr(hp, name).shape
 
-    def test_perfect_fit_mae_only_has_zero_grads(self):
-        """Subgradient 0 at exact ties: lam=0 and exact targets give zeros."""
-        hp = init_head(6, 6, seed=2)
+    @pytest.mark.parametrize("cfg", PERFECT_FIT_CONFIGS, ids=config_id)
+    def test_perfect_fit_mae_only_has_zero_grads(self, cfg):
+        """Subgradient 0 at exact ties: lam=0 and exact targets give zeros.
+
+        The loss is exactly 0 only if training scores every item bit for bit
+        as ``head_forward`` does, in every head configuration.
+        """
+        hp = init_head(6, 6, cfg, seed=2)
         rng = np.random.default_rng(2)
         pairs, _ = make_batch(rng, hp)
         q = np.array([head_forward(hp, p).q_rescaled for p in pairs])
