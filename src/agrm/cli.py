@@ -32,7 +32,7 @@ from .data import (
     synth_generate,
 )
 from .gradients import fd_check
-from .head import ABLATIONS, ACTIVATIONS, AGG_MODES, FeaturePair, HeadConfig, head_forward, init_head
+from .head import ABLATIONS, ACTIVATIONS, AGG_MODES, FeaturePair, HeadConfig, batch_forward, init_head
 from .trainer import (
     PRESET_NAMES,
     Checkpoint,
@@ -40,6 +40,7 @@ from .trainer import (
     evaluate,
     evaluate_by_dim,
     load_checkpoint,
+    predict,
     preset,
     save_checkpoint,
     train,
@@ -377,8 +378,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     records = load_records(args.data)
-    overall_srcc, overall_plcc = evaluate(ckpt, records)
-    per_dim = evaluate_by_dim(ckpt, records)
+    preds = predict(ckpt, records)
+    overall_srcc, overall_plcc = evaluate(ckpt, records, preds)
+    per_dim = evaluate_by_dim(ckpt, records, preds)
     doc = {
         "checkpoint": str(args.checkpoint),
         "n": len(records),
@@ -411,7 +413,7 @@ def cmd_fd_check(args) -> int:
         )
         for _ in range(args.batch)
     ]
-    preds = np.array([head_forward(head, fp).q_rescaled for fp in pairs])
+    preds = batch_forward(head, pairs).q_rescaled
     # targets sit a finite distance from the predictions so the absolute-error
     # kink stays outside the difference stencil
     offsets = rng.uniform(0.1, 1.0, size=args.batch) * rng.choice([-1.0, 1.0], size=args.batch)

@@ -23,14 +23,19 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
+import numpy as np
+
 __all__ = [
     "AgrmParams",
     "GeneralGrmParams",
     "ProbVector",
     "sigmoid",
+    "sigmoid_array",
+    "softplus_array",
     "cumulative_prob",
     "category_probs",
     "agrm_probs",
+    "agrm_probs_batch",
     "gamma_threshold",
     "peak_ability",
     "boundary_thetas",
@@ -237,6 +242,102 @@ def agrm_probs(p: AgrmParams) -> ProbVector:
         out.append(_band_prob(z, g))
     out.append(sigmoid(c * (p.theta - (p.beta1 + (p.k - 2) * p.gamma))))
     return ProbVector(out)
+
+
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """``sigmoid`` element-wise: 1 / (1 + e) for x >= 0, e / (1 + e) below,
+    with e = exp(-|x|); the numerator exp(min(x, 0)) is 1 or e exactly."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+
+
+def softplus_array(x: np.ndarray) -> np.ndarray:
+    """``_softplus`` element-wise."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _factored_band(z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``_band_prob``'s factored form, element-wise."""
+    phi, em1 = np.exp(-z), np.expm1(g)
+    return phi * em1 / ((1.0 + phi) * (1.0 + phi * (em1 + 1.0)))
+
+
+def _band_probs(z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``_band_prob`` over an (N, m) array of z and an (N, 1) column of g.
+
+    The factored form runs on every entry, the log-space form on the
+    entries with |z| > 30 or g > 30 only.  Entries of the other branch are
+    replaced by 0 before the factored form sees them, so nothing overflows,
+    and ``g == 0`` entries come out of it as exactly 0.
+    """
+    if np.abs(z).max() <= 30.0 and g.max() <= 30.0:
+        return _factored_band(z, g)
+    easy = (np.abs(z) <= 30.0) & (g <= 30.0)
+    out = _factored_band(np.where(easy, z, 0.0), np.where(easy, g, 0.0))
+    g = np.broadcast_to(g, z.shape)
+    hard = ~easy & (g > 0.0)
+    if hard.any():
+        zh, gh = z[hard], g[hard]
+        log_em1 = np.where(gh > 700.0, gh, np.log(np.expm1(np.minimum(gh, 700.0))))
+        out[hard] = np.exp(log_em1 - softplus_array(zh) - softplus_array(gh - zh))
+    return out
+
+
+def _first_bad(name: str, values: np.ndarray, bad: np.ndarray, what: str) -> ValueError:
+    """The error for the first flagged entry, naming its row."""
+    i = int(np.argmax(bad.reshape(-1)))
+    row = np.unravel_index(i, bad.shape)[0]
+    return ValueError(f"{name} {float(values.reshape(-1)[i])!r} {what} (row {row})")
+
+
+# sigma(-z) for the lowest grade, sigma(z) for the highest
+_EDGE_SIGNS = np.array([-1.0, 1.0])
+
+
+def agrm_probs_batch(theta, beta1, gamma, d: float = 1.7, alpha: float = 1.0, k: int = 5) -> np.ndarray:
+    """``agrm_probs`` for N items at once: row i holds the k grade masses of item i.
+
+    ``theta``, ``beta1`` and ``gamma`` are length-N vectors sharing one
+    ``d``, ``alpha`` and ``k``.  The arithmetic per entry is that of the
+    scalar function, and so are the checks (finite inputs, gamma >= 0, each
+    entry in [0, 1] up to float slack, each row summing to 1 within 1e-12);
+    a failing check names the first offending row.  Underflow to 0 in a
+    saturated tail is expected and not reported.
+    """
+    _require_positive("d", d)
+    _require_positive("alpha", alpha)
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    theta, beta1, gamma = (np.asarray(v, dtype=np.float64) for v in (theta, beta1, gamma))
+    if theta.ndim != 1 or not theta.shape == beta1.shape == gamma.shape:
+        raise ValueError(
+            f"theta, beta1, gamma must be vectors of one length, got shapes "
+            f"{theta.shape}, {beta1.shape}, {gamma.shape}"
+        )
+    if theta.size == 0:
+        return np.empty((0, k))
+    for name, arr in (("theta", theta), ("beta1", beta1), ("gamma", gamma)):
+        if not np.isfinite(arr).all():
+            raise _first_bad(name, arr, ~np.isfinite(arr), "is not finite")
+    if gamma.min() < 0.0:
+        raise _first_bad("gamma", gamma, gamma < 0.0, "must be >= 0")
+    c = d * alpha
+    out = np.empty((theta.size, k))
+    with np.errstate(under="ignore"):
+        # z at each of the k-1 thresholds beta1 + m * gamma, m = 0 .. k-2;
+        # the edge grades are sigma(-z_0) and sigma(z_{k-2})
+        z = c * (theta[:, None] - (beta1[:, None] + np.arange(k - 1) * gamma[:, None]))
+        edges = sigmoid_array(z[:, [0, -1]] * _EDGE_SIGNS)
+        out[:, 0], out[:, -1] = edges[:, 0], edges[:, 1]
+        if k > 2:
+            out[:, 1:-1] = _band_probs(z[:, :-1], (c * gamma)[:, None])
+    if not (out.min() >= -_ENTRY_SLACK and out.max() <= 1.0 + _ENTRY_SLACK):
+        bad = ~((out >= -_ENTRY_SLACK) & (out <= 1.0 + _ENTRY_SLACK))
+        raise _first_bad("entry", out, bad, "outside [0, 1]")
+    total = out.sum(axis=1)
+    off = np.abs(total - 1.0)
+    if not off.max() <= 1e-12:
+        raise _first_bad("mass sum", total, ~(off <= 1e-12), "is not 1")
+    return out
 
 
 def gamma_threshold(d: float = 1.7, alpha: float = 1.0) -> float:

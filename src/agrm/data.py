@@ -8,10 +8,10 @@ transparently (de)compressed; archives are written with a zeroed timestamp so
 identical data produces identical bytes.
 
 The synthetic generator plants a head drawn by ``init_head``, samples feature
-pairs from a standard normal, and scores them with the planted head plus
-optional Gaussian noise.  It returns the planted head alongside the records
-so a training run can be checked against the ground truth that produced its
-data.
+pairs from a standard normal, and scores them in one batched forward with
+the planted head, plus optional Gaussian noise.  It returns the planted head
+alongside the records so a training run can be checked against the ground
+truth that produced its data.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .head import FeaturePair, HeadConfig, HeadParams, head_forward, init_head
+from .head import FeaturePair, HeadConfig, HeadParams, batch_forward, init_head
 
 __all__ = [
     "DIMS",
@@ -287,21 +287,20 @@ def synth_generate(cfg: SynthConfig):
     rng_feat = np.random.default_rng(feat_seed)
     rng_noise = np.random.default_rng(noise_seed)
 
-    records = []
-    for i in range(cfg.n):
-        pair = FeaturePair(
-            f_i=rng_feat.standard_normal(cfg.d_img),
-            f_t=rng_feat.standard_normal(cfg.d_txt),
+    # one row per item, image features then text features: the same stream
+    # as drawing each item's f_i and then its f_t
+    feats = rng_feat.standard_normal((cfg.n, cfg.d_img + cfg.d_txt))
+    f_i, f_t = feats[:, : cfg.d_img], feats[:, cfg.d_img :]
+    scores = batch_forward(planted, np.concatenate([f_t, f_i], axis=1)).q_rescaled
+    mos = scores + cfg.noise_sigma * rng_noise.standard_normal(cfg.n)
+    records = [
+        FeatureRecord(
+            id=f"synth-{i:05d}",
+            f_i=f_i[i],
+            f_t=f_t[i],
+            mos=mos[i],
+            dim=DIMS[i % len(DIMS)],
         )
-        out = head_forward(planted, pair)
-        mos = out.q_rescaled + cfg.noise_sigma * rng_noise.standard_normal()
-        records.append(
-            FeatureRecord(
-                id=f"synth-{i:05d}",
-                f_i=pair.f_i,
-                f_t=pair.f_t,
-                mos=mos,
-                dim=DIMS[i % len(DIMS)],
-            )
-        )
+        for i in range(cfg.n)
+    ]
     return records, planted

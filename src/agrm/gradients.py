@@ -1,15 +1,25 @@
 """Hand-derived reverse-mode gradients of the batch loss through the head.
 
-The forward pass is the head's own, so training scores each item exactly as
-``head_forward`` does.  The loss depends on each item's rescaled mean grade,
-and the mean grade telescopes to 1 plus the sum of the k-1 cumulative curves,
-so the per-item backward pass needs only each curve's logistic slope
-s (1 - s).  Those slopes are read off the band masses the forward already
-returned: s is the mass above a grade, 1 - s the mass at or below it, both
-taken as cumulative sums of the masses.  The correlation penalty couples
-items through the batch mean, batch deviation and the correlation
-coefficient itself, and all three couplings are differentiated exactly.  The
-absolute-error term uses subgradient 0 at an exact tie.
+The forward pass is the head's own batch forward, so training scores each
+item exactly as ``head_forward`` does.  A batch is the (N, d) feature matrix
+of ``head.feature_matrix``, one item per row, and the backward pass runs on
+the same layout: every per-item quantity is an (N,) vector or an (N, k)
+array, and each weight gradient is one reduction over the rows, such as
+``theta_bar @ X`` for the linear ability map.  Those reductions may go
+through BLAS; only the forward needs row-by-row reductions (see
+``head._rowdot``), because only its per-item results are compared bit for
+bit.
+
+The loss depends on each item's rescaled mean grade, and the mean grade
+telescopes to 1 plus the sum of the k-1 cumulative curves, so the backward
+pass needs only each curve's logistic slope s (1 - s).  Those slopes are read
+off the band masses the forward already returned: s is the mass above a
+grade, 1 - s the mass at or below it, both taken as cumulative sums of the
+masses along each row.  The correlation penalty couples items through the
+batch mean, batch deviation and the correlation coefficient itself, and all
+three couplings are differentiated exactly, from the same batch statistics
+the loss value is computed from.  The absolute-error term uses subgradient 0
+at an exact tie.
 
 ``fd_check`` validates the whole thing against central differences,
 coordinate by coordinate.  Failures are reported in the result, not thrown.
@@ -29,6 +39,9 @@ from .head import (
     HeadParams,
     _act_deriv,
     _forward,
+    _inputs,
+    feature_matrix,
+    flatten_fields,
     grade_positions,
 )
 
@@ -56,124 +69,129 @@ class GradReport:
     gamma_violations: int = 0
 
 
-def _slopes(probs) -> np.ndarray:
-    """Logistic slopes s_m (1 - s_m) of the k-1 cumulative curves.
+def _slopes(probs: np.ndarray) -> np.ndarray:
+    """Logistic slopes s_m (1 - s_m) of the k-1 cumulative curves, (N, k-1).
 
     s_m is the mass above grade m and 1 - s_m the mass at or below it, each
     summed from the tail it covers so neither is a difference near 1.
     """
-    p = np.fromiter(probs, dtype=np.float64, count=len(probs))
-    below = np.cumsum(p[:-1])
-    above = np.cumsum(p[:0:-1])[::-1]
+    below = np.cumsum(probs[:, :-1], axis=1)
+    above = np.cumsum(probs[:, :0:-1], axis=1)[:, ::-1]
     return below * above
 
 
-def _zero_grads(hp: HeadParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(getattr(hp, name)) for name in PARAM_FIELDS}
-
-
-def _loss_upstream(
+def _loss_and_upstream(
     q: np.ndarray,
     t: np.ndarray,
     lam: float,
     epsilon: float,
     literal_target: bool,
-) -> np.ndarray:
-    """dL/dQ for the combined loss, exact through the batch statistics."""
+) -> tuple[float, np.ndarray]:
+    """``losses.total_loss`` and dL/dQ, exact through the batch statistics."""
     n = q.size
+    loss = float(np.abs(t - q).sum() / n)  # losses.mae_loss
     u = np.sign(q - t) / n
     if lam == 0.0:
-        return u
-    mu, sd = q.mean(), q.std()
-    qhat = (q - mu) / (sd + epsilon)
-    that = (t - t.mean()) / (t.std() + epsilon)
-    rho = float(np.mean(qhat * that))
-    ref = t if literal_target else that
-    r = rho * qhat - ref
+        return loss, u
+    st = losses.plcc_parts(q, t, epsilon, literal_target)
+    qhat, that, rho, sd = st.qhat, st.that, st.rho, st.sd
     # adjoint w.r.t. the standardized predictions, including the rho coupling
-    g = (2.0 / n) * ((qhat - that) + rho * r + (that / n) * float(r @ qhat))
-    dplcc = (g - g.mean()) / (sd + epsilon)
+    g = (2.0 / n) * ((qhat - that) + rho * st.resid + (that / n) * float(st.resid @ qhat))
+    dplcc = (g - g.sum() / n) / (sd + epsilon)
     if sd > 0.0:
         # through the batch deviation itself
         dplcc -= (float(qhat @ g) / (n * sd)) * qhat
-    return u + lam * dplcc
+    return loss + lam * st.value, u + lam * dplcc
 
 
 def batch_loss_and_grads(
     hp: HeadParams,
-    pairs: Sequence[FeaturePair],
+    pairs: Sequence[FeaturePair] | np.ndarray,
     targets,
     lam: float = 1.0,
     epsilon: float = 1e-8,
     literal_target: bool = False,
 ) -> GradReport:
-    """Total loss over a batch and its gradient on every head parameter."""
+    """Total loss over a batch and its gradient on every head parameter.
+
+    ``pairs`` is a sequence of feature pairs or their ``feature_matrix``.
+    """
+    x = feature_matrix(hp, pairs)
+    n = x.shape[0]
     t = np.asarray(targets, dtype=np.float64)
-    if t.ndim != 1 or t.size != len(pairs):
-        raise ValueError(f"targets shape {t.shape} does not match {len(pairs)} pairs")
-    if lam > 0.0 and len(pairs) < 2:
+    if t.shape != (n,):
+        raise ValueError(f"targets shape {t.shape} does not match {n} pairs")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("targets contain non-finite entries")
+    if lam < 0.0:
+        raise ValueError(f"lam must be >= 0, got {lam!r}")
+    if lam > 0.0 and n < 2:
         raise ValueError("the correlation penalty needs at least 2 items per batch")
+    if lam > 0.0 and epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     cfg = hp.config
-    passes = [_forward(hp, fp) for fp in pairs]
-    q = np.array([ps.out.q_rescaled for ps in passes])
-    loss = losses.total_loss(losses.ScoreBatch(predicted=q, target=t), lam, epsilon, literal_target)
-    upstream = _loss_upstream(q, t, lam, epsilon, literal_target)
+    fw = _forward(hp, x)
+    loss, upstream = _loss_and_upstream(fw.q_rescaled, t, lam, epsilon, literal_target)
 
-    grads = _zero_grads(hp)
     c = cfg.d * cfg.alpha
-    thr = core.gamma_threshold(cfg.d, cfg.alpha)
-    violations = 0
-    grade_idx = np.arange(cfg.k - 1, dtype=np.float64)  # d beta_m / d gamma
-    pos = grade_positions(cfg.k)
-    for ps, u in zip(passes, upstream):
-        if ps.out.gamma <= thr:
-            violations += 1
-        sp = _slopes(ps.out.probs)
-        uq = u * 5.0 / (cfg.k - 1)  # through the [1,k] -> [0,5] rescale
-        total_slope = float(sp.sum())
-        theta_bar = uq * c * total_slope
-        beta1_bar = -uq * c * total_slope
-        gamma_bar = -uq * c * float(grade_idx @ sp)
+    with np.errstate(under="ignore"):
+        sp = _slopes(fw.probs)
+        # through the [1,k] -> [0,5] rescale, then the curves' scale d * alpha
+        uqc = upstream * 5.0 / (cfg.k - 1) * c
+        theta_bar = uqc * sp.sum(axis=1)
+        beta1_bar = -theta_bar
+        gamma_bar = -uqc * (sp @ np.arange(cfg.k - 1.0))  # d beta_m / d gamma = m - 1
 
-        db = beta1_bar * _act_deriv(cfg.activation, ps.pre_b)
-        dg = gamma_bar * _act_deriv(cfg.activation, ps.pre_g)
-        grads["phi_beta_w"] += db * ps.prior_in
-        grads["phi_beta_b"] += db
-        grads["phi_gamma_w"] += dg * ps.prior_in
-        grads["phi_gamma_b"] += dg
-        if cfg.ablation != "no_temperature":
+        db = beta1_bar * _act_deriv(cfg.activation, fw.pre_b)
+        dg = gamma_bar * _act_deriv(cfg.activation, fw.pre_g)
+        prior_in, temp_in = _inputs(hp, x)
+        grads = {
+            "phi_beta_w": db @ prior_in,
+            "phi_beta_b": np.asarray(db.sum()),
+            "phi_gamma_w": dg @ prior_in,
+            "phi_gamma_b": np.asarray(dg.sum()),
+        }
+        if cfg.ablation == "no_temperature":
+            grads["phi_i_w"] = np.zeros_like(hp.phi_i_w)
+            grads["phi_i_b"] = np.zeros(())
+        else:
             dtau = db + dg
-            grads["phi_i_w"] += dtau * ps.temp_in
-            grads["phi_i_b"] += dtau
+            grads["phi_i_w"] = dtau @ temp_in
+            grads["phi_i_b"] = np.asarray(dtau.sum())
 
         if cfg.agg_mode == "linear":
-            grads["agg_w"] += theta_bar * ps.x
-            grads["agg_b"] += theta_bar
+            grads["agg_w"] = theta_bar @ x
+            grads["agg_b"] = np.asarray(theta_bar.sum())
         else:
-            p = ps.softmax_p
-            pbar = theta_bar * cfg.lambda_s * pos
-            lbar = p * (pbar - float(pbar @ p))
-            grads["agg_w"] += np.outer(lbar, ps.x)
-            grads["agg_b"] += lbar
+            p = fw.softmax_p
+            pbar = (theta_bar * cfg.lambda_s)[:, None] * grade_positions(cfg.k)
+            lbar = p * (pbar - (pbar * p).sum(axis=1, keepdims=True))
+            grads["agg_w"] = lbar.T @ x
+            grads["agg_b"] = lbar.sum(axis=0)
 
-    return GradReport(loss=loss, grads=grads, gamma_violations=violations)
+    violations = int(np.count_nonzero(fw.gamma <= core.gamma_threshold(cfg.d, cfg.alpha)))
+    return GradReport(
+        loss=loss,
+        grads={name: grads[name] for name in PARAM_FIELDS},
+        gamma_violations=violations,
+    )
 
 
 def _loss_only(
     hp: HeadParams,
-    pairs: Sequence[FeaturePair],
+    x: np.ndarray,
     t: np.ndarray,
     lam: float,
     epsilon: float,
     literal_target: bool,
 ) -> float:
-    q = np.array([_forward(hp, fp).out.q_rescaled for fp in pairs])
+    q = _forward(hp, x).q_rescaled
     return losses.total_loss(losses.ScoreBatch(predicted=q, target=t), lam, epsilon, literal_target)
 
 
 def fd_check(
     hp: HeadParams,
-    pairs: Sequence[FeaturePair],
+    pairs: Sequence[FeaturePair] | np.ndarray,
     targets,
     step: float = 1e-4,
     tol: float = 1e-4,
@@ -192,50 +210,47 @@ def fd_check(
     """
     if step <= 0.0 or tol <= 0.0:
         raise ValueError("step and tol must be positive")
+    x = feature_matrix(hp, pairs)
     t = np.asarray(targets, dtype=np.float64)
-    base = batch_loss_and_grads(hp, pairs, t, lam, epsilon, literal_target)
+    base = batch_loss_and_grads(hp, x, t, lam, epsilon, literal_target)
 
     skip = {name: False for name in PARAM_FIELDS}
     if hp.config.activation == "relu":
-        near_b = near_g = False
-        for fp in pairs:
-            ps = _forward(hp, fp)
-            near_b = near_b or abs(ps.pre_b) < RELU_KINK_MARGIN
-            near_g = near_g or abs(ps.pre_g) < RELU_KINK_MARGIN
+        fw = _forward(hp, x)
+        near_b = bool(np.any(np.abs(fw.pre_b) < RELU_KINK_MARGIN))
+        near_g = bool(np.any(np.abs(fw.pre_g) < RELU_KINK_MARGIN))
         skip["phi_beta_w"] = skip["phi_beta_b"] = near_b
         skip["phi_gamma_w"] = skip["phi_gamma_b"] = near_g
         skip["phi_i_w"] = skip["phi_i_b"] = near_b or near_g
+    skipped_at = flatten_fields(
+        {name: np.full(getattr(hp, name).shape, skip[name]) for name in PARAM_FIELDS}
+    )
 
     work = hp.copy()
+    w = work.flat
+    analytic = flatten_fields(base.grads)
     max_rel = 0.0
-    checked = skipped = failures = 0
-    for name in PARAM_FIELDS:
-        arr = getattr(work, name)
-        flat = arr.reshape(-1)
-        if skip[name]:
-            skipped += flat.size
-            continue
-        analytic = base.grads[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = _loss_only(work, pairs, t, lam, epsilon, literal_target)
-            flat[i] = orig - step
-            lo = _loss_only(work, pairs, t, lam, epsilon, literal_target)
-            flat[i] = orig
-            fd = (hi - lo) / (2.0 * step)
-            rel = abs(analytic[i] - fd) / max(abs(analytic[i]), abs(fd), 1e-12)
-            max_rel = max(max_rel, rel)
-            checked += 1
-            if rel > tol:
-                failures += 1
+    checked = failures = 0
+    for i in np.flatnonzero(~skipped_at):
+        orig = w[i]
+        w[i] = orig + step
+        hi = _loss_only(work, x, t, lam, epsilon, literal_target)
+        w[i] = orig - step
+        lo = _loss_only(work, x, t, lam, epsilon, literal_target)
+        w[i] = orig
+        fd = (hi - lo) / (2.0 * step)
+        rel = abs(analytic[i] - fd) / max(abs(analytic[i]), abs(fd), 1e-12)
+        max_rel = max(max_rel, rel)
+        checked += 1
+        if rel > tol:
+            failures += 1
 
     return GradReport(
         loss=base.loss,
         grads=base.grads,
-        max_rel_err=max_rel,
+        max_rel_err=float(max_rel),
         checked=checked,
-        skipped=skipped,
+        skipped=int(skipped_at.sum()),
         failures=failures,
         gamma_violations=base.gamma_violations,
     )

@@ -15,10 +15,22 @@ drop below ``eta`` plus telu's global minimum, which keeps it above the
 unimodality threshold ``2 ln2 / (d * alpha)`` for every input.  The ablation
 activations (sigmoid, relu, softplus) are applied as-is and only guarantee a
 positive spacing; sub-threshold spacings there raise a warning, not an error.
+
+The forward runs on a batch: an (N, d_txt + d_img) feature matrix whose row
+i is item i's text features followed by its image features
+(``feature_matrix``), giving (N,) vectors of abilities, priors and spacings
+and an (N, k) array of grade masses (``core.agrm_probs_batch``).
+``head_forward`` is the one-row case.  Every per-row dot product is a
+multiply and a sum over the row (``_rowdot``), not a BLAS matmul: BLAS
+blocks its work by the number of rows, so a matmul can give a row a
+different last bit in a different batch, while the row-wise sum cannot.
+That keeps each item's score bitwise the same whether it is scored alone,
+in a training batch or in an evaluation set.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,6 +54,10 @@ __all__ = [
     "ability_forward",
     "difficulty_forward",
     "head_forward",
+    "batch_forward",
+    "feature_matrix",
+    "flatten_fields",
+    "HeadBatch",
     "init_head",
 ]
 
@@ -57,42 +73,46 @@ TELU_MIN = -0.35328577784821125
 TELU_ARGMIN = -1.0788600584646242
 
 
-def telu(x: float) -> float:
-    """x * tanh(e^x); linear for large x, vanishing for very negative x."""
-    if x > 20.0:
-        return x
-    return x * math.tanh(math.exp(x))
+def telu(x):
+    """x * tanh(e^x); linear for large x, vanishing for very negative x.
+
+    Works element-wise on arrays; scalars come back as NumPy scalars.
+    Above x = 20 it is x itself: the exponent is capped there so e^x cannot
+    overflow, and tanh(e^20) is exactly 1.0 in double precision.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return (x * np.tanh(np.exp(np.minimum(x, 20.0))))[()]
 
 
-def _telu_deriv(x: float) -> float:
-    if x > 20.0:
-        return 1.0
-    t = math.tanh(math.exp(x))
-    return t + x * (1.0 - t * t) * math.exp(x)
+def _telu_deriv(x: np.ndarray) -> np.ndarray:
+    # above 20, t == 1.0 exactly, so this is exactly 1.0 as the slope of x
+    e = np.exp(np.minimum(x, 20.0))
+    t = np.tanh(e)
+    return t + x * (1.0 - t * t) * e
 
 
-def _act_value(name: str, x: float) -> float:
+def _act_value(name: str, x):
     if name == "telu":
         return telu(x)
     if name == "sigmoid":
-        return core.sigmoid(x)
+        return core.sigmoid_array(x)
     if name == "relu":
-        return x if x > 0.0 else 0.0
+        return np.maximum(x, 0.0)
     if name == "softplus":
-        return core._softplus(x)
+        return core.softplus_array(x)
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _act_deriv(name: str, x: float) -> float:
+def _act_deriv(name: str, x: np.ndarray) -> np.ndarray:
     if name == "telu":
         return _telu_deriv(x)
     if name == "sigmoid":
-        s = core.sigmoid(x)
+        s = core.sigmoid_array(x)
         return s * (1.0 - s)
     if name == "relu":
-        return 1.0 if x > 0.0 else 0.0
+        return (x > 0.0) * 1.0
     if name == "softplus":
-        return core.sigmoid(x)
+        return core.sigmoid_array(x)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -172,8 +192,10 @@ class HeadParams:
     (k, n) in softmax mode, ``agg_b`` () or (k,).  The prior maps take the
     text features (image features under the image_only ablation) and the
     temperature map takes the image features (text features under text_only),
-    so their widths follow the ablation.  Instances are mutated only by the
-    trainer; treat them as read-only elsewhere.
+    so their widths follow the ablation.  The fields are views into one
+    flat vector, ``flat``, in ``PARAM_FIELDS`` order, so an in-place update
+    of either is an update of both; never rebind a field.  Instances are
+    mutated only by the trainer; treat them as read-only elsewhere.
     """
 
     config: HeadConfig
@@ -211,6 +233,17 @@ class HeadParams:
             got = getattr(self, name).shape
             if got != shape:
                 raise ValueError(f"{name} shape {got}, expected {shape}")
+        self._flat = np.concatenate([getattr(self, name).reshape(-1) for name in PARAM_FIELDS])
+        offset = 0
+        for name in PARAM_FIELDS:
+            arr = getattr(self, name)
+            setattr(self, name, self._flat[offset : offset + arr.size].reshape(arr.shape))
+            offset += arr.size
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Every weight in one vector, ``PARAM_FIELDS`` order; the fields view it."""
+        return self._flat
 
     @property
     def prior_dim(self) -> int:
@@ -240,49 +273,84 @@ class HeadOutput:
     q_rescaled: float
 
 
-def _inputs(hp: HeadParams, fp: FeaturePair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated ability input, difficulty-prior input, temperature input."""
-    if fp.f_i.size != hp.d_img or fp.f_t.size != hp.d_txt:
+def flatten_fields(fields: dict) -> np.ndarray:
+    """Per-field arrays (weights or their gradients) as one ``flat``-ordered vector."""
+    return np.concatenate([np.asarray(fields[name]).ravel() for name in PARAM_FIELDS])
+
+
+def feature_matrix(hp: HeadParams, items) -> np.ndarray:
+    """The (N, d_txt + d_img) feature matrix the batch forward reads.
+
+    Row i is item i's text features followed by its image features, the
+    order of the ability input.  ``items`` is a sequence of feature pairs,
+    or a matrix already in this layout, which is returned as it is.
+    """
+    n = hp.d_txt + hp.d_img
+    if isinstance(items, np.ndarray):
+        if items.ndim != 2 or items.shape[1] != n:
+            raise ValueError(f"feature matrix shape {items.shape}, expected (N, {n})")
+        return items
+    items = list(items)
+    if not items:
+        raise ValueError("no feature pairs given")
+    f_t = np.array([fp.f_t for fp in items])
+    f_i = np.array([fp.f_i for fp in items])
+    if f_i.shape[1:] != (hp.d_img,) or f_t.shape[1:] != (hp.d_txt,):
         raise ValueError(
-            f"feature sizes ({fp.f_i.size}, {fp.f_t.size}) do not match head "
+            f"feature sizes ({f_i.shape[1:]}, {f_t.shape[1:]}) do not match head "
             f"({hp.d_img}, {hp.d_txt})"
         )
-    x = np.concatenate([fp.f_t, fp.f_i])
-    prior_in = fp.f_i if hp.config.ablation == "image_only" else fp.f_t
-    temp_in = fp.f_t if hp.config.ablation == "text_only" else fp.f_i
-    return x, prior_in, temp_in
+    return np.concatenate([f_t, f_i], axis=1)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
+@functools.lru_cache(maxsize=16)
 def grade_positions(k: int) -> np.ndarray:
-    """Grades 1..k mapped onto [0, 1]: (m - 1) / (k - 1)."""
-    return np.linspace(0.0, 1.0, k)
+    """Grades 1..k mapped onto [0, 1]: (m - 1) / (k - 1); read-only, shared."""
+    pos = np.linspace(0.0, 1.0, k)
+    pos.setflags(write=False)
+    return pos
 
 
-def _ability_parts(hp: HeadParams, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+def _rowdot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each row reduced on its own.
+
+    ``a @ w`` goes through BLAS, whose blocking depends on the number of
+    rows, so a row's result could change in the last bit with the batch it
+    sits in.  A multiply and a sum over the last axis cannot, which keeps a
+    one-row forward bitwise equal to the same row of any batch.
+    """
+    return (a * w).sum(axis=-1)
+
+
+def _inputs(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column views of x: (difficulty-prior input, temperature input)."""
+    f_t, f_i = x[:, : hp.d_txt], x[:, hp.d_txt :]
+    prior_in = f_i if hp.config.ablation == "image_only" else f_t
+    temp_in = f_t if hp.config.ablation == "text_only" else f_i
+    return prior_in, temp_in
+
+
+def _ability(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Abilities (N,) and, in softmax mode, the grade softmax (N, k)."""
     cfg = hp.config
     if cfg.agg_mode == "linear":
-        return float(hp.agg_w @ x + hp.agg_b), None
-    p = _softmax(hp.agg_w @ x + hp.agg_b)
-    return cfg.lambda_s * float(p @ grade_positions(cfg.k)), p
+        return _rowdot(x, hp.agg_w) + hp.agg_b, None
+    logits = _rowdot(x[:, None, :], hp.agg_w) + hp.agg_b
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    return cfg.lambda_s * _rowdot(p, grade_positions(cfg.k)), p
 
 
-def _difficulty_parts(
-    hp: HeadParams, prior_in: np.ndarray, temp_in: np.ndarray
-) -> tuple[float, float, float, float, float, float, float]:
-    """(beta1_prior, gamma_prior, tau, pre_b, pre_g, beta1, gamma)."""
+def _difficulty(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(beta1_prior, gamma_prior, tau, pre_b, pre_g, beta1, gamma), each (N,)."""
     cfg = hp.config
-    b_prior = float(hp.phi_beta_w @ prior_in + hp.phi_beta_b)
-    g_prior = float(hp.phi_gamma_w @ prior_in + hp.phi_gamma_b)
+    prior_in, temp_in = _inputs(hp, x)
+    b_prior = _rowdot(prior_in, hp.phi_beta_w) + hp.phi_beta_b
+    g_prior = _rowdot(prior_in, hp.phi_gamma_w) + hp.phi_gamma_b
     if cfg.ablation == "no_temperature":
-        tau = 0.0
+        tau = np.zeros(x.shape[0])
     else:
-        tau = float(hp.phi_i_w @ temp_in + hp.phi_i_b)
+        tau = _rowdot(temp_in, hp.phi_i_w) + hp.phi_i_b
     pre_b = b_prior + tau
     pre_g = g_prior + tau
     beta1 = _act_value(cfg.activation, pre_b)
@@ -292,56 +360,83 @@ def _difficulty_parts(
 
 def ability_forward(hp: HeadParams, fp: FeaturePair) -> float:
     """Scalar ability for one feature pair."""
-    x, _, _ = _inputs(hp, fp)
-    return _ability_parts(hp, x)[0]
+    with np.errstate(under="ignore"):
+        return float(_ability(hp, feature_matrix(hp, [fp]))[0][0])
 
 
 def difficulty_forward(hp: HeadParams, fp: FeaturePair) -> tuple[float, float]:
     """(base difficulty, threshold spacing) for one feature pair."""
-    _, prior_in, temp_in = _inputs(hp, fp)
-    parts = _difficulty_parts(hp, prior_in, temp_in)
-    return parts[5], parts[6]
+    with np.errstate(under="ignore"):
+        parts = _difficulty(hp, feature_matrix(hp, [fp]))
+    return float(parts[5][0]), float(parts[6][0])
 
 
-class _Pass(NamedTuple):
-    """One forward pass plus the intermediates the backward pass reads."""
+class HeadBatch(NamedTuple):
+    """One forward pass over N items, row i belonging to item i.
 
-    out: HeadOutput
-    x: np.ndarray
-    prior_in: np.ndarray
-    temp_in: np.ndarray
+    Every field is an (N,) array except ``probs`` (N, k) and ``softmax_p``
+    ((N, k) in softmax mode, else None).  ``softmax_p``, ``pre_b`` and
+    ``pre_g`` (the activation inputs) are what the backward pass reads.
+    """
+
+    theta: np.ndarray
+    beta1_prior: np.ndarray
+    gamma_prior: np.ndarray
+    tau: np.ndarray
+    beta1: np.ndarray
+    gamma: np.ndarray
+    probs: np.ndarray
+    q: np.ndarray
+    q_rescaled: np.ndarray
     softmax_p: np.ndarray | None
-    pre_b: float
-    pre_g: float
+    pre_b: np.ndarray
+    pre_g: np.ndarray
 
 
-def _forward(hp: HeadParams, fp: FeaturePair) -> _Pass:
+def _forward(hp: HeadParams, x: np.ndarray) -> HeadBatch:
     """The head forward shared by scoring and training; raises on gamma <= 0."""
     cfg = hp.config
-    x, prior_in, temp_in = _inputs(hp, fp)
-    theta, softmax_p = _ability_parts(hp, x)
-    b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma = _difficulty_parts(hp, prior_in, temp_in)
-    if gamma <= 0.0:
-        raise ValueError(
-            f"unimodality constraint violated: spacing gamma = {gamma!r} <= 0 "
-            f"(activation {cfg.activation!r}, eta = {cfg.eta!r})"
+    with np.errstate(under="ignore"):
+        theta, softmax_p = _ability(hp, x)
+        b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma = _difficulty(hp, x)
+        if gamma.min() <= 0.0:
+            raise ValueError(
+                f"unimodality constraint violated: spacing gamma = "
+                f"{float(gamma.min())!r} <= 0 "
+                f"(activation {cfg.activation!r}, eta = {cfg.eta!r})"
+            )
+        probs = core.agrm_probs_batch(theta, beta1, gamma, cfg.d, cfg.alpha, cfg.k)
+        q = _rowdot(probs, np.arange(1.0, cfg.k + 1.0))
+    # core.rescale_score, element-wise
+    q_rescaled = np.minimum(5.0, np.maximum(0.0, (q - 1.0) * 5.0 / (cfg.k - 1.0)))
+    return HeadBatch(
+        theta, b_prior, g_prior, tau, beta1, gamma, probs, q, q_rescaled, softmax_p, pre_b, pre_g
+    )
+
+
+def _warn_sub_threshold(hp: HeadParams, gamma: np.ndarray, stacklevel: int) -> None:
+    threshold = core.gamma_threshold(hp.config.d, hp.config.alpha)
+    if gamma.min() <= threshold:
+        low = gamma <= threshold
+        count = f" ({int(low.sum())} of {low.size} items)" if low.size > 1 else ""
+        warnings.warn(
+            f"spacing gamma = {float(gamma[np.argmax(low)]):.6g} at or below the "
+            f"unimodality threshold {threshold:.6g}{count}; grade distribution may "
+            "be multimodal",
+            RuntimeWarning,
+            stacklevel=stacklevel + 1,
         )
-    probs = core.agrm_probs(
-        core.AgrmParams(theta=theta, beta1=beta1, gamma=gamma, d=cfg.d, alpha=cfg.alpha, k=cfg.k)
-    )
-    q = core.expected_score(probs)
-    out = HeadOutput(
-        theta=theta,
-        beta1_prior=b_prior,
-        gamma_prior=g_prior,
-        tau=tau,
-        beta1=beta1,
-        gamma=gamma,
-        probs=probs,
-        q=q,
-        q_rescaled=core.rescale_score(q, cfg.k),
-    )
-    return _Pass(out, x, prior_in, temp_in, softmax_p, pre_b, pre_g)
+
+
+def batch_forward(hp: HeadParams, items) -> HeadBatch:
+    """Forward pass over N items at once; see ``feature_matrix`` for ``items``.
+
+    Raises like ``head_forward`` and warns once for the whole batch when
+    any spacing sits at or below the unimodality threshold.
+    """
+    out = _forward(hp, feature_matrix(hp, items))
+    _warn_sub_threshold(hp, out.gamma, stacklevel=2)
+    return out
 
 
 def head_forward(hp: HeadParams, fp: FeaturePair) -> HeadOutput:
@@ -350,19 +445,22 @@ def head_forward(hp: HeadParams, fp: FeaturePair) -> HeadOutput:
     A non-positive spacing means the grade bands have collapsed and no
     distribution exists; that raises.  A positive spacing at or below the
     unimodality threshold is computable but unguaranteed, so it only warns
-    (the telu default cannot get there).
+    (the telu default cannot get there).  This is row 0 of a one-row
+    ``batch_forward``, bit for bit.
     """
-    cfg = hp.config
-    out = _forward(hp, fp).out
-    threshold = core.gamma_threshold(cfg.d, cfg.alpha)
-    if out.gamma <= threshold:
-        warnings.warn(
-            f"spacing gamma = {out.gamma:.6g} at or below the unimodality threshold "
-            f"{threshold:.6g}; grade distribution may be multimodal",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return out
+    b = _forward(hp, feature_matrix(hp, [fp]))
+    _warn_sub_threshold(hp, b.gamma, stacklevel=2)
+    return HeadOutput(
+        theta=float(b.theta[0]),
+        beta1_prior=float(b.beta1_prior[0]),
+        gamma_prior=float(b.gamma_prior[0]),
+        tau=float(b.tau[0]),
+        beta1=float(b.beta1[0]),
+        gamma=float(b.gamma[0]),
+        probs=core.ProbVector(b.probs[0]),
+        q=float(b.q[0]),
+        q_rescaled=float(b.q_rescaled[0]),
+    )
 
 
 def _solve_gamma_bias(activation: str, eta: float, d: float, alpha: float) -> float:

@@ -8,8 +8,10 @@ are undefined; these functions warn and return 0 instead of dividing by zero.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +23,8 @@ __all__ = [
     "srcc",
     "plcc_metric",
     "midranks",
+    "PlccParts",
+    "plcc_parts",
 ]
 
 
@@ -75,15 +79,37 @@ def plcc_loss(batch: ScoreBatch, epsilon: float = 1e-8, literal_target: bool = F
         raise ValueError(f"correlation penalty needs at least 2 scores, got {len(batch)}")
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    q, t = batch.predicted, batch.target
-    qhat = (q - q.mean()) / (q.std() + epsilon)
-    that = (t - t.mean()) / (t.std() + epsilon)
-    rho = float(np.mean(qhat * that))
-    ref = t if literal_target else that
-    n = len(batch)
-    first = float(np.sum((qhat - that) ** 2))
-    second = float(np.sum((rho * qhat - ref) ** 2))
-    return (first + second) / n
+    return plcc_parts(batch.predicted, batch.target, epsilon, literal_target).value
+
+
+class PlccParts(NamedTuple):
+    """The correlation penalty and the batch statistics it is built from."""
+
+    value: float
+    sd: float  # population deviation of the predictions, before epsilon
+    qhat: np.ndarray
+    that: np.ndarray
+    rho: float
+    resid: np.ndarray  # rho * qhat - reference, the second term's residual
+
+
+def plcc_parts(q: np.ndarray, t: np.ndarray, epsilon: float, literal_target: bool) -> PlccParts:
+    """``plcc_loss`` on checked arrays, with the statistics its gradient reuses.
+
+    Means and deviations are spelled out as ``np.mean`` and ``np.std``
+    compute them (same values), without their per-call overhead.
+    """
+    n = q.size
+    dq = q - q.sum() / n
+    dt = t - t.sum() / n
+    sd = math.sqrt((dq * dq).sum() / n)
+    qhat = dq / (sd + epsilon)
+    that = dt / (math.sqrt((dt * dt).sum() / n) + epsilon)
+    rho = float((qhat * that).sum() / n)
+    resid = rho * qhat - (t if literal_target else that)
+    first = float(((qhat - that) ** 2).sum())
+    second = float((resid**2).sum())
+    return PlccParts((first + second) / n, sd, qhat, that, rho, resid)
 
 
 def total_loss(
@@ -105,15 +131,15 @@ def midranks(values) -> np.ndarray:
     """1-based ranks with ties assigned the mean of their positions."""
     x = _as_score_array("values", values)
     order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts_run = np.empty(x.size, dtype=bool)
+    starts_run[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=starts_run[1:])
+    first = np.flatnonzero(starts_run)  # 0-based first position of each tie run
+    last = np.append(first[1:], x.size) - 1  # and its last
     ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the value; mean 1-based rank
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # positions first..last share the value; mean 1-based rank
+    ranks[order] = ((first + last) / 2.0 + 1.0)[np.cumsum(starts_run) - 1]
     return ranks
 
 

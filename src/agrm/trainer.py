@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradients import batch_loss_and_grads
-from .head import PARAM_FIELDS, HeadConfig, HeadParams, head_forward
+from .head import (
+    PARAM_FIELDS,
+    HeadConfig,
+    HeadParams,
+    batch_forward,
+    feature_matrix,
+    flatten_fields,
+)
 from .losses import plcc_metric, srcc
 
 __all__ = [
@@ -37,6 +44,7 @@ __all__ = [
     "init_adam_state",
     "adamw_step",
     "train",
+    "predict",
     "evaluate",
     "evaluate_by_dim",
     "save_checkpoint",
@@ -151,45 +159,78 @@ def cosine_lr(epoch: int, base_lr: float, t_max: int, restarts: bool = True) -> 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, keyed like the gradient dict."""
+    """First/second moment accumulators, flat like ``HeadParams.flat``."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def init_adam_state(head: HeadParams) -> AdamState:
-    zeros = lambda name: np.zeros_like(getattr(head, name))
-    return AdamState(
-        m={name: zeros(name) for name in PARAM_FIELDS},
-        v={name: zeros(name) for name in PARAM_FIELDS},
-    )
+    return AdamState(m=np.zeros_like(head.flat), v=np.zeros_like(head.flat))
 
 
 def adamw_step(
     head: HeadParams,
     state: AdamState,
-    grads: dict,
+    grads,
     lr: float,
     cfg: TrainConfig,
 ) -> None:
-    """One in-place update: decay the weights first, then the adaptive step."""
+    """One in-place update: decay the weights first, then the adaptive step.
+
+    ``grads`` is a gradient dict keyed by ``PARAM_FIELDS`` or its
+    ``flatten_fields`` vector; the update runs once over the flat weights.
+    """
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for name in PARAM_FIELDS:
-        w = getattr(head, name)
-        g = grads[name]
-        if cfg.weight_decay != 0.0:
-            w -= lr * cfg.weight_decay * w
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        w -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+    w, m, v = head.flat, state.m, state.v
+    g = grads if isinstance(grads, np.ndarray) else flatten_fields(grads)
+    if cfg.weight_decay != 0.0:
+        w -= lr * cfg.weight_decay * w
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    w -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+
+
+def _require_finite(what: str, flat: np.ndarray, head: HeadParams) -> None:
+    """Raise naming the field of the first non-finite entry of a flat vector."""
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        names = flatten_fields(
+            {name: np.full(getattr(head, name).shape, name) for name in PARAM_FIELDS}
+        )
+        raise ValueError(f"non-finite {what} in {names[np.argmax(bad)]}")
+
+
+def _train_step(head: HeadParams, opt: AdamState, x, t, lr: float, cfg: TrainConfig):
+    """One optimizer step that stops at the first non-finite value.
+
+    The loss, the gradient, the updated weights and the second moment (the
+    first place a huge but finite gradient overflows) are checked in turn.
+    NumPy's overflow warnings are silenced here because these checks
+    report what the warnings would.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = batch_loss_and_grads(
+            head, x, t, lam=cfg.lam, epsilon=cfg.epsilon, literal_target=cfg.literal_target
+        )
+        if not math.isfinite(rep.loss):
+            raise ValueError(f"non-finite loss {rep.loss!r}")
+        grads = flatten_fields(rep.grads)
+        _require_finite("gradient", grads, head)
+        adamw_step(head, opt, grads, lr, cfg)
+        _require_finite("weight", head.flat, head)
+        _require_finite("second moment", opt.v, head)
+    return rep
+
+
+def _mos(records) -> np.ndarray:
+    return np.array([r.mos for r in records], dtype=np.float64)
 
 
 def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Checkpoint:
@@ -198,7 +239,10 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
     The caller's ``head_init`` is left untouched; the checkpoint owns a
     trained copy.  Mini-batches follow a seeded shuffle each epoch, and a
     trailing batch is dropped only when it has a single item (the
-    correlation penalty needs batch variance).
+    correlation penalty needs batch variance).  Both sets are stacked into
+    feature matrices once; each step takes its rows.  A step that goes
+    non-finite stops training with a ``ValueError`` naming the epoch, the
+    step and the first non-finite field, before any checkpoint exists.
     """
     train_set = list(train_set)
     eval_set = list(eval_set)
@@ -212,38 +256,35 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
         raise ValueError(f"eval set needs >= 2 records, got {len(eval_set)}")
 
     head = head_init.copy()
+    x_train, t_train = feature_matrix(head, train_set), _mos(train_set)
+    x_eval, t_eval = feature_matrix(head, eval_set), _mos(eval_set)
     opt = init_adam_state(head)
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, cfg.lr, cfg.t_max, restarts=cfg.restarts)
         perm = rng.permutation(len(train_set))
-        loss_sum = 0.0
+        # batch losses weighted by batch size, summed exactly at the end
+        weighted_losses = []
         seen = 0
         violations = 0
-        for start in range(0, perm.size, cfg.batch_size):
+        for step, start in enumerate(range(0, perm.size, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
             if idx.size < 2:
                 continue
-            batch = [train_set[i] for i in idx]
-            rep = batch_loss_and_grads(
-                head,
-                batch,
-                np.array([r.mos for r in batch]),
-                lam=cfg.lam,
-                epsilon=cfg.epsilon,
-                literal_target=cfg.literal_target,
-            )
-            adamw_step(head, opt, rep.grads, lr, cfg)
-            loss_sum += rep.loss * idx.size
+            try:
+                rep = _train_step(head, opt, x_train[idx], t_train[idx], lr, cfg)
+            except ValueError as exc:
+                raise ValueError(f"epoch {epoch}, step {step}: {exc}") from exc
+            weighted_losses.append(rep.loss * idx.size)
             seen += idx.size
             violations += rep.gamma_violations
-        eval_srcc, eval_plcc = evaluate(head, eval_set)
+        eval_srcc, eval_plcc = _correlations(batch_forward(head, x_eval).q_rescaled, t_eval)
         history.append(
             EpochStats(
                 epoch=epoch,
                 lr=lr,
-                train_loss=loss_sum / seen,
+                train_loss=math.fsum(weighted_losses) / seen,
                 eval_srcc=eval_srcc,
                 eval_plcc=eval_plcc,
                 gamma_violations=violations,
@@ -262,27 +303,45 @@ def _head_of(model) -> HeadParams:
     return model.head if isinstance(model, Checkpoint) else model
 
 
-def evaluate(model, records) -> tuple:
-    """Rank and linear correlation of head scores against recorded scores."""
-    records = list(records)
-    if len(records) < 2:
-        raise ValueError(f"evaluation needs >= 2 records, got {len(records)}")
-    head = _head_of(model)
-    preds = [head_forward(head, r).q_rescaled for r in records]
-    mos = [r.mos for r in records]
+def _correlations(preds: np.ndarray, mos: np.ndarray) -> tuple:
     return srcc(preds, mos), plcc_metric(preds, mos)
 
 
-def evaluate_by_dim(model, records) -> dict:
-    """Per-dimension metrics; dimensions with fewer than 2 records are skipped."""
-    groups: dict[str, list] = {}
-    for r in records:
-        groups.setdefault(r.dim, []).append(r)
-    return {
-        dim: evaluate(model, recs)
-        for dim, recs in groups.items()
-        if len(recs) >= 2
-    }
+def predict(model, records) -> np.ndarray:
+    """Rescaled head scores of the records, in order, from one batched forward."""
+    return batch_forward(_head_of(model), records).q_rescaled
+
+
+def evaluate(model, records, preds=None) -> tuple:
+    """Rank and linear correlation of head scores against recorded scores.
+
+    ``preds``, when given, are the records' ``predict`` scores, reused
+    instead of running the forward again.
+    """
+    records = list(records)
+    if len(records) < 2:
+        raise ValueError(f"evaluation needs >= 2 records, got {len(records)}")
+    if preds is None:
+        preds = predict(model, records)
+    return _correlations(preds, _mos(records))
+
+
+def evaluate_by_dim(model, records, preds=None) -> dict:
+    """Per-dimension metrics; dimensions with fewer than 2 records are skipped.
+
+    Every record is scored once (or ``preds`` is reused, as in ``evaluate``)
+    and the scores are grouped by dimension.
+    """
+    records = list(records)
+    dims = np.array([r.dim for r in records])
+    groups = {dim: dims == dim for dim in dict.fromkeys(dims.tolist())}
+    groups = {dim: sel for dim, sel in groups.items() if np.count_nonzero(sel) >= 2}
+    if not groups:
+        return {}
+    if preds is None:
+        preds = predict(model, records)
+    mos = _mos(records)
+    return {dim: _correlations(preds[sel], mos[sel]) for dim, sel in groups.items()}
 
 
 def _head_to_doc(head: HeadParams) -> dict:

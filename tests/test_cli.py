@@ -336,6 +336,54 @@ class TestMalformedCheckpoint:
         assert named in err
 
 
+class TestEvalScoresOnce:
+    def test_one_forward_per_eval(self, capsys, tmp_path, monkeypatch):
+        """Overall and per-dimension metrics come from one batched forward."""
+        from agrm import head
+
+        data = tmp_path / "d.jsonl"
+        planted = tmp_path / "p.json"
+        code, _, _ = run(
+            capsys, "synth", "--n", "30", "--d-img", "4", "--d-txt", "4",
+            "--noise", "0.2", "--out", str(data), "--planted-out", str(planted),
+        )
+        assert code == 0
+        calls = []
+        forward = head._forward
+
+        def counting(hp, x):
+            calls.append(x.shape[0])
+            return forward(hp, x)
+
+        monkeypatch.setattr(head, "_forward", counting)
+        code, doc, _ = run_json(capsys, "eval", "--checkpoint", str(planted), "--data", str(data))
+        assert code == 0
+        assert calls == [30]
+        assert set(doc["by_dim"]) == {"quality", "consistency", "authenticity"}
+
+
+class TestNonFiniteTraining:
+    def test_diverging_run_exits_2_without_checkpoint(self, capsys, tmp_path):
+        data = tmp_path / "d.jsonl"
+        code, _, _ = run(
+            capsys, "synth", "--n", "48", "--d-img", "6", "--d-txt", "6", "--out", str(data)
+        )
+        assert code == 0
+        ck = tmp_path / "ck.json"
+        code, out, err = run(
+            capsys, "train", "--data", str(data), "--preset", "recovery",
+            "--epochs", "3", "--batch-size", "8", "--lr", "1e300", "--out", str(ck),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1 and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert "epoch 0, step 1: non-finite weight in agg_w" in err
+        assert not ck.exists()
+        assert not (tmp_path / "ck.json.history.csv").exists()
+
+
 class TestFdCheck:
     def test_default_passes(self, capsys):
         code, doc, _ = run_json(capsys, "fd-check")

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agrm.losses import (
     ScoreBatch,
@@ -98,7 +100,34 @@ class TestTotalLoss:
             total_loss(b, lam=-1.0)
 
 
+def midranks_oracle(values):
+    """Reference mid-ranks: walk the sorted values one tie run at a time."""
+    x = np.asarray(values, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size, dtype=np.float64)
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        # positions i..j (0-based) share the value; mean 1-based rank
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 class TestMidranks:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([-2.5, -0.0, 0.0, 1.0, 1.0 + 2**-52, 3.0, 1e300]),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_matches_loop_oracle_under_heavy_ties(self, values):
+        assert np.array_equal(midranks(values), midranks_oracle(values))
+
     def test_no_ties(self):
         assert list(midranks([3.0, 1.0, 2.0])) == [3.0, 1.0, 2.0]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from agrm import trainer
 from agrm.data import SynthConfig, split, synth_generate
 from agrm.head import PARAM_FIELDS, HeadConfig, init_head
 from agrm.trainer import (
@@ -222,6 +223,34 @@ class TestTrain:
         cfg = TrainConfig(lr=1e-3, epochs=2, batch_size=16)
         ckpt = train(cfg, recs, recs[:4], hp)  # 17 = 16 + 1 leftover
         assert len(ckpt.history) == 2
+
+    @pytest.mark.parametrize(
+        "poison, message",
+        [
+            ("phi_gamma_w", "epoch 1, step 2: non-finite gradient in phi_gamma_w"),
+            ("loss", "epoch 1, step 2: non-finite loss nan"),
+        ],
+    )
+    def test_non_finite_step_names_epoch_step_and_field(self, monkeypatch, poison, message):
+        recs, _ = tiny_dataset()
+        tr, te = split(recs, 0.75, seed=0)
+        exact = trainer.batch_loss_and_grads
+        steps = []
+
+        def poisoned(*args, **kwargs):
+            rep = exact(*args, **kwargs)
+            steps.append(None)
+            if len(steps) == 8:  # 36 records, batches of 8: 5 steps per epoch
+                if poison == "loss":
+                    rep.loss = float("nan")
+                else:
+                    rep.grads[poison] = rep.grads[poison] + np.inf
+            return rep
+
+        monkeypatch.setattr(trainer, "batch_loss_and_grads", poisoned)
+        with pytest.raises(ValueError) as info:
+            train(TrainConfig(lr=1e-3, epochs=3, batch_size=8), tr, te, init_head(6, 6, seed=9))
+        assert str(info.value) == message
 
     def test_rejects_small_train_set(self):
         recs, _ = tiny_dataset(n=8)
