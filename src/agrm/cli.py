@@ -378,6 +378,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     records = load_records(args.data)
+    if len(records) < 2:
+        raise ValueError(f"evaluation needs >= 2 records, got {len(records)}")
     preds = predict(ckpt, records)
     overall_srcc, overall_plcc = evaluate(ckpt, records, preds)
     per_dim = evaluate_by_dim(ckpt, records, preds)

@@ -269,14 +269,11 @@ def _band_probs(z: np.ndarray, g: np.ndarray) -> np.ndarray:
     replaced by 0 before the factored form sees them, so nothing overflows,
     and ``g == 0`` entries come out of it as exactly 0.
     """
-    if np.abs(z).max() <= 30.0 and g.max() <= 30.0:
-        return _factored_band(z, g)
     easy = (np.abs(z) <= 30.0) & (g <= 30.0)
     out = _factored_band(np.where(easy, z, 0.0), np.where(easy, g, 0.0))
-    g = np.broadcast_to(g, z.shape)
     hard = ~easy & (g > 0.0)
     if hard.any():
-        zh, gh = z[hard], g[hard]
+        zh, gh = z[hard], np.broadcast_to(g, z.shape)[hard]
         log_em1 = np.where(gh > 700.0, gh, np.log(np.expm1(np.minimum(gh, 700.0))))
         out[hard] = np.exp(log_em1 - softplus_array(zh) - softplus_array(gh - zh))
     return out

@@ -58,6 +58,10 @@ class GradReport:
 
     ``max_rel_err`` is populated by ``fd_check`` only.  ``gamma_violations``
     counts items whose spacing sat at or below the unimodality threshold.
+    ``item_losses`` (from ``batch_loss_and_grads``) are the per-item terms
+    whose mean is ``loss``: each item's absolute error plus the batch's
+    weighted correlation penalty.  Summed exactly, they give an epoch loss
+    that does not depend on how the items were grouped into batches.
     """
 
     loss: float
@@ -67,6 +71,7 @@ class GradReport:
     skipped: int = 0
     failures: int = 0
     gamma_violations: int = 0
+    item_losses: np.ndarray | None = None
 
 
 def _slopes(probs: np.ndarray) -> np.ndarray:
@@ -86,13 +91,15 @@ def _loss_and_upstream(
     lam: float,
     epsilon: float,
     literal_target: bool,
-) -> tuple[float, np.ndarray]:
-    """``losses.total_loss`` and dL/dQ, exact through the batch statistics."""
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """``losses.total_loss``, dL/dQ (exact through the batch statistics) and
+    the per-item loss terms of ``GradReport.item_losses``."""
     n = q.size
-    loss = float(np.abs(t - q).sum() / n)  # losses.mae_loss
+    abs_err = np.abs(t - q)
+    loss = float(abs_err.sum() / n)  # losses.mae_loss
     u = np.sign(q - t) / n
     if lam == 0.0:
-        return loss, u
+        return loss, u, abs_err
     st = losses.plcc_parts(q, t, epsilon, literal_target)
     qhat, that, rho, sd = st.qhat, st.that, st.rho, st.sd
     # adjoint w.r.t. the standardized predictions, including the rho coupling
@@ -101,7 +108,8 @@ def _loss_and_upstream(
     if sd > 0.0:
         # through the batch deviation itself
         dplcc -= (float(qhat @ g) / (n * sd)) * qhat
-    return loss + lam * st.value, u + lam * dplcc
+    penalty = lam * st.value
+    return loss + penalty, u + lam * dplcc, abs_err + penalty
 
 
 def batch_loss_and_grads(
@@ -131,7 +139,9 @@ def batch_loss_and_grads(
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     cfg = hp.config
     fw = _forward(hp, x)
-    loss, upstream = _loss_and_upstream(fw.q_rescaled, t, lam, epsilon, literal_target)
+    loss, upstream, item_losses = _loss_and_upstream(
+        fw.q_rescaled, t, lam, epsilon, literal_target
+    )
 
     c = cfg.d * cfg.alpha
     with np.errstate(under="ignore"):
@@ -174,6 +184,7 @@ def batch_loss_and_grads(
         loss=loss,
         grads={name: grads[name] for name in PARAM_FIELDS},
         gamma_violations=violations,
+        item_losses=item_losses,
     )
 
 

@@ -25,7 +25,9 @@ multiply and a sum over the row (``_rowdot``), not a BLAS matmul: BLAS
 blocks its work by the number of rows, so a matmul can give a row a
 different last bit in a different batch, while the row-wise sum cannot.
 That keeps each item's score bitwise the same whether it is scored alone,
-in a training batch or in an evaluation set.
+in a training batch or in an evaluation set.  The mean grade q is a
+compensated row sum (``_expected_grades``), within an ulp of the
+correctly rounded ``core.expected_score``.
 """
 
 from __future__ import annotations
@@ -322,6 +324,23 @@ def _rowdot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (a * w).sum(axis=-1)
 
 
+def _expected_grades(probs: np.ndarray) -> np.ndarray:
+    """Mean grade sum_m m * P_m of each row of an (N, k) mass array.
+
+    A plain sum of the k terms can land 2 ulp away from the correctly
+    rounded mean that ``core.expected_score`` gives.  Here the running sums
+    come from ``cumsum``, which adds one column at a time; TwoSum recovers
+    the exact rounding error of each of those additions, and the errors are
+    added back once, which keeps the result within an ulp of it.  Every row
+    is still reduced on its own.
+    """
+    terms = probs * np.arange(1.0, probs.shape[1] + 1.0)
+    run = np.cumsum(terms, axis=1)
+    s, t, x = run[:, :-1], run[:, 1:], terms[:, 1:]  # t = fl(s + x)
+    z = t - s
+    return run[:, -1] + ((s - (t - z)) + (x - z)).sum(axis=1)
+
+
 def _inputs(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column views of x: (difficulty-prior input, temperature input)."""
     f_t, f_i = x[:, : hp.d_txt], x[:, hp.d_txt :]
@@ -406,7 +425,7 @@ def _forward(hp: HeadParams, x: np.ndarray) -> HeadBatch:
                 f"(activation {cfg.activation!r}, eta = {cfg.eta!r})"
             )
         probs = core.agrm_probs_batch(theta, beta1, gamma, cfg.d, cfg.alpha, cfg.k)
-        q = _rowdot(probs, np.arange(1.0, cfg.k + 1.0))
+        q = _expected_grades(probs)
     # core.rescale_score, element-wise
     q_rescaled = np.minimum(5.0, np.maximum(0.0, (q - 1.0) * 5.0 / (cfg.k - 1.0)))
     return HeadBatch(

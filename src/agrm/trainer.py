@@ -179,15 +179,15 @@ def adamw_step(
 ) -> None:
     """One in-place update: decay the weights first, then the adaptive step.
 
-    ``grads`` is a gradient dict keyed by ``PARAM_FIELDS`` or its
-    ``flatten_fields`` vector; the update runs once over the flat weights.
+    ``grads`` is keyed by ``PARAM_FIELDS``; the update runs once over the
+    flat weights and moments.
     """
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     w, m, v = head.flat, state.m, state.v
-    g = grads if isinstance(grads, np.ndarray) else flatten_fields(grads)
+    g = flatten_fields(grads)
     if cfg.weight_decay != 0.0:
         w -= lr * cfg.weight_decay * w
     m *= b1
@@ -221,9 +221,8 @@ def _train_step(head: HeadParams, opt: AdamState, x, t, lr: float, cfg: TrainCon
         )
         if not math.isfinite(rep.loss):
             raise ValueError(f"non-finite loss {rep.loss!r}")
-        grads = flatten_fields(rep.grads)
-        _require_finite("gradient", grads, head)
-        adamw_step(head, opt, grads, lr, cfg)
+        _require_finite("gradient", flatten_fields(rep.grads), head)
+        adamw_step(head, opt, rep.grads, lr, cfg)
         _require_finite("weight", head.flat, head)
         _require_finite("second moment", opt.v, head)
     return rep
@@ -264,9 +263,9 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, cfg.lr, cfg.t_max, restarts=cfg.restarts)
         perm = rng.permutation(len(train_set))
-        # batch losses weighted by batch size, summed exactly at the end
-        weighted_losses = []
-        seen = 0
+        # per-item loss terms, summed exactly at the end, so the epoch loss
+        # does not depend on how the shuffle grouped the items
+        item_losses = []
         violations = 0
         for step, start in enumerate(range(0, perm.size, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
@@ -276,15 +275,15 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
                 rep = _train_step(head, opt, x_train[idx], t_train[idx], lr, cfg)
             except ValueError as exc:
                 raise ValueError(f"epoch {epoch}, step {step}: {exc}") from exc
-            weighted_losses.append(rep.loss * idx.size)
-            seen += idx.size
+            item_losses.append(rep.item_losses)
             violations += rep.gamma_violations
         eval_srcc, eval_plcc = _correlations(batch_forward(head, x_eval).q_rescaled, t_eval)
+        item_losses = np.concatenate(item_losses)
         history.append(
             EpochStats(
                 epoch=epoch,
                 lr=lr,
-                train_loss=math.fsum(weighted_losses) / seen,
+                train_loss=math.fsum(item_losses) / item_losses.size,
                 eval_srcc=eval_srcc,
                 eval_plcc=eval_plcc,
                 gamma_violations=violations,

@@ -20,6 +20,7 @@ from agrm.head import (
     FeaturePair,
     TELU_ARGMIN,
     HeadConfig,
+    _expected_grades,
     batch_forward,
     feature_matrix,
     head_forward,
@@ -72,6 +73,17 @@ def test_batch_masses_match_scalar_oracle(rows, k, d, alpha):
     for i, (t, b, g) in enumerate(rows):
         want = core.agrm_probs(core.AgrmParams(theta=t, beta1=b, gamma=g, d=d, alpha=alpha, k=k))
         assert np.max(np.abs(got[i] - np.array(want))) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rows=st.lists(item, min_size=1, max_size=12), k=st.integers(2, 7))
+def test_batch_mean_grade_matches_expected_score(rows, k):
+    # q < 8 for k <= 7, where one ulp is below 1e-15
+    theta, beta1, gamma = (np.array(col) for col in zip(*rows))
+    probs = core.agrm_probs_batch(theta, beta1, gamma, k=k)
+    q = _expected_grades(probs)
+    for i, row in enumerate(probs):
+        assert abs(q[i] - core.expected_score(row)) <= 1e-15
 
 
 class TestKernelChecks:

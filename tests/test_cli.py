@@ -362,6 +362,26 @@ class TestEvalScoresOnce:
         assert set(doc["by_dim"]) == {"quality", "consistency", "authenticity"}
 
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_records_rejected_before_any_forward(self, capsys, tmp_path, monkeypatch, n):
+        from agrm import head
+
+        data = tmp_path / "d.jsonl"
+        planted = tmp_path / "p.json"
+        code, _, _ = run(
+            capsys, "synth", "--n", "4", "--d-img", "4", "--d-txt", "4",
+            "--out", str(data), "--planted-out", str(planted),
+        )
+        assert code == 0
+        data.write_text("".join(data.read_text().splitlines(keepends=True)[:n]))
+        calls = []
+        monkeypatch.setattr(head, "_forward", lambda hp, x: calls.append(x) or None)
+        code, out, err = run(capsys, "eval", "--checkpoint", str(planted), "--data", str(data))
+        assert code == 2
+        assert out == "" and calls == []
+        assert err.strip() == f"error: evaluation needs >= 2 records, got {n}"
+
+
 class TestNonFiniteTraining:
     def test_diverging_run_exits_2_without_checkpoint(self, capsys, tmp_path):
         data = tmp_path / "d.jsonl"

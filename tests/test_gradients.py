@@ -57,6 +57,18 @@ class TestBatchLossAndGrads:
             total_loss(ScoreBatch(predicted=q, target=t)), abs=1e-12
         )
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_item_losses_average_to_the_loss(self, lam):
+        hp = init_head(8, 8, seed=0)
+        rng = np.random.default_rng(3)
+        pairs, t = make_batch(rng, hp)
+        rep = batch_loss_and_grads(hp, pairs, t, lam=lam)
+        q = np.array([head_forward(hp, p).q_rescaled for p in pairs])
+        assert rep.item_losses.shape == (len(pairs),)
+        assert rep.item_losses.mean() == pytest.approx(rep.loss, abs=1e-12)
+        if lam == 0.0:
+            assert np.array_equal(rep.item_losses, np.abs(t - q))
+
     def test_grad_shapes_mirror_params(self):
         hp = init_head(5, 7, HeadConfig(agg_mode="softmax"), seed=1)
         rng = np.random.default_rng(1)
