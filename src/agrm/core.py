@@ -264,14 +264,13 @@ def _factored_band(z: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _band_probs(z: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``_band_prob`` over an (N, m) array of z and an (N, 1) column of g.
 
-    The factored form runs on every entry, the log-space form on the
-    entries with |z| > 30 or g > 30 only.  Entries of the other branch are
-    replaced by 0 before the factored form sees them, so nothing overflows,
-    and ``g == 0`` entries come out of it as exactly 0.
+    The factored form runs on every entry, with z clipped to [-30, 30] and
+    g capped at 30 so nothing overflows; the entries with |z| > 30 or
+    g > 30 are then overwritten by the log-space form.  ``g == 0`` entries
+    come out of the factored form as exactly 0 and are left as they are.
     """
-    easy = (np.abs(z) <= 30.0) & (g <= 30.0)
-    out = _factored_band(np.where(easy, z, 0.0), np.where(easy, g, 0.0))
-    hard = ~easy & (g > 0.0)
+    out = _factored_band(np.minimum(np.maximum(z, -30.0), 30.0), np.minimum(g, 30.0))
+    hard = ((np.abs(z) > 30.0) | (g > 30.0)) & (g > 0.0)
     if hard.any():
         zh, gh = z[hard], np.broadcast_to(g, z.shape)[hard]
         log_em1 = np.where(gh > 700.0, gh, np.log(np.expm1(np.minimum(gh, 700.0))))

@@ -173,21 +173,20 @@ def init_adam_state(head: HeadParams) -> AdamState:
 def adamw_step(
     head: HeadParams,
     state: AdamState,
-    grads,
+    grads: np.ndarray,
     lr: float,
     cfg: TrainConfig,
 ) -> None:
     """One in-place update: decay the weights first, then the adaptive step.
 
-    ``grads`` is keyed by ``PARAM_FIELDS``; the update runs once over the
-    flat weights and moments.
+    ``grads`` is flat like ``head.flat`` (``flatten_fields`` of a gradient
+    dict); the update runs once over the flat weights and moments.
     """
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    w, m, v = head.flat, state.m, state.v
-    g = flatten_fields(grads)
+    w, m, v, g = head.flat, state.m, state.v, grads
     if cfg.weight_decay != 0.0:
         w -= lr * cfg.weight_decay * w
     m *= b1
@@ -221,8 +220,9 @@ def _train_step(head: HeadParams, opt: AdamState, x, t, lr: float, cfg: TrainCon
         )
         if not math.isfinite(rep.loss):
             raise ValueError(f"non-finite loss {rep.loss!r}")
-        _require_finite("gradient", flatten_fields(rep.grads), head)
-        adamw_step(head, opt, rep.grads, lr, cfg)
+        grads = flatten_fields(rep.grads)
+        _require_finite("gradient", grads, head)
+        adamw_step(head, opt, grads, lr, cfg)
         _require_finite("weight", head.flat, head)
         _require_finite("second moment", opt.v, head)
     return rep

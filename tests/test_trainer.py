@@ -112,7 +112,8 @@ def ones_head(d=1):
 
 
 def const_grads(hp, value):
-    return {name: np.full_like(getattr(hp, name), value) for name in PARAM_FIELDS}
+    """The same gradient on every weight, flat like ``hp.flat``."""
+    return np.full_like(hp.flat, value)
 
 
 class TestAdamW:
