@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -163,24 +164,118 @@ def cmd_curves(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def _verify_draw(rng, args, threshold):
-    k = int(rng.integers(args.k_min, args.k_max + 1))
+# Draws per chunk.  Memory stays flat in --samples, and each NumPy call is
+# spread over enough rows that its fixed cost vanishes.
+VERIFY_CHUNK = 8192
+_VERIFY_FAMILIES = ("unimodality", "normalization", "closed_form", "shift", "boundary")
+_VERIFY_TOL = 1e-12
+# the sweep draws at AgrmParams' default d and alpha
+_VERIFY_SCALE = AgrmParams.d * AgrmParams.alpha
+
+
+def _verify_draws(rng, n, args, threshold) -> dict:
+    """The parameter columns of n draws, taken column by column from ``rng``.
+
+    ``cf_m``/``cf_z`` place the closed-form probe at middle grade m in
+    [2, k-1], and ``shift_m`` is the middle grade in [2, k-2] the shift check
+    compares; draws with too few grades for a probe ignore its column.
+    """
+    k = rng.integers(args.k_min, args.k_max + 1, size=n)
     if args.allow_sub_threshold:
-        gamma = rng.uniform(0.05, threshold)
+        gamma = rng.uniform(0.05, threshold, size=n)
     else:
         # margin - U[0, margin) lands in (0, margin], keeping gamma strictly above
-        gamma = threshold + (args.gamma_margin - rng.uniform(0.0, args.gamma_margin))
-    beta1 = rng.uniform(-5.0, 5.0)
-    span = (k - 2) * gamma
-    theta = rng.uniform(beta1 - 20.0, beta1 + span + 20.0)
-    return AgrmParams(theta=theta, beta1=beta1, gamma=gamma, k=k)
+        gamma = threshold + (args.gamma_margin - rng.uniform(0.0, args.gamma_margin, size=n))
+    beta1 = rng.uniform(-5.0, 5.0, size=n)
+    theta = rng.uniform(beta1 - 20.0, beta1 + (k - 2) * gamma + 20.0)
+    return {
+        "k": k, "gamma": gamma, "beta1": beta1, "theta": theta,
+        "cf_m": rng.integers(2, np.maximum(k, 3)),
+        "cf_z": rng.uniform(-30.0, 30.0, size=n),
+        "shift_m": rng.integers(2, np.maximum(k - 1, 3)),
+    }
+
+
+def _verify_chunk(draws, standard: bool):
+    """Check one chunk of draws: (failure mask per family, non-unimodal mask,
+    closed-form probe abilities), each aligned with the draws.
+
+    Rows are checked in groups that share k, since the kernel takes one k.
+    A row that fails ``core.normalized_rows`` counts under ``normalization``
+    and is dropped from the other families.  Below the threshold
+    (``standard`` false) non-unimodal rows are expected, not failures, and
+    the boundary family is skipped.
+    """
+    c = _VERIFY_SCALE
+    n = draws["k"].size
+    fails = {name: np.zeros(n, dtype=bool) for name in _VERIFY_FAMILIES}
+    nonunimodal = np.zeros(n, dtype=bool)
+    cf_theta = np.full(n, np.nan)
+    for k in np.unique(draws["k"]).tolist():
+        rows = np.flatnonzero(draws["k"] == k)
+        theta, beta1, gamma = (draws[name][rows] for name in ("theta", "beta1", "gamma"))
+        probs = core.agrm_probs_unchecked(theta, beta1, gamma, k=k)
+        ok = core.normalized_rows(probs)
+        if not ok.all():
+            fails["normalization"][rows] = ~ok
+            rows, theta, beta1, gamma, probs = rows[ok], theta[ok], beta1[ok], gamma[ok], probs[ok]
+        (fails["unimodality"] if standard else nonunimodal)[rows] = ~core.is_unimodal_batch(
+            probs, tol=_VERIFY_TOL
+        )
+        at = np.arange(rows.size)
+
+        # middle-band closed form against naive sigmoid differences, probed
+        # where the naive route is itself trustworthy
+        if k >= 3:
+            m = draws["cf_m"][rows]
+            lower = beta1 + (m - 2) * gamma
+            theta_cf = lower + draws["cf_z"][rows] / c
+            closed = core.agrm_probs_unchecked(theta_cf, beta1, gamma, k=k)[at, m - 1]
+            naive = core.sigmoid_array(c * (theta_cf - lower)) - core.sigmoid_array(
+                c * (theta_cf - (beta1 + (m - 1) * gamma))
+            )
+            fails["closed_form"][rows] = np.abs(closed - naive) > _VERIFY_TOL
+            cf_theta[rows] = theta_cf
+
+        # adjacent middle grades are translations of each other
+        if k >= 4:
+            m = draws["shift_m"][rows]
+            shifted = core.agrm_probs_unchecked(theta - gamma, beta1, gamma, k=k)
+            fails["shift"][rows] = np.abs(probs[at, m] - shifted[at, m - 1]) > _VERIFY_TOL
+
+        # edge-grade handover points and their placement
+        if k >= 3 and standard:
+            theta1, theta2 = core.boundary_thetas_batch(beta1, gamma, k=k)
+            pv1 = core.agrm_probs_unchecked(theta1, beta1, gamma, k=k)
+            pv2 = core.agrm_probs_unchecked(theta2, beta1, gamma, k=k)
+            ok = (
+                (np.abs(pv1[:, 0] - pv1[:, 1]) < 1e-9)
+                & (np.abs(pv2[:, k - 2] - pv2[:, k - 1]) < 1e-9)
+                # core.peak_ability of grades 2 and k-1
+                & (theta1 < beta1 + 0.5 * gamma)
+                & (theta2 > beta1 + (k - 2.5) * gamma)
+            )
+            fails["boundary"][rows] = ~ok
+    return fails, nonunimodal, cf_theta
 
 
 def cmd_verify(args) -> int:
+    """Randomized sweep of the unimodality guarantee and four sibling properties.
+
+    Every flag is checked before any draw.  Draws come in chunks of
+    ``VERIFY_CHUNK``, each drawn column-wise by ``_verify_draws`` and checked
+    as arrays by ``_verify_chunk``, so a seed reproduces its own report.
+    Each family's counterexample is its first failing draw in draw order.
+    """
     if args.samples < 0:
         raise ValueError(f"samples must be >= 0, got {args.samples}")
+    if not 2 <= args.k_min <= args.k_max:
+        raise ValueError(f"need 2 <= k-min <= k-max, got [{args.k_min}, {args.k_max}]")
+    standard = not args.allow_sub_threshold
+    if standard and not (math.isfinite(args.gamma_margin) and args.gamma_margin > 0.0):
+        raise ValueError(f"gamma-margin must be finite and > 0, got {args.gamma_margin!r}")
     threshold = core.gamma_threshold()
-    mode = "sub-threshold" if args.allow_sub_threshold else "standard"
+    mode = "standard" if standard else "sub-threshold"
     header = (
         f"verify: samples={args.samples} seed={args.seed} "
         f"k=[{args.k_min},{args.k_max}] mode={mode}"
@@ -189,71 +284,27 @@ def cmd_verify(args) -> int:
         doc = {"samples": 0, "seed": args.seed, "violations": {}, "pass": True}
         _emit(args, doc, [header, "warning: 0 samples, vacuous pass"])
         return 0
-    if not 2 <= args.k_min <= args.k_max:
-        raise ValueError(f"need 2 <= k-min <= k-max, got [{args.k_min}, {args.k_max}]")
 
     rng = np.random.default_rng(args.seed)
-    tol = 1e-12
-    counts = {"unimodality": 0, "normalization": 0, "closed_form": 0,
-              "shift": 0, "boundary": 0}
+    counts = dict.fromkeys(_VERIFY_FAMILIES, 0)
     first = {}
-
-    def flag(family, params):
-        counts[family] += 1
-        first.setdefault(
-            family,
-            {"theta": params.theta, "beta1": params.beta1,
-             "gamma": params.gamma, "k": params.k},
-        )
-
     expected_nonunimodal = 0
-    for _ in range(args.samples):
-        p = _verify_draw(rng, args, threshold)
-        c = p.d * p.alpha
-        try:
-            probs = core.agrm_probs(p)
-        except ValueError:
-            flag("normalization", p)
-            continue
-
-        if not core.is_unimodal(probs, tol=tol):
-            if args.allow_sub_threshold:
-                expected_nonunimodal += 1
-            else:
-                flag("unimodality", p)
-
-        # middle-band closed form against naive sigmoid differences, probed
-        # where the naive route is itself trustworthy
-        if p.k >= 3:
-            m = int(rng.integers(2, p.k))
-            z = rng.uniform(-30.0, 30.0)
-            theta_cf = (p.beta1 + (m - 2) * p.gamma) + z / c
-            pcf = dataclasses.replace(p, theta=theta_cf)
-            closed = core.agrm_probs(pcf)[m - 1]
-            naive = core.category_probs(pcf.to_general())[m - 1]
-            if abs(closed - naive) > tol:
-                flag("closed_form", pcf)
-
-        # adjacent middle grades are translations of each other
-        if p.k >= 4:
-            m = int(rng.integers(2, p.k - 1))
-            shifted = core.agrm_probs(dataclasses.replace(p, theta=p.theta - p.gamma))
-            if abs(probs[m] - shifted[m - 1]) > tol:
-                flag("shift", p)
-
-        # edge-grade handover points and their placement
-        if p.k >= 3 and not args.allow_sub_threshold:
-            theta1, theta2 = core.boundary_thetas(p)
-            pv1 = core.agrm_probs(dataclasses.replace(p, theta=theta1))
-            pv2 = core.agrm_probs(dataclasses.replace(p, theta=theta2))
-            ok = (
-                abs(pv1[0] - pv1[1]) < 1e-9
-                and abs(pv2[p.k - 2] - pv2[p.k - 1]) < 1e-9
-                and theta1 < core.peak_ability(p, 2)
-                and theta2 > core.peak_ability(p, p.k - 1)
-            )
-            if not ok:
-                flag("boundary", p)
+    for start in range(0, args.samples, VERIFY_CHUNK):
+        draws = _verify_draws(rng, min(VERIFY_CHUNK, args.samples - start), args, threshold)
+        fails, nonunimodal, cf_theta = _verify_chunk(draws, standard)
+        expected_nonunimodal += int(nonunimodal.sum())
+        found = []
+        for order, (family, mask) in enumerate(fails.items()):
+            counts[family] += int(mask.sum())
+            if family not in first and mask.any():
+                found.append((int(np.argmax(mask)), order, family))
+        # families first failing in this chunk join in draw order
+        for i, _, family in sorted(found):
+            theta = cf_theta if family == "closed_form" else draws["theta"]
+            first[family] = {
+                "theta": float(theta[i]), "beta1": float(draws["beta1"][i]),
+                "gamma": float(draws["gamma"][i]), "k": int(draws["k"][i]),
+            }
 
     violations = sum(counts.values())
     doc = {

@@ -36,11 +36,15 @@ __all__ = [
     "category_probs",
     "agrm_probs",
     "agrm_probs_batch",
+    "agrm_probs_unchecked",
+    "normalized_rows",
     "gamma_threshold",
     "peak_ability",
     "boundary_thetas",
+    "boundary_thetas_batch",
     "modal_grade",
     "is_unimodal",
+    "is_unimodal_batch",
     "expected_score",
     "rescale_score",
 ]
@@ -166,25 +170,18 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _softplus(x: float) -> float:
-    """log(1 + e^x) without overflow."""
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-
-
-def _log_expm1(g: float) -> float:
-    """log(e^g - 1) for g > 0; approaches g once e^-g is negligible."""
-    if g > 700.0:
-        return g
-    return math.log(math.expm1(g))
-
-
 def _band_prob(z: float, g: float) -> float:
     """Mass between cumulative curves a distance g apart: sigma(z) - sigma(z - g).
 
     Evaluated through the factored form
         phi * (e^g - 1) / ((1 + phi)(1 + phi e^g)),   phi = e^-z,
     which never cancels.  Outside the comfortable range the same expression is
-    taken in log space so neither e^g nor phi can overflow.
+    taken in log space, where log(e^g - 1) - softplus(z) - softplus(g - z)
+    is written as
+        log(1 - e^-g) - max(-z, 0) - max(z - g, 0)
+            - log1p(e^-|z|) - log1p(e^-|g - z|)
+    so that no term of size g is cancelled against another: neither e^g nor
+    phi can overflow, and at large g the mass keeps its last digits.
     """
     if g == 0.0:
         return 0.0
@@ -192,7 +189,11 @@ def _band_prob(z: float, g: float) -> float:
         phi = math.exp(-z)
         em1 = math.expm1(g)
         return phi * em1 / ((1.0 + phi) * (1.0 + phi * (em1 + 1.0)))
-    return math.exp(_log_expm1(g) - _softplus(z) - _softplus(g - z))
+    d = g - z
+    return math.exp(
+        math.log(-math.expm1(-g)) - max(-z, 0.0) - max(-d, 0.0)
+        - math.log1p(math.exp(-abs(z))) - math.log1p(math.exp(-abs(d)))
+    )
 
 
 def _threshold(p: Params, m: int) -> float:
@@ -251,7 +252,7 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
 
 
 def softplus_array(x: np.ndarray) -> np.ndarray:
-    """``_softplus`` element-wise."""
+    """log(1 + e^x) element-wise, without overflow."""
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
@@ -273,8 +274,11 @@ def _band_probs(z: np.ndarray, g: np.ndarray) -> np.ndarray:
     hard = ((np.abs(z) > 30.0) | (g > 30.0)) & (g > 0.0)
     if hard.any():
         zh, gh = z[hard], np.broadcast_to(g, z.shape)[hard]
-        log_em1 = np.where(gh > 700.0, gh, np.log(np.expm1(np.minimum(gh, 700.0))))
-        out[hard] = np.exp(log_em1 - softplus_array(zh) - softplus_array(gh - zh))
+        dh = gh - zh
+        out[hard] = np.exp(
+            np.log(-np.expm1(-gh)) - np.maximum(-zh, 0.0) - np.maximum(-dh, 0.0)
+            - np.log1p(np.exp(-np.abs(zh))) - np.log1p(np.exp(-np.abs(dh)))
+        )
     return out
 
 
@@ -289,15 +293,48 @@ def _first_bad(name: str, values: np.ndarray, bad: np.ndarray, what: str) -> Val
 _EDGE_SIGNS = np.array([-1.0, 1.0])
 
 
+def agrm_probs_unchecked(theta, beta1, gamma, d: float = 1.7, alpha: float = 1.0, k: int = 5) -> np.ndarray:
+    """The arithmetic of ``agrm_probs_batch`` without any of its checks.
+
+    ``theta``, ``beta1`` and ``gamma`` must be float64 vectors of one length
+    with finite entries and gamma >= 0, with d * alpha > 0 and k >= 2; the
+    rows that come out are not checked either (``normalized_rows`` does that).
+    """
+    c = d * alpha
+    out = np.empty((theta.size, k))
+    with np.errstate(under="ignore"):
+        # z at each of the k-1 thresholds beta1 + m * gamma, m = 0 .. k-2;
+        # the edge grades are sigma(-z_0) and sigma(z_{k-2})
+        z = c * (theta[:, None] - (beta1[:, None] + np.arange(k - 1) * gamma[:, None]))
+        edges = sigmoid_array(z[:, [0, -1]] * _EDGE_SIGNS)
+        out[:, 0], out[:, -1] = edges[:, 0], edges[:, 1]
+        if k > 2:
+            out[:, 1:-1] = _band_probs(z[:, :-1], (c * gamma)[:, None])
+    return out
+
+
+def normalized_rows(probs: np.ndarray) -> np.ndarray:
+    """Row mask of an (N, k) mass array: True where ``ProbVector`` would accept
+    the row, i.e. every entry lies in [0, 1] up to float slack and the row sums
+    to 1 within 1e-12."""
+    ok = np.abs(probs.sum(axis=1) - 1.0) <= 1e-12
+    # the entry-wise pass runs only when some entry is out of range (or NaN);
+    # the two flat reductions that screen for it cost far less than row-wise
+    # ones at small k
+    if probs.size and not (probs.min() >= -_ENTRY_SLACK and probs.max() <= 1.0 + _ENTRY_SLACK):
+        ok &= ((probs >= -_ENTRY_SLACK) & (probs <= 1.0 + _ENTRY_SLACK)).all(axis=1)
+    return ok
+
+
 def agrm_probs_batch(theta, beta1, gamma, d: float = 1.7, alpha: float = 1.0, k: int = 5) -> np.ndarray:
     """``agrm_probs`` for N items at once: row i holds the k grade masses of item i.
 
     ``theta``, ``beta1`` and ``gamma`` are length-N vectors sharing one
     ``d``, ``alpha`` and ``k``.  The arithmetic per entry is that of the
-    scalar function, and so are the checks (finite inputs, gamma >= 0, each
-    entry in [0, 1] up to float slack, each row summing to 1 within 1e-12);
-    a failing check names the first offending row.  Underflow to 0 in a
-    saturated tail is expected and not reported.
+    scalar function, and so are the checks (finite inputs, gamma >= 0, and
+    ``normalized_rows`` on the output); a failing check names the first
+    offending row.  Underflow to 0 in a saturated tail is expected and not
+    reported.
     """
     _require_positive("d", d)
     _require_positive("alpha", alpha)
@@ -316,23 +353,15 @@ def agrm_probs_batch(theta, beta1, gamma, d: float = 1.7, alpha: float = 1.0, k:
             raise _first_bad(name, arr, ~np.isfinite(arr), "is not finite")
     if gamma.min() < 0.0:
         raise _first_bad("gamma", gamma, gamma < 0.0, "must be >= 0")
-    c = d * alpha
-    out = np.empty((theta.size, k))
-    with np.errstate(under="ignore"):
-        # z at each of the k-1 thresholds beta1 + m * gamma, m = 0 .. k-2;
-        # the edge grades are sigma(-z_0) and sigma(z_{k-2})
-        z = c * (theta[:, None] - (beta1[:, None] + np.arange(k - 1) * gamma[:, None]))
-        edges = sigmoid_array(z[:, [0, -1]] * _EDGE_SIGNS)
-        out[:, 0], out[:, -1] = edges[:, 0], edges[:, 1]
-        if k > 2:
-            out[:, 1:-1] = _band_probs(z[:, :-1], (c * gamma)[:, None])
-    if not (out.min() >= -_ENTRY_SLACK and out.max() <= 1.0 + _ENTRY_SLACK):
-        bad = ~((out >= -_ENTRY_SLACK) & (out <= 1.0 + _ENTRY_SLACK))
-        raise _first_bad("entry", out, bad, "outside [0, 1]")
-    total = out.sum(axis=1)
-    off = np.abs(total - 1.0)
-    if not off.max() <= 1e-12:
-        raise _first_bad("mass sum", total, ~(off <= 1e-12), "is not 1")
+    out = agrm_probs_unchecked(theta, beta1, gamma, d, alpha, k)
+    ok = normalized_rows(out)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        v = out[row]
+        in_range = (v >= -_ENTRY_SLACK) & (v <= 1.0 + _ENTRY_SLACK)
+        if not in_range.all():
+            raise ValueError(f"entry {float(v[np.argmin(in_range)])!r} outside [0, 1] (row {row})")
+        raise ValueError(f"mass sum {float(v.sum())!r} is not 1 (row {row})")
     return out
 
 
@@ -384,6 +413,27 @@ def boundary_thetas(p: AgrmParams) -> tuple[float, float]:
     return theta1, theta2
 
 
+def boundary_thetas_batch(beta1, gamma, d: float = 1.7, alpha: float = 1.0, k: int = 5):
+    """``boundary_thetas`` for N items sharing d, alpha and k: (theta1, theta2) vectors.
+
+    Same arithmetic as the scalar function; every row needs
+    gamma > ln2 / (d * alpha), and the error names the first that does not.
+    """
+    if k < 3:
+        raise ValueError("boundary crossings are distinct only for k >= 3")
+    beta1, gamma = (np.asarray(v, dtype=np.float64) for v in (beta1, gamma))
+    c = d * alpha
+    g = c * gamma
+    with np.errstate(under="ignore"):
+        t = 2.0 * np.exp(-g)
+    if not (t < 1.0).all():
+        raise _first_bad("gamma", gamma, ~(t < 1.0), f"is not above ln(2)/(d*alpha) = {math.log(2.0) / c!r}")
+    log_arg = np.log1p(-t)
+    theta1 = beta1 - log_arg / c
+    theta2 = (beta1 + (k - 3) * gamma) + (g + log_arg) / c
+    return theta1, theta2
+
+
 def modal_grade(probs: Sequence[float]) -> int:
     """1-based index of the largest mass; exact ties go to the lower grade."""
     v = list(probs)
@@ -422,6 +472,31 @@ def is_unimodal(probs: Sequence[float], tol: float = 1e-12) -> bool:
         plateau += 1
         j += 1
     return plateau <= 2
+
+
+def is_unimodal_batch(probs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """``is_unimodal`` for each row of an (N, k) array of finite masses.
+
+    Same comparisons as the scalar function: rises to the first maximum and
+    falls after it, each step with slack ``tol``, and at most two entries
+    within ``tol`` of the maximum next to each other around it.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape[1] < 2:
+        raise ValueError(f"need an (N, k) array with k >= 2, got shape {probs.shape}")
+    if tol < 0.0:
+        raise ValueError("tol must be >= 0")
+    n, k = probs.shape
+    peak = probs.argmax(axis=1)[:, None]
+    step = np.diff(probs, axis=1)
+    monotone = np.where(np.arange(k - 1) < peak, step >= -tol, step <= tol).all(axis=1)
+    # near-maximal entries, padded by two columns a side so the peak's
+    # neighbours at distance 1 and 2 can be read without bounds checks
+    near = np.zeros((n, k + 4), dtype=bool)
+    near[:, 2:-2] = probs >= np.take_along_axis(probs, peak, axis=1) - tol
+    left2, left1, right1, right2 = np.take_along_axis(near, peak + np.array([0, 1, 3, 4]), axis=1).T
+    # the plateau is 1 + (near run left of the peak) + (near run right of it)
+    return monotone & ~(left1 & (left2 | right1)) & ~(right1 & right2)
 
 
 def expected_score(probs: Sequence[float]) -> float:

@@ -214,3 +214,84 @@ def test_kernel_has_no_floating_point_warnings_at_extremes():
     with np.errstate(all="raise"):
         p = core.agrm_probs_batch(theta, np.zeros(5), np.array([0.0, 500.0, 1000.0, 0.3, 2.0]), k=6)
     assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# row-wise unimodality and boundary crossings against the scalar oracles
+# ---------------------------------------------------------------------------
+
+# a few repeated values make exact ties and plateaus likely; the tiny ones
+# act as saturated tails, and 0.2 + 1e-13 sits within the default slack of 0.2
+mass = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 5e-13, 1e-12, 0.1, 0.2, 0.2 + 1e-13, 0.5, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    rows=st.integers(2, 9).flatmap(
+        lambda k: st.lists(st.lists(mass, min_size=k, max_size=k), min_size=1, max_size=16)
+    ),
+    tol=st.sampled_from([0.0, 1e-12, 1e-3]),
+)
+@example(rows=[[0.1, 0.2, 0.2, 0.1], [0.1, 0.2, 0.2, 0.2], [0.2, 0.2, 0.1, 0.2]], tol=1e-12)
+@example(rows=[[0.2, 0.2 + 1e-13, 0.2, 0.0, 0.0], [0.0, 0.0, 1.0, 5e-13, 1e-12]], tol=1e-12)
+@example(rows=[[0.5, 0.0, 0.5], [1e-300, 0.0, 1.0]], tol=0.0)
+def test_unimodal_rows_match_scalar_oracle(rows, tol):
+    got = core.is_unimodal_batch(np.array(rows), tol=tol)
+    assert got.tolist() == [core.is_unimodal(row, tol=tol) for row in rows]
+
+
+def test_unimodal_rows_reject_bad_input():
+    with pytest.raises(ValueError):
+        core.is_unimodal_batch(np.zeros((3, 1)))
+    with pytest.raises(ValueError):
+        core.is_unimodal_batch(np.zeros(4))
+    with pytest.raises(ValueError):
+        core.is_unimodal_batch(np.zeros((3, 4)), tol=-1.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    # (beta1, spacing as a multiple of ln2 / (d * alpha)); within 1e-3 of 1 the
+    # crossings are so ill-conditioned in gamma that an ulp in exp moves them
+    # by more than 1e-12, in the scalar function as much as here
+    rows=st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(1.001, 200.0)), min_size=1, max_size=12),
+    k=st.integers(3, 9),
+    d=st.floats(0.5, 3.0),
+    alpha=st.floats(0.5, 2.0),
+)
+@example(rows=[(0.0, 2.0 + 1e-9), (-3.0, 1.001)], k=5, d=1.7, alpha=1.0)
+def test_boundary_rows_match_scalar_oracle(rows, k, d, alpha):
+    beta1 = np.array([b for b, _ in rows])
+    gamma = np.array([s for _, s in rows]) * math.log(2.0) / (d * alpha)
+    with np.errstate(all="raise"):
+        theta1, theta2 = core.boundary_thetas_batch(beta1, gamma, d, alpha, k)
+    for i in range(len(rows)):
+        want = core.boundary_thetas(
+            core.AgrmParams(theta=0.0, beta1=beta1[i], gamma=gamma[i], d=d, alpha=alpha, k=k)
+        )
+        assert abs(theta1[i] - want[0]) <= 1e-12
+        assert abs(theta2[i] - want[1]) <= 1e-12
+
+
+def test_boundary_rows_name_the_first_undefined_row():
+    at_threshold = math.log(2.0) / 1.7
+    with pytest.raises(ValueError, match=r"gamma .* is not above ln\(2\)/\(d\*alpha\) .*\(row 1\)"):
+        core.boundary_thetas_batch([0.0, 0.0, 0.0], [1.0, at_threshold, 0.1])
+    with pytest.raises(ValueError, match="k >= 3"):
+        core.boundary_thetas_batch([0.0], [1.0], k=2)
+
+
+@pytest.mark.parametrize("theta", [58.0, 600.0, 1200.0])
+def test_wide_spacing_band_keeps_its_last_digits(theta):
+    # at g = d * alpha * gamma ~ 8200 the log-space band once cancelled terms
+    # of size g and lost ~1e-12, enough for both paths to refuse theta = 58
+    params = core.AgrmParams(theta=theta, beta1=49.23500367796403, gamma=3093.0, d=2.125, alpha=1.25, k=3)
+    scalar = core.agrm_probs(params)
+    batch = core.agrm_probs_batch([theta], [params.beta1], [params.gamma], params.d, params.alpha, 3)[0]
+    for p in (list(scalar), batch):
+        # far below the upper threshold the edge grades carry no cancellation,
+        # so they fix the band
+        assert abs(p[1] - (1.0 - p[0] - p[2])) <= 1e-15

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from agrm import core
+from agrm import cli, core
 from agrm.cli import main
 from agrm.data import load_records
 from agrm.trainer import load_checkpoint
@@ -123,6 +124,9 @@ class TestCurves:
         assert code == 2
 
 
+FAMILIES = ("unimodality", "normalization", "closed_form", "shift", "boundary")
+
+
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "--samples", "3000", "--seed", "7")
@@ -153,9 +157,153 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--samples", "-1")
         assert code == 2
 
-    def test_bad_k_range_exit_2(self, capsys):
-        code, _, _ = run(capsys, "verify", "--samples", "10", "--k-min", "9", "--k-max", "3")
+    @pytest.mark.parametrize("samples", ["10", "0"])
+    def test_bad_k_range_exit_2(self, capsys, samples):
+        code, _, _ = run(capsys, "verify", "--samples", samples, "--k-min", "9", "--k-max", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "0", "-5"])
+    def test_bad_gamma_margin_exit_2(self, capsys, margin):
+        code, out, err = run(capsys, "verify", "--samples", "200", "--gamma-margin", margin)
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1
+        assert "gamma-margin must be" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", [[], ["--allow-sub-threshold"]], ids=["standard", "sub-threshold"])
+    def test_sweep_matches_scalar_oracle(self, capsys, mode):
+        # one full chunk and a partial one
+        argv = ["verify", "--samples", str(cli.VERIFY_CHUNK + 37), "--seed", "5", *mode]
+        code, doc, _ = run_json(capsys, *argv)
+        counts, nonunimodal, _ = scalar_sweep(argv)
+        assert doc["violations"] == counts
+        assert doc["expected_nonunimodal"] == nonunimodal
+        assert code == (0 if sum(counts.values()) == 0 else 1)
+        if mode:
+            assert nonunimodal > 0
+
+    # a 1e-9 nudge sits at the boundary family's own 1e-9 tolerance, where
+    # the kernel and the scalar path may round apart; 1e-8 clears it
+    @pytest.mark.parametrize(
+        "size, compared",
+        [(1e-9, FAMILIES[:4]), (1e-8, FAMILIES)],
+        ids=["1e-9", "1e-8"],
+    )
+    def test_checks_are_live(self, capsys, monkeypatch, size, compared):
+        kernel = core.agrm_probs_unchecked
+
+        def nudged_kernel(theta, beta1, gamma, d=1.7, alpha=1.0, k=5):
+            return nudge(kernel(theta, beta1, gamma, d, alpha, k), size)
+
+        monkeypatch.setattr(core, "agrm_probs_unchecked", nudged_kernel)
+        argv = ["verify", "--samples", "400", "--seed", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err == ""
+        assert out.splitlines()[-1] == "FAIL"
+        counts, _, first = scalar_sweep(argv, probs_of=lambda p: nudge(core.agrm_probs(p), size))
+        assert counts["closed_form"] > 0 and counts["shift"] > 0
+        reported = dict(line.split(": ", 1) for line in out.splitlines()[1:6])
+        assert {f: reported[f] for f in compared} == {f: f"{counts[f]} violations" for f in compared}
+        # each counterexample is the oracle's first failing draw, in draw order
+        want = [
+            f"counterexample [{family}]: theta={cli._fmt(p.theta)} "
+            f"beta1={cli._fmt(p.beta1)} gamma={cli._fmt(p.gamma)} k={p.k}"
+            for family, p in first.items()
+            if family in compared
+        ]
+        got = [line for line in out.splitlines() if line.split(" [")[0] == "counterexample"]
+        assert [line for line in got if line.split("[")[1].split("]")[0] in compared] == want
+
+    def test_bad_rows_count_as_normalization(self, capsys, monkeypatch):
+        kernel = core.agrm_probs_unchecked
+
+        def leaky_kernel(theta, beta1, gamma, d=1.7, alpha=1.0, k=5):
+            out = kernel(theta, beta1, gamma, d, alpha, k)
+            out[theta > beta1 + 15.0, 0] += 1e-6  # the row sums to 1 + 1e-6
+            return out
+
+        monkeypatch.setattr(core, "agrm_probs_unchecked", leaky_kernel)
+        code, doc, err = run_json(capsys, "verify", "--samples", "300", "--seed", "4")
+        assert code == 1 and err == ""
+        args = cli._build_parser().parse_args(["verify", "--samples", "300", "--seed", "4"])
+        draws = cli._verify_draws(np.random.default_rng(4), 300, args, core.gamma_threshold())
+        expected = int((draws["theta"] > draws["beta1"] + 15.0).sum())
+        assert doc["violations"]["normalization"] == expected > 0
+
+
+def nudge(probs, size):
+    """Move ``size`` of mass into grade 2 from the largest grade, for k >= 3:
+    the rows stay normalized, but the middle band is off by ``size``."""
+    out = np.array(probs, dtype=np.float64, ndmin=2)
+    if out.shape[1] >= 3:
+        at = np.arange(out.shape[0])
+        peak = out.argmax(axis=1)
+        out[:, 1] += size
+        out[at, peak] -= size
+    return out if np.ndim(probs) == 2 else core.ProbVector(out[0])
+
+
+def scalar_sweep(argv, probs_of=core.agrm_probs):
+    """``agrm verify`` as a loop of scalar checks per draw, over the same
+    draws: (violation counts, expected non-unimodal count, first failing
+    parameters per family)."""
+    args = cli._build_parser().parse_args(argv)
+    standard = not args.allow_sub_threshold
+    rng = np.random.default_rng(args.seed)
+    counts = dict.fromkeys(FAMILIES, 0)
+    first = {}
+    nonunimodal = 0
+
+    def flag(family, params):
+        counts[family] += 1
+        first.setdefault(family, params)
+
+    for start in range(0, args.samples, cli.VERIFY_CHUNK):
+        n = min(cli.VERIFY_CHUNK, args.samples - start)
+        draws = cli._verify_draws(rng, n, args, core.gamma_threshold())
+        for i in range(n):
+            p = core.AgrmParams(
+                theta=float(draws["theta"][i]), beta1=float(draws["beta1"][i]),
+                gamma=float(draws["gamma"][i]), k=int(draws["k"][i]),
+            )
+            c = p.d * p.alpha
+            try:
+                probs = probs_of(p)
+            except ValueError:
+                flag("normalization", p)
+                continue
+            if not core.is_unimodal(probs, tol=1e-12):
+                if standard:
+                    flag("unimodality", p)
+                else:
+                    nonunimodal += 1
+            if p.k >= 3:
+                m = int(draws["cf_m"][i])
+                theta_cf = (p.beta1 + (m - 2) * p.gamma) + float(draws["cf_z"][i]) / c
+                pcf = dataclasses.replace(p, theta=theta_cf)
+                closed = probs_of(pcf)[m - 1]
+                naive = core.category_probs(pcf.to_general())[m - 1]
+                if abs(closed - naive) > 1e-12:
+                    flag("closed_form", pcf)
+            if p.k >= 4:
+                m = int(draws["shift_m"][i])
+                shifted = probs_of(dataclasses.replace(p, theta=p.theta - p.gamma))
+                if abs(probs[m] - shifted[m - 1]) > 1e-12:
+                    flag("shift", p)
+            if p.k >= 3 and standard:
+                theta1, theta2 = core.boundary_thetas(p)
+                pv1 = probs_of(dataclasses.replace(p, theta=theta1))
+                pv2 = probs_of(dataclasses.replace(p, theta=theta2))
+                ok = (
+                    abs(pv1[0] - pv1[1]) < 1e-9
+                    and abs(pv2[p.k - 2] - pv2[p.k - 1]) < 1e-9
+                    and theta1 < core.peak_ability(p, 2)
+                    and theta2 > core.peak_ability(p, p.k - 1)
+                )
+                if not ok:
+                    flag("boundary", p)
+    return counts, nonunimodal, first
 
 
 class TestSynth:
