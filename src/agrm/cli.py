@@ -211,8 +211,9 @@ def _verify_chunk(draws, standard: bool):
     fails = {name: np.zeros(n, dtype=bool) for name in _VERIFY_FAMILIES}
     nonunimodal = np.zeros(n, dtype=bool)
     cf_theta = np.full(n, np.nan)
-    for k in np.unique(draws["k"]).tolist():
-        rows = np.flatnonzero(draws["k"] == k)
+    order = np.argsort(draws["k"], kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(draws["k"][order])) + 1):
+        k = int(draws["k"][rows[0]])
         theta, beta1, gamma = (draws[name][rows] for name in ("theta", "beta1", "gamma"))
         probs = core.agrm_probs_unchecked(theta, beta1, gamma, k=k)
         ok = core.normalized_rows(probs)
