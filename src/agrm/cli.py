@@ -169,6 +169,7 @@ def cmd_curves(args) -> int:
 VERIFY_CHUNK = 8192
 _VERIFY_FAMILIES = ("unimodality", "normalization", "closed_form", "shift", "boundary")
 _VERIFY_TOL = 1e-12
+_BOUNDARY_SLACK = 1e-9
 # the sweep draws at AgrmParams' default d and alpha
 _VERIFY_SCALE = AgrmParams.d * AgrmParams.alpha
 
@@ -244,17 +245,19 @@ def _verify_chunk(draws, standard: bool):
             shifted = core.agrm_probs_unchecked(theta - gamma, beta1, gamma, k=k)
             fails["shift"][rows] = np.abs(probs[at, m] - shifted[at, m - 1]) > _VERIFY_TOL
 
-        # edge-grade handover points and their placement
+        # edge-grade handover points and their placement, both within
+        # _BOUNDARY_SLACK: at gamma within rounding of the threshold a
+        # handover point sits on its peak
         if k >= 3 and standard:
             theta1, theta2 = core.boundary_thetas_batch(beta1, gamma, k=k)
             pv1 = core.agrm_probs_unchecked(theta1, beta1, gamma, k=k)
             pv2 = core.agrm_probs_unchecked(theta2, beta1, gamma, k=k)
             ok = (
-                (np.abs(pv1[:, 0] - pv1[:, 1]) < 1e-9)
-                & (np.abs(pv2[:, k - 2] - pv2[:, k - 1]) < 1e-9)
+                (np.abs(pv1[:, 0] - pv1[:, 1]) < _BOUNDARY_SLACK)
+                & (np.abs(pv2[:, k - 2] - pv2[:, k - 1]) < _BOUNDARY_SLACK)
                 # core.peak_ability of grades 2 and k-1
-                & (theta1 < beta1 + 0.5 * gamma)
-                & (theta2 > beta1 + (k - 2.5) * gamma)
+                & (theta1 < beta1 + 0.5 * gamma + _BOUNDARY_SLACK)
+                & (theta2 > beta1 + (k - 2.5) * gamma - _BOUNDARY_SLACK)
             )
             fails["boundary"][rows] = ~ok
     return fails, nonunimodal, cf_theta
@@ -369,13 +372,13 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- train
 
 def _train_config(args) -> TrainConfig:
-    cfg = preset(args.preset)
-    overrides = {}
-    for name in ("lr", "weight_decay", "epochs", "batch_size", "t_max", "lam", "seed"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    """The preset, with each ``TrainConfig`` field given by its flag replaced."""
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(TrainConfig)
+        if getattr(args, f.name) is not None
+    }
+    return dataclasses.replace(preset(args.preset), **overrides)
 
 
 def cmd_train(args) -> int:
@@ -432,9 +435,9 @@ def cmd_eval(args) -> int:
     records = load_records(args.data)
     if len(records) < 2:
         raise ValueError(f"evaluation needs >= 2 records, got {len(records)}")
-    preds = predict(ckpt, records)
-    overall_srcc, overall_plcc = evaluate(ckpt, records, preds)
-    per_dim = evaluate_by_dim(ckpt, records, preds)
+    preds = predict(ckpt.head, records)
+    overall_srcc, overall_plcc = evaluate(ckpt.head, records, preds)
+    per_dim = evaluate_by_dim(ckpt.head, records, preds)
     doc = {
         "checkpoint": str(args.checkpoint),
         "n": len(records),
@@ -599,7 +602,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, even where the message quotes a line break from the input
+        print("error: " + " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2
 
 

@@ -170,18 +170,21 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _band_prob(z: float, g: float) -> float:
-    """Mass between cumulative curves a distance g apart: sigma(z) - sigma(z - g).
+def _band_prob(z: float, z_next: float, g: float) -> float:
+    """Mass between cumulative curves a distance g apart: sigma(z) - sigma(z_next),
+    where z_next = z - g is the next threshold's own z.
 
     Evaluated through the factored form
         phi * (e^g - 1) / ((1 + phi)(1 + phi e^g)),   phi = e^-z,
     which never cancels.  Outside the comfortable range the same expression is
-    taken in log space, where log(e^g - 1) - softplus(z) - softplus(g - z)
+    taken in log space, where log(e^g - 1) - softplus(z) - softplus(-z_next)
     is written as
-        log(1 - e^-g) - max(-z, 0) - max(z - g, 0)
-            - log1p(e^-|z|) - log1p(e^-|g - z|)
+        log(1 - e^-g) - max(-z, 0) - max(z_next, 0)
+            - log1p(e^-|z|) - log1p(e^-|z_next|)
     so that no term of size g is cancelled against another: neither e^g nor
-    phi can overflow, and at large g the mass keeps its last digits.
+    phi can overflow, and at large g the mass keeps its last digits.  z_next
+    is taken as given rather than as z - g, which loses digits when z and g
+    are both large.
     """
     if g == 0.0:
         return 0.0
@@ -189,10 +192,9 @@ def _band_prob(z: float, g: float) -> float:
         phi = math.exp(-z)
         em1 = math.expm1(g)
         return phi * em1 / ((1.0 + phi) * (1.0 + phi * (em1 + 1.0)))
-    d = g - z
     return math.exp(
-        math.log(-math.expm1(-g)) - max(-z, 0.0) - max(-d, 0.0)
-        - math.log1p(math.exp(-abs(z))) - math.log1p(math.exp(-abs(d)))
+        math.log(-math.expm1(-g)) - max(-z, 0.0) - max(z_next, 0.0)
+        - math.log1p(math.exp(-abs(z))) - math.log1p(math.exp(-abs(z_next)))
     )
 
 
@@ -237,11 +239,11 @@ def agrm_probs(p: AgrmParams) -> ProbVector:
         raise ValueError(f"gamma must be >= 0, got {p.gamma!r}")
     c = p.d * p.alpha
     g = c * p.gamma
-    out = [sigmoid(-c * (p.theta - p.beta1))]
-    for m in range(2, p.k):
-        z = c * (p.theta - (p.beta1 + (m - 2) * p.gamma))
-        out.append(_band_prob(z, g))
-    out.append(sigmoid(c * (p.theta - (p.beta1 + (p.k - 2) * p.gamma))))
+    # z at each of the k-1 thresholds beta1 + m * gamma, m = 0 .. k-2
+    z = [c * (p.theta - (p.beta1 + m * p.gamma)) for m in range(p.k - 1)]
+    out = [sigmoid(-z[0])]
+    out.extend(_band_prob(z[m], z[m + 1], g) for m in range(p.k - 2))
+    out.append(sigmoid(z[-1]))
     return ProbVector(out)
 
 
@@ -262,22 +264,28 @@ def _factored_band(z: np.ndarray, g: np.ndarray) -> np.ndarray:
     return phi * em1 / ((1.0 + phi) * (1.0 + phi * (em1 + 1.0)))
 
 
-def _band_probs(z: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``_band_prob`` over an (N, m) array of z and an (N, 1) column of g.
+def _band_probs(z_all: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``_band_prob`` over an (N, m + 1) array of z at consecutive thresholds
+    and an (N, 1) column of g: the (N, m) bands between them.
 
     The factored form runs on every entry, with z clipped to [-30, 30] and
     g capped at 30 so nothing overflows; the entries with |z| > 30 or
     g > 30 are then overwritten by the log-space form.  ``g == 0`` entries
     come out of the factored form as exactly 0 and are left as they are.
     """
+    z = z_all[:, :-1]
     out = _factored_band(np.minimum(np.maximum(z, -30.0), 30.0), np.minimum(g, 30.0))
-    hard = ((np.abs(z) > 30.0) | (g > 30.0)) & (g > 0.0)
-    if hard.any():
-        zh, gh = z[hard], np.broadcast_to(g, z.shape)[hard]
-        dh = gh - zh
-        out[hard] = np.exp(
-            np.log(-np.expm1(-gh)) - np.maximum(-zh, 0.0) - np.maximum(-dh, 0.0)
-            - np.log1p(np.exp(-np.abs(zh))) - np.log1p(np.exp(-np.abs(dh)))
+    hard = np.flatnonzero(((np.abs(z) > 30.0) | (g > 30.0)) & (g > 0.0))
+    if hard.size:
+        # flat positions: band (i, j) of out is z_all's (i, j), and the next
+        # threshold's z sits right after it
+        rows = hard // z.shape[1]
+        at = hard + rows
+        zf = z_all.reshape(-1)
+        zh, nh, gh = zf[at], zf[at + 1], g.reshape(-1)[rows]
+        out.reshape(-1)[hard] = np.exp(
+            np.log(-np.expm1(-gh)) - np.maximum(-zh, 0.0) - np.maximum(nh, 0.0)
+            - np.log1p(np.exp(-np.abs(zh))) - np.log1p(np.exp(-np.abs(nh)))
         )
     return out
 
@@ -309,7 +317,7 @@ def agrm_probs_unchecked(theta, beta1, gamma, d: float = 1.7, alpha: float = 1.0
         edges = sigmoid_array(z[:, [0, -1]] * _EDGE_SIGNS)
         out[:, 0], out[:, -1] = edges[:, 0], edges[:, 1]
         if k > 2:
-            out[:, 1:-1] = _band_probs(z[:, :-1], (c * gamma)[:, None])
+            out[:, 1:-1] = _band_probs(z, (c * gamma)[:, None])
     return out
 
 

@@ -3,8 +3,8 @@
 Records live in a line-delimited JSON format, one object per line with keys
 ``id``, ``fi``, ``ft``, ``mos``, ``dim``.  Vectors are plain decimal arrays,
 so files diff and stream trivially, and Python's shortest-repr float encoding
-makes save -> load an exact round trip.  Files ending in ``.gz`` are
-transparently (de)compressed; archives are written with a zeroed timestamp so
+makes save -> load an exact round trip.  A file is gzip-compressed exactly
+when its name ends in ``.gz``; archives are written with a zeroed timestamp so
 identical data produces identical bytes.
 
 The synthetic generator plants a head drawn by ``init_head``, samples feature
@@ -21,11 +21,12 @@ import gzip
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
-from .head import FeaturePair, HeadConfig, HeadParams, batch_forward, init_head
+from .head import FeaturePair, batch_forward, init_head
 
 __all__ = [
     "DIMS",
@@ -92,20 +93,15 @@ def dim_counts(records) -> dict:
     return counts
 
 
-def _is_gzip(path, fmt: str) -> bool:
-    if fmt == "auto":
-        return str(path).endswith(".gz")
-    if fmt == "jsonl":
-        return False
-    if fmt == "jsonl-gz":
-        return True
-    raise ValueError(f"fmt must be 'auto', 'jsonl', or 'jsonl-gz', got {fmt!r}")
+def _is_gzip(path) -> bool:
+    return str(path).endswith(".gz")
 
 
 def _parse_line(lineno: int, line: str) -> FeatureRecord:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    # a deeply nested line exhausts the parser's recursion
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"line {lineno}: invalid record: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"line {lineno}: expected an object, got {type(obj).__name__}")
@@ -119,36 +115,40 @@ def _parse_line(lineno: int, line: str) -> FeatureRecord:
         return FeatureRecord(
             id=obj["id"], f_i=obj["fi"], f_t=obj["ft"], mos=obj["mos"], dim=obj["dim"]
         )
-    except (TypeError, ValueError) as exc:
+    # OverflowError: an integer too large for a float
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"line {lineno}: {exc}") from exc
 
 
-def load_records(path, fmt: str = "auto") -> list[FeatureRecord]:
+def load_records(path) -> list[FeatureRecord]:
     """Read records in file order, checking that feature lengths agree.
 
-    ``fmt`` is normally left on ``auto``, which treats a ``.gz`` suffix as
-    gzip-compressed; ``jsonl`` / ``jsonl-gz`` force either reading mode.
+    A name ending in ``.gz`` is read as gzip; a truncated or corrupt archive
+    is a ``ValueError``, like any other malformed file.
     """
-    opener = gzip.open if _is_gzip(path, fmt) else open
+    opener = gzip.open if _is_gzip(path) else open
     records: list[FeatureRecord] = []
-    with opener(path, "rt", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            rec = _parse_line(lineno, line)
-            if records:
-                ref = records[0]
-                if rec.f_i.size != ref.f_i.size:
-                    raise ValueError(
-                        f"line {lineno}: image feature length {rec.f_i.size} "
-                        f"!= {ref.f_i.size} from line 1"
-                    )
-                if rec.f_t.size != ref.f_t.size:
-                    raise ValueError(
-                        f"line {lineno}: text feature length {rec.f_t.size} "
-                        f"!= {ref.f_t.size} from line 1"
-                    )
-            records.append(rec)
+    try:
+        with opener(path, "rt", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                rec = _parse_line(lineno, line)
+                if records:
+                    ref = records[0]
+                    if rec.f_i.size != ref.f_i.size:
+                        raise ValueError(
+                            f"line {lineno}: image feature length {rec.f_i.size} "
+                            f"!= {ref.f_i.size} from line 1"
+                        )
+                    if rec.f_t.size != ref.f_t.size:
+                        raise ValueError(
+                            f"line {lineno}: text feature length {rec.f_t.size} "
+                            f"!= {ref.f_t.size} from line 1"
+                        )
+                records.append(rec)
+    except (EOFError, zlib.error) as exc:
+        raise ValueError(f"{path}: corrupt gzip data: {exc}") from exc
     counts = dim_counts(records)
     logger.info(
         "loaded %d records from %s (%s)",
@@ -172,11 +172,11 @@ def _encode(rec: FeatureRecord) -> str:
     )
 
 
-def save_records(path, records, fmt: str = "auto") -> None:
+def save_records(path, records) -> None:
     """Write records one per line; ``load_records`` restores them exactly."""
     payload = "".join(_encode(r) + "\n" for r in records).encode("utf-8")
     with open(path, "wb") as handle:
-        if _is_gzip(path, fmt):
+        if _is_gzip(path):
             # fixed header (no name, zero mtime) so equal data -> equal bytes
             with gzip.GzipFile(filename="", mode="wb", fileobj=handle, mtime=0) as gz:
                 gz.write(payload)
@@ -202,15 +202,13 @@ class MosTransform:
         return self.src_min + (y - self.lo) * scale
 
 
-def normalize_mos(records, lo: float = 0.0, hi: float = 5.0):
-    """Min-max map the dataset's scores onto [lo, hi].
+def normalize_mos(records):
+    """Min-max map the dataset's scores onto [0, 5], the rescaled prediction
+    range, so normalized targets and head outputs are directly comparable.
 
     Returns (new records, transform); the transform's ``invert`` recovers the
-    original scale.  The default target matches the rescaled prediction range,
-    so normalized targets and head outputs are directly comparable.
+    original scale.
     """
-    if hi <= lo:
-        raise ValueError(f"target range is empty: lo={lo}, hi={hi}")
     records = list(records)
     if not records:
         raise ValueError("cannot normalize an empty dataset")
@@ -218,7 +216,7 @@ def normalize_mos(records, lo: float = 0.0, hi: float = 5.0):
     src_min, src_max = min(mos), max(mos)
     if src_min == src_max:
         raise ValueError(f"scores are constant ({src_min}); range is undefined")
-    tf = MosTransform(src_min=src_min, src_max=src_max, lo=float(lo), hi=float(hi))
+    tf = MosTransform(src_min=src_min, src_max=src_max, lo=0.0, hi=5.0)
     out = [dataclasses.replace(r, mos=tf.apply(r.mos)) for r in records]
     return out, tf
 
@@ -244,10 +242,8 @@ class SynthConfig:
     d_txt: int = 16
     noise_sigma: float = 0.0
     seed: int = 0
-    head: HeadConfig = field(default_factory=HeadConfig)
-    planted: HeadParams | None = None
     # widens the freshly drawn ability map so scores cover the full range
-    # instead of clustering mid-scale; ignored when a head is supplied
+    # instead of clustering mid-scale
     ability_scale: float = 4.0
 
     def __post_init__(self):
@@ -263,13 +259,6 @@ class SynthConfig:
             raise ValueError(
                 f"ability_scale must be positive, got {self.ability_scale!r}"
             )
-        if self.planted is not None:
-            if (self.planted.d_img, self.planted.d_txt) != (self.d_img, self.d_txt):
-                raise ValueError(
-                    f"planted head expects dims "
-                    f"({self.planted.d_img}, {self.planted.d_txt}), "
-                    f"config says ({self.d_img}, {self.d_txt})"
-                )
 
 
 def synth_generate(cfg: SynthConfig):
@@ -279,11 +268,8 @@ def synth_generate(cfg: SynthConfig):
     streams, so the features do not move when ``noise_sigma`` changes.
     """
     head_seed, feat_seed, noise_seed = np.random.SeedSequence(cfg.seed).spawn(3)
-    if cfg.planted is not None:
-        planted = cfg.planted
-    else:
-        planted = init_head(cfg.d_img, cfg.d_txt, cfg.head, seed=head_seed)
-        planted.agg_w *= cfg.ability_scale
+    planted = init_head(cfg.d_img, cfg.d_txt, seed=head_seed)
+    planted.agg_w *= cfg.ability_scale
     rng_feat = np.random.default_rng(feat_seed)
     rng_noise = np.random.default_rng(noise_seed)
 

@@ -86,11 +86,7 @@ def _slopes(probs: np.ndarray) -> np.ndarray:
 
 
 def _loss_and_upstream(
-    q: np.ndarray,
-    t: np.ndarray,
-    lam: float,
-    epsilon: float,
-    literal_target: bool,
+    q: np.ndarray, t: np.ndarray, lam: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """``losses.total_loss``, dL/dQ (exact through the batch statistics) and
     the per-item loss terms of ``GradReport.item_losses``."""
@@ -100,11 +96,11 @@ def _loss_and_upstream(
     u = np.sign(q - t) / n
     if lam == 0.0:
         return loss, u, abs_err
-    st = losses.plcc_parts(q, t, epsilon, literal_target)
+    st = losses.plcc_parts(q, t)
     qhat, that, rho, sd = st.qhat, st.that, st.rho, st.sd
     # adjoint w.r.t. the standardized predictions, including the rho coupling
     g = (2.0 / n) * ((qhat - that) + rho * st.resid + (that / n) * float(st.resid @ qhat))
-    dplcc = (g - g.sum() / n) / (sd + epsilon)
+    dplcc = (g - g.sum() / n) / (sd + losses.PLCC_EPSILON)
     if sd > 0.0:
         # through the batch deviation itself
         dplcc -= (float(qhat @ g) / (n * sd)) * qhat
@@ -117,8 +113,6 @@ def batch_loss_and_grads(
     pairs: Sequence[FeaturePair] | np.ndarray,
     targets,
     lam: float = 1.0,
-    epsilon: float = 1e-8,
-    literal_target: bool = False,
 ) -> GradReport:
     """Total loss over a batch and its gradient on every head parameter.
 
@@ -135,13 +129,9 @@ def batch_loss_and_grads(
         raise ValueError(f"lam must be >= 0, got {lam!r}")
     if lam > 0.0 and n < 2:
         raise ValueError("the correlation penalty needs at least 2 items per batch")
-    if lam > 0.0 and epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     cfg = hp.config
     fw = _forward(hp, x)
-    loss, upstream, item_losses = _loss_and_upstream(
-        fw.q_rescaled, t, lam, epsilon, literal_target
-    )
+    loss, upstream, item_losses = _loss_and_upstream(fw.q_rescaled, t, lam)
 
     c = cfg.d * cfg.alpha
     with np.errstate(under="ignore"):
@@ -188,16 +178,9 @@ def batch_loss_and_grads(
     )
 
 
-def _loss_only(
-    hp: HeadParams,
-    x: np.ndarray,
-    t: np.ndarray,
-    lam: float,
-    epsilon: float,
-    literal_target: bool,
-) -> float:
+def _loss_only(hp: HeadParams, x: np.ndarray, t: np.ndarray, lam: float) -> float:
     q = _forward(hp, x).q_rescaled
-    return losses.total_loss(losses.ScoreBatch(predicted=q, target=t), lam, epsilon, literal_target)
+    return losses.total_loss(losses.ScoreBatch(predicted=q, target=t), lam)
 
 
 def fd_check(
@@ -207,8 +190,6 @@ def fd_check(
     step: float = 1e-4,
     tol: float = 1e-4,
     lam: float = 1.0,
-    epsilon: float = 1e-8,
-    literal_target: bool = False,
 ) -> GradReport:
     """Central-difference check of every gradient coordinate.
 
@@ -223,7 +204,7 @@ def fd_check(
         raise ValueError("step and tol must be positive")
     x = feature_matrix(hp, pairs)
     t = np.asarray(targets, dtype=np.float64)
-    base = batch_loss_and_grads(hp, x, t, lam, epsilon, literal_target)
+    base = batch_loss_and_grads(hp, x, t, lam)
 
     skip = {name: False for name in PARAM_FIELDS}
     if hp.config.activation == "relu":
@@ -245,9 +226,9 @@ def fd_check(
     for i in np.flatnonzero(~skipped_at):
         orig = w[i]
         w[i] = orig + step
-        hi = _loss_only(work, x, t, lam, epsilon, literal_target)
+        hi = _loss_only(work, x, t, lam)
         w[i] = orig - step
-        lo = _loss_only(work, x, t, lam, epsilon, literal_target)
+        lo = _loss_only(work, x, t, lam)
         w[i] = orig
         fd = (hi - lo) / (2.0 * step)
         rel = abs(analytic[i] - fd) / max(abs(analytic[i]), abs(fd), 1e-12)

@@ -25,7 +25,11 @@ __all__ = [
     "midranks",
     "PlccParts",
     "plcc_parts",
+    "PLCC_EPSILON",
 ]
+
+# added to each batch deviation so a constant batch standardizes to 0
+PLCC_EPSILON = 1e-8
 
 
 def _as_score_array(name: str, values) -> np.ndarray:
@@ -64,36 +68,32 @@ def mae_loss(batch: ScoreBatch) -> float:
     return float(np.mean(np.abs(batch.target - batch.predicted)))
 
 
-def plcc_loss(batch: ScoreBatch, epsilon: float = 1e-8, literal_target: bool = False) -> float:
+def plcc_loss(batch: ScoreBatch) -> float:
     """Correlation-shaping penalty on batch-standardized scores.
 
     Both score vectors are standardized with their batch mean and population
-    standard deviation (epsilon added to the deviation so constant batches
-    stay finite).  With rho the mean product of the standardized vectors, the
-    penalty averages ||qhat - that||^2 + ||rho * qhat - that||^2 over the
-    batch.  ``literal_target`` switches the second term's reference to the raw
-    target scores instead of the standardized ones; the default keeps both
-    terms on the same scale.
+    standard deviation (``PLCC_EPSILON`` added to the deviation so constant
+    batches stay finite).  With rho the mean product of the standardized
+    vectors, the penalty averages ||qhat - that||^2 + ||rho * qhat - that||^2
+    over the batch, so both terms are on the same scale.
     """
     if len(batch) < 2:
         raise ValueError(f"correlation penalty needs at least 2 scores, got {len(batch)}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    return plcc_parts(batch.predicted, batch.target, epsilon, literal_target).value
+    return plcc_parts(batch.predicted, batch.target).value
 
 
 class PlccParts(NamedTuple):
     """The correlation penalty and the batch statistics it is built from."""
 
     value: float
-    sd: float  # population deviation of the predictions, before epsilon
+    sd: float  # population deviation of the predictions, before PLCC_EPSILON
     qhat: np.ndarray
     that: np.ndarray
     rho: float
-    resid: np.ndarray  # rho * qhat - reference, the second term's residual
+    resid: np.ndarray  # rho * qhat - that, the second term's residual
 
 
-def plcc_parts(q: np.ndarray, t: np.ndarray, epsilon: float, literal_target: bool) -> PlccParts:
+def plcc_parts(q: np.ndarray, t: np.ndarray) -> PlccParts:
     """``plcc_loss`` on checked arrays, with the statistics its gradient reuses.
 
     Means and deviations are spelled out as ``np.mean`` and ``np.std``
@@ -103,28 +103,23 @@ def plcc_parts(q: np.ndarray, t: np.ndarray, epsilon: float, literal_target: boo
     dq = q - q.sum() / n
     dt = t - t.sum() / n
     sd = math.sqrt((dq * dq).sum() / n)
-    qhat = dq / (sd + epsilon)
-    that = dt / (math.sqrt((dt * dt).sum() / n) + epsilon)
+    qhat = dq / (sd + PLCC_EPSILON)
+    that = dt / (math.sqrt((dt * dt).sum() / n) + PLCC_EPSILON)
     rho = float((qhat * that).sum() / n)
-    resid = rho * qhat - (t if literal_target else that)
+    resid = rho * qhat - that
     first = float(((qhat - that) ** 2).sum())
     second = float((resid**2).sum())
     return PlccParts((first + second) / n, sd, qhat, that, rho, resid)
 
 
-def total_loss(
-    batch: ScoreBatch,
-    lam: float = 1.0,
-    epsilon: float = 1e-8,
-    literal_target: bool = False,
-) -> float:
+def total_loss(batch: ScoreBatch, lam: float = 1.0) -> float:
     """mae_loss + lam * plcc_loss."""
     if lam < 0.0:
         raise ValueError(f"lam must be >= 0, got {lam!r}")
     if lam == 0.0:
         # pure-MAE runs must work on batches of one
         return mae_loss(batch)
-    return mae_loss(batch) + lam * plcc_loss(batch, epsilon, literal_target)
+    return mae_loss(batch) + lam * plcc_loss(batch)
 
 
 def midranks(values) -> np.ndarray:

@@ -295,3 +295,17 @@ def test_wide_spacing_band_keeps_its_last_digits(theta):
         # far below the upper threshold the edge grades carry no cancellation,
         # so they fix the band
         assert abs(p[1] - (1.0 - p[0] - p[2])) <= 1e-15
+
+
+@pytest.mark.parametrize("gamma", [1e5, 1e6, 1e8])
+def test_wide_spacing_near_the_top_threshold_is_accepted(gamma):
+    # with theta within a few units of beta1 + gamma, g - z at the last band
+    # once lost its digits to cancellation, and both paths refused rows whose
+    # sum then missed 1 by more than 1e-12
+    rng = np.random.default_rng(0)
+    theta = 0.3 + gamma + rng.uniform(-3.0, 3.0, size=200)
+    beta1, spacing = np.full(200, 0.3), np.full(200, gamma)
+    batch = core.agrm_probs_batch(theta, beta1, spacing, k=3)
+    for i in range(theta.size):
+        scalar = core.agrm_probs(core.AgrmParams(theta=theta[i], beta1=0.3, gamma=gamma, k=3))
+        assert np.abs(batch[i] - np.array(list(scalar))).max() <= 1e-12

@@ -17,7 +17,7 @@ from agrm.data import (
     split,
     synth_generate,
 )
-from agrm.head import FeaturePair, HeadConfig, head_forward, init_head
+from agrm.head import FeaturePair, head_forward, init_head
 from agrm.losses import srcc
 
 
@@ -160,15 +160,6 @@ class TestLoadSave:
         p.write_text("\n" + good + "\n\n")
         assert len(load_records(p)) == 1
 
-    def test_bad_fmt_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="fmt"):
-            save_records(tmp_path / "x.jsonl", [rec()], fmt="csv")
-
-    def test_fmt_override_forces_gzip(self, tmp_path):
-        p = tmp_path / "noext"
-        save_records(p, [rec()], fmt="jsonl-gz")
-        assert load_records(p, fmt="jsonl-gz") == [rec()]
-
     def test_dim_counts(self):
         recs = [rec(0, dim="quality"), rec(1, dim="quality"), rec(2, dim="authenticity")]
         assert dim_counts(recs) == {"quality": 2, "consistency": 0, "authenticity": 1}
@@ -193,11 +184,6 @@ class TestNormalizeMos:
         for before, after in zip(recs, out):
             assert abs(tf.invert(after.mos) - before.mos) < 1e-12
 
-    def test_custom_target(self):
-        recs = [rec(i, mos=m) for i, m in enumerate([2.0, 4.0])]
-        out, _ = normalize_mos(recs, lo=-1.0, hi=1.0)
-        assert [r.mos for r in out] == [-1.0, 1.0]
-
     def test_constant_scores_rejected(self):
         recs = [rec(i, mos=3.0) for i in range(4)]
         with pytest.raises(ValueError, match="constant"):
@@ -206,10 +192,6 @@ class TestNormalizeMos:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             normalize_mos([])
-
-    def test_bad_target_range(self):
-        with pytest.raises(ValueError, match="range"):
-            normalize_mos([rec(0, mos=1.0), rec(1, mos=2.0)], lo=5.0, hi=5.0)
 
     def test_transform_is_plain_affine(self):
         tf = MosTransform(src_min=1.0, src_max=5.0, lo=0.0, hi=5.0)
@@ -270,11 +252,6 @@ class TestSynthConfig:
         with pytest.raises(ValueError):
             SynthConfig(n=5, ability_scale=0.0)
 
-    def test_rejects_planted_dim_mismatch(self):
-        planted = init_head(4, 4, seed=0)
-        with pytest.raises(ValueError, match="planted"):
-            SynthConfig(n=5, d_img=8, d_txt=4, planted=planted)
-
 
 class TestSynthGenerate:
     def test_noiseless_scores_match_planted_head_exactly(self):
@@ -310,17 +287,6 @@ class TestSynthGenerate:
         recs, planted = synth_generate(SynthConfig(n=100, seed=2))
         pred = [head_forward(planted, r.pair()).q_rescaled for r in recs]
         assert srcc(pred, [r.mos for r in recs]) == 1.0
-
-    def test_supplied_head_is_used_verbatim(self):
-        planted = init_head(6, 6, HeadConfig(), seed=44)
-        want = planted.copy()
-        recs, got = synth_generate(
-            SynthConfig(n=10, d_img=6, d_txt=6, planted=planted)
-        )
-        assert got is planted
-        assert np.array_equal(got.agg_w, want.agg_w)  # no scaling applied
-        for r in recs:
-            assert r.mos == head_forward(planted, r.pair()).q_rescaled
 
     def test_dim_tags_cycle(self):
         recs, _ = synth_generate(SynthConfig(n=7, seed=1))

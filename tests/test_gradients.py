@@ -176,13 +176,6 @@ class TestFiniteDifferences:
             rep = fd_check(hp, pairs, t)
             assert rep.max_rel_err < 1e-4
 
-    def test_literal_target_mode(self):
-        hp = init_head(8, 8, seed=12)
-        rng = np.random.default_rng(12)
-        pairs, t = make_batch(rng, hp)
-        rep = fd_check(hp, pairs, t, literal_target=True)
-        assert rep.max_rel_err < 1e-4
-
     def test_mae_only(self):
         hp = init_head(8, 8, seed=13)
         rng = np.random.default_rng(13)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from agrm import trainer
+from agrm import losses, trainer
 from agrm.data import SynthConfig, split, synth_generate
 from agrm.head import PARAM_FIELDS, HeadConfig, init_head
 from agrm.trainer import (
@@ -36,8 +36,9 @@ class TestTrainConfig:
         assert cfg.batch_size == 16
         assert cfg.t_max == 5
         assert cfg.lam == 1.0
-        assert (cfg.beta1, cfg.beta2) == (0.9, 0.999)
-        assert cfg.adam_eps == 1e-8
+        assert trainer.ADAM_BETAS == (0.9, 0.999)
+        assert trainer.ADAM_EPS == 1e-8
+        assert losses.PLCC_EPSILON == 1e-8
 
     def test_zero_lr_allowed(self):
         assert TrainConfig(lr=0.0).lr == 0.0
@@ -51,10 +52,10 @@ class TestTrainConfig:
             {"batch_size": 1},
             {"t_max": 0},
             {"lam": -0.5},
-            {"epsilon": 0.0},
-            {"beta1": 1.0},
-            {"beta2": -0.1},
-            {"adam_eps": 0.0},
+            {"lr": float("nan")},
+            {"weight_decay": float("inf")},
+            {"epochs": 2.5},
+            {"lam": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -92,10 +93,6 @@ class TestCosineLr:
     def test_monotone_within_period(self):
         vals = [cosine_lr(e, 1.0, 8) for e in range(8)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_no_restarts_floors_at_zero(self):
-        assert cosine_lr(5, 1e-3, 5, restarts=False) == 0.0
-        assert cosine_lr(17, 1e-3, 5, restarts=False) == 0.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -286,13 +283,6 @@ class TestEvaluate:
         assert abs(s1 - s2) < 1e-12
         assert abs(p1 - p2) < 1e-12
 
-    def test_accepts_checkpoint(self):
-        recs, planted = tiny_dataset(n=20, seed=11)
-        ckpt = Checkpoint(
-            head=planted, config=TrainConfig(), history=[], seed=0, epochs_completed=0
-        )
-        assert evaluate(ckpt, recs) == evaluate(planted, recs)
-
     def test_rejects_single_record(self):
         recs, planted = tiny_dataset(n=20, seed=12)
         with pytest.raises(ValueError):
@@ -333,7 +323,7 @@ class TestCheckpointIO:
         assert back.epochs_completed == ckpt.epochs_completed
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(back.head, name), getattr(ckpt.head, name))
-        assert evaluate(back, te) == evaluate(ckpt, te)
+        assert evaluate(back.head, te) == evaluate(ckpt.head, te)
 
     def test_bytes_deterministic(self, tmp_path):
         ckpt, _ = self.make_ckpt()
@@ -356,14 +346,14 @@ class TestCheckpointIO:
         ckpt, _ = self.make_ckpt()
         p = tmp_path / "ck.json"
         save_checkpoint(p, ckpt)
-        doc = p.read_text().replace('"format_version":1', '"format_version":99')
+        doc = p.read_text().replace('"format_version":2', '"format_version":99')
         p.write_text(doc)
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(p)
 
     def test_rejects_missing_fields(self, tmp_path):
         p = tmp_path / "ck.json"
-        p.write_text('{"format_version":1,"train_config":{}}')
+        p.write_text('{"format_version":2,"train_config":{}}')
         with pytest.raises(ValueError):
             load_checkpoint(p)
 
@@ -380,11 +370,4 @@ class TestCheckpointIO:
                 history=rows,
                 seed=0,
                 epochs_completed=3,
-            )
-
-    def test_version_field_validated(self):
-        hp = init_head(4, 4, seed=19)
-        with pytest.raises(ValueError, match="version"):
-            Checkpoint(
-                head=hp, config=TrainConfig(), history=[], seed=0, epochs_completed=0, version=2
             )
