@@ -384,7 +384,7 @@ def _train_config(args) -> TrainConfig:
 def cmd_train(args) -> int:
     records = load_records(args.data)
     if args.normalize:
-        records, _ = normalize_mos(records)
+        records = normalize_mos(records)
     if args.eval_data:
         train_set = records
         eval_set = load_records(args.eval_data)
@@ -400,11 +400,11 @@ def cmd_train(args) -> int:
     save_checkpoint(args.out, ckpt)
     history_path = args.history_out or (str(args.out) + ".history.csv")
     with open(history_path, "w", encoding="utf-8") as handle:
-        handle.write("epoch,lr,train_loss,eval_srcc,eval_plcc,gamma_violations\n")
+        handle.write("epoch,lr,train_loss,eval_srcc,eval_plcc\n")
         for row in ckpt.history:
             handle.write(
                 f"{row.epoch},{_fmt(row.lr)},{_fmt(row.train_loss)},"
-                f"{_fmt(row.eval_srcc)},{_fmt(row.eval_plcc)},{row.gamma_violations}\n"
+                f"{_fmt(row.eval_srcc)},{_fmt(row.eval_plcc)}\n"
             )
     final = ckpt.history[-1]
     doc = {

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "sigmoid",
     "sigmoid_array",
     "softplus_array",
-    "cumulative_prob",
     "category_probs",
     "agrm_probs",
     "agrm_probs_batch",
@@ -159,9 +158,6 @@ class ProbVector(Sequence[float]):
         return f"ProbVector({list(self._p)!r})"
 
 
-Params = Union[AgrmParams, GeneralGrmParams]
-
-
 def sigmoid(x: float) -> float:
     """Logistic function 1 / (1 + e^-x), safe against overflow at both tails."""
     if x >= 0.0:
@@ -196,26 +192,6 @@ def _band_prob(z: float, z_next: float, g: float) -> float:
         math.log(-math.expm1(-g)) - max(-z, 0.0) - max(z_next, 0.0)
         - math.log1p(math.exp(-abs(z))) - math.log1p(math.exp(-abs(z_next)))
     )
-
-
-def _threshold(p: Params, m: int) -> float:
-    n = p.k - 1
-    if not 1 <= m <= n:
-        raise ValueError(f"threshold index must be in [1, {n}], got {m}")
-    if isinstance(p, AgrmParams):
-        return p.beta1 + (m - 1) * p.gamma
-    return p.thresholds[m - 1]
-
-
-def _scale(p: Params) -> float:
-    if isinstance(p, AgrmParams):
-        return p.d * p.alpha
-    return p.d * p.discrimination
-
-
-def cumulative_prob(p: Params, m: int) -> float:
-    """P(grade > m) = sigma(d * a * (theta - beta_m)) for m in 1..k-1."""
-    return sigmoid(_scale(p) * (p.theta - _threshold(p, m)))
 
 
 def category_probs(p: GeneralGrmParams) -> ProbVector:

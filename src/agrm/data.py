@@ -31,7 +31,6 @@ from .head import FeaturePair, batch_forward, init_head
 __all__ = [
     "DIMS",
     "FeatureRecord",
-    "MosTransform",
     "SynthConfig",
     "dim_counts",
     "load_records",
@@ -46,6 +45,10 @@ logger = logging.getLogger(__name__)
 DIMS = ("quality", "consistency", "authenticity")
 
 _FIELD_KEYS = ("id", "fi", "ft", "mos", "dim")
+
+# the types json.loads gives a JSON number; a quoted number or a boolean,
+# which float() would take, is refused
+_NUMBER_TYPES = {int, float}
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -111,6 +114,11 @@ def _parse_line(lineno: int, line: str) -> FeatureRecord:
     unknown = [k for k in obj if k not in _FIELD_KEYS]
     if unknown:
         raise ValueError(f"line {lineno}: unknown fields {unknown}")
+    if type(obj["mos"]) not in _NUMBER_TYPES:
+        raise ValueError(f"line {lineno}: mos must be a number, got {obj['mos']!r}")
+    for key in ("fi", "ft"):
+        if not isinstance(obj[key], list) or not {type(v) for v in obj[key]} <= _NUMBER_TYPES:
+            raise ValueError(f"line {lineno}: {key} must be an array of numbers")
     try:
         return FeatureRecord(
             id=obj["id"], f_i=obj["fi"], f_t=obj["ft"], mos=obj["mos"], dim=obj["dim"]
@@ -184,30 +192,12 @@ def save_records(path, records) -> None:
             handle.write(payload)
 
 
-@dataclass(frozen=True)
-class MosTransform:
-    """Affine map from the observed score range onto a target interval."""
-
-    src_min: float
-    src_max: float
-    lo: float
-    hi: float
-
-    def apply(self, x: float) -> float:
-        scale = (self.hi - self.lo) / (self.src_max - self.src_min)
-        return self.lo + (x - self.src_min) * scale
-
-    def invert(self, y: float) -> float:
-        scale = (self.src_max - self.src_min) / (self.hi - self.lo)
-        return self.src_min + (y - self.lo) * scale
-
-
-def normalize_mos(records):
+def normalize_mos(records) -> list[FeatureRecord]:
     """Min-max map the dataset's scores onto [0, 5], the rescaled prediction
     range, so normalized targets and head outputs are directly comparable.
 
-    Returns (new records, transform); the transform's ``invert`` recovers the
-    original scale.
+    Returns new records.  The map is increasing and affine, so rank and
+    linear correlations against the scores it maps are unchanged by it.
     """
     records = list(records)
     if not records:
@@ -216,9 +206,8 @@ def normalize_mos(records):
     src_min, src_max = min(mos), max(mos)
     if src_min == src_max:
         raise ValueError(f"scores are constant ({src_min}); range is undefined")
-    tf = MosTransform(src_min=src_min, src_max=src_max, lo=0.0, hi=5.0)
-    out = [dataclasses.replace(r, mos=tf.apply(r.mos)) for r in records]
-    return out, tf
+    scale = 5.0 / (src_max - src_min)
+    return [dataclasses.replace(r, mos=(r.mos - src_min) * scale) for r in records]
 
 
 def split(records, train_fraction: float, seed: int = 0):

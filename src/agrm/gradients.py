@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import core, losses
+from . import losses
 from .head import (
     PARAM_FIELDS,
     FeaturePair,
@@ -56,12 +56,13 @@ RELU_KINK_MARGIN = 1e-3
 class GradReport:
     """Loss, accumulated gradients, and bookkeeping from a batch pass.
 
-    ``max_rel_err`` is populated by ``fd_check`` only.  ``gamma_violations``
-    counts items whose spacing sat at or below the unimodality threshold.
-    ``item_losses`` (from ``batch_loss_and_grads``) are the per-item terms
-    whose mean is ``loss``: each item's absolute error plus the batch's
-    weighted correlation penalty.  Summed exactly, they give an epoch loss
-    that does not depend on how the items were grouped into batches.
+    ``max_rel_err``, ``checked``, ``skipped`` and ``failures`` are filled in
+    by ``fd_check`` only.  ``item_losses`` (from ``batch_loss_and_grads``)
+    are the per-item terms whose mean is ``loss``: each item's absolute
+    error plus the batch's weighted correlation penalty.  Summed exactly,
+    they give an epoch loss that does not depend on how the items were
+    grouped into batches.  No spacing count is kept: with the head's fixed
+    constants every spacing clears the unimodality threshold.
     """
 
     loss: float
@@ -70,7 +71,6 @@ class GradReport:
     checked: int = 0
     skipped: int = 0
     failures: int = 0
-    gamma_violations: int = 0
     item_losses: np.ndarray | None = None
 
 
@@ -169,11 +169,9 @@ def batch_loss_and_grads(
             grads["agg_w"] = lbar.T @ x
             grads["agg_b"] = lbar.sum(axis=0)
 
-    violations = int(np.count_nonzero(fw.gamma <= core.gamma_threshold(cfg.d, cfg.alpha)))
     return GradReport(
         loss=loss,
         grads={name: grads[name] for name in PARAM_FIELDS},
-        gamma_violations=violations,
         item_losses=item_losses,
     )
 
@@ -244,5 +242,4 @@ def fd_check(
         checked=checked,
         skipped=int(skipped_at.sum()),
         failures=failures,
-        gamma_violations=base.gamma_violations,
     )

@@ -10,11 +10,12 @@ priors, and pushes each sum through the configured activation; the spacing
 additionally gets a constant offset ``eta``.  Ability and difficulty then
 feed the arithmetic graded response model.
 
-With the default ``telu`` activation and ``eta = 1.2`` the spacing can never
-drop below ``eta`` plus telu's global minimum, which keeps it above the
-unimodality threshold ``2 ln2 / (d * alpha)`` for every input.  The ablation
-activations (sigmoid, relu, softplus) are applied as-is and only guarantee a
-positive spacing; sub-threshold spacings there raise a warning, not an error.
+``d``, ``alpha``, ``lambda_s`` and ``eta`` are the published constants,
+fixed on ``HeadConfig``.  With them the spacing can never drop below
+``eta`` plus the activation's greatest lower bound: 1.2 - 0.3533 = 0.847 for
+telu and 1.2 for sigmoid, relu and softplus.  Both clear the unimodality
+threshold ``2 ln2 / (d * alpha)`` = 0.815, so every input gets a unimodal
+grade distribution and the forward needs no spacing check of its own.
 
 The forward runs on a batch: an (N, d_txt + d_img) feature matrix whose row
 i is item i's text features followed by its image features
@@ -34,9 +35,8 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,6 @@ __all__ = [
     "HeadParams",
     "HeadOutput",
     "telu",
-    "ability_forward",
-    "difficulty_forward",
     "head_forward",
     "batch_forward",
     "feature_matrix",
@@ -118,11 +116,6 @@ def _act_deriv(name: str, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _act_floor(name: str) -> float:
-    """Greatest lower bound of the activation over the reals."""
-    return TELU_MIN if name == "telu" else 0.0
-
-
 def _as_feature(name: str, values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -146,13 +139,20 @@ class FeaturePair:
 
 @dataclass(frozen=True)
 class HeadConfig:
-    """Architecture knobs; the defaults carry the unimodality guarantee."""
+    """Architecture choices: grade count, activation, aggregation, ablation.
+
+    The curve scale ``d``, discrimination ``alpha``, softmax ability scale
+    ``lambda_s`` and spacing offset ``eta`` are the published constants,
+    fixed here rather than configured: with them every activation keeps the
+    spacing above the unimodality threshold (see the module docstring).
+    """
+
+    d: ClassVar[float] = 1.7
+    alpha: ClassVar[float] = 1.0
+    lambda_s: ClassVar[float] = 10.0
+    eta: ClassVar[float] = 1.2
 
     k: int = 5
-    d: float = 1.7
-    alpha: float = 1.0
-    lambda_s: float = 10.0
-    eta: float = 1.2
     activation: str = "telu"
     agg_mode: str = "linear"
     ablation: str = "none"
@@ -160,10 +160,6 @@ class HeadConfig:
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 2:
             raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
-        for name in ("d", "alpha", "lambda_s", "eta"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.agg_mode not in AGG_MODES:
@@ -186,18 +182,40 @@ PARAM_FIELDS = (
 )
 
 
+def _layout(cfg: HeadConfig, d_img: int, d_txt: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each learnable field, in ``PARAM_FIELDS`` order.
+
+    A weight's fan-in is its last axis.  The prior maps read the text
+    features (image features under image_only) and the temperature map the
+    image features (text features under text_only).
+    """
+    n = d_txt + d_img
+    prior = d_img if cfg.ablation == "image_only" else d_txt
+    temp = d_txt if cfg.ablation == "text_only" else d_img
+    linear = cfg.agg_mode == "linear"
+    return {
+        "agg_w": (n,) if linear else (cfg.k, n),
+        "agg_b": () if linear else (cfg.k,),
+        "phi_beta_w": (prior,),
+        "phi_beta_b": (),
+        "phi_gamma_w": (prior,),
+        "phi_gamma_b": (),
+        "phi_i_w": (temp,),
+        "phi_i_b": (),
+    }
+
+
 @dataclass
 class HeadParams:
     """All learnable weights plus the architecture they belong to.
 
     Shapes: with n = d_txt + d_img, ``agg_w`` is (n,) in linear mode and
-    (k, n) in softmax mode, ``agg_b`` () or (k,).  The prior maps take the
-    text features (image features under the image_only ablation) and the
-    temperature map takes the image features (text features under text_only),
-    so their widths follow the ablation.  The fields are views into one
-    flat vector, ``flat``, in ``PARAM_FIELDS`` order, so an in-place update
-    of either is an update of both; never rebind a field.  Instances are
-    mutated only by the trainer; treat them as read-only elsewhere.
+    (k, n) in softmax mode, ``agg_b`` () or (k,); the widths of the prior
+    and temperature maps follow the ablation (see ``_layout``).  The fields
+    are views into one flat vector, ``flat``, in ``PARAM_FIELDS`` order, so
+    an in-place update of either is an update of both; never rebind a field.
+    Instances are mutated only by the trainer; treat them as read-only
+    elsewhere.
     """
 
     config: HeadConfig
@@ -213,25 +231,8 @@ class HeadParams:
     phi_i_b: np.ndarray
 
     def __post_init__(self):
-        for name in PARAM_FIELDS:
+        for name, shape in _layout(self.config, self.d_img, self.d_txt).items():
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        n = self.d_txt + self.d_img
-        cfg = self.config
-        agg_shape = (n,) if cfg.agg_mode == "linear" else (cfg.k, n)
-        bias_shape = () if cfg.agg_mode == "linear" else (cfg.k,)
-        if self.agg_w.shape != agg_shape:
-            raise ValueError(f"agg_w shape {self.agg_w.shape}, expected {agg_shape}")
-        if self.agg_b.shape != bias_shape:
-            raise ValueError(f"agg_b shape {self.agg_b.shape}, expected {bias_shape}")
-        pd, td = self.prior_dim, self.temp_dim
-        for name, shape in (
-            ("phi_beta_w", (pd,)),
-            ("phi_beta_b", ()),
-            ("phi_gamma_w", (pd,)),
-            ("phi_gamma_b", ()),
-            ("phi_i_w", (td,)),
-            ("phi_i_b", ()),
-        ):
             got = getattr(self, name).shape
             if got != shape:
                 raise ValueError(f"{name} shape {got}, expected {shape}")
@@ -246,14 +247,6 @@ class HeadParams:
     def flat(self) -> np.ndarray:
         """Every weight in one vector, ``PARAM_FIELDS`` order; the fields view it."""
         return self._flat
-
-    @property
-    def prior_dim(self) -> int:
-        return self.d_img if self.config.ablation == "image_only" else self.d_txt
-
-    @property
-    def temp_dim(self) -> int:
-        return self.d_txt if self.config.ablation == "text_only" else self.d_img
 
     def copy(self) -> "HeadParams":
         kwargs = {name: getattr(self, name).copy() for name in PARAM_FIELDS}
@@ -377,19 +370,6 @@ def _difficulty(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, ...]:
     return b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma
 
 
-def ability_forward(hp: HeadParams, fp: FeaturePair) -> float:
-    """Scalar ability for one feature pair."""
-    with np.errstate(under="ignore"):
-        return float(_ability(hp, feature_matrix(hp, [fp]))[0][0])
-
-
-def difficulty_forward(hp: HeadParams, fp: FeaturePair) -> tuple[float, float]:
-    """(base difficulty, threshold spacing) for one feature pair."""
-    with np.errstate(under="ignore"):
-        parts = _difficulty(hp, feature_matrix(hp, [fp]))
-    return float(parts[5][0]), float(parts[6][0])
-
-
 class HeadBatch(NamedTuple):
     """One forward pass over N items, row i belonging to item i.
 
@@ -413,17 +393,11 @@ class HeadBatch(NamedTuple):
 
 
 def _forward(hp: HeadParams, x: np.ndarray) -> HeadBatch:
-    """The head forward shared by scoring and training; raises on gamma <= 0."""
+    """The head forward shared by scoring and training."""
     cfg = hp.config
     with np.errstate(under="ignore"):
         theta, softmax_p = _ability(hp, x)
         b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma = _difficulty(hp, x)
-        if gamma.min() <= 0.0:
-            raise ValueError(
-                f"unimodality constraint violated: spacing gamma = "
-                f"{float(gamma.min())!r} <= 0 "
-                f"(activation {cfg.activation!r}, eta = {cfg.eta!r})"
-            )
         probs = core.agrm_probs_batch(theta, beta1, gamma, cfg.d, cfg.alpha, cfg.k)
         q = _expected_grades(probs)
     # core.rescale_score, element-wise
@@ -433,42 +407,18 @@ def _forward(hp: HeadParams, x: np.ndarray) -> HeadBatch:
     )
 
 
-def _warn_sub_threshold(hp: HeadParams, gamma: np.ndarray, stacklevel: int) -> None:
-    threshold = core.gamma_threshold(hp.config.d, hp.config.alpha)
-    if gamma.min() <= threshold:
-        low = gamma <= threshold
-        count = f" ({int(low.sum())} of {low.size} items)" if low.size > 1 else ""
-        warnings.warn(
-            f"spacing gamma = {float(gamma[np.argmax(low)]):.6g} at or below the "
-            f"unimodality threshold {threshold:.6g}{count}; grade distribution may "
-            "be multimodal",
-            RuntimeWarning,
-            stacklevel=stacklevel + 1,
-        )
-
-
 def batch_forward(hp: HeadParams, items) -> HeadBatch:
-    """Forward pass over N items at once; see ``feature_matrix`` for ``items``.
-
-    Raises like ``head_forward`` and warns once for the whole batch when
-    any spacing sits at or below the unimodality threshold.
-    """
-    out = _forward(hp, feature_matrix(hp, items))
-    _warn_sub_threshold(hp, out.gamma, stacklevel=2)
-    return out
+    """Forward pass over N items at once; see ``feature_matrix`` for ``items``."""
+    return _forward(hp, feature_matrix(hp, items))
 
 
 def head_forward(hp: HeadParams, fp: FeaturePair) -> HeadOutput:
     """Full forward pass: features to grade distribution and rescaled score.
 
-    A non-positive spacing means the grade bands have collapsed and no
-    distribution exists; that raises.  A positive spacing at or below the
-    unimodality threshold is computable but unguaranteed, so it only warns
-    (the telu default cannot get there).  This is row 0 of a one-row
-    ``batch_forward``, bit for bit.
+    This is row 0 of a one-row ``batch_forward``, bit for bit.  Weights that
+    have gone non-finite make ``core.agrm_probs_batch`` raise.
     """
     b = _forward(hp, feature_matrix(hp, [fp]))
-    _warn_sub_threshold(hp, b.gamma, stacklevel=2)
     return HeadOutput(
         theta=float(b.theta[0]),
         beta1_prior=float(b.beta1_prior[0]),
@@ -482,32 +432,6 @@ def head_forward(hp: HeadParams, fp: FeaturePair) -> HeadOutput:
     )
 
 
-def _solve_gamma_bias(activation: str, eta: float, d: float, alpha: float) -> float:
-    """Spacing-map bias that starts gamma comfortably above the threshold.
-
-    When eta alone clears the threshold even at the activation's floor the
-    bias stays 0.  Otherwise bisect the activation on [0, 60] for a value
-    whose output plus eta lands half a unit above the threshold (saturating
-    activations get as close as they can).
-    """
-    thr = core.gamma_threshold(d, alpha)
-    if eta + _act_floor(activation) > thr:
-        return 0.0
-    want = thr + 0.5 - eta
-    lo, hi = 0.0, 60.0
-    if _act_value(activation, hi) <= want:
-        return hi
-    if _act_value(activation, lo) >= want:
-        return lo
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if _act_value(activation, mid) < want:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
 def init_head(
     d_img: int,
     d_txt: int,
@@ -516,37 +440,19 @@ def init_head(
 ) -> HeadParams:
     """Fresh head with uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights.
 
-    Biases start at zero except the spacing-map bias, which is placed so the
-    spacing starts above the unimodality threshold.  Weights are drawn in
-    declaration order (agg, base-difficulty map, spacing map, temperature
-    map), so a seed pins the whole head.
+    Biases start at zero.  Weights are drawn in ``PARAM_FIELDS`` order (agg,
+    base-difficulty map, spacing map, temperature map), so a seed pins the
+    whole head.
     """
     if d_img < 1 or d_txt < 1:
         raise ValueError(f"feature dims must be >= 1, got ({d_img}, {d_txt})")
     cfg = config or HeadConfig()
     rng = np.random.default_rng(seed)
-    n = d_txt + d_img
-    s = 1.0 / math.sqrt(n)
-    if cfg.agg_mode == "linear":
-        agg_w = rng.uniform(-s, s, size=n)
-        agg_b = np.zeros(())
-    else:
-        agg_w = rng.uniform(-s, s, size=(cfg.k, n))
-        agg_b = np.zeros(cfg.k)
-    prior_dim = d_img if cfg.ablation == "image_only" else d_txt
-    temp_dim = d_txt if cfg.ablation == "text_only" else d_img
-    sp = 1.0 / math.sqrt(prior_dim)
-    st = 1.0 / math.sqrt(temp_dim)
-    return HeadParams(
-        config=cfg,
-        d_img=d_img,
-        d_txt=d_txt,
-        agg_w=agg_w,
-        agg_b=agg_b,
-        phi_beta_w=rng.uniform(-sp, sp, size=prior_dim),
-        phi_beta_b=np.zeros(()),
-        phi_gamma_w=rng.uniform(-sp, sp, size=prior_dim),
-        phi_gamma_b=np.asarray(_solve_gamma_bias(cfg.activation, cfg.eta, cfg.d, cfg.alpha)),
-        phi_i_w=rng.uniform(-st, st, size=temp_dim),
-        phi_i_b=np.zeros(()),
-    )
+    fields = {}
+    for name, shape in _layout(cfg, d_img, d_txt).items():
+        if name.endswith("_b"):
+            fields[name] = np.zeros(shape)
+        else:
+            s = 1.0 / math.sqrt(shape[-1])
+            fields[name] = rng.uniform(-s, s, size=shape)
+    return HeadParams(config=cfg, d_img=d_img, d_txt=d_txt, **fields)

@@ -56,12 +56,22 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
 PRESET_NAMES = ("paper", "recovery")
+
+
+def _is_count(v) -> bool:
+    """An integer >= 0; JSON's true and false load as bools and are refused."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _is_real(v) -> bool:
+    """A finite int or float, again not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -81,16 +91,14 @@ class TrainConfig:
 
     def __post_init__(self):
         # lr 0 is allowed as an explicit no-op (useful for dry runs)
-        if not math.isfinite(self.lr) or self.lr < 0.0:
-            raise ValueError(f"lr must be >= 0, got {self.lr!r}")
-        if not math.isfinite(self.weight_decay) or self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay!r}")
-        for name, lo in (("epochs", 1), ("batch_size", 2), ("t_max", 1)):
+        for name in ("lr", "weight_decay", "lam"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < lo:
+            if not _is_real(v) or v < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {v!r}")
+        for name, lo in (("epochs", 1), ("batch_size", 2), ("t_max", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if not _is_count(v) or v < lo:
                 raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
-        if not math.isfinite(self.lam) or self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam!r}")
 
 
 def preset(name: str) -> TrainConfig:
@@ -109,7 +117,6 @@ class EpochStats:
     train_loss: float
     eval_srcc: float
     eval_plcc: float
-    gamma_violations: int
 
 
 @dataclass
@@ -253,7 +260,6 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
         # per-item loss terms, summed exactly at the end, so the epoch loss
         # does not depend on how the shuffle grouped the items
         item_losses = []
-        violations = 0
         for step, start in enumerate(range(0, perm.size, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
             if idx.size < 2:
@@ -263,7 +269,6 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
             except ValueError as exc:
                 raise ValueError(f"epoch {epoch}, step {step}: {exc}") from exc
             item_losses.append(rep.item_losses)
-            violations += rep.gamma_violations
         eval_srcc, eval_plcc = _correlations(batch_forward(head, x_eval).q_rescaled, t_eval)
         item_losses = np.concatenate(item_losses)
         history.append(
@@ -273,7 +278,6 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
                 train_loss=math.fsum(item_losses) / item_losses.size,
                 eval_srcc=eval_srcc,
                 eval_plcc=eval_plcc,
-                gamma_violations=violations,
             )
         )
     return Checkpoint(
@@ -336,6 +340,9 @@ def _head_to_doc(head: HeadParams) -> dict:
 
 
 def _head_from_doc(doc: dict) -> HeadParams:
+    for name in ("d_img", "d_txt"):
+        if not _is_count(doc[name]):
+            raise ValueError(f"malformed checkpoint: head.{name} is {doc[name]!r}, not an integer >= 0")
     arrays = {
         name: np.asarray(doc["params"][name], dtype=np.float64)
         for name in PARAM_FIELDS
@@ -349,6 +356,18 @@ def _head_from_doc(doc: dict) -> HeadParams:
         d_txt=doc["d_txt"],
         **arrays,
     )
+
+
+def _history_row(i: int, row) -> EpochStats:
+    """One history row of a checkpoint: an integer epoch and finite numbers."""
+    stats = EpochStats(**row)
+    if not _is_count(stats.epoch):
+        raise ValueError(f"malformed checkpoint: history[{i}].epoch is {stats.epoch!r}, not an integer >= 0")
+    for f in dataclasses.fields(EpochStats)[1:]:
+        v = getattr(stats, f.name)
+        if not _is_real(v):
+            raise ValueError(f"malformed checkpoint: history[{i}].{f.name} is {v!r}, not a finite number")
+    return stats
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -374,13 +393,15 @@ def load_checkpoint(path) -> Checkpoint:
         if not isinstance(doc, dict):
             raise ValueError(f"malformed checkpoint: expected an object, got {type(doc).__name__}")
         version = doc.get("format_version")
-        if version != CHECKPOINT_VERSION:
+        if not _is_count(version) or version != CHECKPOINT_VERSION:
             raise ValueError(f"unrecognized checkpoint format version {version!r}")
         config = TrainConfig(**doc["train_config"])
-        history = [EpochStats(**row) for row in doc["history"]]
+        history = [_history_row(i, row) for i, row in enumerate(doc["history"])]
         head = _head_from_doc(doc["head"])
-        seed = doc["rng"]["seed"]
-        epochs_completed = doc["rng"]["epochs_completed"]
+        seed, epochs_completed = doc["rng"]["seed"], doc["rng"]["epochs_completed"]
+        for name, v in (("seed", seed), ("epochs_completed", epochs_completed)):
+            if not _is_count(v):
+                raise ValueError(f"malformed checkpoint: rng.{name} is {v!r}, not an integer >= 0")
     # a deeply nested document exhausts the parser's recursion, and an
     # integer too large for a float overflows the numeric checks
     except (KeyError, TypeError, OverflowError, RecursionError) as exc:

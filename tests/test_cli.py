@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from agrm import cli, core
 from agrm.cli import main
-from agrm.data import SynthConfig, load_records, synth_generate
+from agrm.data import SynthConfig, load_records, normalize_mos, synth_generate
 from agrm.head import PARAM_FIELDS
-from agrm.trainer import TrainConfig, load_checkpoint, preset
+from agrm.trainer import TrainConfig, evaluate, load_checkpoint, preset
 
 
 def run(capsys, *argv):
@@ -382,7 +382,7 @@ class TestTrainEval:
         ckpt = load_checkpoint(ck)
         assert ckpt.epochs_completed == 3
         history = (tmp_path / "ck.json.history.csv").read_text().splitlines()
-        assert history[0] == "epoch,lr,train_loss,eval_srcc,eval_plcc,gamma_violations"
+        assert history[0] == "epoch,lr,train_loss,eval_srcc,eval_plcc"
         assert len(history) == 4
 
     def test_train_deterministic(self, capsys, tmp_path):
@@ -416,6 +416,29 @@ class TestTrainEval:
             "--out", str(ck),
         )
         assert code == 0
+
+    def test_normalize_leaves_eval_correlations_unchanged(self, capsys, tmp_path):
+        """--normalize maps the training scores only; mapping the raw eval
+        scores too would move SRCC and PLCC by rounding at most."""
+        data = self.make_data(capsys, tmp_path, noise="0.3")
+        eval_path = tmp_path / "e.jsonl"
+        code, _, _ = run(
+            capsys, "synth", "--n", "16", "--d-img", "6", "--d-txt", "6",
+            "--noise", "0.3", "--seed", "10", "--out", str(eval_path),
+        )
+        assert code == 0
+        ck = tmp_path / "ck.json"
+        code, _, _ = run(
+            capsys, "train", "--data", str(data), "--eval-data", str(eval_path), "--normalize",
+            "--preset", "recovery", "--epochs", "2", "--batch-size", "8", "--out", str(ck),
+        )
+        assert code == 0
+        ckpt = load_checkpoint(ck)
+        raw = load_records(eval_path)
+        final = ckpt.history[-1]
+        assert evaluate(ckpt.head, raw) == (final.eval_srcc, final.eval_plcc)
+        mapped = evaluate(ckpt.head, normalize_mos(raw))
+        assert mapped == pytest.approx((final.eval_srcc, final.eval_plcc), abs=1e-12)
 
     def test_eval_prints_per_dim(self, capsys, tmp_path):
         data = self.make_data(capsys, tmp_path, noise="0.3")
@@ -456,6 +479,21 @@ class TestTrainEval:
             "--data", str(data),
         )
         assert code == 2
+
+
+# rng values and history epochs must be integers >= 0; JSON's true is not one
+BAD_COUNTS = ["x", "1", [1], None, True, -1, 2.5, {}]
+GOOD_HISTORY_ROW = {"epoch": 0, "lr": 1e-3, "train_loss": 0.5, "eval_srcc": 0.9, "eval_plcc": 0.9}
+BAD_HISTORY_ROWS = [
+    {**GOOD_HISTORY_ROW, "epoch": bad} for bad in BAD_COUNTS
+] + [
+    {**GOOD_HISTORY_ROW, name: bad}
+    for name in ("lr", "train_loss", "eval_srcc", "eval_plcc")
+    for bad in ["0.5", [0.5], None, True, {}, float("nan")]
+] + [
+    {name: "x" for name in GOOD_HISTORY_ROW},
+    {**GOOD_HISTORY_ROW, "gamma_violations": 0},  # a format 2 row
+]
 
 
 def _drop_rng(doc):
@@ -511,6 +549,45 @@ class TestMalformedCheckpoint:
         code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data))
         assert code == 2 and out == ""
         assert err == "error: unrecognized checkpoint format version 1\n"
+
+    def test_format_2_checkpoint_exits_2(self, capsys, tmp_path):
+        data, ckpt = synth_planted(capsys, tmp_path)
+        doc = json.loads(ckpt.read_text())
+        # format 2 also stored the head's four constants
+        doc["format_version"] = 2
+        doc["head"]["config"].update(d=1.7, alpha=1.0, lambda_s=10.0, eta=1.2)
+        ckpt.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data))
+        assert code == 2 and out == ""
+        assert err == "error: unrecognized checkpoint format version 2\n"
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("rng", "seed"), "x", "rng.seed"),
+            (("rng", "epochs_completed"), [1], "rng.epochs_completed"),
+            (("rng", "seed"), True, "rng.seed"),
+            (("history",), [{name: "x" for name in GOOD_HISTORY_ROW}], "history[0].epoch"),
+            (("history",), [{**GOOD_HISTORY_ROW, "lr": [1e-3]}], "history[0].lr"),
+            (("history",), [GOOD_HISTORY_ROW, {**GOOD_HISTORY_ROW, "eval_plcc": None}], "history[1].eval_plcc"),
+        ],
+        ids=["string-seed", "list-epochs", "bool-seed", "string-row", "list-lr", "null-plcc"],
+    )
+    def test_mistyped_rng_or_history_exits_2(self, capsys, tmp_path, path, value, named):
+        data, ckpt = synth_planted(capsys, tmp_path)
+        doc = json.loads(ckpt.read_text())
+        _at(doc, path[:-1])[path[-1]] = value
+        ckpt.write_text(json.dumps(doc))
+        err = assert_clean_exit_2(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data))
+        assert named in err
+
+    def test_well_typed_history_loads(self, capsys, tmp_path):
+        _, ckpt = synth_planted(capsys, tmp_path)
+        doc = json.loads(ckpt.read_text())
+        doc["history"] = [GOOD_HISTORY_ROW, {**GOOD_HISTORY_ROW, "epoch": 1, "lr": 0}]
+        doc["rng"]["epochs_completed"] = 2
+        ckpt.write_text(json.dumps(doc))
+        assert [row.epoch for row in load_checkpoint(ckpt).history] == [0, 1]
 
     def test_deeply_nested_checkpoint_exits_2(self, capsys, tmp_path):
         data, ckpt = synth_planted(capsys, tmp_path)
@@ -594,6 +671,19 @@ class TestMalformedRecords:
         path.write_text(DEEP + "\n")
         self.train_exits_2(capsys, tmp_path, path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mos", "2.5"), ("mos", True), ("fi", ["2.5", 1.0, 1.0]), ("ft", [True, False, True]),
+         ("ft", [1.0, True, 0.5])],
+        ids=["quoted-mos", "bool-mos", "quoted-feature", "bool-features", "one-bool-feature"],
+    )
+    def test_non_number_exits_2(self, capsys, tmp_path, key, value):
+        objs = valid_records()
+        objs[5][key] = value
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        self.train_exits_2(capsys, tmp_path, path)
+
     @settings(
         derandomize=True, max_examples=80, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -628,9 +718,11 @@ class TestMalformedRecords:
 NOT_A_NUMBER = [None, "x", [], {}, float("nan"), float("inf"), 10**400]
 BAD_RECORD_VALUES = {
     "id": [None, "", 5, [], {}],
-    "fi": [None, "x", [], {}, [[0.5]], ["x"], [float("nan")], [10**400], [0.5] * 2, [0.5] * 4],
-    "ft": [None, "x", [], {}, [[0.5]], ["x"], [float("inf")], [10**400], [0.5] * 2, [0.5] * 4],
-    "mos": NOT_A_NUMBER,
+    "fi": [None, "x", [], {}, [[0.5]], ["x"], [float("nan")], [10**400], [0.5] * 2, [0.5] * 4,
+           ["2.5", 1.0, 1.0], [1.0, True, 0.5]],
+    "ft": [None, "x", [], {}, [[0.5]], ["x"], [float("inf")], [10**400], [0.5] * 2, [0.5] * 4,
+           [True, False, True], [0.5, 0.5, "0.5"]],
+    "mos": [*NOT_A_NUMBER, "2.5", " 3 ", True, False],
     "dim": [None, "", "sharpness", 3, []],
 }
 
@@ -662,15 +754,17 @@ REQUIRED_PATHS = [
 ] + [("head", "params", name) for name in PARAM_FIELDS]
 
 BAD_CHECKPOINT_VALUES = [
-    (("format_version",), [1, 3, "2", None, [2], 2.5]),
+    (("format_version",), [1, 2, 4, "3", None, [3], 3.5, 3.0, True]),
     (("train_config",), [None, [], "x", 5]),
-    (("history",), ["x", [1], [{}], None, 5]),
+    (("history",), ["x", [1], [{}], None, 5, *([row] for row in BAD_HISTORY_ROWS)]),
     (("head",), [None, [], "x", {}]),
     (("rng",), [None, [], "x", 5, {}]),
+    (("rng", "seed"), BAD_COUNTS),
+    (("rng", "epochs_completed"), BAD_COUNTS),
     (("head", "config"), [None, [], "x"]),
     (("head", "config", "k"), [1, 0, 2.5, "x", None]),
-    (("head", "d_img"), ["x", None, [], 0, -3, 4]),
-    (("head", "d_txt"), ["x", None, [], 0, -3, 4]),
+    (("head", "d_img"), ["x", None, [], 0, -3, 4, 3.0, True]),
+    (("head", "d_txt"), ["x", None, [], 0, -3, 4, 3.0, True]),
 ] + [
     (("train_config", name), [-1.0, *NOT_A_NUMBER]) for name in ("lr", "weight_decay", "lam")
 ] + [
@@ -678,7 +772,7 @@ BAD_CHECKPOINT_VALUES = [
 ] + [
     (("train_config", "batch_size"), [1, 0, 2.5, "x", None]),
 ] + [
-    (("head", "config", name), [0.0, -1.0, *NOT_A_NUMBER]) for name in ("d", "alpha", "lambda_s", "eta")
+    (("train_config", "seed"), BAD_COUNTS),
 ] + [
     (("head", "config", name), ["nope", 3, None, []]) for name in ("activation", "agg_mode", "ablation")
 ] + [

@@ -12,7 +12,6 @@ from agrm.core import (
     agrm_probs,
     boundary_thetas,
     category_probs,
-    cumulative_prob,
     expected_score,
     gamma_threshold,
     is_unimodal,
@@ -84,8 +83,9 @@ class TestParams:
         p = AgrmParams(theta=0.3, beta1=-1.0, gamma=0.9, k=5)
         g = p.to_general()
         assert g.k == p.k
-        for m in range(1, p.k):
-            assert cumulative_prob(g, m) == cumulative_prob(p, m)
+        assert (g.theta, g.d, g.discrimination) == (p.theta, p.d, p.alpha)
+        assert g.thresholds == tuple(p.thresholds())
+        assert list(category_probs(g)) == pytest.approx(list(agrm_probs(p)), abs=1e-15)
 
     def test_rejects_bad_scalars(self):
         with pytest.raises(ValueError):
@@ -140,24 +140,21 @@ class TestProbVector:
 
 
 class TestCumulativeProb:
+    """P(Y >= m), the mass of grades m..k, is the m-th boundary curve."""
+
+    @staticmethod
+    def tail(p, m):
+        return math.fsum(list(agrm_probs(p))[m - 1 :])
+
     def test_matches_naive(self):
         p = AgrmParams(theta=0.4, beta1=-1.0, gamma=0.8, k=5)
-        for m in range(1, 5):
-            b = p.thresholds()[m - 1]
-            assert cumulative_prob(p, m) == pytest.approx(
-                naive_sigmoid(1.7 * (0.4 - b)), abs=1e-15
-            )
-
-    def test_index_bounds(self):
-        p = AgrmParams(theta=0.0, beta1=0.0, gamma=1.0, k=5)
-        with pytest.raises(ValueError):
-            cumulative_prob(p, 0)
-        with pytest.raises(ValueError):
-            cumulative_prob(p, 5)
+        for m in range(2, 6):
+            b = p.thresholds()[m - 2]
+            assert self.tail(p, m) == pytest.approx(naive_sigmoid(1.7 * (0.4 - b)), abs=1e-15)
 
     def test_decreasing_in_threshold_index(self):
         p = AgrmParams(theta=0.0, beta1=-2.0, gamma=0.9, k=7)
-        cs = [cumulative_prob(p, m) for m in range(1, 7)]
+        cs = [self.tail(p, m) for m in range(2, 8)]
         assert all(b < a for a, b in zip(cs, cs[1:]))
 
 
@@ -214,10 +211,8 @@ class TestAgrmProbs:
             probs = agrm_probs(p)
             assert all(math.isfinite(v) and v >= 0.0 for v in probs)
             assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
-            want = [
-                cumulative_prob(p, m - 1) - cumulative_prob(p, m)
-                for m in range(2, p.k)
-            ]
+            curves = [sigmoid(1.7 * (p.theta - b)) for b in p.thresholds()]
+            want = [hi - lo for hi, lo in zip(curves, curves[1:])]
             assert list(probs)[1:-1] == pytest.approx(want, abs=1e-12)
 
     def test_zero_spacing_collapses_middle(self):
@@ -436,7 +431,7 @@ class TestScores:
                 k=k,
             )
             q = expected_score(agrm_probs(p))
-            csum = 1.0 + math.fsum(cumulative_prob(p, m) for m in range(1, k))
+            csum = 1.0 + math.fsum(sigmoid(1.7 * (p.theta - b)) for b in p.thresholds())
             assert q == pytest.approx(csum, abs=1e-12)
 
     def test_monotone_in_ability(self):

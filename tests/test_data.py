@@ -8,7 +8,6 @@ import pytest
 from agrm.data import (
     DIMS,
     FeatureRecord,
-    MosTransform,
     SynthConfig,
     dim_counts,
     load_records,
@@ -168,21 +167,25 @@ class TestLoadSave:
 class TestNormalizeMos:
     def test_full_range_unchanged(self):
         recs = [rec(i, mos=m) for i, m in enumerate([0.0, 2.5, 5.0])]
-        out, tf = normalize_mos(recs)
+        out = normalize_mos(recs)
         assert [r.mos for r in out] == [0.0, 2.5, 5.0]
-        assert (tf.src_min, tf.src_max) == (0.0, 5.0)
 
     def test_typical_opinion_scale(self):
         recs = [rec(i, mos=m) for i, m in enumerate([1.0, 3.0, 5.0])]
-        out, _ = normalize_mos(recs)
+        out = normalize_mos(recs)
         assert [r.mos for r in out] == [0.0, 2.5, 5.0]
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(11)
         recs = [rec(i, mos=m) for i, m in enumerate(rng.uniform(1.3, 4.1, size=50))]
-        out, tf = normalize_mos(recs)
+        out = normalize_mos(recs)
+        lo, hi = min(r.mos for r in recs), max(r.mos for r in recs)
         for before, after in zip(recs, out):
-            assert abs(tf.invert(after.mos) - before.mos) < 1e-12
+            assert abs(lo + after.mos * (hi - lo) / 5.0 - before.mos) < 1e-12
+
+    def test_transform_is_plain_affine(self):
+        recs = [rec(i, mos=m) for i, m in enumerate([1.0, 3.0, 5.0, 2.0, 4.5])]
+        assert [r.mos for r in normalize_mos(recs)] == [0.0, 2.5, 5.0, 1.25, 4.375]
 
     def test_constant_scores_rejected(self):
         recs = [rec(i, mos=3.0) for i in range(4)]
@@ -192,11 +195,6 @@ class TestNormalizeMos:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             normalize_mos([])
-
-    def test_transform_is_plain_affine(self):
-        tf = MosTransform(src_min=1.0, src_max=5.0, lo=0.0, hi=5.0)
-        assert tf.apply(3.0) == 2.5
-        assert tf.invert(2.5) == 3.0
 
 
 class TestSplit:

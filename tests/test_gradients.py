@@ -103,20 +103,6 @@ class TestBatchLossAndGrads:
         assert np.all(rep.grads["phi_i_b"] == 0.0)
         assert np.any(rep.grads["agg_w"] != 0.0)
 
-    def test_gamma_violations_counted(self):
-        cfg = HeadConfig(activation="relu", eta=0.2)
-        hp = init_head(6, 6, cfg, seed=4)
-        hp.phi_gamma_w[:] = 0.0
-        hp.phi_gamma_b[()] = 0.0
-        hp.phi_i_w[:] = 0.0  # spacing = relu(0) + 0.2, below the threshold
-        rng = np.random.default_rng(4)
-        pairs = [
-            FeaturePair(f_i=rng.standard_normal(6), f_t=rng.standard_normal(6))
-            for _ in range(5)
-        ]
-        rep = batch_loss_and_grads(hp, pairs, np.linspace(0, 5, 5))
-        assert rep.gamma_violations == 5
-
     def test_rejects_single_item_with_correlation_penalty(self):
         hp = init_head(6, 6, seed=5)
         rng = np.random.default_rng(5)

@@ -1,22 +1,26 @@
 """Tests for the scoring head."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agrm import core
 from agrm.head import (
     ABLATIONS,
     ACTIVATIONS,
+    AGG_MODES,
     TELU_ARGMIN,
     TELU_MIN,
     FeaturePair,
     HeadConfig,
     HeadParams,
-    ability_forward,
-    difficulty_forward,
+    _act_value,
+    batch_forward,
     grade_positions,
     head_forward,
     init_head,
@@ -26,6 +30,12 @@ from agrm.head import (
 
 def random_pair(rng, d_img=8, d_txt=8):
     return FeaturePair(f_i=rng.standard_normal(d_img), f_t=rng.standard_normal(d_txt))
+
+
+def difficulty(hp, fp):
+    """(base difficulty, threshold spacing) of one feature pair."""
+    out = head_forward(hp, fp)
+    return out.beta1, out.gamma
 
 
 # ---------------------------------------------------------------------------
@@ -65,16 +75,34 @@ class TestTelu:
 # ---------------------------------------------------------------------------
 
 
+# greatest lower bound of each activation over the reals
+ACT_FLOORS = {"telu": TELU_MIN, "sigmoid": 0.0, "relu": 0.0, "softplus": 0.0}
+
+
 class TestConfig:
     def test_defaults_carry_guarantee_margin(self):
-        cfg = HeadConfig()
-        assert cfg.eta + TELU_MIN > core.gamma_threshold(cfg.d, cfg.alpha)
+        """eta plus every activation's floor clears the unimodality threshold."""
+        assert set(ACT_FLOORS) == set(ACTIVATIONS)
+        thr = core.gamma_threshold(HeadConfig.d, HeadConfig.alpha)
+        xs = np.linspace(-60.0, 60.0, 24001)
+        for act, floor in ACT_FLOORS.items():
+            assert HeadConfig.eta + floor > thr, act
+            assert _act_value(act, xs).min() >= floor - 1e-15, act
+
+    def test_published_constants_are_fixed(self):
+        assert [f.name for f in dataclasses.fields(HeadConfig)] == [
+            "k", "activation", "agg_mode", "ablation",
+        ]
+        assert (HeadConfig.d, HeadConfig.alpha, HeadConfig.lambda_s, HeadConfig.eta) == (
+            1.7, 1.0, 10.0, 1.2,
+        )
+        for name in ("d", "alpha", "lambda_s", "eta"):
+            with pytest.raises(TypeError):
+                HeadConfig(**{name: 1.0})
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             HeadConfig(k=1)
-        with pytest.raises(ValueError):
-            HeadConfig(eta=0.0)
         with pytest.raises(ValueError):
             HeadConfig(activation="tanh")
         with pytest.raises(ValueError):
@@ -153,24 +181,11 @@ class TestInitHead:
         assert var_small / var_big == pytest.approx(2.0, rel=0.2)
 
     def test_biases_zero_except_spacing(self):
-        hp = init_head(8, 8)
-        assert float(hp.agg_b) == 0.0
-        assert float(hp.phi_beta_b) == 0.0
-        assert float(hp.phi_i_b) == 0.0
-        # default eta already clears the threshold, so no bias lift needed
-        assert float(hp.phi_gamma_b) == 0.0
-
-    def test_small_eta_gets_bias_lift(self):
-        for act in ACTIVATIONS:
-            cfg = HeadConfig(eta=0.05, activation=act)
-            hp = init_head(8, 8, cfg)
-            bias = float(hp.phi_gamma_b)
-            assert bias > 0.0
-            # at zero input the spacing should clear the threshold
-            _, gamma = difficulty_forward(
-                hp, FeaturePair(f_i=np.zeros(8), f_t=np.zeros(8))
-            )
-            assert gamma > core.gamma_threshold()
+        """Every bias starts at zero; the spacing bias too, as eta clears the threshold."""
+        for agg in AGG_MODES:
+            hp = init_head(8, 8, HeadConfig(agg_mode=agg))
+            for name in ("agg_b", "phi_beta_b", "phi_gamma_b", "phi_i_b"):
+                assert np.all(getattr(hp, name) == 0.0)
 
     def test_fresh_heads_spacing_above_threshold(self):
         """Spot check: random heads on random inputs keep the guarantee."""
@@ -178,8 +193,7 @@ class TestInitHead:
         rng = np.random.default_rng(99)
         for seed in range(1000):
             hp = init_head(6, 6, seed=seed)
-            _, gamma = difficulty_forward(hp, random_pair(rng, 6, 6))
-            assert gamma > thr
+            assert head_forward(hp, random_pair(rng, 6, 6)).gamma > thr
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
@@ -198,8 +212,8 @@ class TestAbilityForward:
         a = random_pair(rng)
         b = random_pair(rng)
         mid = FeaturePair(f_i=(a.f_i + b.f_i) / 2, f_t=(a.f_t + b.f_t) / 2)
-        assert ability_forward(hp, mid) == pytest.approx(
-            (ability_forward(hp, a) + ability_forward(hp, b)) / 2.0, abs=1e-12
+        assert head_forward(hp, mid).theta == pytest.approx(
+            (head_forward(hp, a).theta + head_forward(hp, b).theta) / 2.0, abs=1e-12
         )
 
     def test_softmax_uniform_logits_center(self):
@@ -208,14 +222,14 @@ class TestAbilityForward:
         hp = init_head(8, 8, cfg, seed=0)
         hp.agg_w[:] = 0.0
         pair = random_pair(np.random.default_rng(1))
-        assert ability_forward(hp, pair) == pytest.approx(cfg.lambda_s / 2.0, abs=1e-12)
+        assert head_forward(hp, pair).theta == pytest.approx(cfg.lambda_s / 2.0, abs=1e-12)
 
     def test_softmax_bounded_by_lambda_s(self):
         cfg = HeadConfig(agg_mode="softmax")
         rng = np.random.default_rng(11)
         for seed in range(50):
             hp = init_head(6, 6, cfg, seed=seed)
-            th = ability_forward(hp, random_pair(rng, 6, 6))
+            th = head_forward(hp, random_pair(rng, 6, 6)).theta
             assert 0.0 <= th <= cfg.lambda_s
 
     def test_grade_positions(self):
@@ -225,11 +239,11 @@ class TestAbilityForward:
         rng = np.random.default_rng(13)
         hp = init_head(8, 8, seed=5)
         pair = random_pair(rng)
-        before = ability_forward(hp, pair)
+        before = head_forward(hp, pair).theta
         hp.phi_beta_w[:] = rng.standard_normal(8)
         hp.phi_gamma_w[:] = rng.standard_normal(8)
         hp.phi_i_w[:] = rng.standard_normal(8)
-        assert ability_forward(hp, pair) == before
+        assert head_forward(hp, pair).theta == before
 
 
 class TestDifficultyForward:
@@ -240,7 +254,7 @@ class TestDifficultyForward:
         b_prior = float(hp.phi_beta_w @ pair.f_t + hp.phi_beta_b)
         g_prior = float(hp.phi_gamma_w @ pair.f_t + hp.phi_gamma_b)
         tau = float(hp.phi_i_w @ pair.f_i + hp.phi_i_b)
-        beta1, gamma = difficulty_forward(hp, pair)
+        beta1, gamma = difficulty(hp, pair)
         assert beta1 == pytest.approx(telu(b_prior + tau), abs=1e-15)
         assert gamma == pytest.approx(telu(g_prior + tau) + 1.2, abs=1e-15)
 
@@ -248,9 +262,9 @@ class TestDifficultyForward:
         rng = np.random.default_rng(19)
         hp = init_head(8, 8, seed=21)
         pair = random_pair(rng)
-        before = difficulty_forward(hp, pair)
+        before = difficulty(hp, pair)
         hp.agg_w[:] = rng.standard_normal(16)
-        assert difficulty_forward(hp, pair) == before
+        assert difficulty(hp, pair) == before
 
     def test_telu_spacing_floor(self):
         """gamma can never fall below eta + min(telu), whatever the input."""
@@ -260,8 +274,7 @@ class TestDifficultyForward:
         for seed in range(200):
             hp = init_head(5, 5, seed=seed)
             f = FeaturePair(f_i=rng.standard_normal(5) * 10, f_t=rng.standard_normal(5) * 10)
-            _, gamma = difficulty_forward(hp, f)
-            assert gamma >= lo - 1e-12
+            assert head_forward(hp, f).gamma >= lo - 1e-12
 
     def test_no_temperature_ablation_uses_priors_directly(self):
         cfg = HeadConfig(ablation="no_temperature")
@@ -278,7 +291,7 @@ class TestDifficultyForward:
         f_i = rng.standard_normal(8)
         a = FeaturePair(f_i=f_i, f_t=rng.standard_normal(8))
         b = FeaturePair(f_i=f_i, f_t=rng.standard_normal(8))
-        assert difficulty_forward(hp, a) == difficulty_forward(hp, b)
+        assert difficulty(hp, a) == difficulty(hp, b)
 
     def test_text_only_ablation_ignores_image_in_temperature(self):
         cfg = HeadConfig(ablation="text_only")
@@ -287,7 +300,7 @@ class TestDifficultyForward:
         f_t = rng.standard_normal(8)
         a = FeaturePair(f_i=rng.standard_normal(8), f_t=f_t)
         b = FeaturePair(f_i=rng.standard_normal(8), f_t=f_t)
-        assert difficulty_forward(hp, a) == difficulty_forward(hp, b)
+        assert difficulty(hp, a) == difficulty(hp, b)
 
 
 class TestHeadForward:
@@ -296,8 +309,9 @@ class TestHeadForward:
         hp = init_head(8, 8, seed=43)
         pair = random_pair(rng)
         out = head_forward(hp, pair)
-        assert out.theta == ability_forward(hp, pair)
-        assert (out.beta1, out.gamma) == difficulty_forward(hp, pair)
+        x = np.concatenate([pair.f_t, pair.f_i])
+        assert out.theta == pytest.approx(float(hp.agg_w @ x + hp.agg_b), abs=1e-12)
+        assert (out.beta1, out.gamma) == difficulty(hp, pair)
         assert out.q == pytest.approx(core.expected_score(out.probs), abs=1e-15)
         assert out.q_rescaled == pytest.approx(core.rescale_score(out.q, 5), abs=1e-15)
 
@@ -325,18 +339,6 @@ class TestHeadForward:
             assert len(out.probs) == k
             assert 0.0 <= out.q_rescaled <= 5.0
 
-    def test_sub_threshold_spacing_warns_not_raises(self):
-        """Ablation activations may dip below the threshold; that's a warning."""
-        cfg = HeadConfig(activation="relu", eta=0.2)
-        hp = init_head(8, 8, cfg, seed=61)
-        hp.phi_gamma_b[()] = 0.0
-        hp.phi_gamma_w[:] = 0.0
-        hp.phi_i_w[:] = 0.0  # gamma = relu(0) + 0.2 = 0.2 < threshold
-        pair = random_pair(np.random.default_rng(67))
-        with pytest.warns(RuntimeWarning, match="unimodality threshold"):
-            out = head_forward(hp, pair)
-        assert out.gamma == pytest.approx(0.2)
-
     def test_mismatched_features_rejected(self):
         hp = init_head(8, 8)
         with pytest.raises(ValueError):
@@ -359,3 +361,31 @@ class TestHeadForward:
                     hp, FeaturePair(f_i=rng.standard_normal(5), f_t=rng.standard_normal(7))
                 )
                 assert math.isfinite(out.q_rescaled)
+
+
+# ---------------------------------------------------------------------------
+# the spacing guarantee, for any weights and inputs
+# ---------------------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    act=st.sampled_from(ACTIVATIONS),
+    agg=st.sampled_from(AGG_MODES),
+    abl=st.sampled_from(ABLATIONS),
+    seed=st.integers(0, 2**32 - 1),
+    w_scale=st.one_of(st.sampled_from([1e3, 0.0]), st.floats(0.0, 1e3)),
+    x_scale=st.one_of(st.just(1e3), st.floats(0.0, 1e3)),
+    # telu's minimum sits at TELU_ARGMIN; the all-zero row reaches it exactly
+    gamma_bias=st.one_of(st.just(TELU_ARGMIN), st.floats(-1e3, 1e3)),
+)
+def test_every_spacing_clears_the_threshold(act, agg, abl, seed, w_scale, x_scale, gamma_bias):
+    """The guarantee that replaces a runtime spacing check in the forward."""
+    hp = init_head(4, 5, HeadConfig(activation=act, agg_mode=agg, ablation=abl), seed=seed)
+    hp.flat[:] *= w_scale
+    hp.phi_gamma_b[()] = gamma_bias
+    x = x_scale * np.random.default_rng(seed).standard_normal((16, 9))
+    x[0] = 0.0
+    gamma = batch_forward(hp, x).gamma
+    assert np.isfinite(gamma).all()
+    assert gamma.min() > core.gamma_threshold()

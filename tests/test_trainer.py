@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from agrm import losses, trainer
+from agrm.core import gamma_threshold
 from agrm.data import SynthConfig, split, synth_generate
-from agrm.head import PARAM_FIELDS, HeadConfig, init_head
+from agrm.head import PARAM_FIELDS, HeadConfig, batch_forward, init_head
 from agrm.trainer import (
     Checkpoint,
     EpochStats,
@@ -56,6 +57,11 @@ class TestTrainConfig:
             {"weight_decay": float("inf")},
             {"epochs": 2.5},
             {"lam": float("nan")},
+            # JSON's true and a quoted number are not numbers
+            {"epochs": True},
+            {"lr": True},
+            {"seed": "x"},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -213,7 +219,7 @@ class TestTrain:
         recs, _ = tiny_dataset()
         tr, te = split(recs, 0.75, seed=0)
         ckpt = train(TrainConfig(lr=1e-3, epochs=3, batch_size=8), tr, te, init_head(6, 6, seed=7))
-        assert all(h.gamma_violations == 0 for h in ckpt.history)
+        assert batch_forward(ckpt.head, recs).gamma.min() > gamma_threshold()
 
     def test_single_record_remainder_batch_is_dropped(self):
         recs, _ = tiny_dataset(n=17)
@@ -346,21 +352,21 @@ class TestCheckpointIO:
         ckpt, _ = self.make_ckpt()
         p = tmp_path / "ck.json"
         save_checkpoint(p, ckpt)
-        doc = p.read_text().replace('"format_version":2', '"format_version":99')
+        doc = p.read_text().replace('"format_version":3', '"format_version":99')
         p.write_text(doc)
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(p)
 
     def test_rejects_missing_fields(self, tmp_path):
         p = tmp_path / "ck.json"
-        p.write_text('{"format_version":2,"train_config":{}}')
+        p.write_text('{"format_version":3,"train_config":{}}')
         with pytest.raises(ValueError):
             load_checkpoint(p)
 
     def test_history_cannot_exceed_epochs(self):
         hp = init_head(4, 4, seed=18)
         rows = [
-            EpochStats(epoch=i, lr=0.0, train_loss=0.0, eval_srcc=0.0, eval_plcc=0.0, gamma_violations=0)
+            EpochStats(epoch=i, lr=0.0, train_loss=0.0, eval_srcc=0.0, eval_plcc=0.0)
             for i in range(3)
         ]
         with pytest.raises(ValueError, match="history"):
