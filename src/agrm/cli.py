@@ -63,15 +63,12 @@ def _emit(args, doc: dict, human_lines) -> None:
 # ---------------------------------------------------------------- probe
 
 def cmd_probe(args) -> int:
-    params = AgrmParams(
-        theta=args.theta, beta1=args.beta1, gamma=args.gamma,
-        d=args.d, alpha=args.alpha, k=args.k,
-    )
+    params = AgrmParams(theta=args.theta, beta1=args.beta1, gamma=args.gamma, k=args.k)
     probs = core.agrm_probs(params)
     q = core.expected_score(probs)
     q_rescaled = core.rescale_score(q, params.k)
     modal = core.modal_grade(probs)
-    threshold = core.gamma_threshold(params.d, params.alpha)
+    threshold = core.gamma_threshold()
     above = params.gamma > threshold
     unimodal = core.is_unimodal(probs)
     try:
@@ -83,8 +80,7 @@ def cmd_probe(args) -> int:
 
     doc = {
         "params": {
-            "theta": params.theta, "beta1": params.beta1, "gamma": params.gamma,
-            "d": params.d, "alpha": params.alpha, "k": params.k,
+            "theta": params.theta, "beta1": params.beta1, "gamma": params.gamma, "k": params.k,
         },
         "probs": list(probs),
         "q": q,
@@ -98,8 +94,7 @@ def cmd_probe(args) -> int:
     }
     lines = [
         f"probe: theta={_fmt(params.theta)} beta1={_fmt(params.beta1)} "
-        f"gamma={_fmt(params.gamma)} d={_fmt(params.d)} "
-        f"alpha={_fmt(params.alpha)} k={params.k}",
+        f"gamma={_fmt(params.gamma)} k={params.k}",
     ]
     lines += [f"P_{m + 1} = {_fmt(p)}" for m, p in enumerate(probs)]
     lines += [
@@ -140,22 +135,21 @@ def cmd_curves(args) -> int:
     thetas = np.linspace(lo, hi, args.steps)
     rows = []
     for theta in thetas:
-        p = AgrmParams(
-            theta=float(theta), beta1=args.beta1, gamma=args.gamma,
-            d=args.d, alpha=args.alpha, k=args.k,
+        probs = core.agrm_probs(
+            AgrmParams(theta=float(theta), beta1=args.beta1, gamma=args.gamma, k=args.k)
         )
-        probs = core.agrm_probs(p)
         rows.append([float(theta), *probs, core.expected_score(probs)])
 
     header = ["theta"] + [f"p{m}" for m in range(1, args.k + 1)] + ["q"]
-    if args.json:
-        print(json.dumps({"header": header, "rows": rows}, sort_keys=True))
-        return 0
     text = ",".join(header) + "\n"
     text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    # --out takes the CSV in either mode; --json output still goes to stdout
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    if args.json:
+        print(json.dumps({"header": header, "rows": rows}, sort_keys=True))
+    elif args.out:
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         sys.stdout.write(text)
@@ -170,8 +164,6 @@ VERIFY_CHUNK = 8192
 _VERIFY_FAMILIES = ("unimodality", "normalization", "closed_form", "shift", "boundary")
 _VERIFY_TOL = 1e-12
 _BOUNDARY_SLACK = 1e-9
-# the sweep draws at AgrmParams' default d and alpha
-_VERIFY_SCALE = AgrmParams.d * AgrmParams.alpha
 
 
 def _verify_draws(rng, n, args, threshold) -> dict:
@@ -207,7 +199,7 @@ def _verify_chunk(draws, standard: bool):
     (``standard`` false) non-unimodal rows are expected, not failures, and
     the boundary family is skipped.
     """
-    c = _VERIFY_SCALE
+    c = core.D * core.ALPHA
     n = draws["k"].size
     fails = {name: np.zeros(n, dtype=bool) for name in _VERIFY_FAMILIES}
     nonunimodal = np.zeros(n, dtype=bool)
@@ -346,10 +338,7 @@ def cmd_synth(args) -> int:
     records, planted = synth_generate(cfg)
     save_records(args.out, records)
     if args.planted_out:
-        ckpt = Checkpoint(
-            head=planted, config=TrainConfig(), history=[],
-            seed=args.seed, epochs_completed=0,
-        )
+        ckpt = Checkpoint(head=planted, config=TrainConfig(), history=[], seed=args.seed)
         save_checkpoint(args.planted_out, ckpt)
     counts = dim_counts(records)
     doc = {
@@ -522,20 +511,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--beta1", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--d", type=float, default=1.7)
-    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--k", type=int, default=5)
 
     p = add("curves", cmd_curves, "emit grade-probability curves as CSV")
     p.add_argument("--beta1", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--d", type=float, default=1.7)
-    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--theta-min", type=float, default=None)
     p.add_argument("--theta-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=512)
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.add_argument("--out", default=None, help="write the CSV to this path, not stdout")
 
     p = add("verify", cmd_verify, "randomized sweep of the model's guarantees")
     p.add_argument("--samples", type=int, default=100_000)

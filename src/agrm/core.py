@@ -1,8 +1,8 @@
 """Arithmetic graded response model over an ordinal grade scale.
 
-A response with ability ``theta`` to an item with base difficulty ``beta1``,
-arithmetic step ``gamma``, discrimination ``alpha`` and scaling constant ``d``
-is graded on ``1..k``.  The cumulative curves sit at equally spaced thresholds
+A response with ability ``theta`` to an item with base difficulty ``beta1``
+and arithmetic step ``gamma`` is graded on ``1..k``.  The cumulative curves
+sit at equally spaced thresholds
 
     beta_m = beta1 + (m - 1) * gamma,    m = 1 .. k-1,
 
@@ -15,6 +15,12 @@ above ``beta_{k-1}``).  Written against the base threshold this means grade
 
 the grade distribution is unimodal in theta; that guarantee is the reason for
 the arithmetic threshold layout.
+
+The scaling constant ``d`` = ``D`` = 1.7 and the discrimination ``alpha`` =
+``ALPHA`` = 1 are the published constants, fixed here rather than passed in.
+The masses see them only through their product, which multiplies theta,
+beta1 and gamma alike, so any other pair would only change the units of
+those three.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 __all__ = [
+    "D",
+    "ALPHA",
     "AgrmParams",
     "GeneralGrmParams",
     "ProbVector",
@@ -52,16 +60,15 @@ __all__ = [
 # differences are taken near saturation; anything beyond this is a bug.
 _ENTRY_SLACK = 1e-15
 
+D = 1.7
+ALPHA = 1.0
+# the curves' scale d * alpha, the only form in which the kernels use either
+_SCALE = D * ALPHA
+
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _require_positive(name: str, value: float) -> None:
-    _require_finite(name, value)
-    if value <= 0.0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,16 +78,12 @@ class AgrmParams:
     theta: float
     beta1: float
     gamma: float
-    d: float = 1.7
-    alpha: float = 1.0
     k: int = 5
 
     def __post_init__(self) -> None:
         _require_finite("theta", self.theta)
         _require_finite("beta1", self.beta1)
         _require_finite("gamma", self.gamma)
-        _require_positive("d", self.d)
-        _require_positive("alpha", self.alpha)
         if not isinstance(self.k, int) or self.k < 2:
             raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
 
@@ -89,12 +92,7 @@ class AgrmParams:
         return [self.beta1 + m * self.gamma for m in range(self.k - 1)]
 
     def to_general(self) -> "GeneralGrmParams":
-        return GeneralGrmParams(
-            theta=self.theta,
-            thresholds=tuple(self.thresholds()),
-            d=self.d,
-            discrimination=self.alpha,
-        )
+        return GeneralGrmParams(theta=self.theta, thresholds=tuple(self.thresholds()))
 
 
 @dataclass(frozen=True)
@@ -103,13 +101,9 @@ class GeneralGrmParams:
 
     theta: float
     thresholds: tuple[float, ...]
-    d: float = 1.7
-    discrimination: float = 1.0
 
     def __post_init__(self) -> None:
         _require_finite("theta", self.theta)
-        _require_positive("d", self.d)
-        _require_positive("discrimination", self.discrimination)
         if len(self.thresholds) < 1:
             raise ValueError("need at least one threshold")
         for b in self.thresholds:
@@ -196,8 +190,7 @@ def _band_prob(z: float, z_next: float, g: float) -> float:
 
 def category_probs(p: GeneralGrmParams) -> ProbVector:
     """Per-grade mass as adjacent differences of the cumulative curves."""
-    c = p.d * p.discrimination
-    s = [sigmoid(c * (p.theta - b)) for b in p.thresholds]
+    s = [sigmoid(_SCALE * (p.theta - b)) for b in p.thresholds]
     out = [1.0 - s[0]]
     out.extend(s[i - 1] - s[i] for i in range(1, len(s)))
     out.append(s[-1])
@@ -213,10 +206,9 @@ def agrm_probs(p: AgrmParams) -> ProbVector:
     """
     if p.gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {p.gamma!r}")
-    c = p.d * p.alpha
-    g = c * p.gamma
+    g = _SCALE * p.gamma
     # z at each of the k-1 thresholds beta1 + m * gamma, m = 0 .. k-2
-    z = [c * (p.theta - (p.beta1 + m * p.gamma)) for m in range(p.k - 1)]
+    z = [_SCALE * (p.theta - (p.beta1 + m * p.gamma)) for m in range(p.k - 1)]
     out = [sigmoid(-z[0])]
     out.extend(_band_prob(z[m], z[m + 1], g) for m in range(p.k - 2))
     out.append(sigmoid(z[-1]))
@@ -277,23 +269,22 @@ def _first_bad(name: str, values: np.ndarray, bad: np.ndarray, what: str) -> Val
 _EDGE_SIGNS = np.array([-1.0, 1.0])
 
 
-def agrm_probs_unchecked(theta, beta1, gamma, d: float = 1.7, alpha: float = 1.0, k: int = 5) -> np.ndarray:
+def agrm_probs_unchecked(theta, beta1, gamma, k: int = 5) -> np.ndarray:
     """The arithmetic of ``agrm_probs_batch`` without any of its checks.
 
     ``theta``, ``beta1`` and ``gamma`` must be float64 vectors of one length
-    with finite entries and gamma >= 0, with d * alpha > 0 and k >= 2; the
-    rows that come out are not checked either (``normalized_rows`` does that).
+    with finite entries and gamma >= 0, and k >= 2; the rows that come out
+    are not checked either (``normalized_rows`` does that).
     """
-    c = d * alpha
     out = np.empty((theta.size, k))
     with np.errstate(under="ignore"):
         # z at each of the k-1 thresholds beta1 + m * gamma, m = 0 .. k-2;
         # the edge grades are sigma(-z_0) and sigma(z_{k-2})
-        z = c * (theta[:, None] - (beta1[:, None] + np.arange(k - 1) * gamma[:, None]))
+        z = _SCALE * (theta[:, None] - (beta1[:, None] + np.arange(k - 1) * gamma[:, None]))
         edges = sigmoid_array(z[:, [0, -1]] * _EDGE_SIGNS)
         out[:, 0], out[:, -1] = edges[:, 0], edges[:, 1]
         if k > 2:
-            out[:, 1:-1] = _band_probs(z, (c * gamma)[:, None])
+            out[:, 1:-1] = _band_probs(z, (_SCALE * gamma)[:, None])
     return out
 
 
@@ -310,18 +301,16 @@ def normalized_rows(probs: np.ndarray) -> np.ndarray:
     return ok
 
 
-def agrm_probs_batch(theta, beta1, gamma, d: float = 1.7, alpha: float = 1.0, k: int = 5) -> np.ndarray:
+def agrm_probs_batch(theta, beta1, gamma, k: int = 5) -> np.ndarray:
     """``agrm_probs`` for N items at once: row i holds the k grade masses of item i.
 
     ``theta``, ``beta1`` and ``gamma`` are length-N vectors sharing one
-    ``d``, ``alpha`` and ``k``.  The arithmetic per entry is that of the
+    ``k``.  The arithmetic per entry is that of the
     scalar function, and so are the checks (finite inputs, gamma >= 0, and
     ``normalized_rows`` on the output); a failing check names the first
     offending row.  Underflow to 0 in a saturated tail is expected and not
     reported.
     """
-    _require_positive("d", d)
-    _require_positive("alpha", alpha)
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
     theta, beta1, gamma = (np.asarray(v, dtype=np.float64) for v in (theta, beta1, gamma))
@@ -337,7 +326,7 @@ def agrm_probs_batch(theta, beta1, gamma, d: float = 1.7, alpha: float = 1.0, k:
             raise _first_bad(name, arr, ~np.isfinite(arr), "is not finite")
     if gamma.min() < 0.0:
         raise _first_bad("gamma", gamma, gamma < 0.0, "must be >= 0")
-    out = agrm_probs_unchecked(theta, beta1, gamma, d, alpha, k)
+    out = agrm_probs_unchecked(theta, beta1, gamma, k)
     ok = normalized_rows(out)
     if not ok.all():
         row = int(np.argmin(ok))
@@ -349,11 +338,10 @@ def agrm_probs_batch(theta, beta1, gamma, d: float = 1.7, alpha: float = 1.0, k:
     return out
 
 
-def gamma_threshold(d: float = 1.7, alpha: float = 1.0) -> float:
-    """Smallest threshold spacing that guarantees unimodality: 2 ln2 / (d * alpha)."""
-    _require_positive("d", d)
-    _require_positive("alpha", alpha)
-    return 2.0 * math.log(2.0) / (d * alpha)
+def gamma_threshold() -> float:
+    """Smallest threshold spacing that guarantees unimodality: 2 ln2 / (d * alpha),
+    0.815 at the fixed ``D`` and ``ALPHA``."""
+    return 2.0 * math.log(2.0) / _SCALE
 
 
 def peak_ability(p: AgrmParams, m: int) -> float:
@@ -373,17 +361,17 @@ def boundary_thetas(p: AgrmParams) -> tuple[float, float]:
     Returns (theta1, theta2) with P_1(theta1) = P_2(theta1) and
     P_{k-1}(theta2) = P_k(theta2):
 
-        theta1 = beta1    - ln(1 - 2 e^{-d a gamma}) / (d a)
-        theta2 = beta_{k-2} + ln(e^{d a gamma} - 2) / (d a)
+        theta1 = beta1    - ln(1 - 2 e^{-c gamma}) / c
+        theta2 = beta_{k-2} + ln(e^{c gamma} - 2) / c,    c = d * alpha = 1.7
 
-    Both logarithms share the argument 1 - 2 e^{-d a gamma} (the second after
-    factoring out e^{d a gamma}), so both exist exactly when
-    gamma > ln2 / (d * alpha).  Needs k >= 3: with only one threshold the two
-    stated equalities are the same crossing at beta1.
+    Both logarithms share the argument 1 - 2 e^{-c gamma} (the second after
+    factoring out e^{c gamma}), so both exist exactly when gamma > ln2 / c
+    = 0.408.  Needs k >= 3: with only one threshold the two stated equalities
+    are the same crossing at beta1.
     """
     if p.k < 3:
         raise ValueError("boundary crossings are distinct only for k >= 3")
-    c = p.d * p.alpha
+    c = _SCALE
     g = c * p.gamma
     t = 2.0 * math.exp(-g)
     if t >= 1.0:
@@ -397,8 +385,8 @@ def boundary_thetas(p: AgrmParams) -> tuple[float, float]:
     return theta1, theta2
 
 
-def boundary_thetas_batch(beta1, gamma, d: float = 1.7, alpha: float = 1.0, k: int = 5):
-    """``boundary_thetas`` for N items sharing d, alpha and k: (theta1, theta2) vectors.
+def boundary_thetas_batch(beta1, gamma, k: int = 5):
+    """``boundary_thetas`` for N items sharing k: (theta1, theta2) vectors.
 
     Same arithmetic as the scalar function; every row needs
     gamma > ln2 / (d * alpha), and the error names the first that does not.
@@ -406,7 +394,7 @@ def boundary_thetas_batch(beta1, gamma, d: float = 1.7, alpha: float = 1.0, k: i
     if k < 3:
         raise ValueError("boundary crossings are distinct only for k >= 3")
     beta1, gamma = (np.asarray(v, dtype=np.float64) for v in (beta1, gamma))
-    c = d * alpha
+    c = _SCALE
     g = c * gamma
     with np.errstate(under="ignore"):
         t = 2.0 * np.exp(-g)

@@ -11,9 +11,9 @@ additionally gets a constant offset ``eta``.  Ability and difficulty then
 feed the arithmetic graded response model.
 
 ``d``, ``alpha``, ``lambda_s`` and ``eta`` are the published constants,
-fixed on ``HeadConfig``.  With them the spacing can never drop below
-``eta`` plus the activation's greatest lower bound: 1.2 - 0.3533 = 0.847 for
-telu and 1.2 for sigmoid, relu and softplus.  Both clear the unimodality
+read from ``HeadConfig`` (the first two are ``core``'s).  With them the
+spacing can never drop below ``eta`` plus the activation's greatest lower
+bound: 1.2 - 0.3533 = 0.847 for telu and 1.2 for sigmoid, relu and softplus.  Both clear the unimodality
 threshold ``2 ln2 / (d * alpha)`` = 0.815, so every input gets a unimodal
 grade distribution and the forward needs no spacing check of its own.
 
@@ -141,14 +141,15 @@ class FeaturePair:
 class HeadConfig:
     """Architecture choices: grade count, activation, aggregation, ablation.
 
-    The curve scale ``d``, discrimination ``alpha``, softmax ability scale
-    ``lambda_s`` and spacing offset ``eta`` are the published constants,
-    fixed here rather than configured: with them every activation keeps the
-    spacing above the unimodality threshold (see the module docstring).
+    The curve scale ``d`` and discrimination ``alpha`` (``core.D`` and
+    ``core.ALPHA``), softmax ability scale ``lambda_s`` and spacing offset
+    ``eta`` are the published constants, fixed rather than configured: with
+    them every activation keeps the spacing above the unimodality threshold
+    (see the module docstring).
     """
 
-    d: ClassVar[float] = 1.7
-    alpha: ClassVar[float] = 1.0
+    d: ClassVar[float] = core.D
+    alpha: ClassVar[float] = core.ALPHA
     lambda_s: ClassVar[float] = 10.0
     eta: ClassVar[float] = 1.2
 
@@ -398,7 +399,7 @@ def _forward(hp: HeadParams, x: np.ndarray) -> HeadBatch:
     with np.errstate(under="ignore"):
         theta, softmax_p = _ability(hp, x)
         b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma = _difficulty(hp, x)
-        probs = core.agrm_probs_batch(theta, beta1, gamma, cfg.d, cfg.alpha, cfg.k)
+        probs = core.agrm_probs_batch(theta, beta1, gamma, cfg.k)
         q = _expected_grades(probs)
     # core.rescale_score, element-wise
     q_rescaled = np.minimum(5.0, np.maximum(0.0, (q - 1.0) * 5.0 / (cfg.k - 1.0)))

@@ -56,7 +56,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
@@ -124,17 +124,15 @@ class Checkpoint:
     """Trained head, its training config and per-epoch history.
 
     No optimizer moments or shuffle state are saved: a checkpoint can be
-    audited and evaluated, not resumed.  ``seed`` and ``epochs_completed``
-    repeat ``config.seed`` and ``config.epochs`` after ``train``; a planted
-    head saved by ``synth`` records the synthesis seed and 0 epochs, which a
-    ``TrainConfig`` cannot hold.
+    audited and evaluated, not resumed.  ``seed`` repeats ``config.seed``
+    after ``train``; a planted head saved by ``synth`` records the synthesis
+    seed and has no history.
     """
 
     head: HeadParams
     config: TrainConfig
     history: list[EpochStats]
     seed: int
-    epochs_completed: int
 
     def __post_init__(self):
         if len(self.history) > self.config.epochs:
@@ -142,6 +140,11 @@ class Checkpoint:
                 f"history has {len(self.history)} rows for "
                 f"{self.config.epochs} configured epochs"
             )
+
+    @property
+    def epochs_completed(self) -> int:
+        """One history row per epoch run: 0 for a planted head."""
+        return len(self.history)
 
 
 def cosine_lr(epoch: int, base_lr: float, t_max: int) -> float:
@@ -285,7 +288,6 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
         config=cfg,
         history=history,
         seed=cfg.seed,
-        epochs_completed=cfg.epochs,
     )
 
 
@@ -359,10 +361,10 @@ def _head_from_doc(doc: dict) -> HeadParams:
 
 
 def _history_row(i: int, row) -> EpochStats:
-    """One history row of a checkpoint: an integer epoch and finite numbers."""
+    """History row i of a checkpoint: epoch i and finite numbers."""
     stats = EpochStats(**row)
-    if not _is_count(stats.epoch):
-        raise ValueError(f"malformed checkpoint: history[{i}].epoch is {stats.epoch!r}, not an integer >= 0")
+    if not (_is_count(stats.epoch) and stats.epoch == i):
+        raise ValueError(f"malformed checkpoint: history[{i}].epoch is {stats.epoch!r}, not {i}")
     for f in dataclasses.fields(EpochStats)[1:]:
         v = getattr(stats, f.name)
         if not _is_real(v):
@@ -377,7 +379,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "train_config": dataclasses.asdict(ckpt.config),
         "head": _head_to_doc(ckpt.head),
         "history": [dataclasses.asdict(row) for row in ckpt.history],
-        "rng": {"seed": ckpt.seed, "epochs_completed": ckpt.epochs_completed},
+        "rng": {"seed": ckpt.seed},
     }
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     with open(path, "wb") as handle:
@@ -398,10 +400,9 @@ def load_checkpoint(path) -> Checkpoint:
         config = TrainConfig(**doc["train_config"])
         history = [_history_row(i, row) for i, row in enumerate(doc["history"])]
         head = _head_from_doc(doc["head"])
-        seed, epochs_completed = doc["rng"]["seed"], doc["rng"]["epochs_completed"]
-        for name, v in (("seed", seed), ("epochs_completed", epochs_completed)):
-            if not _is_count(v):
-                raise ValueError(f"malformed checkpoint: rng.{name} is {v!r}, not an integer >= 0")
+        seed = doc["rng"]["seed"]
+        if not _is_count(seed):
+            raise ValueError(f"malformed checkpoint: rng.seed is {seed!r}, not an integer >= 0")
     # a deeply nested document exhausts the parser's recursion, and an
     # integer too large for a float overflows the numeric checks
     except (KeyError, TypeError, OverflowError, RecursionError) as exc:
@@ -411,5 +412,4 @@ def load_checkpoint(path) -> Checkpoint:
         config=config,
         history=history,
         seed=seed,
-        epochs_completed=epochs_completed,
     )

@@ -44,33 +44,31 @@ def config_id(cfg):
 # grade-mass kernel against the scalar oracle
 # ---------------------------------------------------------------------------
 
+# theta, beta1 and gamma reach as far in z = c (theta - beta) and g = c gamma,
+# at the fixed c = d * alpha = 1.7, as they would at a scale of 6
+WIDE = 6.0 / 1.7
 spacing = st.one_of(
     st.just(0.0),  # g == 0: every middle band is empty
-    st.floats(0.0, 1.0),
-    st.floats(1.0, 40.0),  # g beyond 30 for d * alpha >= 0.75: log-space branch
-    st.floats(400.0, 5000.0),  # g beyond 700: log(e^g - 1) taken as g
+    st.floats(0.0, WIDE),
+    st.floats(WIDE, 40.0 * WIDE),  # g beyond 30 from gamma 17.6: log-space branch
+    st.floats(400.0 * WIDE, 5000.0 * WIDE),  # g beyond 700: log(e^g - 1) taken as g
 )
-item = st.tuples(st.floats(-200.0, 200.0), st.floats(-50.0, 50.0), spacing)
+item = st.tuples(st.floats(-200.0 * WIDE, 200.0 * WIDE), st.floats(-50.0 * WIDE, 50.0 * WIDE), spacing)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(
-    rows=st.lists(item, min_size=1, max_size=12),
-    k=st.integers(2, 9),
-    d=st.floats(0.5, 3.0),
-    alpha=st.floats(0.5, 2.0),
-)
-@example(rows=[(0.3, 0.0, 1.0), (0.0, 0.0, 0.0)], k=5, d=1.7, alpha=1.0)  # factored form, g == 0
-@example(rows=[(40.0, 0.0, 1.0), (-40.0, 0.0, 0.5)], k=6, d=1.7, alpha=1.0)  # |z| > 30
-@example(rows=[(0.0, 0.0, 20.0), (10.0, 0.0, 500.0)], k=4, d=1.7, alpha=1.0)  # g > 30, g > 700
-@example(rows=[(100.0, -3.0, 0.0)], k=3, d=1.7, alpha=1.0)  # g == 0 beside |z| > 30
-def test_batch_masses_match_scalar_oracle(rows, k, d, alpha):
+@given(rows=st.lists(item, min_size=1, max_size=12), k=st.integers(2, 9))
+@example(rows=[(0.3, 0.0, 1.0), (0.0, 0.0, 0.0)], k=5)  # factored form, g == 0
+@example(rows=[(40.0, 0.0, 1.0), (-40.0, 0.0, 0.5)], k=6)  # |z| > 30
+@example(rows=[(0.0, 0.0, 20.0), (10.0, 0.0, 500.0)], k=4)  # g > 30, g > 700
+@example(rows=[(100.0, -3.0, 0.0)], k=3)  # g == 0 beside |z| > 30
+def test_batch_masses_match_scalar_oracle(rows, k):
     theta, beta1, gamma = (np.array(col) for col in zip(*rows))
     with np.errstate(all="raise"):
-        got = core.agrm_probs_batch(theta, beta1, gamma, d, alpha, k)
+        got = core.agrm_probs_batch(theta, beta1, gamma, k)
     assert got.shape == (len(rows), k)
     for i, (t, b, g) in enumerate(rows):
-        want = core.agrm_probs(core.AgrmParams(theta=t, beta1=b, gamma=g, d=d, alpha=alpha, k=k))
+        want = core.agrm_probs(core.AgrmParams(theta=t, beta1=b, gamma=g, k=k))
         assert np.max(np.abs(got[i] - np.array(want))) <= 1e-12
 
 
@@ -100,11 +98,9 @@ class TestKernelChecks:
         with pytest.raises(ValueError, match="one length"):
             core.agrm_probs_batch([0.0, 1.0], [0.0], [1.0])
 
-    def test_bad_scale_rejected(self):
-        with pytest.raises(ValueError):
+    def test_too_few_grades_rejected(self):
+        with pytest.raises(ValueError, match="k must be an integer >= 2"):
             core.agrm_probs_batch([0.0], [0.0], [1.0], k=1)
-        with pytest.raises(ValueError):
-            core.agrm_probs_batch([0.0], [0.0], [1.0], d=0.0)
 
     def test_rows_are_normalized(self):
         rng = np.random.default_rng(0)
@@ -241,21 +237,19 @@ def test_unimodal_rows_reject_bad_input():
     # (beta1, spacing as a multiple of ln2 / (d * alpha)); within 1e-3 of 1 the
     # crossings are so ill-conditioned in gamma that an ulp in exp moves them
     # by more than 1e-12, in the scalar function as much as here
-    rows=st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(1.001, 200.0)), min_size=1, max_size=12),
+    rows=st.lists(
+        st.tuples(st.floats(-50.0 * WIDE, 50.0 * WIDE), st.floats(1.001, 200.0)), min_size=1, max_size=12
+    ),
     k=st.integers(3, 9),
-    d=st.floats(0.5, 3.0),
-    alpha=st.floats(0.5, 2.0),
 )
-@example(rows=[(0.0, 2.0 + 1e-9), (-3.0, 1.001)], k=5, d=1.7, alpha=1.0)
-def test_boundary_rows_match_scalar_oracle(rows, k, d, alpha):
+@example(rows=[(0.0, 2.0 + 1e-9), (-3.0, 1.001)], k=5)
+def test_boundary_rows_match_scalar_oracle(rows, k):
     beta1 = np.array([b for b, _ in rows])
-    gamma = np.array([s for _, s in rows]) * math.log(2.0) / (d * alpha)
+    gamma = np.array([s for _, s in rows]) * math.log(2.0) / (core.D * core.ALPHA)
     with np.errstate(all="raise"):
-        theta1, theta2 = core.boundary_thetas_batch(beta1, gamma, d, alpha, k)
+        theta1, theta2 = core.boundary_thetas_batch(beta1, gamma, k)
     for i in range(len(rows)):
-        want = core.boundary_thetas(
-            core.AgrmParams(theta=0.0, beta1=beta1[i], gamma=gamma[i], d=d, alpha=alpha, k=k)
-        )
+        want = core.boundary_thetas(core.AgrmParams(theta=0.0, beta1=beta1[i], gamma=gamma[i], k=k))
         assert abs(theta1[i] - want[0]) <= 1e-12
         assert abs(theta2[i] - want[1]) <= 1e-12
 
@@ -271,10 +265,12 @@ def test_boundary_rows_name_the_first_undefined_row():
 @pytest.mark.parametrize("theta", [58.0, 600.0, 1200.0])
 def test_wide_spacing_band_keeps_its_last_digits(theta):
     # at g = d * alpha * gamma ~ 8200 the log-space band once cancelled terms
-    # of size g and lost ~1e-12, enough for both paths to refuse theta = 58
-    params = core.AgrmParams(theta=theta, beta1=49.23500367796403, gamma=3093.0, d=2.125, alpha=1.25, k=3)
+    # of size g and lost ~1e-12, enough for both paths to refuse theta = 58;
+    # found at a scale of 2.65625, whose z and g the rescale below keeps
+    beta1, unit = 49.23500367796403, 2.65625 / 1.7
+    params = core.AgrmParams(theta=beta1 + (theta - beta1) * unit, beta1=beta1, gamma=3093.0 * unit, k=3)
     scalar = core.agrm_probs(params)
-    batch = core.agrm_probs_batch([theta], [params.beta1], [params.gamma], params.d, params.alpha, 3)[0]
+    batch = core.agrm_probs_batch([params.theta], [beta1], [params.gamma], 3)[0]
     for p in (list(scalar), batch):
         # far below the upper threshold the edge grades carry no cancellation,
         # so they fix the band

@@ -70,6 +70,29 @@ class TestProbe:
             main(["probe", "--theta", "0", "--beta1", "0", "--gamma", "1", "--bogus"])
         assert exc.value.code == 2
 
+    def test_report_names_only_settable_params(self, capsys):
+        code, doc, _ = run_json(capsys, "probe", "--theta", "0", "--beta1", "0", "--gamma", "1")
+        assert code == 0
+        assert sorted(doc["params"]) == ["beta1", "gamma", "k", "theta"]
+        _, out, _ = run(capsys, "probe", "--theta", "0", "--beta1", "0", "--gamma", "1")
+        assert out.splitlines()[0] == "probe: theta=0 beta1=0 gamma=1 k=5"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "--theta", "0", "--beta1", "0", "--gamma", "1", "--d", "2"],
+        ["curves", "--beta1", "0", "--gamma", "1", "--alpha", "2"],
+    ],
+    ids=["probe-d", "curves-alpha"],
+)
+def test_curve_scale_is_not_a_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: agrm ") and f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
 
 class TestCurves:
     def test_two_steps_two_rows(self, capsys):
@@ -99,6 +122,16 @@ class TestCurves:
         assert code == 0
         assert "wrote 5 rows" in out
         assert out_path.read_text().count("\n") == 6
+
+    def test_writes_file_with_json(self, capsys, tmp_path):
+        out_path = tmp_path / "c.csv"
+        argv = ["curves", "--beta1", "0", "--gamma", "1", "--steps", "5"]
+        _, plain, _ = run(capsys, *argv)
+        code, doc, _ = run_json(capsys, *argv, "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_text() == plain
+        _, want, _ = run_json(capsys, *argv)
+        assert doc == want
 
     def test_peak_spacing_tracks_gamma(self, capsys):
         gamma = 1.5
@@ -207,8 +240,8 @@ class TestVerify:
     def test_checks_are_live(self, capsys, monkeypatch, size, compared):
         kernel = core.agrm_probs_unchecked
 
-        def nudged_kernel(theta, beta1, gamma, d=1.7, alpha=1.0, k=5):
-            return nudge(kernel(theta, beta1, gamma, d, alpha, k), size)
+        def nudged_kernel(theta, beta1, gamma, k=5):
+            return nudge(kernel(theta, beta1, gamma, k), size)
 
         monkeypatch.setattr(core, "agrm_probs_unchecked", nudged_kernel)
         argv = ["verify", "--samples", "400", "--seed", "2"]
@@ -235,8 +268,8 @@ class TestVerify:
     def test_bad_rows_count_as_normalization(self, capsys, monkeypatch):
         kernel = core.agrm_probs_unchecked
 
-        def leaky_kernel(theta, beta1, gamma, d=1.7, alpha=1.0, k=5):
-            out = kernel(theta, beta1, gamma, d, alpha, k)
+        def leaky_kernel(theta, beta1, gamma, k=5):
+            out = kernel(theta, beta1, gamma, k)
             out[theta > beta1 + 15.0, 0] += 1e-6  # the row sums to 1 + 1e-6
             return out
 
@@ -284,7 +317,7 @@ def scalar_sweep(argv, probs_of=core.agrm_probs):
                 theta=float(draws["theta"][i]), beta1=float(draws["beta1"][i]),
                 gamma=float(draws["gamma"][i]), k=int(draws["k"][i]),
             )
-            c = p.d * p.alpha
+            c = core.D * core.ALPHA
             try:
                 probs = probs_of(p)
             except ValueError:
@@ -561,15 +594,30 @@ class TestMalformedCheckpoint:
         assert code == 2 and out == ""
         assert err == "error: unrecognized checkpoint format version 2\n"
 
+    def test_format_3_checkpoint_exits_2(self, capsys, tmp_path):
+        data, ckpt = synth_planted(capsys, tmp_path)
+        doc = json.loads(ckpt.read_text())
+        # format 3 also stored the epoch count beside the seed
+        doc["format_version"] = 3
+        doc["rng"]["epochs_completed"] = 0
+        ckpt.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data))
+        assert code == 2 and out == ""
+        assert err == "error: unrecognized checkpoint format version 3\n"
+
     @pytest.mark.parametrize(
         "path, value, named",
         [
             (("rng", "seed"), "x", "rng.seed"),
-            (("rng", "epochs_completed"), [1], "rng.epochs_completed"),
+            (("history",), [{**GOOD_HISTORY_ROW, "epoch": [0]}], "history[0].epoch"),
             (("rng", "seed"), True, "rng.seed"),
             (("history",), [{name: "x" for name in GOOD_HISTORY_ROW}], "history[0].epoch"),
             (("history",), [{**GOOD_HISTORY_ROW, "lr": [1e-3]}], "history[0].lr"),
-            (("history",), [GOOD_HISTORY_ROW, {**GOOD_HISTORY_ROW, "eval_plcc": None}], "history[1].eval_plcc"),
+            (
+                ("history",),
+                [GOOD_HISTORY_ROW, {**GOOD_HISTORY_ROW, "epoch": 1, "eval_plcc": None}],
+                "history[1].eval_plcc",
+            ),
         ],
         ids=["string-seed", "list-epochs", "bool-seed", "string-row", "list-lr", "null-plcc"],
     )
@@ -585,9 +633,18 @@ class TestMalformedCheckpoint:
         _, ckpt = synth_planted(capsys, tmp_path)
         doc = json.loads(ckpt.read_text())
         doc["history"] = [GOOD_HISTORY_ROW, {**GOOD_HISTORY_ROW, "epoch": 1, "lr": 0}]
-        doc["rng"]["epochs_completed"] = 2
         ckpt.write_text(json.dumps(doc))
-        assert [row.epoch for row in load_checkpoint(ckpt).history] == [0, 1]
+        loaded = load_checkpoint(ckpt)
+        assert [row.epoch for row in loaded.history] == [0, 1]
+        assert loaded.epochs_completed == 2
+
+    def test_history_out_of_epoch_order_exits_2(self, capsys, tmp_path):
+        data, ckpt = synth_planted(capsys, tmp_path)
+        doc = json.loads(ckpt.read_text())
+        doc["history"] = [GOOD_HISTORY_ROW, GOOD_HISTORY_ROW]
+        ckpt.write_text(json.dumps(doc))
+        err = assert_clean_exit_2(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data))
+        assert err == "error: malformed checkpoint: history[1].epoch is 0, not 1\n"
 
     def test_deeply_nested_checkpoint_exits_2(self, capsys, tmp_path):
         data, ckpt = synth_planted(capsys, tmp_path)
@@ -750,17 +807,16 @@ def malformed_record(draw, obj):
 REQUIRED_PATHS = [
     ("format_version",), ("train_config",), ("history",), ("head",), ("rng",),
     ("head", "config"), ("head", "d_img"), ("head", "d_txt"), ("head", "params"),
-    ("rng", "seed"), ("rng", "epochs_completed"),
+    ("rng", "seed"),
 ] + [("head", "params", name) for name in PARAM_FIELDS]
 
 BAD_CHECKPOINT_VALUES = [
-    (("format_version",), [1, 2, 4, "3", None, [3], 3.5, 3.0, True]),
+    (("format_version",), [1, 2, 3, 5, "4", None, [4], 4.5, 4.0, True]),
     (("train_config",), [None, [], "x", 5]),
     (("history",), ["x", [1], [{}], None, 5, *([row] for row in BAD_HISTORY_ROWS)]),
     (("head",), [None, [], "x", {}]),
     (("rng",), [None, [], "x", 5, {}]),
     (("rng", "seed"), BAD_COUNTS),
-    (("rng", "epochs_completed"), BAD_COUNTS),
     (("head", "config"), [None, [], "x"]),
     (("head", "config", "k"), [1, 0, 2.5, "x", None]),
     (("head", "d_img"), ["x", None, [], 0, -3, 4, 3.0, True]),

@@ -1,10 +1,12 @@
 """Tests for the arithmetic graded response core."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from agrm import core
 from agrm.core import (
     AgrmParams,
     GeneralGrmParams,
@@ -73,7 +75,10 @@ class TestSigmoid:
 class TestParams:
     def test_agrm_defaults(self):
         p = AgrmParams(theta=0.0, beta1=-1.0, gamma=1.0)
-        assert p.d == 1.7 and p.alpha == 1.0 and p.k == 5
+        assert p.k == 5
+        # the curve scale is fixed in the module, not carried per item
+        assert [f.name for f in dataclasses.fields(AgrmParams)] == ["theta", "beta1", "gamma", "k"]
+        assert (core.D, core.ALPHA) == (1.7, 1.0)
 
     def test_thresholds_are_arithmetic(self):
         p = AgrmParams(theta=0.0, beta1=-1.0, gamma=0.5, k=6)
@@ -83,15 +88,11 @@ class TestParams:
         p = AgrmParams(theta=0.3, beta1=-1.0, gamma=0.9, k=5)
         g = p.to_general()
         assert g.k == p.k
-        assert (g.theta, g.d, g.discrimination) == (p.theta, p.d, p.alpha)
+        assert g.theta == p.theta
         assert g.thresholds == tuple(p.thresholds())
         assert list(category_probs(g)) == pytest.approx(list(agrm_probs(p)), abs=1e-15)
 
     def test_rejects_bad_scalars(self):
-        with pytest.raises(ValueError):
-            AgrmParams(theta=0.0, beta1=0.0, gamma=1.0, d=0.0)
-        with pytest.raises(ValueError):
-            AgrmParams(theta=0.0, beta1=0.0, gamma=1.0, alpha=-1.0)
         with pytest.raises(ValueError):
             AgrmParams(theta=0.0, beta1=0.0, gamma=1.0, k=1)
         with pytest.raises(ValueError):
@@ -249,15 +250,6 @@ class TestGammaThreshold:
     def test_default_value(self):
         assert gamma_threshold() == pytest.approx(0.8154672712469945, abs=1e-15)
 
-    def test_scales_inversely(self):
-        assert gamma_threshold(3.4, 1.0) == pytest.approx(gamma_threshold() / 2.0)
-        assert gamma_threshold(1.7, 2.0) == pytest.approx(gamma_threshold() / 2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            gamma_threshold(0.0, 1.0)
-        with pytest.raises(ValueError):
-            gamma_threshold(1.7, -1.0)
 
 
 class TestPeakAbility:

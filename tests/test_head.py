@@ -83,7 +83,7 @@ class TestConfig:
     def test_defaults_carry_guarantee_margin(self):
         """eta plus every activation's floor clears the unimodality threshold."""
         assert set(ACT_FLOORS) == set(ACTIVATIONS)
-        thr = core.gamma_threshold(HeadConfig.d, HeadConfig.alpha)
+        thr = core.gamma_threshold()
         xs = np.linspace(-60.0, 60.0, 24001)
         for act, floor in ACT_FLOORS.items():
             assert HeadConfig.eta + floor > thr, act
@@ -96,6 +96,8 @@ class TestConfig:
         assert (HeadConfig.d, HeadConfig.alpha, HeadConfig.lambda_s, HeadConfig.eta) == (
             1.7, 1.0, 10.0, 1.2,
         )
+        # the curve scale is the kernel's own
+        assert (HeadConfig.d, HeadConfig.alpha) == (core.D, core.ALPHA)
         for name in ("d", "alpha", "lambda_s", "eta"):
             with pytest.raises(TypeError):
                 HeadConfig(**{name: 1.0})

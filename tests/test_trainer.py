@@ -340,7 +340,7 @@ class TestCheckpointIO:
 
     def test_softmax_head_round_trip(self, tmp_path):
         hp = init_head(4, 4, HeadConfig(agg_mode="softmax", k=7), seed=17)
-        ckpt = Checkpoint(head=hp, config=TrainConfig(), history=[], seed=0, epochs_completed=0)
+        ckpt = Checkpoint(head=hp, config=TrainConfig(), history=[], seed=0)
         p = tmp_path / "ck.json"
         save_checkpoint(p, ckpt)
         back = load_checkpoint(p)
@@ -352,14 +352,14 @@ class TestCheckpointIO:
         ckpt, _ = self.make_ckpt()
         p = tmp_path / "ck.json"
         save_checkpoint(p, ckpt)
-        doc = p.read_text().replace('"format_version":3', '"format_version":99')
+        doc = p.read_text().replace('"format_version":4', '"format_version":99')
         p.write_text(doc)
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(p)
 
     def test_rejects_missing_fields(self, tmp_path):
         p = tmp_path / "ck.json"
-        p.write_text('{"format_version":3,"train_config":{}}')
+        p.write_text('{"format_version":4,"train_config":{}}')
         with pytest.raises(ValueError):
             load_checkpoint(p)
 
@@ -375,5 +375,4 @@ class TestCheckpointIO:
                 config=TrainConfig(epochs=2),
                 history=rows,
                 seed=0,
-                epochs_completed=3,
             )
