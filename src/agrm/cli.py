@@ -133,12 +133,10 @@ def cmd_curves(args) -> int:
     if not lo < hi:
         raise ValueError(f"theta range is empty: [{lo}, {hi}]")
     thetas = np.linspace(lo, hi, args.steps)
-    rows = []
-    for theta in thetas:
-        probs = core.agrm_probs(
-            AgrmParams(theta=float(theta), beta1=args.beta1, gamma=args.gamma, k=args.k)
-        )
-        rows.append([float(theta), *probs, core.expected_score(probs)])
+    probs = core.agrm_probs_batch(
+        thetas, np.full(thetas.size, args.beta1), np.full(thetas.size, args.gamma), args.k
+    )
+    rows = np.column_stack([thetas, probs, core.expected_score_batch(probs)]).tolist()
 
     header = ["theta"] + [f"p{m}" for m in range(1, args.k + 1)] + ["q"]
     text = ",".join(header) + "\n"

@@ -21,8 +21,17 @@ three couplings are differentiated exactly, from the same batch statistics
 the loss value is computed from.  The absolute-error term uses subgradient 0
 at an exact tie.
 
-``fd_check`` validates the whole thing against central differences,
-coordinate by coordinate.  Failures are reported in the result, not thrown.
+``fd_check`` validates the whole thing against central differences.  It
+moves each checked weight by +step and by -step, stacks those 2P perturbed
+weight vectors as rows of a (2P, F) array over the F flat weights, and
+scores the whole stack through the forward and the loss alone, with no
+Jacobian of the backward pass: ``head._forward`` takes the stack and gives a
+(2P, N) grid of scores, and ``losses.total_loss_rows`` reduces it to 2P
+losses.  Every reduction runs over the last axis, so each perturbed loss is
+bitwise the loss of that one perturbed head.  The stack is built and scored
+in chunks of at most ``FD_STACK_ELEMENTS`` (stack row, item, weight)
+entries, which bounds memory for wide heads and large batches without
+changing a bit.  Failures are reported in the result, not thrown.
 """
 
 from __future__ import annotations
@@ -50,6 +59,13 @@ __all__ = ["GradReport", "batch_loss_and_grads", "fd_check"]
 # Central differences across the relu kink measure a one-sided slope; any
 # coordinate feeding a pre-activation this close to 0 is skipped.
 RELU_KINK_MARGIN = 1e-3
+
+# Most (stack row, item, weight) triples fd_check scores in one stacked
+# forward, so every temporary of a chunk, the softmax logits product
+# (rows, N, k, d_txt + d_img) the largest, stays within this many float64
+# entries (16 MiB) however wide the head or large the batch.  A chunk never
+# holds less than one coordinate's two rows.
+FD_STACK_ELEMENTS = 1 << 21
 
 
 @dataclass
@@ -176,9 +192,24 @@ def batch_loss_and_grads(
     )
 
 
-def _loss_only(hp: HeadParams, x: np.ndarray, t: np.ndarray, lam: float) -> float:
-    q = _forward(hp, x).q_rescaled
-    return losses.total_loss(losses.ScoreBatch(predicted=q, target=t), lam)
+def _perturbed_losses(
+    hp: HeadParams, x: np.ndarray, t: np.ndarray, lam: float, coords: np.ndarray, step: float
+) -> np.ndarray:
+    """Batch losses with flat weight ``coords[j]`` moved by +step (row 0, column
+    j) or by -step (row 1), from stacked forwards of ``FD_STACK_ELEMENTS``
+    entries at most; see the module docstring."""
+    w = hp.flat
+    per = max(1, FD_STACK_ELEMENTS // (2 * x.shape[0] * w.size))
+    out = np.empty((2, coords.size))
+    for start in range(0, coords.size, per):
+        c = coords[start : start + per]
+        r = np.arange(c.size)
+        stack = np.tile(w, (2, c.size, 1))
+        stack[0, r, c] = w[c] + step
+        stack[1, r, c] = w[c] - step
+        q = _forward(hp, x, stack.reshape(2 * c.size, w.size)).q_rescaled
+        out[:, start : start + c.size] = losses.total_loss_rows(q, t, lam).reshape(2, c.size)
+    return out
 
 
 def fd_check(
@@ -191,8 +222,13 @@ def fd_check(
 ) -> GradReport:
     """Central-difference check of every gradient coordinate.
 
-    Relative error per coordinate is |a - f| / max(|a|, |f|, 1e-12).  With the
-    relu activation, coordinates feeding a pre-activation within
+    Each coordinate's difference quotient comes from the loss with that one
+    weight moved by +step and by -step, through the forward and the loss
+    alone, never through the backward pass.  The 2P perturbed heads of the P
+    checked coordinates are scored as one (2P, F) weight stack, in chunks of
+    at most ``FD_STACK_ELEMENTS`` entries (``_perturbed_losses``).  Relative
+    error per coordinate is |a - f| / max(|a|, |f|, 1e-12).  With the relu
+    activation, coordinates feeding a pre-activation within
     ``RELU_KINK_MARGIN`` of the kink on any item are skipped rather than
     measured one-sided.  The returned report carries the analytic gradients,
     the worst relative error over checked coordinates, and how many
@@ -216,30 +252,16 @@ def fd_check(
         {name: np.full(getattr(hp, name).shape, skip[name]) for name in PARAM_FIELDS}
     )
 
-    work = hp.copy()
-    w = work.flat
-    analytic = flatten_fields(base.grads)
-    max_rel = 0.0
-    checked = failures = 0
-    for i in np.flatnonzero(~skipped_at):
-        orig = w[i]
-        w[i] = orig + step
-        hi = _loss_only(work, x, t, lam)
-        w[i] = orig - step
-        lo = _loss_only(work, x, t, lam)
-        w[i] = orig
-        fd = (hi - lo) / (2.0 * step)
-        rel = abs(analytic[i] - fd) / max(abs(analytic[i]), abs(fd), 1e-12)
-        max_rel = max(max_rel, rel)
-        checked += 1
-        if rel > tol:
-            failures += 1
-
+    coords = np.flatnonzero(~skipped_at)
+    hi, lo = _perturbed_losses(hp, x, t, lam, coords, step)
+    fd = (hi - lo) / (2.0 * step)
+    a = flatten_fields(base.grads)[coords]
+    rel = np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-12)
     return GradReport(
         loss=base.loss,
         grads=base.grads,
-        max_rel_err=float(max_rel),
-        checked=checked,
+        max_rel_err=float(rel.max(initial=0.0)),
+        checked=int(coords.size),
         skipped=int(skipped_at.sum()),
-        failures=failures,
+        failures=int((rel > tol).sum()),
     )

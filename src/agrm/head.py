@@ -27,8 +27,17 @@ blocks its work by the number of rows, so a matmul can give a row a
 different last bit in a different batch, while the row-wise sum cannot.
 That keeps each item's score bitwise the same whether it is scored alone,
 in a training batch or in an evaluation set.  The mean grade q is a
-compensated row sum (``_expected_grades``), within an ulp of the
+compensated row sum (``core.expected_score_batch``), within an ulp of the
 correctly rounded ``core.expected_score``.
+
+The same forward also takes a (B, F) stack of weight vectors, each row a
+``HeadParams.flat`` in the head's layout, and scores the N items under all
+B of them at once: every output gains a leading B axis, (B, N) and
+(B, N, k).  Each stacked weight field gets a unit axis for the items, so a
+weight of shape (B, n) meets the (N, n) features as (B, 1, n) and
+``_rowdot`` gives (B, N); every reduction runs over the last axis, so row b
+of the result is bitwise the forward of row b's weights alone.
+``gradients.fd_check`` scores all its perturbed weight vectors this way.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -313,26 +323,10 @@ def _rowdot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     ``a @ w`` goes through BLAS, whose blocking depends on the number of
     rows, so a row's result could change in the last bit with the batch it
     sits in.  A multiply and a sum over the last axis cannot, which keeps a
-    one-row forward bitwise equal to the same row of any batch.
+    one-row forward bitwise equal to the same row of any batch, and a row of
+    a weight stack equal to the forward of that row's weights alone.
     """
     return (a * w).sum(axis=-1)
-
-
-def _expected_grades(probs: np.ndarray) -> np.ndarray:
-    """Mean grade sum_m m * P_m of each row of an (N, k) mass array.
-
-    A plain sum of the k terms can land 2 ulp away from the correctly
-    rounded mean that ``core.expected_score`` gives.  Here the running sums
-    come from ``cumsum``, which adds one column at a time; TwoSum recovers
-    the exact rounding error of each of those additions, and the errors are
-    added back once, which keeps the result within an ulp of it.  Every row
-    is still reduced on its own.
-    """
-    terms = probs * np.arange(1.0, probs.shape[1] + 1.0)
-    run = np.cumsum(terms, axis=1)
-    s, t, x = run[:, :-1], run[:, 1:], terms[:, 1:]  # t = fl(s + x)
-    z = t - s
-    return run[:, -1] + ((s - (t - z)) + (x - z)).sum(axis=1)
 
 
 def _inputs(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,27 +337,43 @@ def _inputs(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prior_in, temp_in
 
 
-def _ability(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Abilities (N,) and, in softmax mode, the grade softmax (N, k)."""
+def _stack_fields(hp: HeadParams, stack: np.ndarray) -> SimpleNamespace:
+    """The weight fields of a (B, F) stack of ``flat`` vectors, each shaped
+    (B, 1, *shape): the unit axis lines up with the items of the batch."""
+    fields, offset = {}, 0
+    for name in PARAM_FIELDS:
+        shape = getattr(hp, name).shape
+        size = math.prod(shape)
+        fields[name] = stack[:, offset : offset + size].reshape((stack.shape[0], 1) + shape)
+        offset += size
+    return SimpleNamespace(**fields)
+
+
+def _ability(hp: HeadParams, w, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Abilities (..., N) and, in softmax mode, the grade softmax (..., N, k).
+
+    ``w`` holds the weight fields: ``hp`` itself, or ``_stack_fields`` of a
+    weight stack.
+    """
     cfg = hp.config
     if cfg.agg_mode == "linear":
-        return _rowdot(x, hp.agg_w) + hp.agg_b, None
-    logits = _rowdot(x[:, None, :], hp.agg_w) + hp.agg_b
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
+        return _rowdot(x, w.agg_w) + w.agg_b, None
+    logits = _rowdot(x[:, None, :], w.agg_w) + w.agg_b
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
     return cfg.lambda_s * _rowdot(p, grade_positions(cfg.k)), p
 
 
-def _difficulty(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(beta1_prior, gamma_prior, tau, pre_b, pre_g, beta1, gamma), each (N,)."""
+def _difficulty(hp: HeadParams, w, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(beta1_prior, gamma_prior, tau, pre_b, pre_g, beta1, gamma), each (..., N)."""
     cfg = hp.config
     prior_in, temp_in = _inputs(hp, x)
-    b_prior = _rowdot(prior_in, hp.phi_beta_w) + hp.phi_beta_b
-    g_prior = _rowdot(prior_in, hp.phi_gamma_w) + hp.phi_gamma_b
+    b_prior = _rowdot(prior_in, w.phi_beta_w) + w.phi_beta_b
+    g_prior = _rowdot(prior_in, w.phi_gamma_w) + w.phi_gamma_b
     if cfg.ablation == "no_temperature":
-        tau = np.zeros(x.shape[0])
+        tau = np.zeros(b_prior.shape)
     else:
-        tau = _rowdot(temp_in, hp.phi_i_w) + hp.phi_i_b
+        tau = _rowdot(temp_in, w.phi_i_w) + w.phi_i_b
     pre_b = b_prior + tau
     pre_g = g_prior + tau
     beta1 = _act_value(cfg.activation, pre_b)
@@ -377,6 +387,7 @@ class HeadBatch(NamedTuple):
     Every field is an (N,) array except ``probs`` (N, k) and ``softmax_p``
     ((N, k) in softmax mode, else None).  ``softmax_p``, ``pre_b`` and
     ``pre_g`` (the activation inputs) are what the backward pass reads.
+    A forward over a (B, F) weight stack puts a leading B axis on each.
     """
 
     theta: np.ndarray
@@ -393,14 +404,24 @@ class HeadBatch(NamedTuple):
     pre_g: np.ndarray
 
 
-def _forward(hp: HeadParams, x: np.ndarray) -> HeadBatch:
-    """The head forward shared by scoring and training."""
+def _forward(hp: HeadParams, x: np.ndarray, stack: np.ndarray | None = None) -> HeadBatch:
+    """The head forward shared by scoring, training and the gradient check.
+
+    With ``stack``, a (B, F) array whose row b is a ``flat`` vector in
+    ``hp``'s layout, the items are scored under each row's weights at once;
+    row b of every output is, bit for bit, the forward of a head whose
+    ``flat`` is ``stack[b]``.
+    """
     cfg = hp.config
+    w = hp if stack is None else _stack_fields(hp, stack)
     with np.errstate(under="ignore"):
-        theta, softmax_p = _ability(hp, x)
-        b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma = _difficulty(hp, x)
-        probs = core.agrm_probs_batch(theta, beta1, gamma, cfg.k)
-        q = _expected_grades(probs)
+        theta, softmax_p = _ability(hp, w, x)
+        b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma = _difficulty(hp, w, x)
+        # the whole stack is checked as one long batch of rows
+        probs = core.agrm_probs_batch(
+            theta.reshape(-1), beta1.reshape(-1), gamma.reshape(-1), cfg.k
+        ).reshape(theta.shape + (cfg.k,))
+        q = core.expected_score_batch(probs)
     # core.rescale_score, element-wise
     q_rescaled = np.minimum(5.0, np.maximum(0.0, (q - 1.0) * 5.0 / (cfg.k - 1.0)))
     return HeadBatch(

@@ -20,6 +20,7 @@ __all__ = [
     "mae_loss",
     "plcc_loss",
     "total_loss",
+    "total_loss_rows",
     "srcc",
     "plcc_metric",
     "midranks",
@@ -65,7 +66,7 @@ class ScoreBatch:
 
 def mae_loss(batch: ScoreBatch) -> float:
     """Mean absolute error between target and predicted scores."""
-    return float(np.mean(np.abs(batch.target - batch.predicted)))
+    return float(total_loss_rows(batch.predicted, batch.target, 0.0))
 
 
 def plcc_loss(batch: ScoreBatch) -> float:
@@ -77,13 +78,21 @@ def plcc_loss(batch: ScoreBatch) -> float:
     vectors, the penalty averages ||qhat - that||^2 + ||rho * qhat - that||^2
     over the batch, so both terms are on the same scale.
     """
+    _require_pair(batch)
+    return float(plcc_parts(batch.predicted, batch.target).value)
+
+
+def _require_pair(batch: ScoreBatch) -> None:
     if len(batch) < 2:
         raise ValueError(f"correlation penalty needs at least 2 scores, got {len(batch)}")
-    return plcc_parts(batch.predicted, batch.target).value
 
 
 class PlccParts(NamedTuple):
-    """The correlation penalty and the batch statistics it is built from."""
+    """The correlation penalty and the batch statistics it is built from.
+
+    For predictions stacked as (..., N), ``value``, ``sd`` and ``rho`` have
+    the leading shape and the three vectors the full (..., N) one.
+    """
 
     value: float
     sd: float  # population deviation of the predictions, before PLCC_EPSILON
@@ -96,30 +105,42 @@ class PlccParts(NamedTuple):
 def plcc_parts(q: np.ndarray, t: np.ndarray) -> PlccParts:
     """``plcc_loss`` on checked arrays, with the statistics its gradient reuses.
 
-    Means and deviations are spelled out as ``np.mean`` and ``np.std``
-    compute them (same values), without their per-call overhead.
+    ``q`` is (N,) or a stack (..., N) of prediction rows, each scored on its
+    own against the (N,) targets ``t``: every statistic is reduced over the
+    last axis, so a row's values are bitwise those of that row alone.  Means
+    and deviations are spelled out as ``np.mean`` and ``np.std`` compute
+    them (same values), without their per-call overhead.
     """
-    n = q.size
-    dq = q - q.sum() / n
+    n = q.shape[-1]
+    # the per-row statistics stay scalars for one row; [..., None] spreads
+    # them over the row's items
+    dq = q - (q.sum(axis=-1) / n)[..., None]
     dt = t - t.sum() / n
-    sd = math.sqrt((dq * dq).sum() / n)
-    qhat = dq / (sd + PLCC_EPSILON)
+    sd = np.sqrt((dq * dq).sum(axis=-1) / n)
+    qhat = dq / (sd + PLCC_EPSILON)[..., None]
     that = dt / (math.sqrt((dt * dt).sum() / n) + PLCC_EPSILON)
-    rho = float((qhat * that).sum() / n)
-    resid = rho * qhat - that
-    first = float(((qhat - that) ** 2).sum())
-    second = float((resid**2).sum())
-    return PlccParts((first + second) / n, sd, qhat, that, rho, resid)
+    rho = (qhat * that).sum(axis=-1) / n
+    resid = rho[..., None] * qhat - that
+    value = (((qhat - that) ** 2).sum(axis=-1) + (resid**2).sum(axis=-1)) / n
+    return PlccParts(value, sd, qhat, that, rho, resid)
+
+
+def total_loss_rows(q: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
+    """``total_loss`` of each row of a (..., N) prediction stack against the
+    (N,) targets ``t``, reduced over the last axis; unchecked."""
+    loss = np.abs(t - q).sum(axis=-1) / q.shape[-1]
+    if lam == 0.0:
+        return loss
+    return loss + lam * plcc_parts(q, t).value
 
 
 def total_loss(batch: ScoreBatch, lam: float = 1.0) -> float:
     """mae_loss + lam * plcc_loss."""
     if lam < 0.0:
         raise ValueError(f"lam must be >= 0, got {lam!r}")
-    if lam == 0.0:
-        # pure-MAE runs must work on batches of one
-        return mae_loss(batch)
-    return mae_loss(batch) + lam * plcc_loss(batch)
+    if lam > 0.0:
+        _require_pair(batch)
+    return float(total_loss_rows(batch.predicted, batch.target, lam))
 
 
 def midranks(values) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agrm import core
+from agrm import core, losses
 from agrm.gradients import batch_loss_and_grads
 from agrm.head import (
     ABLATIONS,
@@ -19,7 +19,7 @@ from agrm.head import (
     AGG_MODES,
     FeaturePair,
     HeadConfig,
-    _expected_grades,
+    _forward,
     batch_forward,
     feature_matrix,
     head_forward,
@@ -80,7 +80,7 @@ def test_batch_mean_grade_matches_expected_score(rows, k):
     # q < 8 for k <= 7, where one ulp is below 1e-15
     theta, beta1, gamma = (np.array(col) for col in zip(*rows))
     probs = core.agrm_probs_batch(theta, beta1, gamma, k=k)
-    q = _expected_grades(probs)
+    q = core.expected_score_batch(probs)
     for i, row in enumerate(probs):
         assert abs(q[i] - core.expected_score(row)) <= 1e-15
 
@@ -156,6 +156,66 @@ def test_feature_matrix_rejects_wrong_widths():
         feature_matrix(hp, np.zeros((2, 6)))
     with pytest.raises(ValueError):
         feature_matrix(hp, [])
+
+
+# ---------------------------------------------------------------------------
+# a forward over a weight stack against one forward per stacked head
+# ---------------------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 9),
+    act=st.sampled_from(ACTIVATIONS),
+    agg=st.sampled_from(AGG_MODES),
+    abl=st.sampled_from(ABLATIONS),
+    b=st.integers(1, 6),
+    n=st.integers(1, 40),
+    dims=st.tuples(st.integers(1, 80), st.integers(1, 80)),
+    lam=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_stacked_rows_equal_one_head_forwards_bitwise(seed, k, act, agg, abl, b, n, dims, lam):
+    """Row b of a stacked forward is the forward of a head whose flat is W[b],
+    and row b of ``total_loss_rows`` is ``total_loss`` of that row.
+
+    Batches past 8 items and rows past 128 features reach the blocked
+    (pairwise) summation of NumPy's reductions.
+    """
+    if n == 1:
+        lam = 0.0  # the correlation penalty needs two items
+    rng = np.random.default_rng(seed)
+    cfg = HeadConfig(k=k, activation=act, agg_mode=agg, ablation=abl)
+    hp = init_head(*dims, cfg, seed=seed)
+    w = hp.flat + rng.standard_normal((b, hp.flat.size))
+    x = 2.0 * rng.standard_normal((n, sum(dims)))
+    t = rng.uniform(0.0, 5.0, n)
+    stacked = _forward(hp, x, w)
+    rows = losses.total_loss_rows(stacked.q_rescaled, t, lam)
+    assert rows.shape == (b,)
+    for i in range(b):
+        one = hp.copy()
+        one.flat[:] = w[i]
+        want = _forward(one, x)
+        for name, field in want._asdict().items():
+            got = getattr(stacked, name)
+            if field is None:
+                assert got is None
+            else:
+                assert got[i].shape == field.shape
+                assert got[i].tobytes() == field.tobytes(), name
+        batch = losses.ScoreBatch(predicted=stacked.q_rescaled[i], target=t)
+        assert rows[i] == losses.total_loss(batch, lam)
+
+
+def test_stack_is_checked_as_a_whole():
+    """A non-finite weight in any stacked row reaches the kernel's checks."""
+    hp = init_head(3, 4, seed=3)
+    w = np.tile(hp.flat, (3, 1))
+    w[2, 0] = np.inf
+    x = np.random.default_rng(3).standard_normal((2, 7))
+    with pytest.raises(ValueError, match=r"not finite \(row 4\)"):
+        _forward(hp, x, w)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,25 @@ class TestCurves:
         for a, b in zip(peaks, peaks[1:]):
             assert abs((b - a) - gamma) <= 2 * spacing
 
+    @pytest.mark.parametrize(
+        "beta1, gamma, k", [(0.0, 1.0, 5), (-2.5, 0.3, 9), (1.0, 12.0, 3), (0.5, 0.0, 2)]
+    )
+    def test_rows_match_the_scalar_path(self, capsys, beta1, gamma, k):
+        """Each row against ``core.agrm_probs`` and ``core.expected_score`` of
+        its theta: the same theta, masses and mean grade within 1e-15 relative."""
+        code, doc, _ = run_json(
+            capsys, "curves", "--beta1", str(beta1), "--gamma", str(gamma), "--k", str(k),
+            "--theta-min", "-60", "--theta-max", "60", "--steps", "997",
+        )
+        assert code == 0
+        rows = np.array(doc["rows"])
+        assert rows.shape == (997, k + 2)
+        assert rows[:, 0].tolist() == np.linspace(-60.0, 60.0, 997).tolist()
+        for row in rows:
+            probs = core.agrm_probs(core.AgrmParams(theta=row[0], beta1=beta1, gamma=gamma, k=k))
+            want = np.array([*probs, core.expected_score(probs)])
+            assert np.all(np.abs(row[1:] - want) <= 1e-15 * np.abs(want))
+
     def test_bad_steps_exit_2(self, capsys):
         code, _, err = run(
             capsys, "curves", "--beta1", "0", "--gamma", "1", "--steps", "1"

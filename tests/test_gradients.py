@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+from agrm import gradients, losses
 from agrm.head import (
     ABLATIONS,
     ACTIVATIONS,
     AGG_MODES,
+    PARAM_FIELDS,
     FeaturePair,
     HeadConfig,
+    _forward,
+    feature_matrix,
+    flatten_fields,
     head_forward,
     init_head,
 )
@@ -188,3 +193,147 @@ class TestFiniteDifferences:
         pairs, t = make_batch(rng, hp)
         with pytest.raises(ValueError):
             fd_check(hp, pairs, t, step=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the stacked finite differences against the per-coordinate loop
+# ---------------------------------------------------------------------------
+
+
+def fd_oracle(hp, pairs, targets, step=1e-4, tol=1e-4, lam=1.0):
+    """The central-difference check one coordinate at a time.
+
+    Each coordinate's weight is moved in place, and the perturbed head is
+    scored by a one-head forward and ``losses.total_loss``.  Returns the
+    report fields of ``fd_check`` and the checked coordinates with their
+    (2, P) losses at +step and -step.
+    """
+    x = feature_matrix(hp, pairs)
+    t = np.asarray(targets, dtype=np.float64)
+    base = batch_loss_and_grads(hp, x, t, lam)
+    skip = {name: False for name in PARAM_FIELDS}
+    if hp.config.activation == "relu":
+        fw = _forward(hp, x)
+        near_b = bool(np.any(np.abs(fw.pre_b) < gradients.RELU_KINK_MARGIN))
+        near_g = bool(np.any(np.abs(fw.pre_g) < gradients.RELU_KINK_MARGIN))
+        skip["phi_beta_w"] = skip["phi_beta_b"] = near_b
+        skip["phi_gamma_w"] = skip["phi_gamma_b"] = near_g
+        skip["phi_i_w"] = skip["phi_i_b"] = near_b or near_g
+    skipped_at = flatten_fields(
+        {name: np.full(getattr(hp, name).shape, skip[name]) for name in PARAM_FIELDS}
+    )
+
+    def loss_only(work):
+        q = _forward(work, x).q_rescaled
+        return losses.total_loss(losses.ScoreBatch(predicted=q, target=t), lam)
+
+    work = hp.copy()
+    w = work.flat
+    analytic = flatten_fields(base.grads)
+    coords = np.flatnonzero(~skipped_at)
+    perturbed = np.empty((2, coords.size))
+    max_rel = 0.0
+    failures = 0
+    for j, i in enumerate(coords):
+        orig = w[i]
+        w[i] = orig + step
+        hi = loss_only(work)
+        w[i] = orig - step
+        lo = loss_only(work)
+        w[i] = orig
+        perturbed[:, j] = hi, lo
+        fd = (hi - lo) / (2.0 * step)
+        rel = abs(analytic[i] - fd) / max(abs(analytic[i]), abs(fd), 1e-12)
+        max_rel = max(max_rel, rel)
+        if rel > tol:
+            failures += 1
+    fields = {
+        "checked": int(coords.size),
+        "skipped": int(skipped_at.sum()),
+        "failures": failures,
+        "max_rel_err": float(max_rel),
+    }
+    return fields, coords, perturbed
+
+
+def report_fields(rep):
+    return {
+        "checked": rep.checked,
+        "skipped": rep.skipped,
+        "failures": rep.failures,
+        "max_rel_err": rep.max_rel_err,
+    }
+
+
+def relu_kink_head():
+    """A relu head whose base-difficulty pre-activation is exactly 0."""
+    hp = init_head(6, 6, HeadConfig(activation="relu"), seed=14)
+    hp.phi_beta_w[:] = 0.0
+    hp.phi_beta_b[()] = 0.0
+    hp.phi_i_w[:] = 0.0
+    hp.phi_i_b[()] = 0.0
+    return hp
+
+
+def assert_matches_oracle(hp, pairs, t, lam=1.0, step=1e-4):
+    want, coords, perturbed = fd_oracle(hp, pairs, t, step=step, lam=lam)
+    x = feature_matrix(hp, pairs)
+    got = gradients._perturbed_losses(hp, x, np.asarray(t), lam, coords, step)
+    assert got.tobytes() == perturbed.tobytes()
+    assert report_fields(fd_check(hp, pairs, t, step=step, lam=lam)) == want
+    return want
+
+
+class TestStackedAgainstOracle:
+    """Every perturbed loss of the stacked pass, bit for bit, and the report."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("cfg", PERFECT_FIT_CONFIGS, ids=config_id)
+    def test_configurations(self, cfg, seed):
+        hp = init_head(8, 8, cfg, seed=seed)
+        pairs, t = make_batch(np.random.default_rng(10_000 + seed), hp)
+        assert_matches_oracle(hp, pairs, t)
+
+    def test_mae_only_one_item(self):
+        hp = init_head(6, 6, HeadConfig(agg_mode="softmax"), seed=21)
+        pairs, t = make_batch(np.random.default_rng(21), hp, n=1)
+        assert assert_matches_oracle(hp, pairs, t, lam=0.0)["checked"] > 0
+
+    def test_relu_kink(self):
+        hp = relu_kink_head()
+        pairs, t = make_batch(np.random.default_rng(14), hp)
+        want = assert_matches_oracle(hp, pairs, t)
+        assert want["skipped"] > 0
+
+    @pytest.mark.parametrize("pairs_per_chunk", [1, 15])
+    def test_chunking_is_bitwise_neutral(self, monkeypatch, pairs_per_chunk):
+        """One coordinate per chunk, and chunks of 15 of the 73 coordinates,
+        the last one partial, against the single chunk of the default budget."""
+        hp = init_head(6, 6, HeadConfig(k=4, agg_mode="softmax"), seed=22)
+        pairs, t = make_batch(np.random.default_rng(22), hp)
+        x = feature_matrix(hp, pairs)
+        coords = np.arange(hp.flat.size)
+        row_elements = x.shape[0] * hp.flat.size
+        assert 2 * coords.size * row_elements <= gradients.FD_STACK_ELEMENTS
+        whole = gradients._perturbed_losses(hp, x, t, 1.0, coords, 1e-4)
+        rep = fd_check(hp, pairs, t)
+        monkeypatch.setattr(gradients, "FD_STACK_ELEMENTS", 2 * pairs_per_chunk * row_elements)
+        chunked = gradients._perturbed_losses(hp, x, t, 1.0, coords, 1e-4)
+        assert chunked.tobytes() == whole.tobytes()
+        assert report_fields(fd_check(hp, pairs, t)) == report_fields(rep)
+
+    def test_forward_is_run_once_per_chunk(self, monkeypatch):
+        from agrm import head
+
+        hp = init_head(6, 6, seed=23)
+        pairs, t = make_batch(np.random.default_rng(23), hp)
+        calls = []
+
+        def counting(hp, x, stack=None):
+            calls.append(None if stack is None else stack.shape)
+            return head._forward(hp, x, stack)
+
+        monkeypatch.setattr(gradients, "_forward", counting)
+        rep = fd_check(hp, pairs, t)
+        # the backward pass runs its own forward
+        assert calls == [None, (2 * rep.checked, hp.flat.size)]
