@@ -124,6 +124,13 @@ def cmd_probe(args) -> int:
 
 # ---------------------------------------------------------------- curves
 
+def _csv_rows(rows) -> str:
+    """CSV lines of a non-empty list of equal-length float rows, each value
+    as ``_fmt`` writes it, formatted by one ``%`` per row."""
+    line = ",".join(["%.9g"] * len(rows[0])) + "\n"
+    return "".join(line % tuple(row) for row in rows)
+
+
 def cmd_curves(args) -> int:
     if args.steps < 2:
         raise ValueError(f"steps must be >= 2, got {args.steps}")
@@ -139,8 +146,7 @@ def cmd_curves(args) -> int:
     rows = np.column_stack([thetas, probs, core.expected_score_batch(probs)]).tolist()
 
     header = ["theta"] + [f"p{m}" for m in range(1, args.k + 1)] + ["q"]
-    text = ",".join(header) + "\n"
-    text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    text = ",".join(header) + "\n" + _csv_rows(rows)
     # --out takes the CSV in either mode; --json output still goes to stdout
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -380,9 +386,7 @@ def cmd_train(args) -> int:
     if not train_set:
         raise ValueError("train split is empty")
     cfg = _train_config(args)
-    head = init_head(
-        train_set[0].f_i.size, train_set[0].f_t.size, seed=args.init_seed
-    )
+    head = init_head(train_set.d_img, train_set.d_txt, seed=args.init_seed)
     ckpt = train(cfg, train_set, eval_set, head)
     save_checkpoint(args.out, ckpt)
     history_path = args.history_out or (str(args.out) + ".history.csv")

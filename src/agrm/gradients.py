@@ -47,6 +47,7 @@ from .head import (
     FeaturePair,
     HeadParams,
     _act_deriv,
+    _difficulty,
     _forward,
     _inputs,
     feature_matrix,
@@ -242,9 +243,10 @@ def fd_check(
 
     skip = {name: False for name in PARAM_FIELDS}
     if hp.config.activation == "relu":
-        fw = _forward(hp, x)
-        near_b = bool(np.any(np.abs(fw.pre_b) < RELU_KINK_MARGIN))
-        near_g = bool(np.any(np.abs(fw.pre_g) < RELU_KINK_MARGIN))
+        # the difficulty branch alone gives the pre-activations
+        _, _, _, pre_b, pre_g, _, _ = _difficulty(hp, hp, x)
+        near_b = bool(np.any(np.abs(pre_b) < RELU_KINK_MARGIN))
+        near_g = bool(np.any(np.abs(pre_g) < RELU_KINK_MARGIN))
         skip["phi_beta_w"] = skip["phi_beta_b"] = near_b
         skip["phi_gamma_w"] = skip["phi_gamma_b"] = near_g
         skip["phi_i_w"] = skip["phi_i_b"] = near_b or near_g

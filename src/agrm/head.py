@@ -289,9 +289,19 @@ def feature_matrix(hp: HeadParams, items) -> np.ndarray:
 
     Row i is item i's text features followed by its image features, the
     order of the ability input.  ``items`` is a sequence of feature pairs,
-    or a matrix already in this layout, which is returned as it is.
+    a ``data.Records`` set, whose ``x`` is kept in this layout, or a matrix
+    already in it; the last two are returned without a copy.
     """
     n = hp.d_txt + hp.d_img
+    if hasattr(items, "d_img"):  # a data.Records set
+        if not len(items):
+            raise ValueError("no feature pairs given")
+        if (items.d_img, items.d_txt) != (hp.d_img, hp.d_txt):
+            raise ValueError(
+                f"feature sizes ({items.d_img}, {items.d_txt}) do not match head "
+                f"({hp.d_img}, {hp.d_txt})"
+            )
+        return items.x
     if isinstance(items, np.ndarray):
         if items.ndim != 2 or items.shape[1] != n:
             raise ValueError(f"feature matrix shape {items.shape}, expected (N, {n})")

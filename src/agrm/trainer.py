@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import as_records
 from .gradients import batch_loss_and_grads
 from .head import (
     PARAM_FIELDS,
@@ -225,23 +226,19 @@ def _train_step(head: HeadParams, opt: AdamState, x, t, lr: float, cfg: TrainCon
     return rep
 
 
-def _mos(records) -> np.ndarray:
-    return np.array([r.mos for r in records], dtype=np.float64)
-
-
 def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Checkpoint:
     """Run the full loop and return a checkpoint with per-epoch history.
 
-    The caller's ``head_init`` is left untouched; the checkpoint owns a
-    trained copy.  Mini-batches follow a seeded shuffle each epoch, and a
-    trailing batch is dropped only when it has a single item (the
-    correlation penalty needs batch variance).  Both sets are stacked into
-    feature matrices once; each step takes its rows.  A step that goes
-    non-finite stops training with a ``ValueError`` naming the epoch, the
-    step and the first non-finite field, before any checkpoint exists.
+    Each set is a ``data.Records`` or a sequence of its rows.  The caller's
+    ``head_init`` is left untouched; the checkpoint owns a trained copy.
+    Mini-batches follow a seeded shuffle each epoch, and a trailing batch is
+    dropped only when it has a single item (the correlation penalty needs
+    batch variance).  Each step takes its rows of a set's feature matrix
+    ``x``.  A step that goes non-finite stops training with a ``ValueError``
+    naming the epoch, the step and the first non-finite field, before any
+    checkpoint exists.
     """
-    train_set = list(train_set)
-    eval_set = list(eval_set)
+    train_set, eval_set = as_records(train_set), as_records(eval_set)
     if not train_set or not eval_set:
         raise ValueError("train and eval sets must be non-empty")
     if len(train_set) < cfg.batch_size:
@@ -252,8 +249,8 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
         raise ValueError(f"eval set needs >= 2 records, got {len(eval_set)}")
 
     head = head_init.copy()
-    x_train, t_train = feature_matrix(head, train_set), _mos(train_set)
-    x_eval, t_eval = feature_matrix(head, eval_set), _mos(eval_set)
+    x_train, t_train = feature_matrix(head, train_set), train_set.mos
+    x_eval, t_eval = feature_matrix(head, eval_set), eval_set.mos
     opt = init_adam_state(head)
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
@@ -306,12 +303,12 @@ def evaluate(head: HeadParams, records, preds=None) -> tuple:
     ``preds``, when given, are the records' ``predict`` scores, reused
     instead of running the forward again.
     """
-    records = list(records)
+    records = as_records(records)
     if len(records) < 2:
         raise ValueError(f"evaluation needs >= 2 records, got {len(records)}")
     if preds is None:
         preds = predict(head, records)
-    return _correlations(preds, _mos(records))
+    return _correlations(preds, records.mos)
 
 
 def evaluate_by_dim(head: HeadParams, records, preds=None) -> dict:
@@ -320,16 +317,14 @@ def evaluate_by_dim(head: HeadParams, records, preds=None) -> dict:
     Every record is scored once (or ``preds`` is reused, as in ``evaluate``)
     and the scores are grouped by dimension.
     """
-    records = list(records)
-    dims = np.array([r.dim for r in records])
-    groups = {dim: dims == dim for dim in dict.fromkeys(dims.tolist())}
+    records = as_records(records)
+    groups = {dim: records.dim == dim for dim in dict.fromkeys(records.dim.tolist())}
     groups = {dim: sel for dim, sel in groups.items() if np.count_nonzero(sel) >= 2}
     if not groups:
         return {}
     if preds is None:
         preds = predict(head, records)
-    mos = _mos(records)
-    return {dim: _correlations(preds[sel], mos[sel]) for dim, sel in groups.items()}
+    return {dim: _correlations(preds[sel], records.mos[sel]) for dim, sel in groups.items()}
 
 
 def _head_to_doc(head: HeadParams) -> dict:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from agrm import cli, core
 from agrm.cli import main
-from agrm.data import SynthConfig, load_records, normalize_mos, synth_generate
+from agrm.data import FeatureRecord, SynthConfig, load_records, normalize_mos, synth_generate
 from agrm.head import PARAM_FIELDS
 from agrm.trainer import TrainConfig, evaluate, load_checkpoint, preset
 
@@ -165,6 +165,41 @@ class TestCurves:
             probs = core.agrm_probs(core.AgrmParams(theta=row[0], beta1=beta1, gamma=gamma, k=k))
             want = np.array([*probs, core.expected_score(probs)])
             assert np.all(np.abs(row[1:] - want) <= 1e-15 * np.abs(want))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 6).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from([-0.0, 0.0, 1.0, 5e-324, -2.5e-320, 2.2250738585072014e-308]),
+                        st.floats(),
+                    ),
+                    min_size=width, max_size=width,
+                ),
+                min_size=1, max_size=4,
+            )
+        )
+    )
+    def test_row_format_matches_per_value_fmt(self, rows):
+        want = "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+        assert cli._csv_rows(rows) == want
+
+    def test_csv_bytes_match_per_value_fmt(self, capsys, tmp_path):
+        """Abilities from -450 up to -0.0: the edge masses run through
+        exactly 1, subnormals and zero."""
+        out_path = tmp_path / "c.csv"
+        argv = ["curves", "--beta1", "0", "--gamma", "0.9", "--k", "4",
+                "--theta-min", "-450", "--theta-max", "-0.0", "--steps", "4001"]
+        code, doc, _ = run_json(capsys, *argv, "--out", str(out_path))
+        assert code == 0
+        values = [v for row in doc["rows"] for v in row]
+        assert math.copysign(1.0, doc["rows"][-1][0]) == -1.0 and 1.0 in values
+        assert any(0.0 < v < 2.2250738585072014e-308 for v in values)
+        want = ",".join(doc["header"]) + "\n" + "".join(
+            ",".join(cli._fmt(v) for v in row) + "\n" for row in doc["rows"]
+        )
+        assert out_path.read_bytes() == want.encode()
 
     def test_bad_steps_exit_2(self, capsys):
         code, _, err = run(
@@ -774,6 +809,38 @@ class TestMalformedRecords:
         path.write_text("\n".join(lines) + "\n")
         self.train_exits_2(capsys, tmp_path, path)
 
+    @pytest.mark.parametrize("at", [0, 5])
+    def test_every_bad_value_message_matches_the_row_reader(self, tmp_path, at):
+        for key, values in BAD_RECORD_VALUES.items():
+            for value in values:
+                objs = valid_records()
+                objs[at][key] = value
+                path = tmp_path / "d.jsonl"
+                path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+                with pytest.raises(ValueError) as info:
+                    load_records(path)
+                assert str(info.value) == row_reader_error(path), (key, value)
+
+    @settings(
+        derandomize=True, max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_line_message_matches_the_row_reader(self, tmp_path, data):
+        """The columnar reader refuses a mutated line with the message of
+        the reader that built one record per line, line number included."""
+        objs = valid_records()
+        lines = [json.dumps(o) for o in objs]
+        at = data.draw(st.integers(0, len(lines) - 1), label="line")
+        lines[at] = data.draw(malformed_record(objs[at]), label="mutated")
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        want = row_reader_error(path)
+        assert want is not None
+        with pytest.raises(ValueError) as info:
+            load_records(path)
+        assert str(info.value) == want
+
     @settings(
         derandomize=True, max_examples=40, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -789,6 +856,46 @@ class TestMalformedRecords:
             raw[data.draw(st.integers(10, len(raw) - 1), label="at")] ^= data.draw(st.integers(1, 255))
         path.write_bytes(bytes(raw))
         self.train_exits_2(capsys, tmp_path, path)
+
+
+def row_reader_error(path):
+    """The message of the first malformed line as the reader before record
+    sets gave it, building one ``FeatureRecord`` per line; None if none."""
+    ref = None
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                return f"line {lineno}: invalid record: {exc}"
+            if not isinstance(obj, dict):
+                return f"line {lineno}: expected an object, got {type(obj).__name__}"
+            keys = ("id", "fi", "ft", "mos", "dim")
+            missing = [k for k in keys if k not in obj]
+            if missing:
+                return f"line {lineno}: missing fields {missing}"
+            unknown = [k for k in obj if k not in keys]
+            if unknown:
+                return f"line {lineno}: unknown fields {unknown}"
+            if type(obj["mos"]) not in (int, float):
+                return f"line {lineno}: mos must be a number, got {obj['mos']!r}"
+            for key in ("fi", "ft"):
+                if not isinstance(obj[key], list) or not {type(v) for v in obj[key]} <= {int, float}:
+                    return f"line {lineno}: {key} must be an array of numbers"
+            try:
+                rec = FeatureRecord(
+                    id=obj["id"], f_i=obj["fi"], f_t=obj["ft"], mos=obj["mos"], dim=obj["dim"]
+                )
+            except (TypeError, ValueError, OverflowError) as exc:
+                return f"line {lineno}: {exc}"
+            if ref is None:
+                ref = rec
+            for name, got, want in (("image", rec.f_i, ref.f_i), ("text", rec.f_t, ref.f_t)):
+                if got.size != want.size:
+                    return f"line {lineno}: {name} feature length {got.size} != {want.size} from line 1"
+    return None
 
 
 NOT_A_NUMBER = [None, "x", [], {}, float("nan"), float("inf"), 10**400]

@@ -4,11 +4,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from agrm.cli import main
 from agrm.data import (
     DIMS,
+    GZIP_LEVEL,
     FeatureRecord,
+    Records,
     SynthConfig,
+    as_records,
     dim_counts,
     load_records,
     normalize_mos,
@@ -83,14 +89,14 @@ class TestLoadSave:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.jsonl"
         p.write_text("")
-        assert load_records(p) == []
+        assert load_records(p) == as_records([])
 
     def test_single_record_round_trip(self, tmp_path):
         p = tmp_path / "one.jsonl"
         r = rec(mos=0.1)  # 0.1 is not dyadic; repr round trip must still hold
         save_records(p, [r])
         back = load_records(p)
-        assert back == [r]
+        assert back == as_records([r])
 
     def test_round_trip_many(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -106,7 +112,7 @@ class TestLoadSave:
         ]
         p = tmp_path / "many.jsonl"
         save_records(p, recs)
-        assert load_records(p) == recs
+        assert load_records(p) == as_records(recs)
 
     def test_gzip_round_trip(self, tmp_path):
         p = tmp_path / "z.jsonl.gz"
@@ -114,7 +120,7 @@ class TestLoadSave:
         save_records(p, recs)
         with gzip.open(p, "rt") as fh:
             assert len(fh.readlines()) == 2
-        assert load_records(p) == recs
+        assert load_records(p) == as_records(recs)
 
     def test_gzip_bytes_deterministic(self, tmp_path):
         recs = [rec(0)]
@@ -162,6 +168,168 @@ class TestLoadSave:
     def test_dim_counts(self):
         recs = [rec(0, dim="quality"), rec(1, dim="quality"), rec(2, dim="authenticity")]
         assert dim_counts(recs) == {"quality": 2, "consistency": 0, "authenticity": 1}
+
+
+def json_lines_oracle(records) -> bytes:
+    """The record file as one ``json.dumps`` per record writes it."""
+    return "".join(
+        json.dumps(
+            {
+                "id": r.id,
+                "fi": [float(v) for v in r.f_i],
+                "ft": [float(v) for v in r.f_t],
+                "mos": r.mos,
+                "dim": r.dim,
+            },
+            separators=(",", ":"),
+        )
+        + "\n"
+        for r in records
+    ).encode("utf-8")
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               1.0, -3.0, 2.0**53, 1e16, 0.1]
+ENTRIES = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+IDS = st.one_of(
+    st.sampled_from(['say "hi"', "back\\slash", "tab\tnew\nline", "caf\u00e9", "\u6f22\u5b57",
+                     "\U0001f600", "nul\x00", "\u2028"]),
+    st.text(min_size=1),
+)
+
+
+@st.composite
+def record_sets(draw):
+    n = draw(st.integers(1, 5))
+    d_img, d_txt = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(ENTRIES, min_size=d_img + d_txt, max_size=d_img + d_txt)
+    return Records(
+        x=draw(st.lists(row, min_size=n, max_size=n)),
+        d_img=d_img,
+        mos=draw(st.lists(ENTRIES, min_size=n, max_size=n)),
+        id=draw(st.lists(IDS, min_size=n, max_size=n)),
+        dim=draw(st.lists(st.sampled_from(DIMS), min_size=n, max_size=n)),
+    )
+
+
+class TestRecords:
+    def test_columns_and_rows(self):
+        rs = as_records([rec(0, fi=(1.0, 2.0, 3.0)), rec(1, mos=4.0, dim="authenticity", fi=(5.0, 6.0, 7.0))])
+        assert (len(rs), rs.d_img, rs.d_txt) == (2, 3, 2)
+        assert rs.x.tolist() == [[3.0, 4.0, 1.0, 2.0, 3.0], [3.0, 4.0, 5.0, 6.0, 7.0]]
+        assert rs.mos.tolist() == [2.5, 4.0]
+        assert rs.id.tolist() == ["r0", "r1"] and rs.dim.tolist() == ["quality", "authenticity"]
+        assert rs[1] == rec(1, mos=4.0, dim="authenticity", fi=(5.0, 6.0, 7.0))
+        assert list(rs) == [rs[0], rs[1]]
+        assert rs[1:] == as_records([rs[1]])
+        assert rs[np.array([1, 0])] == as_records([rs[1], rs[0]])
+        assert rs[rs.dim == "quality"] == as_records([rs[0]])
+
+    def test_rows_view_the_matrix(self):
+        rs, _ = synth_generate(SynthConfig(n=4, d_img=3, d_txt=2, seed=1))
+        r = rs[2]
+        assert np.shares_memory(r.f_i, rs.x) and np.shares_memory(r.f_t, rs.x)
+        assert r.pair() is r
+
+    def test_as_records_keeps_a_set(self):
+        rs, _ = synth_generate(SynthConfig(n=4, seed=1))
+        assert as_records(rs) is rs
+
+    def test_equality_is_exact(self):
+        a = as_records([rec(0), rec(1)])
+        assert a == as_records([rec(0), rec(1)])
+        assert a != as_records([rec(0), rec(1, mos=2.5 + 1e-15)])
+        assert a != as_records([rec(0), rec(2)])
+        assert a != as_records([rec(0), rec(1, dim="consistency")])
+        assert a != as_records([rec(0), rec(1, fi=(1.0, 2.0 + 1e-15))])
+        assert a != as_records([rec(0)])
+        assert a != [rec(0), rec(1)]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"x": [[1.0, float("nan")]]}, "row 0: features must be finite"),
+            ({"mos": [float("inf")]}, "row 0: mos must be finite"),
+            ({"id": [""]}, "row 0: id must be a non-empty string"),
+            ({"id": [7]}, "row 0: id must be a non-empty string"),
+            ({"dim": ["sharpness"]}, "row 0: dim must be one of"),
+            ({"d_img": 2}, "feature dims must be >= 1"),
+            ({"mos": [1.0, 2.0]}, "column shapes disagree"),
+            ({"x": [1.0, 2.0]}, "column shapes disagree"),
+        ],
+    )
+    def test_checked_once_when_built(self, change, message):
+        cols = {"x": [[1.0, 2.0]], "d_img": 1, "mos": [1.0], "id": ["a"], "dim": ["quality"]}
+        with pytest.raises(ValueError, match=message):
+            Records(**{**cols, **change})
+
+    def test_ragged_rows_refused(self):
+        with pytest.raises(ValueError, match="row 1: feature sizes"):
+            as_records([rec(0), rec(1, fi=(1.0, 2.0, 3.0))])
+
+
+class TestRoundTrip:
+    """save -> load gives back the same set, bit for bit, in both formats."""
+
+    @settings(
+        derandomize=True, max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(rs=record_sets())
+    def test_round_trip_is_exact(self, tmp_path, rs):
+        plain, packed = tmp_path / "r.jsonl", tmp_path / "r.jsonl.gz"
+        save_records(plain, rs)
+        save_records(packed, rs)
+        assert plain.read_bytes() == json_lines_oracle(rs)
+        assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+        for path in (plain, packed):
+            back = load_records(path)
+            assert back == rs
+            # == takes -0.0 for 0.0; the bytes do not
+            assert back.x.tobytes() == rs.x.tobytes()
+            assert back.mos.tobytes() == rs.mos.tobytes()
+            assert back.id.tolist() == rs.id.tolist()
+
+    def test_synth_file_matches_the_per_record_encoder(self, tmp_path, capsys):
+        """``agrm synth`` output, byte for byte, against one ``json.dumps``
+        per record: the encoding of record files before record sets."""
+        out = tmp_path / "d.jsonl"
+        assert main(["synth", "--n", "300", "--noise", "0.3", "--seed", "4", "--out", str(out)]) == 0
+        recs, _ = synth_generate(SynthConfig(n=300, noise_sigma=0.3, seed=4))
+        assert out.read_bytes() == json_lines_oracle(recs)
+
+    def test_archive_is_written_at_the_fixed_level(self, tmp_path):
+        recs, _ = synth_generate(SynthConfig(n=50, seed=2))
+        path = tmp_path / "d.jsonl.gz"
+        save_records(path, recs)
+        raw = path.read_bytes()
+        # header: no name, zero mtime, and the extra-flags byte of level 1
+        assert raw[3] == 0 and raw[4:8] == b"\0\0\0\0" and raw[8] == 4
+        assert GZIP_LEVEL == 1
+
+    def test_archives_of_any_level_load(self, tmp_path):
+        recs, _ = synth_generate(SynthConfig(n=40, seed=3))
+        plain = tmp_path / "d.jsonl"
+        save_records(plain, recs)
+        for level in (0, 6, 9):
+            path = tmp_path / f"d{level}.jsonl.gz"
+            path.write_bytes(gzip.compress(plain.read_bytes(), compresslevel=level, mtime=0))
+            assert load_records(path) == recs
+
+    def test_save_takes_rows_and_writes_in_chunks(self, tmp_path, monkeypatch):
+        import agrm.data
+
+        recs, _ = synth_generate(SynthConfig(n=25, seed=5))
+        whole = tmp_path / "whole.jsonl"
+        save_records(whole, recs)
+        monkeypatch.setattr(agrm.data, "SAVE_CHUNK_ROWS", 4)
+        chunked = tmp_path / "chunked.jsonl"
+        save_records(chunked, list(recs))
+        assert chunked.read_bytes() == whole.read_bytes()
 
 
 class TestNormalizeMos:
@@ -218,7 +386,7 @@ class TestSplit:
     def test_union_is_input_multiset(self):
         recs = [rec(i) for i in range(13)]
         tr, te = split(recs, 0.5, seed=4)
-        assert sorted(r.id for r in tr + te) == sorted(r.id for r in recs)
+        assert sorted(r.id for r in list(tr) + list(te)) == sorted(r.id for r in recs)
         assert not {r.id for r in tr} & {r.id for r in te}
 
     def test_fraction_bounds(self):

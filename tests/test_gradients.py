@@ -337,3 +337,26 @@ class TestStackedAgainstOracle:
         rep = fd_check(hp, pairs, t)
         # the backward pass runs its own forward
         assert calls == [None, (2 * rep.checked, hp.flat.size)]
+
+    def test_relu_kink_mask_runs_no_forward_of_its_own(self, monkeypatch):
+        """A relu head reads its pre-activations without a second forward,
+        and its report, loss and gradients keep every bit."""
+        from agrm import head
+
+        hp = relu_kink_head()
+        pairs, t = make_batch(np.random.default_rng(14), hp)
+        calls = []
+
+        def counting(hp, x, stack=None):
+            calls.append(None if stack is None else stack.shape)
+            return head._forward(hp, x, stack)
+
+        monkeypatch.setattr(gradients, "_forward", counting)
+        rep = fd_check(hp, pairs, t)
+        assert calls == [None, (2 * rep.checked, hp.flat.size)]
+        monkeypatch.undo()
+        want, _, _ = fd_oracle(hp, pairs, t)
+        assert report_fields(rep) == want and want["skipped"] > 0
+        base = batch_loss_and_grads(hp, pairs, t)
+        assert rep.loss == base.loss
+        assert flatten_fields(rep.grads).tobytes() == flatten_fields(base.grads).tobytes()
