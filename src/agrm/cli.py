@@ -26,6 +26,7 @@ from .core import AgrmParams
 from .data import (
     SynthConfig,
     dim_counts,
+    draw_features,
     load_records,
     normalize_mos,
     save_records,
@@ -33,7 +34,7 @@ from .data import (
     synth_generate,
 )
 from .gradients import fd_check
-from .head import ABLATIONS, ACTIVATIONS, AGG_MODES, FeaturePair, HeadConfig, batch_forward, init_head
+from .head import ABLATIONS, ACTIVATIONS, AGG_MODES, HeadConfig, batch_forward, init_head
 from .trainer import (
     PRESET_NAMES,
     Checkpoint,
@@ -125,8 +126,9 @@ def cmd_probe(args) -> int:
 # ---------------------------------------------------------------- curves
 
 def _csv_rows(rows) -> str:
-    """CSV lines of a non-empty list of equal-length float rows, each value
-    as ``_fmt`` writes it, formatted by one ``%`` per row."""
+    """CSV lines of a non-empty list of equal-length number rows, each value
+    as ``_fmt`` writes it, formatted by one ``%`` per row; an integer below
+    10^9 is written as it is."""
     line = ",".join(["%.9g"] * len(rows[0])) + "\n"
     return "".join(line % tuple(row) for row in rows)
 
@@ -337,7 +339,7 @@ def cmd_verify(args) -> int:
 def cmd_synth(args) -> int:
     cfg = SynthConfig(
         n=args.n, d_img=args.d_img, d_txt=args.d_txt,
-        noise_sigma=args.noise, seed=args.seed, ability_scale=args.ability_scale,
+        noise_sigma=args.noise, seed=args.seed,
     )
     records, planted = synth_generate(cfg)
     save_records(args.out, records)
@@ -392,11 +394,7 @@ def cmd_train(args) -> int:
     history_path = args.history_out or (str(args.out) + ".history.csv")
     with open(history_path, "w", encoding="utf-8") as handle:
         handle.write("epoch,lr,train_loss,eval_srcc,eval_plcc\n")
-        for row in ckpt.history:
-            handle.write(
-                f"{row.epoch},{_fmt(row.lr)},{_fmt(row.train_loss)},"
-                f"{_fmt(row.eval_srcc)},{_fmt(row.eval_plcc)}\n"
-            )
+        handle.write(_csv_rows([dataclasses.astuple(row) for row in ckpt.history]))
     final = ckpt.history[-1]
     doc = {
         "checkpoint": str(args.out),
@@ -455,18 +453,13 @@ def cmd_fd_check(args) -> int:
     init_seed, batch_seed = np.random.SeedSequence(args.seed).spawn(2)
     head = init_head(args.d_img, args.d_txt, head_cfg, seed=init_seed)
     rng = np.random.default_rng(batch_seed)
-    pairs = [
-        FeaturePair(
-            f_i=rng.standard_normal(args.d_img), f_t=rng.standard_normal(args.d_txt)
-        )
-        for _ in range(args.batch)
-    ]
-    preds = batch_forward(head, pairs).q_rescaled
+    x = draw_features(rng, args.batch, args.d_img, args.d_txt)
+    preds = batch_forward(head, x).q_rescaled
     # targets sit a finite distance from the predictions so the absolute-error
     # kink stays outside the difference stencil
     offsets = rng.uniform(0.1, 1.0, size=args.batch) * rng.choice([-1.0, 1.0], size=args.batch)
     targets = preds + offsets
-    report = fd_check(head, pairs, targets, step=args.step, tol=args.tol)
+    report = fd_check(head, x, targets, step=args.step, tol=args.tol)
     doc = {
         "seed": args.seed,
         "k": args.k,
@@ -543,7 +536,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-txt", type=int, default=16)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ability-scale", type=float, default=4.0)
     p.add_argument("--out", required=True)
     p.add_argument("--planted-out", default=None, help="also save the planted head")
 
@@ -554,13 +546,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--normalize", action="store_true", help="min-max scores to [0,5]")
     p.add_argument("--preset", choices=PRESET_NAMES, default="paper")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    # one flag per TrainConfig field, read back by _train_config
+    for f in dataclasses.fields(TrainConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
     p.add_argument("--init-seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--history-out", default=None)

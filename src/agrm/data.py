@@ -21,11 +21,18 @@ faster than the default level 9 for a file about 8% larger, and with a
 zeroed timestamp, so identical data produces identical bytes; archives
 written at any level load.
 
-The synthetic generator plants a head drawn by ``init_head``, samples feature
-pairs from a standard normal, and scores them in one batched forward with
-the planted head, plus optional Gaussian noise.  It returns the planted head
-alongside the records so a training run can be checked against the ground
-truth that produced its data.
+``FeatureRecord`` is the one rule for a valid row and words every refusal;
+the reader adds only the file format's rules (objects with the five keys,
+JSON-number scores and entries, feature lengths equal to the first line's).
+The reader's per-line checks and the bulk checks of ``Records`` only detect
+a bad row; the first one's ``FeatureRecord`` words the refusal.
+
+The synthetic generator plants a head drawn by ``init_head`` with its
+ability map widened ``ABILITY_SCALE`` times, samples feature pairs from a
+standard normal (``draw_features``), and scores them in one batched forward
+with the planted head, plus optional Gaussian noise.  It returns the planted
+head alongside the records so a training run can be checked against the
+ground truth that produced its data.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ __all__ = [
     "SynthConfig",
     "as_records",
     "dim_counts",
+    "draw_features",
     "load_records",
     "save_records",
     "normalize_mos",
@@ -67,6 +75,9 @@ DIMS = ("quality", "consistency", "authenticity")
 GZIP_LEVEL = 1
 # lines encoded and written at a time
 SAVE_CHUNK_ROWS = 2048
+# widens the planted head's freshly drawn ability map so synthetic scores
+# cover the full range instead of clustering mid-scale
+ABILITY_SCALE = 4.0
 
 _FIELD_KEYS = ("id", "fi", "ft", "mos", "dim")
 _KEY_SET = frozenset(_FIELD_KEYS)
@@ -127,9 +138,10 @@ class Records:
     ``x`` is the (N, d_txt + d_img) float64 feature matrix in
     ``head.feature_matrix`` layout, ``mos`` the (N,) float64 scores, and
     ``id`` and ``dim`` (N,) object arrays of strings.  The constructor takes
-    the columns without copying them and checks them once: finite features
-    and scores, non-empty ids, tags from ``DIMS``.  A set is read-only by
-    convention; nothing here writes to its columns.
+    the columns without copying them and checks them once: every row must
+    make a valid ``FeatureRecord``, and the first that does not is refused
+    with that record's message.  A set is read-only by convention; nothing
+    here writes to its columns.
 
     ``len`` counts the items, iterating yields each row as a
     ``FeatureRecord`` (its vectors are views of ``x``), an integer index
@@ -151,18 +163,16 @@ class Records:
         d_txt = x.shape[1] - d_img
         if x.shape[0] and (d_img < 1 or d_txt < 1):
             raise ValueError(f"feature dims must be >= 1, got ({d_img}, {d_txt})")
-        for name, bad in (
-            ("features", ~np.isfinite(x).all(axis=1)),
-            ("mos", ~np.isfinite(mos)),
-        ):
-            if bad.any():
-                raise ValueError(f"row {np.argmax(bad)}: {name} must be finite")
-        for i, (ident, tag) in enumerate(zip(id, dim)):
-            if not isinstance(ident, str) or not ident:
-                raise ValueError(f"row {i}: id must be a non-empty string, got {ident!r}")
-            if tag not in DIMS:
-                raise ValueError(f"row {i}: dim must be one of {DIMS}, got {tag!r}")
         self.x, self.d_img, self.mos, self.id, self.dim = x, d_img, mos, id, dim
+        # found in bulk; the first bad row's record words its refusal
+        bad = np.fromiter(
+            (not (isinstance(i, str) and i and t in DIMS) for i, t in zip(id, dim)),
+            dtype=bool, count=len(id),
+        )
+        bad |= ~(np.isfinite(x).all(axis=1) & np.isfinite(mos))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"row {i}: {_refusal(lambda: self[i])}")
 
     @classmethod
     def _checked(cls, x, d_img, mos, id, dim) -> "Records":
@@ -242,28 +252,38 @@ def _is_gzip(path) -> bool:
 
 def _finite(values) -> bool:
     # a sum is finite when every term is, unless it overflows: only then
-    # are the terms checked one by one
+    # are the terms checked one by one; a non-number term is a TypeError
     s = sum(values)
     return s - s == 0 or all(map(math.isfinite, values))
 
 
-def _read_vector(key: str, values, feats: array) -> int:
-    """Append one line's ``fi`` or ``ft`` entries to ``feats``; their count."""
-    name = {"fi": "f_i", "ft": "f_t"}[key]
-    if type(values) is not list:
-        raise ValueError(f"{key} must be an array of numbers")
+def _numbers(values) -> bool:
+    return set(map(type, values)) <= _NUMBER_TYPES
+
+
+def _refusal(record) -> str:
+    """The message with which ``record()``, building a ``FeatureRecord``,
+    refuses a row that a cheap check found bad."""
     try:
-        # refuses strings, nulls, arrays and objects, but takes booleans
-        feats.extend(values)
-    except TypeError:
-        raise ValueError(f"{key} must be an array of numbers") from None
-    except OverflowError as exc:  # an integer too large for a float
-        raise ValueError(str(exc)) from None
-    if not values:
-        raise ValueError(f"{name} must be a non-empty 1-d vector, got shape (0,)")
-    if not _finite(values):
-        raise ValueError(f"{name} contains non-finite entries")
-    return len(values)
+        record()
+    except (ValueError, OverflowError) as exc:
+        return str(exc)
+    raise AssertionError("a row found bad makes a valid record")
+
+
+def _line_refusal(obj: dict) -> str:
+    """Why a parsed record line is refused: the file format's rule that
+    scores and feature entries are JSON numbers, then the line's record."""
+    if type(obj["mos"]) not in _NUMBER_TYPES:
+        return f"mos must be a number, got {obj['mos']!r}"
+    for key in ("fi", "ft"):
+        if type(obj[key]) is not list or not _numbers(obj[key]):
+            return f"{key} must be an array of numbers"
+    return _refusal(
+        lambda: FeatureRecord(
+            id=obj["id"], f_i=obj["fi"], f_t=obj["ft"], mos=obj["mos"], dim=obj["dim"]
+        )
+    )
 
 
 def _read_line(line: str, feats: array):
@@ -281,26 +301,27 @@ def _read_line(line: str, feats: array):
         if missing:
             raise ValueError(f"missing fields {missing}")
         raise ValueError(f"unknown fields {[k for k in obj if k not in _KEY_SET]}")
-    ident, score, dim = obj["id"], obj["mos"], obj["dim"]
-    if type(score) not in _NUMBER_TYPES:
-        raise ValueError(f"mos must be a number, got {score!r}")
-    # only a line holding "true" or "false" can carry a boolean entry
-    if "true" in line or "false" in line:
-        for key in ("fi", "ft"):
-            if type(obj[key]) is list and not set(map(type, obj[key])) <= _NUMBER_TYPES:
-                raise ValueError(f"{key} must be an array of numbers")
-    if type(ident) is not str or not ident:
-        raise ValueError(f"id must be a non-empty string, got {ident!r}")
-    widths = _read_vector("ft", obj["ft"], feats), _read_vector("fi", obj["fi"], feats)
+    ident, fi, ft, score, dim = obj["id"], obj["fi"], obj["ft"], obj["mos"], obj["dim"]
+    # a yes/no test of the record rule; _line_refusal words a failure
     try:
-        score = float(score)
-    except OverflowError as exc:
-        raise ValueError(str(exc)) from None
-    if not math.isfinite(score):
-        raise ValueError(f"mos must be finite, got {score!r}")
-    if dim not in DIMS:
-        raise ValueError(f"dim must be one of {DIMS}, got {dim!r}")
-    return ident, score, dim, widths
+        valid = (
+            type(ident) is str and ident != ""
+            and type(score) in _NUMBER_TYPES and math.isfinite(score)
+            and dim in DIMS
+            and type(fi) is list and type(ft) is list and len(fi) > 0 and len(ft) > 0
+            # only a line holding "true" or "false" can carry a boolean entry
+            and not (("true" in line or "false" in line) and not _numbers(fi + ft))
+            and _finite(ft) and _finite(fi)
+        )
+        if valid:
+            # an integer too large for a float is an OverflowError here
+            feats.extend(ft)
+            feats.extend(fi)
+    except (TypeError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(_line_refusal(obj))
+    return ident, float(score), dim, (len(ft), len(fi))
 
 
 def _read_lines(lines) -> Records:
@@ -431,6 +452,14 @@ def split(records, train_fraction: float, seed: int = 0):
     return rs[order[:n_train]], rs[order[n_train:]]
 
 
+def draw_features(rng, n: int, d_img: int, d_txt: int) -> np.ndarray:
+    """n standard normal feature pairs from ``rng`` as an (n, d_txt + d_img)
+    matrix in ``head.feature_matrix`` layout, drawn as each item's f_i and
+    then its f_t."""
+    feats = rng.standard_normal((n, d_img + d_txt))
+    return np.concatenate([feats[:, d_img:], feats[:, :d_img]], axis=1)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Recipe for a generated dataset with a known ground-truth head."""
@@ -440,9 +469,6 @@ class SynthConfig:
     d_txt: int = 16
     noise_sigma: float = 0.0
     seed: int = 0
-    # widens the freshly drawn ability map so scores cover the full range
-    # instead of clustering mid-scale
-    ability_scale: float = 4.0
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
@@ -453,10 +479,6 @@ class SynthConfig:
             )
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
-        if not math.isfinite(self.ability_scale) or self.ability_scale <= 0.0:
-            raise ValueError(
-                f"ability_scale must be positive, got {self.ability_scale!r}"
-            )
 
 
 def synth_generate(cfg: SynthConfig):
@@ -467,19 +489,13 @@ def synth_generate(cfg: SynthConfig):
     """
     head_seed, feat_seed, noise_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     planted = init_head(cfg.d_img, cfg.d_txt, seed=head_seed)
-    planted.agg_w *= cfg.ability_scale
-    rng_feat = np.random.default_rng(feat_seed)
-    rng_noise = np.random.default_rng(noise_seed)
-
-    # one row per item, image features then text features: the same stream
-    # as drawing each item's f_i and then its f_t
-    feats = rng_feat.standard_normal((cfg.n, cfg.d_img + cfg.d_txt))
-    x = np.concatenate([feats[:, cfg.d_img :], feats[:, : cfg.d_img]], axis=1)
-    scores = batch_forward(planted, x).q_rescaled
+    planted.agg_w *= ABILITY_SCALE
+    x = draw_features(np.random.default_rng(feat_seed), cfg.n, cfg.d_img, cfg.d_txt)
+    noise = np.random.default_rng(noise_seed).standard_normal(cfg.n)
     records = Records(
         x=x,
         d_img=cfg.d_img,
-        mos=scores + cfg.noise_sigma * rng_noise.standard_normal(cfg.n),
+        mos=batch_forward(planted, x).q_rescaled + cfg.noise_sigma * noise,
         id=[f"synth-{i:05d}" for i in range(cfg.n)],
         dim=np.array(DIMS, dtype=object)[np.arange(cfg.n) % len(DIMS)],
     )

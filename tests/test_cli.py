@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gzip
+import itertools
 import json
 import math
 
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 
 from agrm import cli, core
 from agrm.cli import main
-from agrm.data import FeatureRecord, SynthConfig, load_records, normalize_mos, synth_generate
+from agrm.data import (
+    FeatureRecord,
+    Records,
+    SynthConfig,
+    load_records,
+    normalize_mos,
+    synth_generate,
+)
 from agrm.head import PARAM_FIELDS
 from agrm.trainer import TrainConfig, evaluate, load_checkpoint, preset
 
@@ -841,6 +849,91 @@ class TestMalformedRecords:
             load_records(path)
         assert str(info.value) == want
 
+    @pytest.mark.parametrize("at", [0, 5])
+    def test_two_fault_message_matches_the_row_reader(self, tmp_path, at):
+        """A line with bad values in two fields names the fault the row
+        reader names first, for every pair of fields and values."""
+        path = tmp_path / "d.jsonl"
+        keys = sorted(BAD_RECORD_VALUES)
+        for a, key_a in enumerate(keys):
+            for key_b in keys[a + 1 :]:
+                for value_a, value_b in itertools.product(
+                    BAD_RECORD_VALUES[key_a], BAD_RECORD_VALUES[key_b]
+                ):
+                    objs = valid_records()
+                    objs[at][key_a], objs[at][key_b] = value_a, value_b
+                    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+                    with pytest.raises(ValueError) as info:
+                        load_records(path)
+                    want = row_reader_error(path)
+                    assert str(info.value) == want, (key_a, value_a, key_b, value_b)
+
+    @settings(
+        derandomize=True, max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_a_refused_line_is_one_value_error(self, tmp_path, data):
+        """Any field values: the reader loads the file or raises one
+        ``ValueError`` with the row reader's message, never an
+        ``AssertionError`` from a check stricter than the record rule."""
+        objs = valid_records()
+        at = data.draw(st.integers(0, len(objs) - 1), label="line")
+        keys = data.draw(
+            st.lists(st.sampled_from(sorted(FIELD_VALUES)), max_size=3, unique=True), label="fields"
+        )
+        for key in keys:
+            values = data.draw(st.sampled_from([FIELD_VALUES[key], JSON_VALUES]), label=f"{key} from")
+            objs[at][key] = data.draw(values, label=key)
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        want = row_reader_error(path)
+        try:
+            load_records(path)
+        except ValueError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_a_set_refuses_the_first_row_its_record_refuses(self, data):
+        """``Records`` accepts exactly the columns whose every row makes a
+        ``FeatureRecord``, and otherwise names the first row that does not
+        with that record's message."""
+        n = data.draw(st.integers(1, 5), label="n")
+        d_img = data.draw(st.integers(1, 2), label="d_img")
+        d_txt = data.draw(st.integers(1, 2), label="d_txt")
+        finite = st.floats(-1e3, 1e3)
+        width = d_img + d_txt
+        x = data.draw(
+            st.lists(st.lists(finite, min_size=width, max_size=width), min_size=n, max_size=n),
+            label="x",
+        )
+        mos = data.draw(st.lists(finite, min_size=n, max_size=n), label="mos")
+        ids, dims = [f"r{i}" for i in range(n)], ["quality"] * n
+        faults = st.tuples(st.integers(0, n - 1), st.integers(0, width - 1), st.sampled_from(ROW_FAULTS))
+        for i, j, (column, value) in data.draw(st.lists(faults, max_size=3), label="faults"):
+            if column == "x":
+                x[i][j] = value
+            else:
+                {"mos": mos, "id": ids, "dim": dims}[column][i] = value
+        want = None
+        for i in range(n):
+            try:
+                FeatureRecord(
+                    id=ids[i], f_i=x[i][d_txt:], f_t=x[i][:d_txt], mos=mos[i], dim=dims[i]
+                )
+            except ValueError as exc:
+                want = f"row {i}: {exc}"
+                break
+        try:
+            Records(x=x, d_img=d_img, mos=mos, id=ids, dim=dims)
+        except ValueError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+
     @settings(
         derandomize=True, max_examples=40, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -907,6 +1000,41 @@ BAD_RECORD_VALUES = {
            [True, False, True], [0.5, 0.5, "0.5"]],
     "mos": [*NOT_A_NUMBER, "2.5", " 3 ", True, False],
     "dim": [None, "", "sharpness", 3, []],
+}
+
+
+# JSON numbers, with the non-finite, huge and float-overflowing ones
+JSON_NUMBERS = st.one_of(
+    st.floats(), st.integers(),
+    st.sampled_from([1e308, -1e308, math.nan, math.inf, 10**400, -(10**400)]),
+)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), JSON_NUMBERS, st.text(max_size=3),
+    st.sampled_from(["quality", "true", "false"]),
+)
+# any value of a JSON field: scalars, and arrays and objects of them
+JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(st.one_of(_JSON_SCALARS, st.lists(JSON_NUMBERS, max_size=1)), max_size=4),
+    st.dictionaries(st.text(max_size=2), _JSON_SCALARS, max_size=2),
+)
+
+
+# (column, value) faults planted in a valid cell of a record set's columns
+ROW_FAULTS = [
+    ("x", math.nan), ("x", math.inf), ("x", -math.inf), ("mos", math.nan), ("mos", -math.inf),
+    ("id", ""), ("id", 7), ("id", None), ("dim", ""), ("dim", "Quality"), ("dim", None),
+]
+
+# values of each field of the kind the record rule expects, valid or not
+FIELD_VALUES = {
+    "id": st.text(max_size=2),
+    "fi": st.one_of(st.lists(JSON_NUMBERS, min_size=3, max_size=3), st.lists(JSON_NUMBERS, max_size=4)),
+    "ft": st.one_of(st.lists(JSON_NUMBERS, min_size=3, max_size=3), st.lists(JSON_NUMBERS, max_size=4)),
+    "mos": JSON_NUMBERS,
+    "dim": st.sampled_from(["quality", "consistency", "authenticity", "", "Quality"]),
 }
 
 

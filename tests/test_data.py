@@ -252,7 +252,7 @@ class TestRecords:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"x": [[1.0, float("nan")]]}, "row 0: features must be finite"),
+            ({"x": [[1.0, float("nan")]]}, "row 0: f_i contains non-finite entries"),
             ({"mos": [float("inf")]}, "row 0: mos must be finite"),
             ({"id": [""]}, "row 0: id must be a non-empty string"),
             ({"id": [7]}, "row 0: id must be a non-empty string"),
@@ -413,10 +413,6 @@ class TestSynthConfig:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             SynthConfig(n=5, noise_sigma=-0.1)
-
-    def test_rejects_bad_ability_scale(self):
-        with pytest.raises(ValueError):
-            SynthConfig(n=5, ability_scale=0.0)
 
 
 class TestSynthGenerate:
