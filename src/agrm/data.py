@@ -48,7 +48,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .head import FeaturePair, batch_forward, init_head
+from .head import FeaturePair, _float_array, _pairs_matrix, batch_forward, init_head
 
 __all__ = [
     "DIMS",
@@ -104,7 +104,11 @@ class FeatureRecord(FeaturePair):
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"id must be a non-empty string, got {self.id!r}")
         super().__post_init__()
-        object.__setattr__(self, "mos", float(self.mos))
+        try:
+            mos = float(self.mos)
+        except OverflowError:
+            raise ValueError("mos holds a number too large for a float") from None
+        object.__setattr__(self, "mos", mos)
         if not math.isfinite(self.mos):
             raise ValueError(f"mos must be finite, got {self.mos!r}")
         if self.dim not in DIMS:
@@ -152,8 +156,7 @@ class Records:
     __slots__ = ("x", "d_img", "mos", "id", "dim")
 
     def __init__(self, *, x, d_img: int, mos, id, dim):
-        x = np.asarray(x, dtype=np.float64)
-        mos = np.asarray(mos, dtype=np.float64)
+        x, mos = _float_array("x", x), _float_array("mos", mos)
         id, dim = _strings(id), _strings(dim)
         if x.ndim != 2 or any(col.shape != (x.shape[0],) for col in (mos, id, dim)):
             raise ValueError(
@@ -224,17 +227,10 @@ def as_records(records) -> Records:
     if isinstance(records, Records):
         return records
     rows = list(records)
-    if not rows:
-        return Records(x=np.empty((0, 0)), d_img=0, mos=[], id=[], dim=[])
-    sizes = (rows[0].f_i.size, rows[0].f_t.size)
-    for i, r in enumerate(rows):
-        if (r.f_i.size, r.f_t.size) != sizes:
-            raise ValueError(
-                f"row {i}: feature sizes ({r.f_i.size}, {r.f_t.size}) != {sizes} of row 0"
-            )
+    x, d_img = _pairs_matrix(rows)
     return Records(
-        x=np.array([np.concatenate([r.f_t, r.f_i]) for r in rows]),
-        d_img=sizes[0],
+        x=x,
+        d_img=d_img,
         mos=[r.mos for r in rows],
         id=[r.id for r in rows],
         dim=[r.dim for r in rows],
@@ -266,7 +262,7 @@ def _refusal(record) -> str:
     refuses a row that a cheap check found bad."""
     try:
         record()
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         return str(exc)
     raise AssertionError("a row found bad makes a valid record")
 

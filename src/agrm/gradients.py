@@ -36,6 +36,7 @@ changing a bit.  Failures are reported in the result, not thrown.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,10 +44,10 @@ import numpy as np
 
 from . import losses
 from .head import (
+    _ACTIVATION_FUNCS,
     PARAM_FIELDS,
     FeaturePair,
     HeadParams,
-    _act_deriv,
     _difficulty,
     _forward,
     _inputs,
@@ -159,8 +160,9 @@ def batch_loss_and_grads(
         beta1_bar = -theta_bar
         gamma_bar = -uqc * (sp @ np.arange(cfg.k - 1.0))  # d beta_m / d gamma = m - 1
 
-        db = beta1_bar * _act_deriv(cfg.activation, fw.pre_b)
-        dg = gamma_bar * _act_deriv(cfg.activation, fw.pre_g)
+        deriv = _ACTIVATION_FUNCS[cfg.activation][1]
+        db = beta1_bar * deriv(fw.pre_b)
+        dg = gamma_bar * deriv(fw.pre_g)
         prior_in, temp_in = _inputs(hp, x)
         grads = {
             "phi_beta_w": db @ prior_in,
@@ -233,26 +235,26 @@ def fd_check(
     ``RELU_KINK_MARGIN`` of the kink on any item are skipped rather than
     measured one-sided.  The returned report carries the analytic gradients,
     the worst relative error over checked coordinates, and how many
-    coordinates were checked, skipped, and over ``tol``.
+    coordinates were checked, skipped, and over ``tol``.  ``step`` and
+    ``tol`` must be finite and positive.
     """
-    if step <= 0.0 or tol <= 0.0:
-        raise ValueError("step and tol must be positive")
+    for name, value in (("step", step), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     x = feature_matrix(hp, pairs)
     t = np.asarray(targets, dtype=np.float64)
     base = batch_loss_and_grads(hp, x, t, lam)
 
-    skip = {name: False for name in PARAM_FIELDS}
+    skipped_at = np.zeros(hp.flat.shape, dtype=bool)
     if hp.config.activation == "relu":
         # the difficulty branch alone gives the pre-activations
         _, _, _, pre_b, pre_g, _, _ = _difficulty(hp, hp, x)
         near_b = bool(np.any(np.abs(pre_b) < RELU_KINK_MARGIN))
         near_g = bool(np.any(np.abs(pre_g) < RELU_KINK_MARGIN))
-        skip["phi_beta_w"] = skip["phi_beta_b"] = near_b
-        skip["phi_gamma_w"] = skip["phi_gamma_b"] = near_g
-        skip["phi_i_w"] = skip["phi_i_b"] = near_b or near_g
-    skipped_at = flatten_fields(
-        {name: np.full(getattr(hp, name).shape, skip[name]) for name in PARAM_FIELDS}
-    )
+        skip = hp.fields(skipped_at)
+        skip["phi_beta_w"][...] = skip["phi_beta_b"][...] = near_b
+        skip["phi_gamma_w"][...] = skip["phi_gamma_b"][...] = near_g
+        skip["phi_i_w"][...] = skip["phi_i_b"][...] = near_b or near_g
 
     coords = np.flatnonzero(~skipped_at)
     hi, lo = _perturbed_losses(hp, x, t, lam, coords, step)

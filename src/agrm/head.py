@@ -20,8 +20,9 @@ grade distribution and the forward needs no spacing check of its own.
 The forward runs on a batch: an (N, d_txt + d_img) feature matrix whose row
 i is item i's text features followed by its image features
 (``feature_matrix``), giving (N,) vectors of abilities, priors and spacings
-and an (N, k) array of grade masses (``core.agrm_probs_batch``).
-``head_forward`` is the one-row case.  Every per-row dot product is a
+and an (N, k) array of grade masses (``core.agrm_probs_batch``), gathered in
+a ``HeadBatch``.  ``head_forward`` is the one-row case: it returns row 0 of
+every ``HeadBatch`` field.  Every per-row dot product is a
 multiply and a sum over the row (``_rowdot``), not a BLAS matmul: BLAS
 blocks its work by the number of rows, so a matmul can give a row a
 different last bit in a different batch, while the row-wise sum cannot.
@@ -33,8 +34,11 @@ correctly rounded ``core.expected_score``.
 The same forward also takes a (B, F) stack of weight vectors, each row a
 ``HeadParams.flat`` in the head's layout, and scores the N items under all
 B of them at once: every output gains a leading B axis, (B, N) and
-(B, N, k).  Each stacked weight field gets a unit axis for the items, so a
-weight of shape (B, n) meets the (N, n) features as (B, 1, n) and
+(B, N, k).  ``HeadParams.fields`` is the one home of the flat layout: it
+views any array whose last axis is laid out like ``flat`` as the weight
+fields, which serves the head's own fields, the stack, and masks or names
+over the flat weights.  Each stacked weight field gets a unit axis for the
+items, so a weight of shape (B, n) meets the (N, n) features as (B, 1, n) and
 ``_rowdot`` gives (B, N); every reduction runs over the last axis, so row b
 of the result is bitwise the forward of row b's weights alone.
 ``gradients.fd_check`` scores all its perturbed weight vectors this way.
@@ -61,7 +65,6 @@ __all__ = [
     "FeaturePair",
     "HeadConfig",
     "HeadParams",
-    "HeadOutput",
     "telu",
     "head_forward",
     "batch_forward",
@@ -71,7 +74,6 @@ __all__ = [
     "init_head",
 ]
 
-ACTIVATIONS = ("telu", "sigmoid", "relu", "softplus")
 AGG_MODES = ("linear", "softmax")
 # "image_only" feeds the image features to the difficulty priors,
 # "text_only" feeds the text features to the temperature map,
@@ -101,33 +103,31 @@ def _telu_deriv(x: np.ndarray) -> np.ndarray:
     return t + x * (1.0 - t * t) * e
 
 
-def _act_value(name: str, x):
-    if name == "telu":
-        return telu(x)
-    if name == "sigmoid":
-        return core.sigmoid_array(x)
-    if name == "relu":
-        return np.maximum(x, 0.0)
-    if name == "softplus":
-        return core.softplus_array(x)
-    raise ValueError(f"unknown activation {name!r}")
+def _sigmoid_deriv(x: np.ndarray) -> np.ndarray:
+    s = core.sigmoid_array(x)
+    return s * (1.0 - s)
 
 
-def _act_deriv(name: str, x: np.ndarray) -> np.ndarray:
-    if name == "telu":
-        return _telu_deriv(x)
-    if name == "sigmoid":
-        s = core.sigmoid_array(x)
-        return s * (1.0 - s)
-    if name == "relu":
-        return (x > 0.0) * 1.0
-    if name == "softplus":
-        return core.sigmoid_array(x)
-    raise ValueError(f"unknown activation {name!r}")
+# each activation's (value, derivative), both element-wise on arrays
+_ACTIVATION_FUNCS = {
+    "telu": (telu, _telu_deriv),
+    "sigmoid": (core.sigmoid_array, _sigmoid_deriv),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0) * 1.0),
+    "softplus": (core.softplus_array, core.sigmoid_array),
+}
+ACTIVATIONS = tuple(_ACTIVATION_FUNCS)
+
+
+def _float_array(name: str, values) -> np.ndarray:
+    """``values`` as float64; an integer too large for a float is refused by name."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} holds a number too large for a float") from None
 
 
 def _as_feature(name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _float_array(name, values)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -242,46 +242,55 @@ class HeadParams:
     phi_i_b: np.ndarray
 
     def __post_init__(self):
+        arrays = {name: np.asarray(getattr(self, name), dtype=np.float64) for name in PARAM_FIELDS}
         for name, shape in _layout(self.config, self.d_img, self.d_txt).items():
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-            got = getattr(self, name).shape
-            if got != shape:
-                raise ValueError(f"{name} shape {got}, expected {shape}")
-        self._flat = np.concatenate([getattr(self, name).reshape(-1) for name in PARAM_FIELDS])
-        offset = 0
-        for name in PARAM_FIELDS:
-            arr = getattr(self, name)
-            setattr(self, name, self._flat[offset : offset + arr.size].reshape(arr.shape))
-            offset += arr.size
+            if arrays[name].shape != shape:
+                raise ValueError(f"{name} shape {arrays[name].shape}, expected {shape}")
+        self._flat = flatten_fields(arrays)
+        vars(self).update(self.fields(self._flat))
 
     @property
     def flat(self) -> np.ndarray:
         """Every weight in one vector, ``PARAM_FIELDS`` order; the fields view it."""
         return self._flat
 
+    def fields(self, arr: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of ``arr``, whose last axis is laid out like ``flat``: one per
+        field, in ``PARAM_FIELDS`` order, shaped ``arr.shape[:-1]`` followed by
+        the field's own shape.  ``flatten_fields`` is the inverse."""
+        views, offset = {}, 0
+        for name, shape in _layout(self.config, self.d_img, self.d_txt).items():
+            size = math.prod(shape)
+            views[name] = arr[..., offset : offset + size].reshape(arr.shape[:-1] + shape)
+            offset += size
+        return views
+
     def copy(self) -> "HeadParams":
         kwargs = {name: getattr(self, name).copy() for name in PARAM_FIELDS}
         return HeadParams(config=self.config, d_img=self.d_img, d_txt=self.d_txt, **kwargs)
 
 
-@dataclass(frozen=True)
-class HeadOutput:
-    """Everything the head produces for one feature pair."""
-
-    theta: float
-    beta1_prior: float
-    gamma_prior: float
-    tau: float
-    beta1: float
-    gamma: float
-    probs: core.ProbVector
-    q: float
-    q_rescaled: float
-
-
 def flatten_fields(fields: dict) -> np.ndarray:
-    """Per-field arrays (weights or their gradients) as one ``flat``-ordered vector."""
+    """Per-field arrays (weights or their gradients) as one new ``flat``-ordered
+    vector; the inverse of ``HeadParams.fields``."""
     return np.concatenate([np.asarray(fields[name]).ravel() for name in PARAM_FIELDS])
+
+
+def _pairs_matrix(pairs) -> tuple[np.ndarray, int]:
+    """A sequence of feature pairs as a ``feature_matrix`` and its image
+    width; pairs whose sizes differ from the first pair's are refused, and
+    no pairs give a (0, 0) matrix."""
+    if not pairs:
+        return np.empty((0, 0)), 0
+    sizes = (pairs[0].f_i.size, pairs[0].f_t.size)
+    for i, p in enumerate(pairs):
+        if (p.f_i.size, p.f_t.size) != sizes:
+            raise ValueError(
+                f"row {i}: feature sizes ({p.f_i.size}, {p.f_t.size}) != {sizes} of row 0"
+            )
+    f_t = np.array([p.f_t for p in pairs])
+    f_i = np.array([p.f_i for p in pairs])
+    return np.concatenate([f_t, f_i], axis=1), sizes[0]
 
 
 def feature_matrix(hp: HeadParams, items) -> np.ndarray:
@@ -292,31 +301,23 @@ def feature_matrix(hp: HeadParams, items) -> np.ndarray:
     a ``data.Records`` set, whose ``x`` is kept in this layout, or a matrix
     already in it; the last two are returned without a copy.
     """
-    n = hp.d_txt + hp.d_img
-    if hasattr(items, "d_img"):  # a data.Records set
-        if not len(items):
-            raise ValueError("no feature pairs given")
-        if (items.d_img, items.d_txt) != (hp.d_img, hp.d_txt):
-            raise ValueError(
-                f"feature sizes ({items.d_img}, {items.d_txt}) do not match head "
-                f"({hp.d_img}, {hp.d_txt})"
-            )
-        return items.x
     if isinstance(items, np.ndarray):
+        n = hp.d_txt + hp.d_img
         if items.ndim != 2 or items.shape[1] != n:
             raise ValueError(f"feature matrix shape {items.shape}, expected (N, {n})")
         return items
-    items = list(items)
-    if not items:
+    if hasattr(items, "d_img"):  # a data.Records set
+        x, d_img = items.x, items.d_img
+    else:
+        x, d_img = _pairs_matrix(list(items))
+    if not len(x):
         raise ValueError("no feature pairs given")
-    f_t = np.array([fp.f_t for fp in items])
-    f_i = np.array([fp.f_i for fp in items])
-    if f_i.shape[1:] != (hp.d_img,) or f_t.shape[1:] != (hp.d_txt,):
+    if (d_img, x.shape[1] - d_img) != (hp.d_img, hp.d_txt):
         raise ValueError(
-            f"feature sizes ({f_i.shape[1:]}, {f_t.shape[1:]}) do not match head "
+            f"feature sizes ({d_img}, {x.shape[1] - d_img}) do not match head "
             f"({hp.d_img}, {hp.d_txt})"
         )
-    return np.concatenate([f_t, f_i], axis=1)
+    return x
 
 
 @functools.lru_cache(maxsize=16)
@@ -347,23 +348,11 @@ def _inputs(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prior_in, temp_in
 
 
-def _stack_fields(hp: HeadParams, stack: np.ndarray) -> SimpleNamespace:
-    """The weight fields of a (B, F) stack of ``flat`` vectors, each shaped
-    (B, 1, *shape): the unit axis lines up with the items of the batch."""
-    fields, offset = {}, 0
-    for name in PARAM_FIELDS:
-        shape = getattr(hp, name).shape
-        size = math.prod(shape)
-        fields[name] = stack[:, offset : offset + size].reshape((stack.shape[0], 1) + shape)
-        offset += size
-    return SimpleNamespace(**fields)
-
-
 def _ability(hp: HeadParams, w, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Abilities (..., N) and, in softmax mode, the grade softmax (..., N, k).
 
-    ``w`` holds the weight fields: ``hp`` itself, or ``_stack_fields`` of a
-    weight stack.
+    ``w`` holds the weight fields: ``hp`` itself, or the fields of a weight
+    stack, each with a unit axis for the items.
     """
     cfg = hp.config
     if cfg.agg_mode == "linear":
@@ -386,8 +375,9 @@ def _difficulty(hp: HeadParams, w, x: np.ndarray) -> tuple[np.ndarray, ...]:
         tau = _rowdot(temp_in, w.phi_i_w) + w.phi_i_b
     pre_b = b_prior + tau
     pre_g = g_prior + tau
-    beta1 = _act_value(cfg.activation, pre_b)
-    gamma = _act_value(cfg.activation, pre_g) + cfg.eta
+    act = _ACTIVATION_FUNCS[cfg.activation][0]
+    beta1 = act(pre_b)
+    gamma = act(pre_g) + cfg.eta
     return b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma
 
 
@@ -423,7 +413,7 @@ def _forward(hp: HeadParams, x: np.ndarray, stack: np.ndarray | None = None) -> 
     ``flat`` is ``stack[b]``.
     """
     cfg = hp.config
-    w = hp if stack is None else _stack_fields(hp, stack)
+    w = hp if stack is None else SimpleNamespace(**hp.fields(stack[:, None, :]))
     with np.errstate(under="ignore"):
         theta, softmax_p = _ability(hp, w, x)
         b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma = _difficulty(hp, w, x)
@@ -444,24 +434,17 @@ def batch_forward(hp: HeadParams, items) -> HeadBatch:
     return _forward(hp, feature_matrix(hp, items))
 
 
-def head_forward(hp: HeadParams, fp: FeaturePair) -> HeadOutput:
+def head_forward(hp: HeadParams, fp: FeaturePair) -> HeadBatch:
     """Full forward pass: features to grade distribution and rescaled score.
 
-    This is row 0 of a one-row ``batch_forward``, bit for bit.  Weights that
-    have gone non-finite make ``core.agrm_probs_batch`` raise.
+    Row 0 of a one-row ``batch_forward``: each field of the returned
+    ``HeadBatch`` is a NumPy scalar, ``probs`` (and ``softmax_p`` in softmax
+    mode) a (k,) array.  ``core.agrm_probs_batch`` has already held the
+    masses to ``ProbVector``'s rule, and weights that have gone non-finite
+    make it raise.
     """
     b = _forward(hp, feature_matrix(hp, [fp]))
-    return HeadOutput(
-        theta=float(b.theta[0]),
-        beta1_prior=float(b.beta1_prior[0]),
-        gamma_prior=float(b.gamma_prior[0]),
-        tau=float(b.tau[0]),
-        beta1=float(b.beta1[0]),
-        gamma=float(b.gamma[0]),
-        probs=core.ProbVector(b.probs[0]),
-        q=float(b.q[0]),
-        q_rescaled=float(b.q_rescaled[0]),
-    )
+    return HeadBatch(*(None if f is None else f[0] for f in b))
 
 
 def init_head(

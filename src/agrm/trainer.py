@@ -200,10 +200,9 @@ def _require_finite(what: str, flat: np.ndarray, head: HeadParams) -> None:
     """Raise naming the field of the first non-finite entry of a flat vector."""
     bad = ~np.isfinite(flat)
     if bad.any():
-        names = flatten_fields(
-            {name: np.full(getattr(head, name).shape, name) for name in PARAM_FIELDS}
-        )
-        raise ValueError(f"non-finite {what} in {names[np.argmax(bad)]}")
+        # fields come in flat order, so the first with a bad entry holds the first
+        name = next(name for name, view in head.fields(bad).items() if view.any())
+        raise ValueError(f"non-finite {what} in {name}")
 
 
 def _train_step(head: HeadParams, opt: AdamState, x, t, lr: float, cfg: TrainConfig):

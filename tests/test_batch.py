@@ -18,6 +18,7 @@ from agrm.head import (
     ACTIVATIONS,
     AGG_MODES,
     FeaturePair,
+    HeadBatch,
     HeadConfig,
     _forward,
     batch_forward,
@@ -148,10 +149,41 @@ def test_matrix_and_pairs_give_the_same_batch():
     assert np.array_equal(batch_forward(hp, x).q, batch_forward(hp, pairs).q)
 
 
+@pytest.mark.parametrize("agg", AGG_MODES)
+def test_head_forward_is_the_batch_row_in_every_field_bitwise(agg):
+    hp = init_head(5, 7, HeadConfig(k=4, agg_mode=agg), seed=11)
+    hp.agg_w *= 3.0
+    rng = np.random.default_rng(11)
+    pairs = [
+        FeaturePair(f_i=2.0 * rng.standard_normal(5), f_t=2.0 * rng.standard_normal(7))
+        for _ in range(5)
+    ]
+    batch = batch_forward(hp, pairs)
+    for i, fp in enumerate(pairs):
+        one = head_forward(hp, fp)
+        assert type(one) is HeadBatch
+        for name, got, rows in zip(HeadBatch._fields, one, batch):
+            if rows is None:
+                assert agg == "linear" and name == "softmax_p" and got is None
+                continue
+            want = rows[i]
+            assert type(got) is type(want), name  # NumPy scalars, (k,) arrays
+            assert np.shape(got) == np.shape(want), name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (i, name)
+    assert one.probs.shape == (4,)
+    assert (one.softmax_p is None) == (agg == "linear")
+
+
 def test_feature_matrix_rejects_wrong_widths():
     hp = init_head(3, 4, seed=5)
     with pytest.raises(ValueError, match="do not match head"):
         feature_matrix(hp, [FeaturePair(f_i=np.zeros(4), f_t=np.zeros(3))])
+    ragged = [
+        FeaturePair(f_i=np.zeros(3), f_t=np.zeros(4)),
+        FeaturePair(f_i=np.zeros(2), f_t=np.zeros(4)),
+    ]
+    with pytest.raises(ValueError, match=r"^row 1: feature sizes \(2, 4\) != \(3, 4\) of row 0$"):
+        feature_matrix(hp, ragged)
     with pytest.raises(ValueError, match="expected"):
         feature_matrix(hp, np.zeros((2, 6)))
     with pytest.raises(ValueError):

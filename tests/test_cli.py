@@ -1208,6 +1208,16 @@ class TestFdCheck:
         assert code == 0
         assert doc["pass"] is True
 
+    @pytest.mark.parametrize("flag", ["--step", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_non_finite_or_non_positive_step_or_tol_exits_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "fd-check", flag, value, "--json")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: {flag[2:]} must be finite and > 0, got {float(value)!r}"
+        ]
+
     def test_seed_in_header(self, capsys):
         code, out, _ = run(capsys, "fd-check", "--seed", "13")
         assert code == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import gzip
 import json
 
@@ -53,6 +52,13 @@ class TestFeatureRecord:
         with pytest.raises(ValueError):
             rec(fi=(1.0, float("inf")))
 
+    @pytest.mark.parametrize("field", ["f_i", "f_t", "mos"])
+    def test_integer_too_large_for_a_float_is_a_value_error(self, field):
+        kwargs = {"id": "a", "f_i": [1.0], "f_t": [1.0], "mos": 1.0, "dim": "quality"}
+        kwargs[field] = 10**400 if field == "mos" else [10**400]
+        with pytest.raises(ValueError, match=f"^{field} holds a number too large for a float$"):
+            FeatureRecord(**kwargs)
+
     def test_equality_is_exact(self):
         assert rec() == rec()
         assert rec() != rec(mos=2.5 + 1e-15)
@@ -75,10 +81,8 @@ class TestFeatureRecord:
         r = rec()
         a = head_forward(hp, r)
         b = head_forward(hp, FeaturePair(f_i=r.f_i, f_t=r.f_t))
-        # ProbVector compares by identity, so compare its entries
-        assert dataclasses.replace(a, probs=tuple(a.probs)) == dataclasses.replace(
-            b, probs=tuple(b.probs)
-        )
+        for field, got, want in zip(a._fields, a, b):
+            assert np.array_equal(got, want), field
 
     def test_metadata_is_keyword_only(self):
         with pytest.raises(TypeError):
@@ -266,6 +270,12 @@ class TestRecords:
         cols = {"x": [[1.0, 2.0]], "d_img": 1, "mos": [1.0], "id": ["a"], "dim": ["quality"]}
         with pytest.raises(ValueError, match=message):
             Records(**{**cols, **change})
+
+    @pytest.mark.parametrize("column, value", [("x", [[10**400, 1.0]]), ("mos", [10**400])])
+    def test_integer_too_large_for_a_float_is_a_value_error(self, column, value):
+        cols = {"x": [[1.0, 2.0]], "d_img": 1, "mos": [1.0], "id": ["a"], "dim": ["quality"]}
+        with pytest.raises(ValueError, match=f"^{column} holds a number too large for a float$"):
+            Records(**{**cols, column: value})
 
     def test_ragged_rows_refused(self):
         with pytest.raises(ValueError, match="row 1: feature sizes"):

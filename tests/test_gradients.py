@@ -194,6 +194,20 @@ class TestFiniteDifferences:
         with pytest.raises(ValueError):
             fd_check(hp, pairs, t, step=0.0)
 
+    @pytest.mark.parametrize("name", ["step", "tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_step_and_tol_must_be_finite_and_positive(self, monkeypatch, name, value):
+        hp = init_head(6, 6, seed=15)
+        pairs, t = make_batch(np.random.default_rng(15), hp)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward ran before step and tol were checked")
+
+        monkeypatch.setattr(gradients, "_forward", no_forward)
+        monkeypatch.setattr(gradients, "batch_loss_and_grads", no_forward)
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and > 0, got {value!r}$"):
+            fd_check(hp, pairs, t, **{name: value})
+
 
 # ---------------------------------------------------------------------------
 # the stacked finite differences against the per-coordinate loop

@@ -14,12 +14,13 @@ from agrm.head import (
     ABLATIONS,
     ACTIVATIONS,
     AGG_MODES,
+    PARAM_FIELDS,
     TELU_ARGMIN,
     TELU_MIN,
     FeaturePair,
     HeadConfig,
     HeadParams,
-    _act_value,
+    _ACTIVATION_FUNCS,
     batch_forward,
     grade_positions,
     head_forward,
@@ -87,7 +88,7 @@ class TestConfig:
         xs = np.linspace(-60.0, 60.0, 24001)
         for act, floor in ACT_FLOORS.items():
             assert HeadConfig.eta + floor > thr, act
-            assert _act_value(act, xs).min() >= floor - 1e-15, act
+            assert _ACTIVATION_FUNCS[act][0](xs).min() >= floor - 1e-15, act
 
     def test_published_constants_are_fixed(self):
         assert [f.name for f in dataclasses.fields(HeadConfig)] == [
@@ -154,6 +155,21 @@ class TestHeadParams:
         txt = init_head(4, 6, HeadConfig(ablation="text_only"))
         assert txt.phi_beta_w.shape == (6,)
         assert txt.phi_i_w.shape == (6,)
+
+    @pytest.mark.parametrize("agg", AGG_MODES)
+    @pytest.mark.parametrize("abl", ABLATIONS)
+    def test_fields_of_a_stack_are_the_fields_of_each_row(self, agg, abl):
+        hp = init_head(4, 6, HeadConfig(k=3, agg_mode=agg, ablation=abl), seed=2)
+        stack = np.random.default_rng(2).standard_normal((3, hp.flat.size))
+        views = hp.fields(stack)
+        assert list(views) == list(PARAM_FIELDS)
+        for b, row in enumerate(stack):
+            one = hp.copy()
+            one.flat[:] = row
+            for name in PARAM_FIELDS:
+                assert views[name].shape == (3,) + getattr(one, name).shape
+                assert np.shares_memory(views[name], stack)
+                assert np.array_equal(views[name][b], getattr(one, name)), (b, name)
 
 
 # ---------------------------------------------------------------------------

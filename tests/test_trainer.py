@@ -230,10 +230,8 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "poison, message",
-        [
-            ("phi_gamma_w", "epoch 1, step 2: non-finite gradient in phi_gamma_w"),
-            ("loss", "epoch 1, step 2: non-finite loss nan"),
-        ],
+        [(name, f"epoch 1, step 2: non-finite gradient in {name}") for name in PARAM_FIELDS]
+        + [("loss", "epoch 1, step 2: non-finite loss nan")],
     )
     def test_non_finite_step_names_epoch_step_and_field(self, monkeypatch, poison, message):
         recs, _ = tiny_dataset()
