@@ -74,6 +74,8 @@ def cmd_probe(args) -> int:
     unimodal = core.is_unimodal(probs)
     try:
         theta1, theta2 = core.boundary_thetas(params)
+        if not (math.isfinite(theta1) and math.isfinite(theta2)):
+            raise ValueError(f"a crossing overflows: theta1={theta1!r}, theta2={theta2!r}")
         boundary_note = None
     except ValueError as exc:
         theta1 = theta2 = None
@@ -139,8 +141,8 @@ def cmd_curves(args) -> int:
     span = 4.0 * args.gamma * args.k
     lo = args.theta_min if args.theta_min is not None else args.beta1 - span
     hi = args.theta_max if args.theta_max is not None else args.beta1 + span
-    if not lo < hi:
-        raise ValueError(f"theta range is empty: [{lo}, {hi}]")
+    if not 0.0 < hi - lo < math.inf:
+        raise ValueError(f"theta range [{lo}, {hi}] must have a finite width > 0")
     thetas = np.linspace(lo, hi, args.steps)
     probs = core.agrm_probs_batch(
         thetas, np.full(thetas.size, args.beta1), np.full(thetas.size, args.gamma), args.k
@@ -219,9 +221,7 @@ def _verify_chunk(draws, standard: bool):
         if not ok.all():
             fails["normalization"][rows] = ~ok
             rows, theta, beta1, gamma, probs = rows[ok], theta[ok], beta1[ok], gamma[ok], probs[ok]
-        (fails["unimodality"] if standard else nonunimodal)[rows] = ~core.is_unimodal_batch(
-            probs, tol=_VERIFY_TOL
-        )
+        (fails["unimodality"] if standard else nonunimodal)[rows] = ~core.is_unimodal_batch(probs)
         at = np.arange(rows.size)
 
         # middle-band closed form against naive sigmoid differences, probed
@@ -274,9 +274,15 @@ def cmd_verify(args) -> int:
     if not 2 <= args.k_min <= args.k_max:
         raise ValueError(f"need 2 <= k-min <= k-max, got [{args.k_min}, {args.k_max}]")
     standard = not args.allow_sub_threshold
-    if standard and not (math.isfinite(args.gamma_margin) and args.gamma_margin > 0.0):
-        raise ValueError(f"gamma-margin must be finite and > 0, got {args.gamma_margin!r}")
     threshold = core.gamma_threshold()
+    # the top of the widest ability range _verify_draws samples from; nan or
+    # inf when the margin is
+    top = 5.0 + (args.k_max - 2) * (threshold + args.gamma_margin) + 20.0
+    if standard and not (args.gamma_margin > 0.0 and math.isfinite(top)):
+        raise ValueError(
+            "gamma-margin must be > 0 with beta1 + (k-max - 2) * gamma + 20 finite, "
+            f"got {args.gamma_margin!r}"
+        )
     mode = "standard" if standard else "sub-threshold"
     header = (
         f"verify: samples={args.samples} seed={args.seed} "

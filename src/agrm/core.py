@@ -60,6 +60,11 @@ __all__ = [
 # Entries may undershoot 0 or overshoot 1 by a few ulp when sigmoid
 # differences are taken near saturation; anything beyond this is a bug.
 _ENTRY_SLACK = 1e-15
+# how far a row of masses may sum away from 1
+_SUM_SLACK = 1e-12
+# dips and bumps this small, as in saturated tails that agree to float
+# precision, do not break a rise or a fall into separate modes
+_UNIMODAL_SLACK = 1e-12
 
 D = 1.7
 ALPHA = 1.0
@@ -72,6 +77,31 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_k(k) -> None:
+    """The grade count rule, for every class and function that takes k."""
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+
+
+def _float_array(name: str, values) -> np.ndarray:
+    """``values`` as float64; an integer too large for a float is refused by name."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} holds a number too large for a float") from None
+
+
+def _finite_vector(name: str, values) -> np.ndarray:
+    """The score and feature vector rule: ``values`` as a non-empty 1-d
+    float64 vector of finite entries."""
+    arr = _float_array(name, values)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-d vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
 @dataclass(frozen=True)
 class AgrmParams:
     """Item/response parameters with arithmetically spaced thresholds."""
@@ -82,11 +112,9 @@ class AgrmParams:
     k: int = 5
 
     def __post_init__(self) -> None:
-        _require_finite("theta", self.theta)
-        _require_finite("beta1", self.beta1)
-        _require_finite("gamma", self.gamma)
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
+        for name in ("theta", "beta1", "gamma"):
+            _require_finite(name, getattr(self, name))
+        _require_k(self.k)
 
     def thresholds(self) -> list[float]:
         """The k-1 cumulative thresholds beta1 + (m - 1) * gamma."""
@@ -122,13 +150,14 @@ class ProbVector(Sequence[float]):
     """Probability mass over grades 1..k, validated at construction.
 
     Entries must lie in [0, 1] (up to float slack) and sum to 1 within
-    ``tol``; construction fails otherwise, so downstream code never sees an
+    ``_SUM_SLACK`` = 1e-12, a slack fixed here rather than passed in;
+    construction fails otherwise, so downstream code never sees an
     unnormalized vector.
     """
 
     __slots__ = ("_p",)
 
-    def __init__(self, values: Sequence[float], tol: float = 1e-12):
+    def __init__(self, values: Sequence[float]):
         p = tuple(float(v) for v in values)
         if len(p) < 2:
             raise ValueError("need at least two grades")
@@ -136,7 +165,7 @@ class ProbVector(Sequence[float]):
             if not math.isfinite(v) or v < -_ENTRY_SLACK or v > 1.0 + _ENTRY_SLACK:
                 raise ValueError(f"entry {v!r} outside [0, 1]")
         total = math.fsum(p)
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > _SUM_SLACK:
             raise ValueError(f"mass sums to {total!r}, not 1")
         self._p = p
 
@@ -292,8 +321,8 @@ def agrm_probs_unchecked(theta, beta1, gamma, k: int = 5) -> np.ndarray:
 def normalized_rows(probs: np.ndarray) -> np.ndarray:
     """Row mask of an (N, k) mass array: True where ``ProbVector`` would accept
     the row, i.e. every entry lies in [0, 1] up to float slack and the row sums
-    to 1 within 1e-12."""
-    ok = np.abs(probs.sum(axis=1) - 1.0) <= 1e-12
+    to 1 within ``ProbVector``'s own ``_SUM_SLACK``."""
+    ok = np.abs(probs.sum(axis=1) - 1.0) <= _SUM_SLACK
     # the entry-wise pass runs only when some entry is out of range (or NaN);
     # the two flat reductions that screen for it cost far less than row-wise
     # ones at small k
@@ -312,8 +341,7 @@ def agrm_probs_batch(theta, beta1, gamma, k: int = 5) -> np.ndarray:
     offending row.  Underflow to 0 in a saturated tail is expected and not
     reported.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    _require_k(k)
     theta, beta1, gamma = (np.asarray(v, dtype=np.float64) for v in (theta, beta1, gamma))
     if theta.ndim != 1 or not theta.shape == beta1.shape == gamma.shape:
         raise ValueError(
@@ -356,6 +384,11 @@ def peak_ability(p: AgrmParams, m: int) -> float:
     return p.beta1 + (m - 1.5) * p.gamma
 
 
+def _require_distinct_crossings(k: int) -> None:
+    if k < 3:
+        raise ValueError("boundary crossings are distinct only for k >= 3")
+
+
 def boundary_thetas(p: AgrmParams) -> tuple[float, float]:
     """Abilities where the edge grades hand over to their neighbors.
 
@@ -370,8 +403,7 @@ def boundary_thetas(p: AgrmParams) -> tuple[float, float]:
     = 0.408.  Needs k >= 3: with only one threshold the two stated equalities
     are the same crossing at beta1.
     """
-    if p.k < 3:
-        raise ValueError("boundary crossings are distinct only for k >= 3")
+    _require_distinct_crossings(p.k)
     c = _SCALE
     g = c * p.gamma
     t = 2.0 * math.exp(-g)
@@ -392,8 +424,7 @@ def boundary_thetas_batch(beta1, gamma, k: int = 5):
     Same arithmetic as the scalar function; every row needs
     gamma > ln2 / (d * alpha), and the error names the first that does not.
     """
-    if k < 3:
-        raise ValueError("boundary crossings are distinct only for k >= 3")
+    _require_distinct_crossings(k)
     beta1, gamma = (np.asarray(v, dtype=np.float64) for v in (beta1, gamma))
     c = _SCALE
     g = c * gamma
@@ -415,58 +446,56 @@ def modal_grade(probs: Sequence[float]) -> int:
     return v.index(max(v)) + 1
 
 
-def is_unimodal(probs: Sequence[float], tol: float = 1e-12) -> bool:
+def is_unimodal(probs: Sequence[float]) -> bool:
     """True when the vector rises to a single peak and falls afterwards.
 
-    Comparisons carry a slack of ``tol``: dips on the rising side and bumps on
-    the falling side no larger than ``tol`` still count as monotone, so
-    saturated tail entries that agree to float precision do not read as extra
-    modes.  The peak itself may be a plateau of width two (an exact crossing),
-    never wider.
+    Comparisons carry the slack ``_UNIMODAL_SLACK`` = 1e-12, fixed here
+    rather than passed in: dips on the rising side and bumps on the falling
+    side no larger than it still count as monotone, so saturated tail
+    entries that agree to float precision do not read as extra modes.  The
+    peak itself may be a plateau of width two (an exact crossing), never
+    wider.
     """
     v = list(probs)
     if len(v) < 2:
         raise ValueError("need at least two grades")
-    if tol < 0.0:
-        raise ValueError("tol must be >= 0")
     vmax = max(v)
     peak = v.index(vmax)
     for i in range(peak):
-        if v[i + 1] - v[i] < -tol:
+        if v[i + 1] - v[i] < -_UNIMODAL_SLACK:
             return False
     for i in range(peak, len(v) - 1):
-        if v[i + 1] - v[i] > tol:
+        if v[i + 1] - v[i] > _UNIMODAL_SLACK:
             return False
     plateau = 1
-    while peak - plateau >= 0 and v[peak - plateau] >= vmax - tol:
+    while peak - plateau >= 0 and v[peak - plateau] >= vmax - _UNIMODAL_SLACK:
         plateau += 1
     j = peak + 1
-    while j < len(v) and v[j] >= vmax - tol:
+    while j < len(v) and v[j] >= vmax - _UNIMODAL_SLACK:
         plateau += 1
         j += 1
     return plateau <= 2
 
 
-def is_unimodal_batch(probs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def is_unimodal_batch(probs: np.ndarray) -> np.ndarray:
     """``is_unimodal`` for each row of an (N, k) array of finite masses.
 
     Same comparisons as the scalar function: rises to the first maximum and
-    falls after it, each step with slack ``tol``, and at most two entries
-    within ``tol`` of the maximum next to each other around it.
+    falls after it, each step with slack ``_UNIMODAL_SLACK``, and at most two
+    entries within that slack of the maximum next to each other around it.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[1] < 2:
         raise ValueError(f"need an (N, k) array with k >= 2, got shape {probs.shape}")
-    if tol < 0.0:
-        raise ValueError("tol must be >= 0")
     n, k = probs.shape
     peak = probs.argmax(axis=1)[:, None]
     step = np.diff(probs, axis=1)
-    monotone = np.where(np.arange(k - 1) < peak, step >= -tol, step <= tol).all(axis=1)
+    # steps up to the peak may dip by the slack, steps after it rise by it
+    monotone = (np.where(np.arange(k - 1) < peak, -step, step) <= _UNIMODAL_SLACK).all(axis=1)
     # near-maximal entries, padded by two columns a side so the peak's
     # neighbours at distance 1 and 2 can be read without bounds checks
     near = np.zeros((n, k + 4), dtype=bool)
-    near[:, 2:-2] = probs >= np.take_along_axis(probs, peak, axis=1) - tol
+    near[:, 2:-2] = probs >= np.take_along_axis(probs, peak, axis=1) - _UNIMODAL_SLACK
     left2, left1, right1, right2 = np.take_along_axis(near, peak + np.array([0, 1, 3, 4]), axis=1).T
     # the plateau is 1 + (near run left of the peak) + (near run right of it)
     return monotone & ~(left1 & (left2 | right1)) & ~(right1 & right2)
@@ -499,8 +528,7 @@ def expected_score_batch(probs: np.ndarray) -> np.ndarray:
 
 def rescale_score(q: float, k: int) -> float:
     """Affine map of a mean grade from [1, k] onto the [0, 5] rating scale."""
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    _require_k(k)
     _require_finite("q", q)
     # the multiply can overshoot an endpoint by an ulp; the contract is [0, 5]
     return min(5.0, max(0.0, (q - 1.0) * 5.0 / (k - 1.0)))

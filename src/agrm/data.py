@@ -48,7 +48,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .head import FeaturePair, _float_array, _pairs_matrix, batch_forward, init_head
+from .core import _float_array
+from .head import FeaturePair, _pairs_matrix, _require_dims, batch_forward, init_head
 
 __all__ = [
     "DIMS",
@@ -163,9 +164,8 @@ class Records:
                 f"column shapes disagree: x {x.shape}, mos {mos.shape}, "
                 f"id {id.shape}, dim {dim.shape}"
             )
-        d_txt = x.shape[1] - d_img
-        if x.shape[0] and (d_img < 1 or d_txt < 1):
-            raise ValueError(f"feature dims must be >= 1, got ({d_img}, {d_txt})")
+        if x.shape[0]:
+            _require_dims(d_img, x.shape[1] - d_img)
         self.x, self.d_img, self.mos, self.id, self.dim = x, d_img, mos, id, dim
         # found in bulk; the first bad row's record words its refusal
         bad = np.fromiter(
@@ -469,10 +469,7 @@ class SynthConfig:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        if self.d_img < 1 or self.d_txt < 1:
-            raise ValueError(
-                f"feature dims must be >= 1, got ({self.d_img}, {self.d_txt})"
-            )
+        _require_dims(self.d_img, self.d_txt)
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
 

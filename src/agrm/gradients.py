@@ -43,6 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from . import losses
+from .core import _finite_vector
 from .head import (
     _ACTIVATION_FUNCS,
     PARAM_FIELDS,
@@ -138,15 +139,10 @@ def batch_loss_and_grads(
     """
     x = feature_matrix(hp, pairs)
     n = x.shape[0]
-    t = np.asarray(targets, dtype=np.float64)
-    if t.shape != (n,):
+    t = _finite_vector("targets", targets)
+    if t.size != n:
         raise ValueError(f"targets shape {t.shape} does not match {n} pairs")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("targets contain non-finite entries")
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam!r}")
-    if lam > 0.0 and n < 2:
-        raise ValueError("the correlation penalty needs at least 2 items per batch")
+    losses._require_lam(lam, n)
     cfg = hp.config
     fw = _forward(hp, x)
     loss, upstream, item_losses = _loss_and_upstream(fw.q_rescaled, t, lam)

@@ -118,23 +118,6 @@ _ACTIVATION_FUNCS = {
 ACTIVATIONS = tuple(_ACTIVATION_FUNCS)
 
 
-def _float_array(name: str, values) -> np.ndarray:
-    """``values`` as float64; an integer too large for a float is refused by name."""
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except OverflowError:
-        raise ValueError(f"{name} holds a number too large for a float") from None
-
-
-def _as_feature(name: str, values) -> np.ndarray:
-    arr = _float_array(name, values)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True)
 class FeaturePair:
     """One item's image feature vector and text feature vector."""
@@ -143,8 +126,8 @@ class FeaturePair:
     f_t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "f_i", _as_feature("f_i", self.f_i))
-        object.__setattr__(self, "f_t", _as_feature("f_t", self.f_t))
+        object.__setattr__(self, "f_i", core._finite_vector("f_i", self.f_i))
+        object.__setattr__(self, "f_t", core._finite_vector("f_t", self.f_t))
 
 
 @dataclass(frozen=True)
@@ -169,8 +152,7 @@ class HeadConfig:
     ablation: str = "none"
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
+        core._require_k(self.k)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.agg_mode not in AGG_MODES:
@@ -191,6 +173,13 @@ PARAM_FIELDS = (
     "phi_i_w",
     "phi_i_b",
 )
+
+
+def _require_dims(d_img, d_txt) -> None:
+    """The feature width rule: an integer number >= 1 of image features and
+    of text features."""
+    if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in (d_img, d_txt)):
+        raise ValueError(f"feature dims must be >= 1, got ({d_img}, {d_txt})")
 
 
 def _layout(cfg: HeadConfig, d_img: int, d_txt: int) -> dict[str, tuple[int, ...]]:
@@ -459,8 +448,7 @@ def init_head(
     base-difficulty map, spacing map, temperature map), so a seed pins the
     whole head.
     """
-    if d_img < 1 or d_txt < 1:
-        raise ValueError(f"feature dims must be >= 1, got ({d_img}, {d_txt})")
+    _require_dims(d_img, d_txt)
     cfg = config or HeadConfig()
     rng = np.random.default_rng(seed)
     fields = {}

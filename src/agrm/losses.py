@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import _finite_vector
+
 __all__ = [
     "ScoreBatch",
     "mae_loss",
@@ -33,15 +35,13 @@ __all__ = [
 PLCC_EPSILON = 1e-8
 
 
-def _as_score_array(name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} is empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+def _require_lam(lam: float, n: int) -> None:
+    """The loss weight rule for a batch of n scores: lam finite and >= 0,
+    and at least 2 scores when the correlation penalty is on (lam > 0)."""
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
+    if lam > 0.0 and n < 2:
+        raise ValueError(f"the correlation penalty needs at least 2 scores, got {n}")
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,11 @@ class ScoreBatch:
     target: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "predicted", _as_score_array("predicted", self.predicted))
-        object.__setattr__(self, "target", _as_score_array("target", self.target))
-        if self.predicted.shape != self.target.shape:
-            raise ValueError(
-                f"predicted and target lengths differ: "
-                f"{self.predicted.size} vs {self.target.size}"
-            )
+        object.__setattr__(self, "predicted", _finite_vector("predicted", self.predicted))
+        object.__setattr__(self, "target", _finite_vector("target", self.target))
+        n, m = self.predicted.size, self.target.size
+        if n != m:
+            raise ValueError(f"predicted and target lengths differ: {n} vs {m}")
 
     def __len__(self) -> int:
         return self.predicted.size
@@ -78,13 +76,8 @@ def plcc_loss(batch: ScoreBatch) -> float:
     vectors, the penalty averages ||qhat - that||^2 + ||rho * qhat - that||^2
     over the batch, so both terms are on the same scale.
     """
-    _require_pair(batch)
+    _require_lam(1.0, len(batch))  # the penalty at weight 1
     return float(plcc_parts(batch.predicted, batch.target).value)
-
-
-def _require_pair(batch: ScoreBatch) -> None:
-    if len(batch) < 2:
-        raise ValueError(f"correlation penalty needs at least 2 scores, got {len(batch)}")
 
 
 class PlccParts(NamedTuple):
@@ -136,16 +129,13 @@ def total_loss_rows(q: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
 
 def total_loss(batch: ScoreBatch, lam: float = 1.0) -> float:
     """mae_loss + lam * plcc_loss."""
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam!r}")
-    if lam > 0.0:
-        _require_pair(batch)
+    _require_lam(lam, len(batch))
     return float(total_loss_rows(batch.predicted, batch.target, lam))
 
 
 def midranks(values) -> np.ndarray:
     """1-based ranks with ties assigned the mean of their positions."""
-    x = _as_score_array("values", values)
+    x = _finite_vector("values", values)
     order = np.argsort(x, kind="stable")
     xs = x[order]
     starts_run = np.empty(x.size, dtype=bool)
@@ -177,17 +167,11 @@ def _pearson(a: np.ndarray, b: np.ndarray, what: str) -> float:
 
 def srcc(predicted, target) -> float:
     """Spearman rank correlation: Pearson on mid-ranks."""
-    p = _as_score_array("predicted", predicted)
-    t = _as_score_array("target", target)
-    if p.shape != t.shape:
-        raise ValueError(f"length mismatch: {p.size} vs {t.size}")
-    return _pearson(midranks(p), midranks(t), "srcc")
+    b = ScoreBatch(predicted, target)
+    return _pearson(midranks(b.predicted), midranks(b.target), "srcc")
 
 
 def plcc_metric(predicted, target) -> float:
     """Pearson linear correlation between raw scores."""
-    p = _as_score_array("predicted", predicted)
-    t = _as_score_array("target", target)
-    if p.shape != t.shape:
-        raise ValueError(f"length mismatch: {p.size} vs {t.size}")
-    return _pearson(p, t, "plcc")
+    b = ScoreBatch(predicted, target)
+    return _pearson(b.predicted, b.target, "plcc")

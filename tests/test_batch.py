@@ -293,9 +293,12 @@ def test_kernel_has_no_floating_point_warnings_at_extremes():
 # ---------------------------------------------------------------------------
 
 # a few repeated values make exact ties and plateaus likely; the tiny ones
-# act as saturated tails, and 0.2 + 1e-13 sits within the default slack of 0.2
+# act as saturated tails, 0.2 + 1e-13 sits within the fixed 1e-12 slack of 0.2
+# and 0.2 + 3e-12 just outside it
 mass = st.one_of(
-    st.sampled_from([0.0, 5e-324, 1e-300, 5e-13, 1e-12, 0.1, 0.2, 0.2 + 1e-13, 0.5, 1.0]),
+    st.sampled_from(
+        [0.0, 5e-324, 1e-300, 5e-13, 1e-12, 0.1, 0.2, 0.2 + 1e-13, 0.2 + 3e-12, 0.5, 1.0]
+    ),
     st.floats(0.0, 1.0),
 )
 
@@ -305,14 +308,14 @@ mass = st.one_of(
     rows=st.integers(2, 9).flatmap(
         lambda k: st.lists(st.lists(mass, min_size=k, max_size=k), min_size=1, max_size=16)
     ),
-    tol=st.sampled_from([0.0, 1e-12, 1e-3]),
 )
-@example(rows=[[0.1, 0.2, 0.2, 0.1], [0.1, 0.2, 0.2, 0.2], [0.2, 0.2, 0.1, 0.2]], tol=1e-12)
-@example(rows=[[0.2, 0.2 + 1e-13, 0.2, 0.0, 0.0], [0.0, 0.0, 1.0, 5e-13, 1e-12]], tol=1e-12)
-@example(rows=[[0.5, 0.0, 0.5], [1e-300, 0.0, 1.0]], tol=0.0)
-def test_unimodal_rows_match_scalar_oracle(rows, tol):
-    got = core.is_unimodal_batch(np.array(rows), tol=tol)
-    assert got.tolist() == [core.is_unimodal(row, tol=tol) for row in rows]
+@example(rows=[[0.1, 0.2, 0.2, 0.1], [0.1, 0.2, 0.2, 0.2], [0.2, 0.2, 0.1, 0.2]])
+@example(rows=[[0.2, 0.2 + 1e-13, 0.2, 0.0, 0.0], [0.0, 0.0, 1.0, 5e-13, 1e-12]])
+@example(rows=[[0.2, 0.2 + 3e-12, 0.2, 0.0], [0.5, 0.5 - 3e-12, 0.5, 0.0]])
+@example(rows=[[0.5, 0.0, 0.5], [1e-300, 0.0, 1.0]])
+def test_unimodal_rows_match_scalar_oracle(rows):
+    got = core.is_unimodal_batch(np.array(rows))
+    assert got.tolist() == [core.is_unimodal(row) for row in rows]
 
 
 def test_unimodal_rows_reject_bad_input():
@@ -321,7 +324,7 @@ def test_unimodal_rows_reject_bad_input():
     with pytest.raises(ValueError):
         core.is_unimodal_batch(np.zeros(4))
     with pytest.raises(ValueError):
-        core.is_unimodal_batch(np.zeros((3, 4)), tol=-1.0)
+        core.is_unimodal_batch(np.zeros((2, 3, 4)))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

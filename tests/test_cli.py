@@ -66,6 +66,18 @@ class TestProbe:
         assert "unimodality not guaranteed" in out
         assert "boundary crossings: undefined" in out
 
+    def test_overflowing_crossing_is_undefined(self, capsys):
+        # theta2 = beta_{k-2} + ... overflows; the JSON stays strict
+        argv = ["probe", "--theta", "0", "--beta1", "1e308", "--gamma", "1e308"]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        # NaN and Infinity, which are not JSON, fail the parse
+        doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in --json output"))
+        assert doc["theta1"] is None and doc["theta2"] is None
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "boundary crossings: undefined (a crossing overflows: " in out
+
     def test_invalid_params_exit_2(self, capsys):
         code, _, err = run(
             capsys, "probe", "--theta", "0", "--beta1", "0", "--gamma", "-1"
@@ -216,6 +228,23 @@ class TestCurves:
         assert code == 2
         assert "steps" in err
 
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            # the default range beta1 -/+ 4 * gamma * k overflows
+            (["--gamma", "1e307"], "[-inf, inf]"),
+            # both ends finite, their distance not
+            (["--gamma", "1", "--theta-min=-1e308", "--theta-max", "1e308"], "[-1e+308, 1e+308]"),
+            (["--gamma", "1", "--theta-min", "1", "--theta-max", "1"], "[1.0, 1.0]"),
+            (["--gamma", "1", "--theta-min", "nan"], "[nan, 20.0]"),
+        ],
+        ids=["default-range", "given-range", "empty", "nan"],
+    )
+    def test_range_without_finite_positive_width_exits_2(self, capsys, argv, shown):
+        code, out, err = run(capsys, "curves", "--beta1", "0", "--steps", "3", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: theta range {shown} must have a finite width > 0\n"
+
     def test_unwritable_path_exit_2(self, capsys):
         code, _, err = run(
             capsys, "curves", "--beta1", "0", "--gamma", "1",
@@ -263,7 +292,8 @@ class TestVerify:
             code, _, _ = run(capsys, "verify", "--samples", samples, "--k-min", "9", "--k-max", "3")
             assert code == 2
 
-    @pytest.mark.parametrize("margin", ["nan", "inf", "0", "-5"])
+    # 1e308 makes beta1 + (k-max - 2) * gamma + 20 overflow at k-max 9
+    @pytest.mark.parametrize("margin", ["nan", "inf", "0", "-5", "1e308"])
     def test_bad_gamma_margin_exit_2(self, capsys, margin):
         code, out, err = run(capsys, "verify", "--samples", "200", "--gamma-margin", margin)
         assert code == 2
@@ -271,6 +301,13 @@ class TestVerify:
         assert err.count("error:") == 1
         assert "gamma-margin must be" in err
         assert "Traceback" not in err
+
+    def test_huge_margin_passes_when_abilities_do_not_grow(self, capsys):
+        # at k-max 2 the abilities are beta1 -/+ 20 whatever gamma is
+        code, out, err = run(
+            capsys, "verify", "--samples", "10", "--gamma-margin", "1e308", "--k-max", "2"
+        )
+        assert code == 0 and err == ""
 
     @pytest.mark.parametrize(
         "mode",
@@ -385,7 +422,7 @@ def scalar_sweep(argv, probs_of=core.agrm_probs):
             except ValueError:
                 flag("normalization", p)
                 continue
-            if not core.is_unimodal(probs, tol=1e-12):
+            if not core.is_unimodal(probs):
                 if standard:
                     flag("unimodality", p)
                 else:

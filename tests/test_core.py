@@ -134,6 +134,17 @@ class TestProbVector:
         with pytest.raises(ValueError):
             ProbVector([1.0])
 
+    def test_sum_slack_is_fixed_and_shared_with_normalized_rows(self):
+        # a row may miss 1 by 1e-12 and no more, in both checks; no caller
+        # can widen the slack
+        rows = np.array([[0.5, 0.5 + 5e-13], [0.5, 0.5 + 5e-12]])
+        assert core.normalized_rows(rows).tolist() == [True, False]
+        ProbVector(rows[0])
+        with pytest.raises(ValueError, match="mass sums to"):
+            ProbVector(rows[1])
+        with pytest.raises(TypeError):
+            ProbVector([0.9, 0.9], tol=float("nan"))
+
 
 # ---------------------------------------------------------------------------
 # probabilities
@@ -382,9 +393,12 @@ class TestIsUnimodal:
         assert not is_unimodal([0.1, 0.25, 0.25, 0.25, 0.15])
 
     def test_subtolerance_wiggle_ignored(self):
+        # the fixed slack is 1e-12: smaller wiggles are ignored, larger bumps count
         v = [0.4, 0.3, 0.2 + 5e-14, 0.2, 0.1 - 5e-14, 0.1]
-        assert is_unimodal(v, tol=1e-12)
-        assert not is_unimodal([0.4, 0.3, 0.2, 0.2 + 5e-14, 0.1], tol=1e-15)
+        assert is_unimodal(v)
+        assert is_unimodal([0.4, 0.3, 0.2, 0.2 + 5e-14, 0.1])
+        assert not is_unimodal([0.4, 0.3, 0.2, 0.2 + 5e-12, 0.1])
+        assert not is_unimodal([0.1, 0.2, 0.2 - 5e-12, 0.3, 0.1])
 
     def test_saturated_tail_ties_allowed(self):
         assert is_unimodal([0.0, 0.0, 1e-300, 1e-16, 1.0 - 1e-16])
@@ -399,7 +413,7 @@ class TestIsUnimodal:
         with pytest.raises(ValueError):
             is_unimodal([1.0])
         with pytest.raises(ValueError):
-            is_unimodal([0.5, 0.5], tol=-1.0)
+            is_unimodal([])
 
 
 # ---------------------------------------------------------------------------
