@@ -244,18 +244,23 @@ def _verify_chunk(draws, standard: bool):
             fails["shift"][rows] = np.abs(probs[at, m] - shifted[at, m - 1]) > _VERIFY_TOL
 
         # edge-grade handover points and their placement, both within
-        # _BOUNDARY_SLACK: at gamma within rounding of the threshold a
-        # handover point sits on its peak
+        # _BOUNDARY_SLACK plus the rounding a handover point carries: a mass
+        # moves by at most c/4 per unit of theta, and theta is rounded to a
+        # few ulp of its own size.  At gamma within rounding of the
+        # threshold a handover point sits on its peak.
         if k >= 3 and standard:
             theta1, theta2 = core.boundary_thetas_batch(beta1, gamma, k=k)
             pv1 = core.agrm_probs_unchecked(theta1, beta1, gamma, k=k)
             pv2 = core.agrm_probs_unchecked(theta2, beta1, gamma, k=k)
+            slack1, slack2 = (
+                _BOUNDARY_SLACK + 8.0 * c * np.spacing(np.abs(t)) for t in (theta1, theta2)
+            )
             ok = (
-                (np.abs(pv1[:, 0] - pv1[:, 1]) < _BOUNDARY_SLACK)
-                & (np.abs(pv2[:, k - 2] - pv2[:, k - 1]) < _BOUNDARY_SLACK)
+                (np.abs(pv1[:, 0] - pv1[:, 1]) < slack1)
+                & (np.abs(pv2[:, k - 2] - pv2[:, k - 1]) < slack2)
                 # core.peak_ability of grades 2 and k-1
-                & (theta1 < beta1 + 0.5 * gamma + _BOUNDARY_SLACK)
-                & (theta2 > beta1 + (k - 2.5) * gamma - _BOUNDARY_SLACK)
+                & (theta1 < beta1 + 0.5 * gamma + slack1)
+                & (theta2 > beta1 + (k - 2.5) * gamma - slack2)
             )
             fails["boundary"][rows] = ~ok
     return fails, nonunimodal, cf_theta
@@ -275,13 +280,17 @@ def cmd_verify(args) -> int:
         raise ValueError(f"need 2 <= k-min <= k-max, got [{args.k_min}, {args.k_max}]")
     standard = not args.allow_sub_threshold
     threshold = core.gamma_threshold()
-    # the top of the widest ability range _verify_draws samples from; nan or
-    # inf when the margin is
-    top = 5.0 + (args.k_max - 2) * (threshold + args.gamma_margin) + 20.0
-    if standard and not (args.gamma_margin > 0.0 and math.isfinite(top)):
+    # the widest |theta - beta_m| a check reaches is reach * gamma + 20: the
+    # abilities span (k - 2) gammas past the thresholds, and the shift check
+    # (k >= 4) lowers them by one more.  The kernel's z is d * alpha times
+    # that, kept a factor 2 clear of overflow for rounding; z_top is nan or
+    # inf when the margin is.
+    reach = args.k_max - 2 + (args.k_max >= 4)
+    z_top = 2.0 * core.D * core.ALPHA * (reach * (threshold + args.gamma_margin) + 20.0)
+    if standard and not (args.gamma_margin > 0.0 and math.isfinite(z_top)):
         raise ValueError(
-            "gamma-margin must be > 0 with beta1 + (k-max - 2) * gamma + 20 finite, "
-            f"got {args.gamma_margin!r}"
+            f"gamma-margin must be > 0 with 2 * d * alpha * ({reach} * gamma + 20) finite "
+            f"at k-max {args.k_max}, got {args.gamma_margin!r}"
         )
     mode = "standard" if standard else "sub-threshold"
     header = (

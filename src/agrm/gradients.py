@@ -5,7 +5,10 @@ item exactly as ``head_forward`` does.  A batch is the (N, d) feature matrix
 of ``head.feature_matrix``, one item per row, and the backward pass runs on
 the same layout: every per-item quantity is an (N,) vector or an (N, k)
 array, and each weight gradient is one reduction over the rows, such as
-``theta_bar @ X`` for the linear ability map.  Those reductions may go
+``theta_bar @ X`` for the linear ability map.  Each is written into its
+field's view (``HeadParams.fields``) of one vector laid out like
+``HeadParams.flat``, the vector the optimizer steps on and ``fd_check``
+compares; no second copy of the layout exists.  Those reductions may go
 through BLAS; only the forward needs row-by-row reductions (see
 ``head._rowdot``), because only its per-item results are compared bit for
 bit.
@@ -46,14 +49,12 @@ from . import losses
 from .core import _finite_vector
 from .head import (
     _ACTIVATION_FUNCS,
-    PARAM_FIELDS,
     FeaturePair,
     HeadParams,
     _difficulty,
     _forward,
     _inputs,
     feature_matrix,
-    flatten_fields,
     grade_positions,
 )
 
@@ -75,13 +76,19 @@ FD_STACK_ELEMENTS = 1 << 21
 class GradReport:
     """Loss, accumulated gradients, and bookkeeping from a batch pass.
 
-    ``max_rel_err``, ``checked``, ``skipped`` and ``failures`` are filled in
-    by ``fd_check`` only.  ``item_losses`` (from ``batch_loss_and_grads``)
-    are the per-item terms whose mean is ``loss``: each item's absolute
-    error plus the batch's weighted correlation penalty.  Summed exactly,
-    they give an epoch loss that does not depend on how the items were
-    grouped into batches.  No spacing count is kept: with the head's fixed
-    constants every spacing clears the unimodality threshold.
+    ``flat`` is the gradient in the layout of ``HeadParams.flat``, and
+    ``grads`` maps each field name to its view of ``flat`` (see
+    ``HeadParams.fields``); the trainer and ``fd_check`` read ``flat``.  A
+    change written into a ``grads`` entry in place reaches ``flat``, but an
+    entry rebound to a new array does not.  ``flat`` is None in a report
+    built without it.  ``max_rel_err``, ``checked``, ``skipped`` and
+    ``failures`` are filled in by ``fd_check`` only.  ``item_losses`` (from
+    ``batch_loss_and_grads``) are the per-item terms whose mean is ``loss``:
+    each item's absolute error plus the batch's weighted correlation
+    penalty.  Summed exactly, they give an epoch loss that does not depend
+    on how the items were grouped into batches.  No spacing count is kept:
+    with the head's fixed constants every spacing clears the unimodality
+    threshold.
     """
 
     loss: float
@@ -91,6 +98,7 @@ class GradReport:
     skipped: int = 0
     failures: int = 0
     item_losses: np.ndarray | None = None
+    flat: np.ndarray | None = None
 
 
 def _slopes(probs: np.ndarray) -> np.ndarray:
@@ -136,6 +144,9 @@ def batch_loss_and_grads(
     """Total loss over a batch and its gradient on every head parameter.
 
     ``pairs`` is a sequence of feature pairs or their ``feature_matrix``.
+    The gradient is one zero vector shaped like ``hp.flat``, each field's
+    gradient written into its ``hp.fields`` view; the report carries the
+    vector as ``flat`` and the views as ``grads``.
     """
     x = feature_matrix(hp, pairs)
     n = x.shape[0]
@@ -160,35 +171,29 @@ def batch_loss_and_grads(
         db = beta1_bar * deriv(fw.pre_b)
         dg = gamma_bar * deriv(fw.pre_g)
         prior_in, temp_in = _inputs(hp, x)
-        grads = {
-            "phi_beta_w": db @ prior_in,
-            "phi_beta_b": np.asarray(db.sum()),
-            "phi_gamma_w": dg @ prior_in,
-            "phi_gamma_b": np.asarray(dg.sum()),
-        }
-        if cfg.ablation == "no_temperature":
-            grads["phi_i_w"] = np.zeros_like(hp.phi_i_w)
-            grads["phi_i_b"] = np.zeros(())
-        else:
+        flat = np.zeros(hp.flat.shape)
+        grads = hp.fields(flat)
+        grads["phi_beta_w"][...] = db @ prior_in
+        grads["phi_beta_b"][...] = db.sum()
+        grads["phi_gamma_w"][...] = dg @ prior_in
+        grads["phi_gamma_b"][...] = dg.sum()
+        # without the temperature map its gradient stays 0
+        if cfg.ablation != "no_temperature":
             dtau = db + dg
-            grads["phi_i_w"] = dtau @ temp_in
-            grads["phi_i_b"] = np.asarray(dtau.sum())
+            grads["phi_i_w"][...] = dtau @ temp_in
+            grads["phi_i_b"][...] = dtau.sum()
 
         if cfg.agg_mode == "linear":
-            grads["agg_w"] = theta_bar @ x
-            grads["agg_b"] = np.asarray(theta_bar.sum())
+            grads["agg_w"][...] = theta_bar @ x
+            grads["agg_b"][...] = theta_bar.sum()
         else:
             p = fw.softmax_p
             pbar = (theta_bar * cfg.lambda_s)[:, None] * grade_positions(cfg.k)
             lbar = p * (pbar - (pbar * p).sum(axis=1, keepdims=True))
-            grads["agg_w"] = lbar.T @ x
-            grads["agg_b"] = lbar.sum(axis=0)
+            grads["agg_w"][...] = lbar.T @ x
+            grads["agg_b"][...] = lbar.sum(axis=0)
 
-    return GradReport(
-        loss=loss,
-        grads={name: grads[name] for name in PARAM_FIELDS},
-        item_losses=item_losses,
-    )
+    return GradReport(loss=loss, grads=grads, item_losses=item_losses, flat=flat)
 
 
 def _perturbed_losses(
@@ -255,7 +260,7 @@ def fd_check(
     coords = np.flatnonzero(~skipped_at)
     hi, lo = _perturbed_losses(hp, x, t, lam, coords, step)
     fd = (hi - lo) / (2.0 * step)
-    a = flatten_fields(base.grads)[coords]
+    a = base.flat[coords]
     rel = np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-12)
     return GradReport(
         loss=base.loss,
@@ -264,4 +269,5 @@ def fd_check(
         checked=int(coords.size),
         skipped=int(skipped_at.sum()),
         failures=int((rel > tol).sum()),
+        flat=base.flat,
     )

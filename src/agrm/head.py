@@ -36,9 +36,11 @@ The same forward also takes a (B, F) stack of weight vectors, each row a
 B of them at once: every output gains a leading B axis, (B, N) and
 (B, N, k).  ``HeadParams.fields`` is the one home of the flat layout: it
 views any array whose last axis is laid out like ``flat`` as the weight
-fields, which serves the head's own fields, the stack, and masks or names
-over the flat weights.  Each stacked weight field gets a unit axis for the
-items, so a weight of shape (B, n) meets the (N, n) features as (B, 1, n) and
+fields, in either direction.  It serves the head's own fields, the stack,
+the gradient (``gradients.batch_loss_and_grads`` writes each field's
+gradient into its view of one flat vector), and masks or names over the
+flat weights.  Each stacked weight field gets a unit axis for the items, so
+a weight of shape (B, n) meets the (N, n) features as (B, 1, n) and
 ``_rowdot`` gives (B, N); every reduction runs over the last axis, so row b
 of the result is bitwise the forward of row b's weights alone.
 ``gradients.fd_check`` scores all its perturbed weight vectors this way.
@@ -69,7 +71,6 @@ __all__ = [
     "head_forward",
     "batch_forward",
     "feature_matrix",
-    "flatten_fields",
     "HeadBatch",
     "init_head",
 ]
@@ -161,20 +162,6 @@ class HeadConfig:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
 
 
-# Learnable fields, in the fixed order used for initialization draws,
-# gradient accumulation and optimizer state.
-PARAM_FIELDS = (
-    "agg_w",
-    "agg_b",
-    "phi_beta_w",
-    "phi_beta_b",
-    "phi_gamma_w",
-    "phi_gamma_b",
-    "phi_i_w",
-    "phi_i_b",
-)
-
-
 def _require_dims(d_img, d_txt) -> None:
     """The feature width rule: an integer number >= 1 of image features and
     of text features."""
@@ -183,11 +170,13 @@ def _require_dims(d_img, d_txt) -> None:
 
 
 def _layout(cfg: HeadConfig, d_img: int, d_txt: int) -> dict[str, tuple[int, ...]]:
-    """Shape of each learnable field, in ``PARAM_FIELDS`` order.
+    """Shape of each learnable field, in field order.
 
-    A weight's fan-in is its last axis.  The prior maps read the text
-    features (image features under image_only) and the temperature map the
-    image features (text features under text_only).
+    That order, the same for every configuration, is ``PARAM_FIELDS``: the
+    order of the initialization draws and of ``HeadParams.flat``.  A
+    weight's fan-in is its last axis.  The prior maps read the text features
+    (image features under image_only) and the temperature map the image
+    features (text features under text_only).
     """
     n = d_txt + d_img
     prior = d_img if cfg.ablation == "image_only" else d_txt
@@ -203,6 +192,10 @@ def _layout(cfg: HeadConfig, d_img: int, d_txt: int) -> dict[str, tuple[int, ...
         "phi_i_w": (temp,),
         "phi_i_b": (),
     }
+
+
+# the learnable fields in ``_layout``'s order
+PARAM_FIELDS = tuple(_layout(HeadConfig(), 1, 1))
 
 
 @dataclass
@@ -231,12 +224,15 @@ class HeadParams:
     phi_i_b: np.ndarray
 
     def __post_init__(self):
-        arrays = {name: np.asarray(getattr(self, name), dtype=np.float64) for name in PARAM_FIELDS}
-        for name, shape in _layout(self.config, self.d_img, self.d_txt).items():
-            if arrays[name].shape != shape:
-                raise ValueError(f"{name} shape {arrays[name].shape}, expected {shape}")
-        self._flat = flatten_fields(arrays)
-        vars(self).update(self.fields(self._flat))
+        layout = _layout(self.config, self.d_img, self.d_txt)
+        self._flat = np.empty(sum(math.prod(shape) for shape in layout.values()))
+        views = self.fields(self._flat)
+        for name, view in views.items():
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if arr.shape != view.shape:
+                raise ValueError(f"{name} shape {arr.shape}, expected {view.shape}")
+            view[...] = arr
+        vars(self).update(views)
 
     @property
     def flat(self) -> np.ndarray:
@@ -246,7 +242,8 @@ class HeadParams:
     def fields(self, arr: np.ndarray) -> dict[str, np.ndarray]:
         """Views of ``arr``, whose last axis is laid out like ``flat``: one per
         field, in ``PARAM_FIELDS`` order, shaped ``arr.shape[:-1]`` followed by
-        the field's own shape.  ``flatten_fields`` is the inverse."""
+        the field's own shape.  Writing a field's view writes ``arr``; this is
+        the one place that maps flat vectors to fields, either way."""
         views, offset = {}, 0
         for name, shape in _layout(self.config, self.d_img, self.d_txt).items():
             size = math.prod(shape)
@@ -257,12 +254,6 @@ class HeadParams:
     def copy(self) -> "HeadParams":
         kwargs = {name: getattr(self, name).copy() for name in PARAM_FIELDS}
         return HeadParams(config=self.config, d_img=self.d_img, d_txt=self.d_txt, **kwargs)
-
-
-def flatten_fields(fields: dict) -> np.ndarray:
-    """Per-field arrays (weights or their gradients) as one new ``flat``-ordered
-    vector; the inverse of ``HeadParams.fields``."""
-    return np.concatenate([np.asarray(fields[name]).ravel() for name in PARAM_FIELDS])
 
 
 def _pairs_matrix(pairs) -> tuple[np.ndarray, int]:

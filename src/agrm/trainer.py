@@ -32,7 +32,6 @@ from .head import (
     HeadParams,
     batch_forward,
     feature_matrix,
-    flatten_fields,
 )
 from .losses import plcc_metric, srcc
 
@@ -62,12 +61,16 @@ CHECKPOINT_VERSION = 4
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
-PRESET_NAMES = ("paper", "recovery")
+
+def _is_count(v, lo: int = 0) -> bool:
+    """An integer >= lo; JSON's true and false load as bools and are refused."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
 
 
-def _is_count(v) -> bool:
-    """An integer >= 0; JSON's true and false load as bools and are refused."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+def _require_count(name: str, v, lo: int) -> None:
+    """The count rule, for settings and ``cosine_lr``'s arguments alike."""
+    if not _is_count(v, lo):
+        raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
 
 
 def _is_real(v) -> bool:
@@ -97,18 +100,19 @@ class TrainConfig:
             if not _is_real(v) or v < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {v!r}")
         for name, lo in (("epochs", 1), ("batch_size", 2), ("t_max", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if not _is_count(v) or v < lo:
-                raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
+            _require_count(name, getattr(self, name), lo)
+
+
+# the named configurations: ``paper`` (reference protocol), ``recovery``
+_PRESETS = {"paper": TrainConfig(), "recovery": TrainConfig(lr=1e-3)}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> TrainConfig:
-    """Named configurations: ``paper`` (reference protocol), ``recovery``."""
-    if name == "paper":
-        return TrainConfig()
-    if name == "recovery":
-        return TrainConfig(lr=1e-3)
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    """The configuration named ``name``, one of ``PRESET_NAMES``."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return _PRESETS[name]
 
 
 @dataclass(frozen=True)
@@ -150,10 +154,8 @@ class Checkpoint:
 
 def cosine_lr(epoch: int, base_lr: float, t_max: int) -> float:
     """Cosine-annealed rate with floor 0; restarts every ``t_max`` epochs."""
-    if not isinstance(t_max, int) or t_max < 1:
-        raise ValueError(f"t_max must be an integer >= 1, got {t_max!r}")
-    if epoch < 0:
-        raise ValueError(f"epoch must be >= 0, got {epoch!r}")
+    _require_count("epoch", epoch, 0)
+    _require_count("t_max", t_max, 1)
     return base_lr * (1.0 + math.cos(math.pi * (epoch % t_max) / t_max)) / 2.0
 
 
@@ -179,8 +181,8 @@ def adamw_step(
 ) -> None:
     """One in-place update: decay the weights first, then the adaptive step.
 
-    ``grads`` is flat like ``head.flat`` (``flatten_fields`` of a gradient
-    dict); the update runs once over the flat weights and moments.
+    ``grads`` is flat like ``head.flat`` (a ``GradReport.flat``); the update
+    runs once over the flat weights and moments.
     """
     state.t += 1
     b1, b2 = ADAM_BETAS
@@ -217,9 +219,8 @@ def _train_step(head: HeadParams, opt: AdamState, x, t, lr: float, cfg: TrainCon
         rep = batch_loss_and_grads(head, x, t, lam=cfg.lam)
         if not math.isfinite(rep.loss):
             raise ValueError(f"non-finite loss {rep.loss!r}")
-        grads = flatten_fields(rep.grads)
-        _require_finite("gradient", grads, head)
-        adamw_step(head, opt, grads, lr, cfg)
+        _require_finite("gradient", rep.flat, head)
+        adamw_step(head, opt, rep.flat, lr, cfg)
         _require_finite("weight", head.flat, head)
         _require_finite("second moment", opt.v, head)
     return rep

@@ -4,6 +4,7 @@ import gzip
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,50 @@ class TestVerify:
         assert err.count("error:") == 1
         assert "gamma-margin must be" in err
         assert "Traceback" not in err
+
+    # abilities near 1e7 and 1e9 carry rounding far above an absolute 1e-9
+    @pytest.mark.parametrize("margin", ["1e7", "1e9"])
+    def test_large_margins_pass(self, capsys, margin):
+        code, doc, err = run_json(
+            capsys, "verify", "--samples", "20000", "--seed", "0", "--gamma-margin", margin
+        )
+        assert code == 0 and err == ""
+        assert doc["violations"]["boundary"] == 0
+
+    def test_moved_crossings_fail_at_the_default_margin(self, capsys, monkeypatch):
+        exact = core.boundary_thetas_batch
+
+        def moved(beta1, gamma, k=5):
+            theta1, theta2 = exact(beta1, gamma, k)
+            return theta1 + 1e-7, theta2 - 1e-7
+
+        monkeypatch.setattr(core, "boundary_thetas_batch", moved)
+        argv = ["verify", "--samples", "2000", "--seed", "3"]
+        code, doc, _ = run_json(capsys, *argv)
+        args = cli._build_parser().parse_args(argv)
+        draws = cli._verify_draws(np.random.default_rng(3), 2000, args, core.gamma_threshold())
+        assert code == 1
+        assert doc["violations"]["boundary"] == int((draws["k"] >= 3).sum())
+
+    def test_largest_accepted_margin_runs_without_warnings(self, capsys):
+        def accepted(margin):
+            code, _, _ = run(capsys, "verify", "--samples", "0", "--gamma-margin", repr(margin))
+            return code == 0
+
+        # bisect on the bit patterns of positive floats, which order like the floats
+        lo, hi = (int(np.float64(v).view(np.int64)) for v in (1.0, 1e308))
+        assert accepted(1.0) and not accepted(1e308)
+        while hi - lo > 1:
+            mid = lo + (hi - lo) // 2
+            lo, hi = (mid, hi) if accepted(float(np.int64(mid).view(np.float64))) else (lo, mid)
+        largest = float(np.int64(lo).view(np.float64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc, err = run_json(
+                capsys, "verify", "--samples", "20000", "--seed", "0",
+                "--gamma-margin", repr(largest),
+            )
+        assert code == 0 and err == "" and doc["pass"] is True
 
     def test_huge_margin_passes_when_abilities_do_not_grow(self, capsys):
         # at k-max 2 the abilities are beta1 -/+ 20 whatever gamma is

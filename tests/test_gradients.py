@@ -13,7 +13,6 @@ from agrm.head import (
     HeadConfig,
     _forward,
     feature_matrix,
-    flatten_fields,
     head_forward,
     init_head,
 )
@@ -125,6 +124,35 @@ class TestBatchLossAndGrads:
             batch_loss_and_grads(hp, pairs, np.zeros(3))
 
 
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("agg_mode", AGG_MODES)
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_gradient_fields_are_views_of_one_flat_vector(activation, agg_mode, ablation):
+    cfg = HeadConfig(k=4, activation=activation, agg_mode=agg_mode, ablation=ablation)
+    hp = init_head(3, 5, cfg, seed=4)
+    pairs, t = make_batch(np.random.default_rng(4), hp, n=6)
+    rep = batch_loss_and_grads(hp, pairs, t)
+    assert list(rep.grads) == list(PARAM_FIELDS)
+    assert rep.flat.shape == hp.flat.shape and rep.flat.dtype == np.float64
+    start = rep.flat.__array_interface__["data"][0]
+    offset = 0
+    for name in PARAM_FIELDS:
+        g = rep.grads[name]
+        assert g.shape == getattr(hp, name).shape, name
+        assert np.shares_memory(g, rep.flat), name
+        # each view starts at its field's offset in hp.flat's layout
+        assert g.__array_interface__["data"][0] - start == offset * rep.flat.itemsize, name
+        offset += g.size
+    assert offset == rep.flat.size
+    joined = np.concatenate([rep.grads[name].ravel() for name in PARAM_FIELDS])
+    assert joined.tobytes() == rep.flat.tobytes()
+    if ablation == "no_temperature":
+        for name in ("phi_i_w", "phi_i_b"):
+            assert rep.grads[name].tobytes() == np.zeros(rep.grads[name].shape).tobytes()
+    checked = fd_check(hp, pairs, t)
+    assert checked.flat.tobytes() == rep.flat.tobytes()
+
+
 class TestFiniteDifferences:
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("agg_mode", AGG_MODES)
@@ -233,9 +261,9 @@ def fd_oracle(hp, pairs, targets, step=1e-4, tol=1e-4, lam=1.0):
         skip["phi_beta_w"] = skip["phi_beta_b"] = near_b
         skip["phi_gamma_w"] = skip["phi_gamma_b"] = near_g
         skip["phi_i_w"] = skip["phi_i_b"] = near_b or near_g
-    skipped_at = flatten_fields(
-        {name: np.full(getattr(hp, name).shape, skip[name]) for name in PARAM_FIELDS}
-    )
+    skipped_at = np.zeros(hp.flat.shape, dtype=bool)
+    for name, view in hp.fields(skipped_at).items():
+        view[...] = skip[name]
 
     def loss_only(work):
         q = _forward(work, x).q_rescaled
@@ -243,7 +271,7 @@ def fd_oracle(hp, pairs, targets, step=1e-4, tol=1e-4, lam=1.0):
 
     work = hp.copy()
     w = work.flat
-    analytic = flatten_fields(base.grads)
+    analytic = base.flat
     coords = np.flatnonzero(~skipped_at)
     perturbed = np.empty((2, coords.size))
     max_rel = 0.0
@@ -373,4 +401,4 @@ class TestStackedAgainstOracle:
         assert report_fields(rep) == want and want["skipped"] > 0
         base = batch_loss_and_grads(hp, pairs, t)
         assert rep.loss == base.loss
-        assert flatten_fields(rep.grads).tobytes() == flatten_fields(base.grads).tobytes()
+        assert rep.flat.tobytes() == base.flat.tobytes()

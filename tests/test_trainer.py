@@ -6,6 +6,7 @@ from agrm.core import gamma_threshold
 from agrm.data import SynthConfig, split, synth_generate
 from agrm.head import PARAM_FIELDS, HeadConfig, batch_forward, init_head
 from agrm.trainer import (
+    PRESET_NAMES,
     Checkpoint,
     EpochStats,
     TrainConfig,
@@ -80,6 +81,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="preset"):
             preset("fast")
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_preset_name_builds_its_config(self, name):
+        assert isinstance(preset(name), TrainConfig)
+
 
 class TestCosineLr:
     def test_starts_at_base(self):
@@ -105,6 +110,25 @@ class TestCosineLr:
             cosine_lr(0, 1e-3, 0)
         with pytest.raises(ValueError):
             cosine_lr(-1, 1e-3, 5)
+
+    @pytest.mark.parametrize(
+        "epoch, t_max, message",
+        [
+            (3, True, "t_max must be an integer >= 1, got True"),
+            (0, 2.0, "t_max must be an integer >= 1, got 2.0"),
+            (True, 5, "epoch must be an integer >= 0, got True"),
+            (1.5, 5, "epoch must be an integer >= 0, got 1.5"),
+        ],
+    )
+    def test_counts_follow_the_train_config_rule(self, epoch, t_max, message):
+        # a bool or float count is refused with TrainConfig's own message
+        with pytest.raises(ValueError) as info:
+            cosine_lr(epoch, 1.0, t_max)
+        assert str(info.value) == message
+        if isinstance(t_max, (bool, float)):
+            with pytest.raises(ValueError) as info:
+                TrainConfig(t_max=t_max)
+            assert str(info.value) == message
 
 
 def ones_head(d=1):
@@ -246,7 +270,7 @@ class TestTrain:
                 if poison == "loss":
                     rep.loss = float("nan")
                 else:
-                    rep.grads[poison] = rep.grads[poison] + np.inf
+                    rep.grads[poison][...] += np.inf
             return rep
 
         monkeypatch.setattr(trainer, "batch_loss_and_grads", poisoned)
