@@ -136,8 +136,7 @@ def _csv_rows(rows) -> str:
 
 
 def cmd_curves(args) -> int:
-    if args.steps < 2:
-        raise ValueError(f"steps must be >= 2, got {args.steps}")
+    core._require_count("steps", args.steps, 2)
     span = 4.0 * args.gamma * args.k
     lo = args.theta_min if args.theta_min is not None else args.beta1 - span
     hi = args.theta_max if args.theta_max is not None else args.beta1 + span
@@ -274,22 +273,23 @@ def cmd_verify(args) -> int:
     as arrays by ``_verify_chunk``, so a seed reproduces its own report.
     Each family's counterexample is its first failing draw in draw order.
     """
-    if args.samples < 0:
-        raise ValueError(f"samples must be >= 0, got {args.samples}")
+    core._require_count("samples", args.samples, 0)
     if not 2 <= args.k_min <= args.k_max:
         raise ValueError(f"need 2 <= k-min <= k-max, got [{args.k_min}, {args.k_max}]")
     standard = not args.allow_sub_threshold
     threshold = core.gamma_threshold()
-    # the widest |theta - beta_m| a check reaches is reach * gamma + 20: the
-    # abilities span (k - 2) gammas past the thresholds, and the shift check
-    # (k >= 4) lowers them by one more.  The kernel's z is d * alpha times
-    # that, kept a factor 2 clear of overflow for rounding; z_top is nan or
-    # inf when the margin is.
+    # the largest |theta| a check reaches is reach * gamma + 25: beta1 is
+    # within 5 of 0, the abilities span (k - 2) gammas and 20 more past it,
+    # and the shift check (k >= 4) moves them by one gamma more.  The
+    # boundary family allows 8 * d * alpha ulps of a handover ability; once
+    # that slack reaches 1 no mass difference can fail it, so the margin
+    # stops below.  That also keeps the kernel's z far from overflow; the
+    # slack is nan when the margin is nan or inf.
     reach = args.k_max - 2 + (args.k_max >= 4)
-    z_top = 2.0 * core.D * core.ALPHA * (reach * (threshold + args.gamma_margin) + 20.0)
-    if standard and not (args.gamma_margin > 0.0 and math.isfinite(z_top)):
+    slack = 8.0 * core.D * core.ALPHA * np.spacing(reach * (threshold + args.gamma_margin) + 25.0)
+    if standard and not (args.gamma_margin > 0.0 and slack < 1.0):
         raise ValueError(
-            f"gamma-margin must be > 0 with 2 * d * alpha * ({reach} * gamma + 20) finite "
+            f"gamma-margin must be > 0 with 8 * d * alpha * spacing({reach} * gamma + 25) < 1 "
             f"at k-max {args.k_max}, got {args.gamma_margin!r}"
         )
     mode = "standard" if standard else "sub-threshold"
@@ -465,6 +465,7 @@ def cmd_fd_check(args) -> int:
     head_cfg = HeadConfig(
         k=args.k, activation=args.activation, agg_mode=args.agg, ablation=args.ablation
     )
+    core._require_count("batch", args.batch, 2)
     init_seed, batch_seed = np.random.SeedSequence(args.seed).spawn(2)
     head = init_head(args.d_img, args.d_txt, head_cfg, seed=init_seed)
     rng = np.random.default_rng(batch_seed)
@@ -590,6 +591,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # every seed flag is a count; train's --seed is None unless given
+        for name, value in vars(args).items():
+            if name.endswith("seed") and value is not None:
+                core._require_count(name.replace("_", "-"), value, 0)
         return args.func(args)
     except (ValueError, OSError) as exc:
         # one line, even where the message quotes a line break from the input

@@ -26,6 +26,7 @@ those three.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -72,15 +73,33 @@ ALPHA = 1.0
 _SCALE = D * ALPHA
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+def _is_count(v, lo: int = 0) -> bool:
+    """An integer >= lo; bools (JSON's true and false) are refused."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
 
 
-def _require_k(k) -> None:
-    """The grade count rule, for every class and function that takes k."""
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+def _require_count(name: str, v, lo: int) -> None:
+    """The count rule, for the grade count, sizes, seeds and epochs alike."""
+    if not _is_count(v, lo):
+        raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
+
+
+def _is_real(v) -> bool:
+    """A finite int or float, not a bool; an int too large for a float
+    fails the bound, as nan and inf do, without being converted."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _require_finite(name: str, v) -> None:
+    """The finite-number rule."""
+    if not _is_real(v):
+        raise ValueError(f"{name} must be finite, got {v!r}")
+
+
+def _require_non_negative(name: str, v) -> None:
+    """The finite-number rule at 0 and above, for rates, weights and noise levels."""
+    if not (_is_real(v) and v >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
 
 def _float_array(name: str, values) -> np.ndarray:
@@ -114,7 +133,7 @@ class AgrmParams:
     def __post_init__(self) -> None:
         for name in ("theta", "beta1", "gamma"):
             _require_finite(name, getattr(self, name))
-        _require_k(self.k)
+        _require_count("k", self.k, 2)
 
     def thresholds(self) -> list[float]:
         """The k-1 cumulative thresholds beta1 + (m - 1) * gamma."""
@@ -341,7 +360,7 @@ def agrm_probs_batch(theta, beta1, gamma, k: int = 5) -> np.ndarray:
     offending row.  Underflow to 0 in a saturated tail is expected and not
     reported.
     """
-    _require_k(k)
+    _require_count("k", k, 2)
     theta, beta1, gamma = (np.asarray(v, dtype=np.float64) for v in (theta, beta1, gamma))
     if theta.ndim != 1 or not theta.shape == beta1.shape == gamma.shape:
         raise ValueError(
@@ -528,7 +547,7 @@ def expected_score_batch(probs: np.ndarray) -> np.ndarray:
 
 def rescale_score(q: float, k: int) -> float:
     """Affine map of a mean grade from [1, k] onto the [0, 5] rating scale."""
-    _require_k(k)
+    _require_count("k", k, 2)
     _require_finite("q", q)
     # the multiply can overshoot an endpoint by an ulp; the contract is [0, 5]
     return min(5.0, max(0.0, (q - 1.0) * 5.0 / (k - 1.0)))

@@ -48,7 +48,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .core import _float_array
+from .core import _float_array, _require_count, _require_non_negative
 from .head import FeaturePair, _pairs_matrix, _require_dims, batch_forward, init_head
 
 __all__ = [
@@ -467,11 +467,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        _require_count("n", self.n, 2)
+        _require_count("seed", self.seed, 0)
         _require_dims(self.d_img, self.d_txt)
-        if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        _require_non_negative("noise_sigma", self.noise_sigma)
 
 
 def synth_generate(cfg: SynthConfig):

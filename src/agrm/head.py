@@ -153,7 +153,7 @@ class HeadConfig:
     ablation: str = "none"
 
     def __post_init__(self):
-        core._require_k(self.k)
+        core._require_count("k", self.k, 2)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.agg_mode not in AGG_MODES:
@@ -163,10 +163,10 @@ class HeadConfig:
 
 
 def _require_dims(d_img, d_txt) -> None:
-    """The feature width rule: an integer number >= 1 of image features and
-    of text features."""
-    if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in (d_img, d_txt)):
-        raise ValueError(f"feature dims must be >= 1, got ({d_img}, {d_txt})")
+    """The feature width rule: the count rule at 1, for the image width and
+    the text width."""
+    if not (core._is_count(d_img, 1) and core._is_count(d_txt, 1)):
+        raise ValueError(f"feature dims must be >= 1, got ({d_img!r}, {d_txt!r})")
 
 
 def _layout(cfg: HeadConfig, d_img: int, d_txt: int) -> dict[str, tuple[int, ...]]:
@@ -224,6 +224,7 @@ class HeadParams:
     phi_i_b: np.ndarray
 
     def __post_init__(self):
+        _require_dims(self.d_img, self.d_txt)
         layout = _layout(self.config, self.d_img, self.d_txt)
         self._flat = np.empty(sum(math.prod(shape) for shape in layout.values()))
         views = self.fields(self._flat)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _finite_vector
+from .core import _finite_vector, _require_non_negative
 
 __all__ = [
     "ScoreBatch",
@@ -38,8 +38,7 @@ PLCC_EPSILON = 1e-8
 def _require_lam(lam: float, n: int) -> None:
     """The loss weight rule for a batch of n scores: lam finite and >= 0,
     and at least 2 scores when the correlation penalty is on (lam > 0)."""
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
+    _require_non_negative("lam", lam)
     if lam > 0.0 and n < 2:
         raise ValueError(f"the correlation penalty needs at least 2 scores, got {n}")
 

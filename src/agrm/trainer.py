@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _is_count, _is_real, _require_count, _require_non_negative
 from .data import as_records
 from .gradients import batch_loss_and_grads
 from .head import (
@@ -62,22 +63,6 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
 
-def _is_count(v, lo: int = 0) -> bool:
-    """An integer >= lo; JSON's true and false load as bools and are refused."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
-
-
-def _require_count(name: str, v, lo: int) -> None:
-    """The count rule, for settings and ``cosine_lr``'s arguments alike."""
-    if not _is_count(v, lo):
-        raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
-
-
-def _is_real(v) -> bool:
-    """A finite int or float, again not a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization hyperparameters; defaults follow the reference protocol.
@@ -96,9 +81,7 @@ class TrainConfig:
     def __post_init__(self):
         # lr 0 is allowed as an explicit no-op (useful for dry runs)
         for name in ("lr", "weight_decay", "lam"):
-            v = getattr(self, name)
-            if not _is_real(v) or v < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {v!r}")
+            _require_non_negative(name, getattr(self, name))
         for name, lo in (("epochs", 1), ("batch_size", 2), ("t_max", 1), ("seed", 0)):
             _require_count(name, getattr(self, name), lo)
 
@@ -337,9 +320,6 @@ def _head_to_doc(head: HeadParams) -> dict:
 
 
 def _head_from_doc(doc: dict) -> HeadParams:
-    for name in ("d_img", "d_txt"):
-        if not _is_count(doc[name]):
-            raise ValueError(f"malformed checkpoint: head.{name} is {doc[name]!r}, not an integer >= 0")
     arrays = {
         name: np.asarray(doc["params"][name], dtype=np.float64)
         for name in PARAM_FIELDS

@@ -293,7 +293,7 @@ class TestVerify:
             code, _, _ = run(capsys, "verify", "--samples", samples, "--k-min", "9", "--k-max", "3")
             assert code == 2
 
-    # 1e308 makes beta1 + (k-max - 2) * gamma + 20 overflow at k-max 9
+    # 1e308 makes 8 * gamma + 25 overflow at k-max 9
     @pytest.mark.parametrize("margin", ["nan", "inf", "0", "-5", "1e308"])
     def test_bad_gamma_margin_exit_2(self, capsys, margin):
         code, out, err = run(capsys, "verify", "--samples", "200", "--gamma-margin", margin)
@@ -328,17 +328,7 @@ class TestVerify:
         assert doc["violations"]["boundary"] == int((draws["k"] >= 3).sum())
 
     def test_largest_accepted_margin_runs_without_warnings(self, capsys):
-        def accepted(margin):
-            code, _, _ = run(capsys, "verify", "--samples", "0", "--gamma-margin", repr(margin))
-            return code == 0
-
-        # bisect on the bit patterns of positive floats, which order like the floats
-        lo, hi = (int(np.float64(v).view(np.int64)) for v in (1.0, 1e308))
-        assert accepted(1.0) and not accepted(1e308)
-        while hi - lo > 1:
-            mid = lo + (hi - lo) // 2
-            lo, hi = (mid, hi) if accepted(float(np.int64(mid).view(np.float64))) else (lo, mid)
-        largest = float(np.int64(lo).view(np.float64))
+        largest = largest_accepted_margin(capsys)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, doc, err = run_json(
@@ -346,6 +336,25 @@ class TestVerify:
                 "--gamma-margin", repr(largest),
             )
         assert code == 0 and err == "" and doc["pass"] is True
+
+    def test_moved_crossing_fails_at_the_largest_accepted_margin(self, capsys, monkeypatch):
+        # the boundary slack grows with the ulp of the abilities; the cap
+        # keeps it below 1 there, where a 64-ulp move of theta2 still shows
+        largest = largest_accepted_margin(capsys)
+        assert 7e13 < largest < 1e14
+        exact = core.boundary_thetas_batch
+
+        def moved(beta1, gamma, k=5):
+            theta1, theta2 = exact(beta1, gamma, k)
+            return theta1, theta2 + 64 * np.spacing(theta2)
+
+        monkeypatch.setattr(core, "boundary_thetas_batch", moved)
+        argv = ["verify", "--samples", "2000", "--seed", "0", "--gamma-margin", repr(largest)]
+        code, doc, _ = run_json(capsys, *argv)
+        args = cli._build_parser().parse_args(argv)
+        draws = cli._verify_draws(np.random.default_rng(0), 2000, args, core.gamma_threshold())
+        assert code == 1
+        assert doc["violations"]["boundary"] == int((draws["k"] >= 3).sum())
 
     def test_huge_margin_passes_when_abilities_do_not_grow(self, capsys):
         # at k-max 2 the abilities are beta1 -/+ 20 whatever gamma is
@@ -693,6 +702,14 @@ def _inf_weight(doc):
     doc["head"]["params"]["phi_gamma_b"] = float("inf")
 
 
+def _zero_image_width(doc):
+    # params sized to match, so only the width rule refuses it
+    head = doc["head"]
+    head["params"]["agg_w"] = head["params"]["agg_w"][: head["d_txt"]]
+    head["params"]["phi_i_w"] = []
+    head["d_img"] = 0
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize(
         "corrupt, named",
@@ -702,8 +719,12 @@ class TestMalformedCheckpoint:
             (_as_array, "object"),
             (_nan_weight, "agg_w"),
             (_inf_weight, "phi_gamma_b"),
+            (_zero_image_width, "feature dims must be >= 1, got (0, 3)"),
         ],
-        ids=["missing-rng", "missing-head", "top-level-array", "nan-weight", "inf-weight"],
+        ids=[
+            "missing-rng", "missing-head", "top-level-array", "nan-weight", "inf-weight",
+            "zero-image-width",
+        ],
     )
     def test_eval_exits_2_with_one_error_line(self, capsys, tmp_path, corrupt, named):
         data, ckpt = synth_planted(capsys, tmp_path)
@@ -805,6 +826,21 @@ class TestMalformedCheckpoint:
         doc = json.loads(ckpt.read_text())
         ckpt.write_text(data.draw(malformed_checkpoint(doc), label="checkpoint"))
         assert_clean_exit_2(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(records))
+
+
+def largest_accepted_margin(capsys) -> float:
+    """The largest --gamma-margin that verify accepts at the default k-max."""
+    def accepted(margin):
+        code, _, _ = run(capsys, "verify", "--samples", "0", "--gamma-margin", repr(margin))
+        return code == 0
+
+    # bisect on the bit patterns of positive floats, which order like the floats
+    lo, hi = (int(np.float64(v).view(np.int64)) for v in (1.0, 1e308))
+    assert accepted(1.0) and not accepted(1e308)
+    while hi - lo > 1:
+        mid = lo + (hi - lo) // 2
+        lo, hi = (mid, hi) if accepted(float(np.int64(mid).view(np.float64))) else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
 
 
 def synth_planted(capsys, tmp_path):
@@ -1300,7 +1336,30 @@ class TestFdCheck:
             f"error: {flag[2:]} must be finite and > 0, got {float(value)!r}"
         ]
 
+    @pytest.mark.parametrize("value", ["1", "0", "-1"])
+    def test_batch_below_two_exits_2(self, capsys, value):
+        err = assert_clean_exit_2(capsys, "fd-check", "--batch", value)
+        assert err == f"error: batch must be an integer >= 2, got {value}\n"
+
     def test_seed_in_header(self, capsys):
         code, out, _ = run(capsys, "fd-check", "--seed", "13")
         assert code == 0
         assert "seed=13" in out.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["train", "--data", "d.jsonl", "--out", "ck.json", "--init-seed"], "init-seed"),
+        (["train", "--data", "d.jsonl", "--out", "ck.json", "--split-seed"], "split-seed"),
+        (["train", "--data", "d.jsonl", "--out", "ck.json", "--seed"], "seed"),
+        (["synth", "--out", "d.jsonl", "--seed"], "seed"),
+        (["verify", "--samples", "10", "--seed"], "seed"),
+        (["fd-check", "--seed"], "seed"),
+    ],
+    ids=["train-init", "train-split", "train", "synth", "verify", "fd-check"],
+)
+def test_negative_seed_names_its_flag(capsys, argv, flag):
+    # refused before any file is read or written
+    err = assert_clean_exit_2(capsys, *argv, "-1")
+    assert err == f"error: {flag} must be an integer >= 0, got -1\n"
