@@ -196,6 +196,7 @@ def _verify_draws(rng, n, args, threshold) -> dict:
     }
 
 
+@np.errstate(under="ignore")
 def _verify_chunk(draws, standard: bool):
     """Check one chunk of draws: (failure mask per family, non-unimodal mask,
     closed-form probe abilities), each aligned with the draws.

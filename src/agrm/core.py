@@ -25,6 +25,7 @@ those three.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -285,14 +286,20 @@ def _band_probs(z_all: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``_band_prob`` over an (N, m + 1) array of z at consecutive thresholds
     and an (N, 1) column of g: the (N, m) bands between them.
 
-    The factored form runs on every entry, with z clipped to [-30, 30] and
-    g capped at 30 so nothing overflows; the entries with |z| > 30 or
-    g > 30 are then overwritten by the log-space form.  ``g == 0`` entries
-    come out of the factored form as exactly 0 and are left as they are.
+    A screen comes first: when every |z| and every g is at most 30, the
+    factored form runs on z and g as they are.  Otherwise it runs with z
+    clipped to [-30, 30] and g capped at 30 so nothing overflows, and the
+    entries with |z| > 30 or g > 30 are then overwritten by the log-space
+    form.  Inside the screen the clip is the identity, so both routes give
+    the same bits.  ``g == 0`` entries come out of the factored form as
+    exactly 0 and are left as they are.
     """
     z = z_all[:, :-1]
+    abs_z = np.abs(z)
+    if abs_z.max() <= 30.0 and g.max() <= 30.0:
+        return _factored_band(z, g)
     out = _factored_band(np.minimum(np.maximum(z, -30.0), 30.0), np.minimum(g, 30.0))
-    hard = np.flatnonzero(((np.abs(z) > 30.0) | (g > 30.0)) & (g > 0.0))
+    hard = np.flatnonzero(((abs_z > 30.0) | (g > 30.0)) & (g > 0.0))
     if hard.size:
         # flat positions: band (i, j) of out is z_all's (i, j), and the next
         # threshold's z sits right after it
@@ -318,22 +325,33 @@ def _first_bad(name: str, values: np.ndarray, bad: np.ndarray, what: str) -> Val
 _EDGE_SIGNS = np.array([-1.0, 1.0])
 
 
+@functools.lru_cache(maxsize=64)
+def _steps(n: int) -> np.ndarray:
+    """0.0, 1.0, ..., n - 1.0 as one shared read-only vector per n."""
+    out = np.arange(float(n))
+    out.setflags(write=False)
+    return out
+
+
 def agrm_probs_unchecked(theta, beta1, gamma, k: int = 5) -> np.ndarray:
     """The arithmetic of ``agrm_probs_batch`` without any of its checks.
 
     ``theta``, ``beta1`` and ``gamma`` must be float64 vectors of one length
     with finite entries and gamma >= 0, and k >= 2; the rows that come out
-    are not checked either (``normalized_rows`` does that).
+    are not checked either (``normalized_rows`` does that).  Saturated tails
+    underflow to 0.  This runs under the caller's ``np.errstate`` (NumPy
+    ignores underflow by default); ``agrm_probs_batch`` and ``agrm verify``
+    ignore it explicitly, once around their calls.
     """
     out = np.empty((theta.size, k))
-    with np.errstate(under="ignore"):
-        # z at each of the k-1 thresholds beta1 + m * gamma, m = 0 .. k-2;
-        # the edge grades are sigma(-z_0) and sigma(z_{k-2})
-        z = _SCALE * (theta[:, None] - (beta1[:, None] + np.arange(k - 1) * gamma[:, None]))
-        edges = sigmoid_array(z[:, [0, -1]] * _EDGE_SIGNS)
-        out[:, 0], out[:, -1] = edges[:, 0], edges[:, 1]
-        if k > 2:
-            out[:, 1:-1] = _band_probs(z, (_SCALE * gamma)[:, None])
+    gamma = gamma[:, None]
+    # z at each of the k-1 thresholds beta1 + m * gamma, m = 0 .. k-2;
+    # the edge grades (columns 0 and k-1) are sigma(-z_0) and sigma(z_{k-2})
+    z = _SCALE * (theta[:, None] - (beta1[:, None] + _steps(k - 1) * gamma))
+    # (at k = 2 the one column of z meets both signs)
+    out[:, :: k - 1] = sigmoid_array(z[:, :: max(k - 2, 1)] * _EDGE_SIGNS)
+    if k > 2:
+        out[:, 1:-1] = _band_probs(z, _SCALE * gamma)
     return out
 
 
@@ -350,15 +368,17 @@ def normalized_rows(probs: np.ndarray) -> np.ndarray:
     return ok
 
 
+@np.errstate(under="ignore")
 def agrm_probs_batch(theta, beta1, gamma, k: int = 5) -> np.ndarray:
     """``agrm_probs`` for N items at once: row i holds the k grade masses of item i.
 
     ``theta``, ``beta1`` and ``gamma`` are length-N vectors sharing one
-    ``k``.  The arithmetic per entry is that of the
-    scalar function, and so are the checks (finite inputs, gamma >= 0, and
-    ``normalized_rows`` on the output); a failing check names the first
-    offending row.  Underflow to 0 in a saturated tail is expected and not
-    reported.
+    ``k``.  The arithmetic per entry is that of the scalar function, and so
+    are the checks (finite inputs, gamma >= 0, and ``normalized_rows`` on
+    the output); a failing check names the first offending row.  The input
+    checks screen first and check exactly only when the screen fails (see
+    ``_checked_probs``).  Underflow to 0 in a saturated tail is expected and
+    not reported.
     """
     _require_count("k", k, 2)
     theta, beta1, gamma = (np.asarray(v, dtype=np.float64) for v in (theta, beta1, gamma))
@@ -367,13 +387,29 @@ def agrm_probs_batch(theta, beta1, gamma, k: int = 5) -> np.ndarray:
             f"theta, beta1, gamma must be vectors of one length, got shapes "
             f"{theta.shape}, {beta1.shape}, {gamma.shape}"
         )
+    return _checked_probs(theta, beta1, gamma, k)
+
+
+def _checked_probs(theta, beta1, gamma, k: int) -> np.ndarray:
+    """``agrm_probs_batch`` past its argument checks, under the caller's
+    ``np.errstate``: float64 vectors of one length and k >= 2, as the head's
+    forward builds them.
+
+    Screen, then check exactly: the greatest magnitude over the three
+    vectors is finite only when every entry is, and the least gamma says
+    whether any is negative.  Only when that screen fails do the per-vector
+    checks run, and then one of them raises, naming the same row and value
+    as it would without the screen.  Unlike a sum, a greatest magnitude
+    neither overflows nor sets off a floating-point warning.
+    """
     if theta.size == 0:
         return np.empty((0, k))
-    for name, arr in (("theta", theta), ("beta1", beta1), ("gamma", gamma)):
-        if not np.isfinite(arr).all():
-            raise _first_bad(name, arr, ~np.isfinite(arr), "is not finite")
-    if gamma.min() < 0.0:
-        raise _first_bad("gamma", gamma, gamma < 0.0, "must be >= 0")
+    if not (np.abs(np.concatenate((theta, beta1, gamma))).max() < math.inf and gamma.min() >= 0.0):
+        for name, arr in (("theta", theta), ("beta1", beta1), ("gamma", gamma)):
+            if not np.isfinite(arr).all():
+                raise _first_bad(name, arr, ~np.isfinite(arr), "is not finite")
+        if gamma.min() < 0.0:
+            raise _first_bad("gamma", gamma, gamma < 0.0, "must be >= 0")
     out = agrm_probs_unchecked(theta, beta1, gamma, k)
     ok = normalized_rows(out)
     if not ok.all():
@@ -538,8 +574,8 @@ def expected_score_batch(probs: np.ndarray) -> np.ndarray:
     added back once, which keeps the result within an ulp of it.  Every row
     is still reduced on its own.
     """
-    terms = probs * np.arange(1.0, probs.shape[-1] + 1.0)
-    run = np.cumsum(terms, axis=-1)
+    terms = probs * _steps(probs.shape[-1] + 1)[1:]
+    run = terms.cumsum(axis=-1)
     s, t, x = run[..., :-1], run[..., 1:], terms[..., 1:]  # t = fl(s + x)
     z = t - s
     return run[..., -1] + ((s - (t - z)) + (x - z)).sum(axis=-1)

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from . import losses
-from .core import _finite_vector
+from .core import _finite_vector, _steps
 from .head import (
     _ACTIVATION_FUNCS,
     FeaturePair,
@@ -107,8 +107,8 @@ def _slopes(probs: np.ndarray) -> np.ndarray:
     s_m is the mass above grade m and 1 - s_m the mass at or below it, each
     summed from the tail it covers so neither is a difference near 1.
     """
-    below = np.cumsum(probs[:, :-1], axis=1)
-    above = np.cumsum(probs[:, :0:-1], axis=1)[:, ::-1]
+    below = probs[:, :-1].cumsum(axis=1)
+    above = probs[:, :0:-1].cumsum(axis=1)[:, ::-1]
     return below * above
 
 
@@ -135,6 +135,7 @@ def _loss_and_upstream(
     return loss + penalty, u + lam * dplcc, abs_err + penalty
 
 
+@np.errstate(under="ignore")
 def batch_loss_and_grads(
     hp: HeadParams,
     pairs: Sequence[FeaturePair] | np.ndarray,
@@ -146,7 +147,8 @@ def batch_loss_and_grads(
     ``pairs`` is a sequence of feature pairs or their ``feature_matrix``.
     The gradient is one zero vector shaped like ``hp.flat``, each field's
     gradient written into its ``hp.fields`` view; the report carries the
-    vector as ``flat`` and the views as ``grads``.
+    vector as ``flat`` and the views as ``grads``.  Underflow is ignored
+    once, around the forward and the backward together.
     """
     x = feature_matrix(hp, pairs)
     n = x.shape[0]
@@ -159,39 +161,39 @@ def batch_loss_and_grads(
     loss, upstream, item_losses = _loss_and_upstream(fw.q_rescaled, t, lam)
 
     c = cfg.d * cfg.alpha
-    with np.errstate(under="ignore"):
-        sp = _slopes(fw.probs)
-        # through the [1,k] -> [0,5] rescale, then the curves' scale d * alpha
-        uqc = upstream * 5.0 / (cfg.k - 1) * c
-        theta_bar = uqc * sp.sum(axis=1)
-        beta1_bar = -theta_bar
-        gamma_bar = -uqc * (sp @ np.arange(cfg.k - 1.0))  # d beta_m / d gamma = m - 1
+    sp = _slopes(fw.probs)
+    # through the [1,k] -> [0,5] rescale, then the curves' scale d * alpha
+    uqc = upstream * 5.0 / (cfg.k - 1) * c
+    theta_bar = uqc * sp.sum(axis=1)
+    beta1_bar = -theta_bar
+    gamma_bar = -uqc * (sp @ _steps(cfg.k - 1))  # d beta_m / d gamma = m - 1
 
-        deriv = _ACTIVATION_FUNCS[cfg.activation][1]
-        db = beta1_bar * deriv(fw.pre_b)
-        dg = gamma_bar * deriv(fw.pre_g)
-        prior_in, temp_in = _inputs(hp, x)
-        flat = np.zeros(hp.flat.shape)
-        grads = hp.fields(flat)
-        grads["phi_beta_w"][...] = db @ prior_in
-        grads["phi_beta_b"][...] = db.sum()
-        grads["phi_gamma_w"][...] = dg @ prior_in
-        grads["phi_gamma_b"][...] = dg.sum()
-        # without the temperature map its gradient stays 0
-        if cfg.ablation != "no_temperature":
-            dtau = db + dg
-            grads["phi_i_w"][...] = dtau @ temp_in
-            grads["phi_i_b"][...] = dtau.sum()
+    # both activation inputs in one array, so the derivative runs once, and
+    # one row-wise sum gives both bias gradients
+    deriv = _ACTIVATION_FUNCS[cfg.activation][1](np.array((fw.pre_b, fw.pre_g)))
+    dbg = np.array((beta1_bar, gamma_bar)) * deriv
+    db, dg = dbg
+    prior_in, temp_in = _inputs(hp, x)
+    flat = np.zeros(hp.flat.shape)
+    grads = hp.fields(flat)
+    grads["phi_beta_w"][...] = db @ prior_in
+    grads["phi_gamma_w"][...] = dg @ prior_in
+    grads["phi_beta_b"][...], grads["phi_gamma_b"][...] = dbg.sum(axis=1)
+    # without the temperature map its gradient stays 0
+    if cfg.ablation != "no_temperature":
+        dtau = db + dg
+        grads["phi_i_w"][...] = dtau @ temp_in
+        grads["phi_i_b"][...] = dtau.sum()
 
-        if cfg.agg_mode == "linear":
-            grads["agg_w"][...] = theta_bar @ x
-            grads["agg_b"][...] = theta_bar.sum()
-        else:
-            p = fw.softmax_p
-            pbar = (theta_bar * cfg.lambda_s)[:, None] * grade_positions(cfg.k)
-            lbar = p * (pbar - (pbar * p).sum(axis=1, keepdims=True))
-            grads["agg_w"][...] = lbar.T @ x
-            grads["agg_b"][...] = lbar.sum(axis=0)
+    if cfg.agg_mode == "linear":
+        grads["agg_w"][...] = theta_bar @ x
+        grads["agg_b"][...] = theta_bar.sum()
+    else:
+        p = fw.softmax_p
+        pbar = (theta_bar * cfg.lambda_s)[:, None] * grade_positions(cfg.k)
+        lbar = p * (pbar - (pbar * p).sum(axis=1, keepdims=True))
+        grads["agg_w"][...] = lbar.T @ x
+        grads["agg_b"][...] = lbar.sum(axis=0)
 
     return GradReport(loss=loss, grads=grads, item_losses=item_losses, flat=flat)
 
@@ -216,6 +218,7 @@ def _perturbed_losses(
     return out
 
 
+@np.errstate(under="ignore")
 def fd_check(
     hp: HeadParams,
     pairs: Sequence[FeaturePair] | np.ndarray,

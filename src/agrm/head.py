@@ -225,14 +225,26 @@ class HeadParams:
 
     def __post_init__(self):
         _require_dims(self.d_img, self.d_txt)
-        layout = _layout(self.config, self.d_img, self.d_txt)
-        self._flat = np.empty(sum(math.prod(shape) for shape in layout.values()))
+        # every shape is compared before anything is allocated, so widths
+        # that do not match the weights cannot ask for a huge flat vector
+        arrays, slots, offset = {}, [], 0
+        for name, shape in _layout(self.config, self.d_img, self.d_txt).items():
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if arr.shape != shape:
+                raise ValueError(f"{name} shape {arr.shape}, expected {shape}")
+            arrays[name] = arr
+            # a bias is one entry, a 1-d weight one slice; only a 2-d weight
+            # needs a reshape of its slice
+            at = offset if not shape else slice(offset, offset + arr.size)
+            slots.append((name, (..., at), shape if len(shape) > 1 else None))
+            offset += arr.size
+        # (name, index of the field's entries on flat's axis, shape to
+        # reshape them to or None) of each field, read by fields
+        self._slots = tuple(slots)
+        self._flat = np.empty(offset)
         views = self.fields(self._flat)
         for name, view in views.items():
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != view.shape:
-                raise ValueError(f"{name} shape {arr.shape}, expected {view.shape}")
-            view[...] = arr
+            view[...] = arrays[name]
         vars(self).update(views)
 
     @property
@@ -245,12 +257,10 @@ class HeadParams:
         field, in ``PARAM_FIELDS`` order, shaped ``arr.shape[:-1]`` followed by
         the field's own shape.  Writing a field's view writes ``arr``; this is
         the one place that maps flat vectors to fields, either way."""
-        views, offset = {}, 0
-        for name, shape in _layout(self.config, self.d_img, self.d_txt).items():
-            size = math.prod(shape)
-            views[name] = arr[..., offset : offset + size].reshape(arr.shape[:-1] + shape)
-            offset += size
-        return views
+        return {
+            name: arr[at] if shape is None else arr[at].reshape(arr.shape[:-1] + shape)
+            for name, at, shape in self._slots
+        }
 
     def copy(self) -> "HeadParams":
         kwargs = {name: getattr(self, name).copy() for name in PARAM_FIELDS}
@@ -354,12 +364,11 @@ def _difficulty(hp: HeadParams, w, x: np.ndarray) -> tuple[np.ndarray, ...]:
         tau = np.zeros(b_prior.shape)
     else:
         tau = _rowdot(temp_in, w.phi_i_w) + w.phi_i_b
-    pre_b = b_prior + tau
-    pre_g = g_prior + tau
-    act = _ACTIVATION_FUNCS[cfg.activation][0]
-    beta1 = act(pre_b)
-    gamma = act(pre_g) + cfg.eta
-    return b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma
+    # both activation inputs in one array, so the activation runs once
+    pre = np.array((b_prior, g_prior))
+    pre += tau
+    act = _ACTIVATION_FUNCS[cfg.activation][0](pre)
+    return b_prior, g_prior, tau, pre[0], pre[1], act[0], act[1] + cfg.eta
 
 
 class HeadBatch(NamedTuple):
@@ -391,18 +400,18 @@ def _forward(hp: HeadParams, x: np.ndarray, stack: np.ndarray | None = None) -> 
     With ``stack``, a (B, F) array whose row b is a ``flat`` vector in
     ``hp``'s layout, the items are scored under each row's weights at once;
     row b of every output is, bit for bit, the forward of a head whose
-    ``flat`` is ``stack[b]``.
+    ``flat`` is ``stack[b]``.  It runs under the caller's ``np.errstate``:
+    each public entry ignores underflow once around the whole pass.
     """
     cfg = hp.config
     w = hp if stack is None else SimpleNamespace(**hp.fields(stack[:, None, :]))
-    with np.errstate(under="ignore"):
-        theta, softmax_p = _ability(hp, w, x)
-        b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma = _difficulty(hp, w, x)
-        # the whole stack is checked as one long batch of rows
-        probs = core.agrm_probs_batch(
-            theta.reshape(-1), beta1.reshape(-1), gamma.reshape(-1), cfg.k
-        ).reshape(theta.shape + (cfg.k,))
-        q = core.expected_score_batch(probs)
+    theta, softmax_p = _ability(hp, w, x)
+    b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma = _difficulty(hp, w, x)
+    # the whole stack is checked as one long batch of rows
+    probs = core._checked_probs(
+        theta.reshape(-1), beta1.reshape(-1), gamma.reshape(-1), cfg.k
+    ).reshape(theta.shape + (cfg.k,))
+    q = core.expected_score_batch(probs)
     # core.rescale_score, element-wise
     q_rescaled = np.minimum(5.0, np.maximum(0.0, (q - 1.0) * 5.0 / (cfg.k - 1.0)))
     return HeadBatch(
@@ -410,11 +419,13 @@ def _forward(hp: HeadParams, x: np.ndarray, stack: np.ndarray | None = None) -> 
     )
 
 
+@np.errstate(under="ignore")
 def batch_forward(hp: HeadParams, items) -> HeadBatch:
     """Forward pass over N items at once; see ``feature_matrix`` for ``items``."""
     return _forward(hp, feature_matrix(hp, items))
 
 
+@np.errstate(under="ignore")
 def head_forward(hp: HeadParams, fp: FeaturePair) -> HeadBatch:
     """Full forward pass: features to grade distribution and rescaled score.
 

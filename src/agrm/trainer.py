@@ -193,17 +193,22 @@ def _require_finite(what: str, flat: np.ndarray, head: HeadParams) -> None:
 def _train_step(head: HeadParams, opt: AdamState, x, t, lr: float, cfg: TrainConfig):
     """One optimizer step that stops at the first non-finite value.
 
-    The loss, the gradient, the updated weights and the second moment (the
-    first place a huge but finite gradient overflows) are checked in turn.
-    NumPy's overflow warnings are silenced here because these checks
-    report what the warnings would.
+    The loss is checked first.  Then, after the update, one screen covers
+    the gradient, the updated weights and the second moment (the first place
+    a huge but finite gradient overflows): the sum of all three is finite
+    only when every entry is.  Only when that screen fails do the exact
+    checks run, in that order, to name the first non-finite field.  A sum
+    that overflows from finite entries fails the screen, and the exact
+    checks behind it then pass.
+    ``train`` silences NumPy's overflow warnings around its steps, because
+    these checks report what the warnings would.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = batch_loss_and_grads(head, x, t, lam=cfg.lam)
-        if not math.isfinite(rep.loss):
-            raise ValueError(f"non-finite loss {rep.loss!r}")
+    rep = batch_loss_and_grads(head, x, t, lam=cfg.lam)
+    if not math.isfinite(rep.loss):
+        raise ValueError(f"non-finite loss {rep.loss!r}")
+    adamw_step(head, opt, rep.flat, lr, cfg)
+    if not math.isfinite(np.concatenate((rep.flat, head.flat, opt.v)).sum()):
         _require_finite("gradient", rep.flat, head)
-        adamw_step(head, opt, rep.flat, lr, cfg)
         _require_finite("weight", head.flat, head)
         _require_finite("second moment", opt.v, head)
     return rep
@@ -243,15 +248,16 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
         # per-item loss terms, summed exactly at the end, so the epoch loss
         # does not depend on how the shuffle grouped the items
         item_losses = []
-        for step, start in enumerate(range(0, perm.size, cfg.batch_size)):
-            idx = perm[start : start + cfg.batch_size]
-            if idx.size < 2:
-                continue
-            try:
-                rep = _train_step(head, opt, x_train[idx], t_train[idx], lr, cfg)
-            except ValueError as exc:
-                raise ValueError(f"epoch {epoch}, step {step}: {exc}") from exc
-            item_losses.append(rep.item_losses)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step, start in enumerate(range(0, perm.size, cfg.batch_size)):
+                idx = perm[start : start + cfg.batch_size]
+                if idx.size < 2:
+                    continue
+                try:
+                    rep = _train_step(head, opt, x_train[idx], t_train[idx], lr, cfg)
+                except ValueError as exc:
+                    raise ValueError(f"epoch {epoch}, step {step}: {exc}") from exc
+                item_losses.append(rep.item_losses)
         eval_srcc, eval_plcc = _correlations(batch_forward(head, x_eval).q_rescaled, t_eval)
         item_losses = np.concatenate(item_losses)
         history.append(

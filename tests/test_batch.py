@@ -111,6 +111,108 @@ class TestKernelChecks:
 
 
 # ---------------------------------------------------------------------------
+# the screens against the exact paths they stand in front of
+# ---------------------------------------------------------------------------
+
+
+def clip_path_bands(z_all, g):
+    """The band kernel's clip-and-hard-entry path on every input, without
+    the screen in front of it: the oracle for ``core._band_probs``."""
+    z = z_all[:, :-1]
+    out = core._factored_band(np.minimum(np.maximum(z, -30.0), 30.0), np.minimum(g, 30.0))
+    hard = ((np.abs(z) > 30.0) | (g > 30.0)) & (g > 0.0)
+    rows, cols = np.nonzero(hard)
+    zh, nh, gh = z_all[rows, cols], z_all[rows, cols + 1], g[rows, 0]
+    out[rows, cols] = np.exp(
+        np.log(-np.expm1(-gh)) - np.maximum(-zh, 0.0) - np.maximum(nh, 0.0)
+        - np.log1p(np.exp(-np.abs(zh))) - np.log1p(np.exp(-np.abs(nh)))
+    )
+    return out
+
+
+ABOVE_30 = math.nextafter(30.0, math.inf)
+
+
+@pytest.mark.parametrize(
+    "z0, g",
+    [(30.0, 1.0), (-30.0, 1.0), (ABOVE_30, 1.0), (-ABOVE_30, 1.0), (0.5, 30.0),
+     (0.5, ABOVE_30), (0.5, 0.0), (30.0, 0.0), (ABOVE_30, 0.0), (-30.0, 30.0)],
+)
+def test_band_screen_is_bitwise_the_clip_path(z0, g):
+    """At the screen's edges the bands are the clip path's, bit for bit."""
+    rng = np.random.default_rng(0)
+    z_all = np.sort(rng.uniform(-5.0, 5.0, (6, 4)), axis=1)[:, ::-1].copy()
+    z_all[0, 0] = z0
+    g_col = np.full((6, 1), 1.7)
+    g_col[0, 0] = g
+    g_col[1, 0] = g
+    with np.errstate(under="ignore"):
+        got = core._band_probs(z_all, g_col)
+        want = clip_path_bands(z_all, g_col)
+    assert got.tobytes() == want.tobytes()
+
+
+def input_refusal(theta, beta1, gamma):
+    """The kernel's input checks, one vector at a time, with no screen: the
+    message for the first bad entry, or None."""
+    for name, arr in (("theta", theta), ("beta1", beta1), ("gamma", gamma)):
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            row = int(np.argmax(bad))
+            return f"{name} {float(arr[row])!r} is not finite (row {row})"
+    if gamma.min() < 0.0:
+        row = int(np.argmax(gamma < 0.0))
+        return f"gamma {float(gamma[row])!r} must be >= 0 (row {row})"
+    return None
+
+
+@pytest.mark.parametrize("name", ["theta", "beta1", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row", [0, 2, 4])
+def test_each_non_finite_input_is_refused_as_without_the_screen(name, value, row):
+    cols = {"theta": np.linspace(-2.0, 2.0, 5), "beta1": np.zeros(5), "gamma": np.ones(5)}
+    cols[name][row] = value
+    want = input_refusal(cols["theta"], cols["beta1"], cols["gamma"])
+    with pytest.raises(ValueError) as info:
+        core.agrm_probs_batch(cols["theta"], cols["beta1"], cols["gamma"])
+    assert str(info.value) == want
+
+
+special = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -5e-324, -0.0, 0.0, 1e308, -1e308])
+entry = st.one_of(st.floats(-5.0, 5.0), special)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(entry, entry, entry), min_size=1, max_size=8))
+def test_refusals_match_the_per_vector_checks(rows):
+    """Any mix of faults, overflowing sums and negative spacings: when the
+    per-vector checks refuse, the kernel refuses with their message."""
+    theta, beta1, gamma = (np.array(col) for col in zip(*rows))
+    want = input_refusal(theta, beta1, gamma)
+    with np.errstate(all="ignore"):
+        try:
+            core.agrm_probs_batch(theta, beta1, gamma)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+    if want is not None:
+        assert got == want
+    else:  # past the input checks, only the output rows can be refused
+        assert got is None or got.startswith(("mass sum", "entry"))
+
+
+def test_overflowing_sums_are_no_refusal():
+    """Finite inputs whose sums overflow pass the input checks, with the rows
+    of the unchecked arithmetic and no floating-point warning."""
+    theta = np.array([1e308, 1e308, -1e308])
+    gamma = np.zeros(3)
+    with np.errstate(all="raise"):
+        got = core.agrm_probs_batch(theta, theta, gamma)
+    assert got.tobytes() == core.agrm_probs_unchecked(theta, theta, gamma, 5).tobytes()
+    assert got.tolist() == [[0.5, 0.0, 0.0, 0.0, 0.5]] * 3
+
+
+# ---------------------------------------------------------------------------
 # batch forward against one-row calls
 # ---------------------------------------------------------------------------
 

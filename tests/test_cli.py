@@ -710,6 +710,12 @@ def _zero_image_width(doc):
     head["d_img"] = 0
 
 
+def _huge_image_width(doc):
+    # params unchanged: the shapes are compared before the flat vector of
+    # 2**40 + 6 weights would be allocated
+    doc["head"]["d_img"] = 2**40
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize(
         "corrupt, named",
@@ -720,10 +726,11 @@ class TestMalformedCheckpoint:
             (_nan_weight, "agg_w"),
             (_inf_weight, "phi_gamma_b"),
             (_zero_image_width, "feature dims must be >= 1, got (0, 3)"),
+            (_huge_image_width, f"agg_w shape (6,), expected ({2**40 + 3},)"),
         ],
         ids=[
             "missing-rng", "missing-head", "top-level-array", "nan-weight", "inf-weight",
-            "zero-image-width",
+            "zero-image-width", "huge-image-width",
         ],
     )
     def test_eval_exits_2_with_one_error_line(self, capsys, tmp_path, corrupt, named):

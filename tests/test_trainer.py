@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from agrm import losses, trainer
 from agrm.core import gamma_threshold
-from agrm.data import SynthConfig, split, synth_generate
+from agrm.data import Records, SynthConfig, split, synth_generate
 from agrm.head import PARAM_FIELDS, HeadConfig, batch_forward, init_head
 from agrm.trainer import (
     PRESET_NAMES,
@@ -277,6 +279,54 @@ class TestTrain:
         with pytest.raises(ValueError) as info:
             train(TrainConfig(lr=1e-3, epochs=3, batch_size=8), tr, te, init_head(6, 6, seed=9))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("agg_w", "epoch 0, step 0: theta nan is not finite (row 0)"),
+            ("phi_beta_w", "epoch 0, step 0: beta1 inf is not finite (row 0)"),
+        ],
+    )
+    def test_forward_overflow_stops_with_the_kernels_message(self, field, message):
+        """Huge but finite weights overflow inside the forward; the kernel's
+        input checks stop the step, naming the first bad row, and no NumPy
+        warning gets out."""
+        recs, _ = tiny_dataset()
+        tr, te = split(recs, 0.75, seed=0)
+        hp = init_head(6, 6, seed=4)
+        getattr(hp, field)[...] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                train(TrainConfig(lr=1e-3, epochs=3, batch_size=8), tr, te, hp)
+        assert str(info.value) == message
+
+    def test_overflowing_second_moment_names_its_field(self):
+        """Features near 1e160 against weights scaled down by as much keep
+        the forward moderate, but the squared gradient overflows in the
+        second moment, while the gradient and the weights stay finite."""
+        recs, _ = tiny_dataset()
+        tr, te = split(recs, 0.75, seed=0)
+        huge = Records(x=tr.x * 1e160, d_img=6, mos=tr.mos, id=tr.id, dim=tr.dim)
+        hp = init_head(6, 6, seed=4)
+        hp.flat[:] /= 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                train(TrainConfig(lr=1e-3, epochs=3, batch_size=8), huge, te, hp)
+        assert str(info.value) == "epoch 0, step 0: non-finite second moment in agg_w"
+
+    def test_overflowing_screen_sum_is_no_stop(self):
+        """Finite second moments whose sum overflows fail the step's one-sum
+        screen; the exact checks behind it pass them, and the step goes on."""
+        recs, _ = tiny_dataset()
+        hp = init_head(6, 6, seed=4)
+        opt = init_adam_state(hp)
+        opt.v[:] = 1e308
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.concatenate((hp.flat, opt.v)).sum())
+            trainer._train_step(hp, opt, recs.x[:8], recs.mos[:8], 1e-3, TrainConfig(lr=1e-3))
+        assert opt.t == 1 and np.isfinite(opt.v).all() and np.isfinite(hp.flat).all()
 
     def test_rejects_small_train_set(self):
         recs, _ = tiny_dataset(n=8)
