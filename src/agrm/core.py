@@ -485,8 +485,10 @@ def boundary_thetas_batch(beta1, gamma, k: int = 5):
     g = c * gamma
     with np.errstate(under="ignore"):
         t = 2.0 * np.exp(-g)
-    if not (t < 1.0).all():
-        raise _first_bad("gamma", gamma, ~(t < 1.0), f"is not above ln(2)/(d*alpha) = {math.log(2.0) / c!r}")
+    # one mask decides and reports, so the two cannot disagree on a row
+    ok = t < 1.0
+    if not ok.all():
+        raise _first_bad("gamma", gamma, ~ok, f"is not above ln(2)/(d*alpha) = {math.log(2.0) / c!r}")
     log_arg = np.log1p(-t)
     theta1 = beta1 - log_arg / c
     theta2 = (beta1 + (k - 3) * gamma) + (g + log_arg) / c

@@ -8,7 +8,11 @@ array, and each weight gradient is one reduction over the rows, such as
 ``theta_bar @ X`` for the linear ability map.  Each is written into its
 field's view (``HeadParams.fields``) of one vector laid out like
 ``HeadParams.flat``, the vector the optimizer steps on and ``fd_check``
-compares; no second copy of the layout exists.  Those reductions may go
+compares; no second copy of the layout exists.  ``batch_loss_and_grads`` is
+the checked entry: it refuses bad features, targets and loss weights, then
+runs ``_loss_and_grads``, the unchecked core, on a fresh zero vector.  The
+trainer checks its inputs once per run and calls the core itself, with one
+vector kept for the whole run.  Those reductions may go
 through BLAS; only the forward needs row-by-row reductions (see
 ``head._rowdot``), because only its per-item results are compared bit for
 bit.
@@ -78,7 +82,7 @@ class GradReport:
 
     ``flat`` is the gradient in the layout of ``HeadParams.flat``, and
     ``grads`` maps each field name to its view of ``flat`` (see
-    ``HeadParams.fields``); the trainer and ``fd_check`` read ``flat``.  A
+    ``HeadParams.fields``); ``fd_check`` reads ``flat``.  A
     change written into a ``grads`` entry in place reaches ``flat``, but an
     entry rebound to a new array does not.  ``flat`` is None in a report
     built without it.  ``max_rel_err``, ``checked``, ``skipped`` and
@@ -116,22 +120,38 @@ def _loss_and_upstream(
     q: np.ndarray, t: np.ndarray, lam: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """``losses.total_loss``, dL/dQ (exact through the batch statistics) and
-    the per-item loss terms of ``GradReport.item_losses``."""
+    the per-item loss terms of ``GradReport.item_losses``.
+
+    The penalty is ``losses._plcc_rows`` for one row, in the same order of
+    operations, so the loss is bitwise ``losses.total_loss_rows``: the batch
+    statistics are Python floats, the sums ``np.add.reduce`` (what
+    ``ndarray.sum`` runs, without its wrapper), and q - t and qhat - that
+    are each formed once.
+    """
     n = q.size
-    abs_err = np.abs(t - q)
-    loss = float(abs_err.sum() / n)  # losses.mae_loss
-    u = np.sign(q - t) / n
+    err = q - t
+    abs_err = np.abs(err)
+    loss = float(np.add.reduce(abs_err)) / n  # losses.mae_loss
+    u = np.sign(err) / n
     if lam == 0.0:
         return loss, u, abs_err
-    st = losses.plcc_parts(q, t)
-    qhat, that, rho, sd = st.qhat, st.that, st.rho, st.sd
+    dq = q - float(np.add.reduce(q)) / n
+    dt = t - float(np.add.reduce(t)) / n
+    sd = math.sqrt(float(np.add.reduce(dq * dq)) / n)
+    qhat = dq / (sd + losses.PLCC_EPSILON)
+    that = dt / (math.sqrt(float(np.add.reduce(dt * dt)) / n) + losses.PLCC_EPSILON)
+    rho = float(np.add.reduce(qhat * that)) / n
+    resid = rho * qhat - that
+    diff = qhat - that
+    penalty = lam * (
+        (float(np.add.reduce(diff * diff)) + float(np.add.reduce(resid * resid))) / n
+    )
     # adjoint w.r.t. the standardized predictions, including the rho coupling
-    g = (2.0 / n) * ((qhat - that) + rho * st.resid + (that / n) * float(st.resid @ qhat))
-    dplcc = (g - g.sum() / n) / (sd + losses.PLCC_EPSILON)
+    g = (2.0 / n) * (diff + rho * resid + (that / n) * float(resid @ qhat))
+    dplcc = (g - float(np.add.reduce(g)) / n) / (sd + losses.PLCC_EPSILON)
     if sd > 0.0:
         # through the batch deviation itself
         dplcc -= (float(qhat @ g) / (n * sd)) * qhat
-    penalty = lam * st.value
     return loss + penalty, u + lam * dplcc, abs_err + penalty
 
 
@@ -145,10 +165,11 @@ def batch_loss_and_grads(
     """Total loss over a batch and its gradient on every head parameter.
 
     ``pairs`` is a sequence of feature pairs or their ``feature_matrix``.
+    This is the checked entry: it refuses bad features, targets and ``lam``,
+    then runs the unchecked ``_loss_and_grads`` with underflow ignored.
     The gradient is one zero vector shaped like ``hp.flat``, each field's
     gradient written into its ``hp.fields`` view; the report carries the
-    vector as ``flat`` and the views as ``grads``.  Underflow is ignored
-    once, around the forward and the backward together.
+    vector as ``flat`` and the views as ``grads``.
     """
     x = feature_matrix(hp, pairs)
     n = x.shape[0]
@@ -156,6 +177,25 @@ def batch_loss_and_grads(
     if t.size != n:
         raise ValueError(f"targets shape {t.shape} does not match {n} pairs")
     losses._require_lam(lam, n)
+    flat = np.zeros(hp.flat.shape)
+    grads = hp.fields(flat)
+    loss, item_losses = _loss_and_grads(hp, x, t, lam, grads)
+    return GradReport(loss=loss, grads=grads, item_losses=item_losses, flat=flat)
+
+
+def _loss_and_grads(
+    hp: HeadParams, x: np.ndarray, t: np.ndarray, lam: float, grads: dict[str, np.ndarray]
+) -> tuple[float, np.ndarray]:
+    """The batch loss and per-item loss terms; the gradient goes into
+    ``grads``, the ``hp.fields`` views of a vector shaped like ``hp.flat``.
+
+    The unchecked core of ``batch_loss_and_grads``: ``x`` is an (N, d)
+    feature matrix of the head's widths, ``t`` N finite targets, and ``lam``
+    a loss weight the batch admits.  It runs under the caller's
+    ``np.errstate``.  Each call overwrites every field's view in full,
+    except the temperature map's under no_temperature, which it never
+    writes; so a vector that starts at 0 can serve batch after batch.
+    """
     cfg = hp.config
     fw = _forward(hp, x)
     loss, upstream, item_losses = _loss_and_upstream(fw.q_rescaled, t, lam)
@@ -164,30 +204,28 @@ def batch_loss_and_grads(
     sp = _slopes(fw.probs)
     # through the [1,k] -> [0,5] rescale, then the curves' scale d * alpha
     uqc = upstream * 5.0 / (cfg.k - 1) * c
-    theta_bar = uqc * sp.sum(axis=1)
+    theta_bar = uqc * np.add.reduce(sp, axis=1)
     beta1_bar = -theta_bar
     gamma_bar = -uqc * (sp @ _steps(cfg.k - 1))  # d beta_m / d gamma = m - 1
 
-    # both activation inputs in one array, so the derivative runs once, and
-    # one row-wise sum gives both bias gradients
-    deriv = _ACTIVATION_FUNCS[cfg.activation][1](np.array((fw.pre_b, fw.pre_g)))
+    # the derivative runs once on the forward's (2, N) stack [pre_b, pre_g]
+    # (see HeadBatch), and one row-wise sum gives both bias gradients
+    deriv = _ACTIVATION_FUNCS[cfg.activation][1](fw.pre_b.base)
     dbg = np.array((beta1_bar, gamma_bar)) * deriv
     db, dg = dbg
     prior_in, temp_in = _inputs(hp, x)
-    flat = np.zeros(hp.flat.shape)
-    grads = hp.fields(flat)
     grads["phi_beta_w"][...] = db @ prior_in
     grads["phi_gamma_w"][...] = dg @ prior_in
-    grads["phi_beta_b"][...], grads["phi_gamma_b"][...] = dbg.sum(axis=1)
+    grads["phi_beta_b"][...], grads["phi_gamma_b"][...] = np.add.reduce(dbg, axis=1)
     # without the temperature map its gradient stays 0
     if cfg.ablation != "no_temperature":
         dtau = db + dg
         grads["phi_i_w"][...] = dtau @ temp_in
-        grads["phi_i_b"][...] = dtau.sum()
+        grads["phi_i_b"][...] = np.add.reduce(dtau)
 
     if cfg.agg_mode == "linear":
         grads["agg_w"][...] = theta_bar @ x
-        grads["agg_b"][...] = theta_bar.sum()
+        grads["agg_b"][...] = np.add.reduce(theta_bar)
     else:
         p = fw.softmax_p
         pbar = (theta_bar * cfg.lambda_s)[:, None] * grade_positions(cfg.k)
@@ -195,7 +233,7 @@ def batch_loss_and_grads(
         grads["agg_w"][...] = lbar.T @ x
         grads["agg_b"][...] = lbar.sum(axis=0)
 
-    return GradReport(loss=loss, grads=grads, item_losses=item_losses, flat=flat)
+    return loss, item_losses
 
 
 def _perturbed_losses(

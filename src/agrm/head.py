@@ -328,7 +328,7 @@ def _rowdot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     one-row forward bitwise equal to the same row of any batch, and a row of
     a weight stack equal to the forward of that row's weights alone.
     """
-    return (a * w).sum(axis=-1)
+    return np.add.reduce(a * w, axis=-1)
 
 
 def _inputs(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +364,8 @@ def _difficulty(hp: HeadParams, w, x: np.ndarray) -> tuple[np.ndarray, ...]:
         tau = np.zeros(b_prior.shape)
     else:
         tau = _rowdot(temp_in, w.phi_i_w) + w.phi_i_b
-    # both activation inputs in one array, so the activation runs once
+    # both activation inputs in one array, so the activation runs once; the
+    # array owns its data, so it is the base of the pre_b and pre_g views
     pre = np.array((b_prior, g_prior))
     pre += tau
     act = _ACTIVATION_FUNCS[cfg.activation][0](pre)
@@ -376,7 +377,9 @@ class HeadBatch(NamedTuple):
 
     Every field is an (N,) array except ``probs`` (N, k) and ``softmax_p``
     ((N, k) in softmax mode, else None).  ``softmax_p``, ``pre_b`` and
-    ``pre_g`` (the activation inputs) are what the backward pass reads.
+    ``pre_g`` (the activation inputs) are what the backward pass reads;
+    ``pre_b`` and ``pre_g`` are rows 0 and 1 of one array, their ``base``,
+    which the backward hands to the activation derivative whole.
     A forward over a (B, F) weight stack puts a leading B axis on each.
     """
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +25,6 @@ __all__ = [
     "srcc",
     "plcc_metric",
     "midranks",
-    "PlccParts",
-    "plcc_parts",
     "PLCC_EPSILON",
 ]
 
@@ -76,32 +73,17 @@ def plcc_loss(batch: ScoreBatch) -> float:
     over the batch, so both terms are on the same scale.
     """
     _require_lam(1.0, len(batch))  # the penalty at weight 1
-    return float(plcc_parts(batch.predicted, batch.target).value)
+    return float(_plcc_rows(batch.predicted, batch.target))
 
 
-class PlccParts(NamedTuple):
-    """The correlation penalty and the batch statistics it is built from.
+def _plcc_rows(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``plcc_loss`` of each row of a (..., N) prediction stack against the
+    (N,) targets ``t``, unchecked.
 
-    For predictions stacked as (..., N), ``value``, ``sd`` and ``rho`` have
-    the leading shape and the three vectors the full (..., N) one.
-    """
-
-    value: float
-    sd: float  # population deviation of the predictions, before PLCC_EPSILON
-    qhat: np.ndarray
-    that: np.ndarray
-    rho: float
-    resid: np.ndarray  # rho * qhat - that, the second term's residual
-
-
-def plcc_parts(q: np.ndarray, t: np.ndarray) -> PlccParts:
-    """``plcc_loss`` on checked arrays, with the statistics its gradient reuses.
-
-    ``q`` is (N,) or a stack (..., N) of prediction rows, each scored on its
-    own against the (N,) targets ``t``: every statistic is reduced over the
-    last axis, so a row's values are bitwise those of that row alone.  Means
-    and deviations are spelled out as ``np.mean`` and ``np.std`` compute
-    them (same values), without their per-call overhead.
+    Every statistic is reduced over the last axis, so a row's value is
+    bitwise that of the row alone.  Means and deviations are spelled out as
+    ``np.mean`` and ``np.std`` compute them (same values), without their
+    per-call overhead.
     """
     n = q.shape[-1]
     # the per-row statistics stay scalars for one row; [..., None] spreads
@@ -113,8 +95,7 @@ def plcc_parts(q: np.ndarray, t: np.ndarray) -> PlccParts:
     that = dt / (math.sqrt((dt * dt).sum() / n) + PLCC_EPSILON)
     rho = (qhat * that).sum(axis=-1) / n
     resid = rho[..., None] * qhat - that
-    value = (((qhat - that) ** 2).sum(axis=-1) + (resid**2).sum(axis=-1)) / n
-    return PlccParts(value, sd, qhat, that, rho, resid)
+    return (((qhat - that) ** 2).sum(axis=-1) + (resid**2).sum(axis=-1)) / n
 
 
 def total_loss_rows(q: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
@@ -123,7 +104,7 @@ def total_loss_rows(q: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
     loss = np.abs(t - q).sum(axis=-1) / q.shape[-1]
     if lam == 0.0:
         return loss
-    return loss + lam * plcc_parts(q, t).value
+    return loss + lam * _plcc_rows(q, t)
 
 
 def total_loss(batch: ScoreBatch, lam: float = 1.0) -> float:

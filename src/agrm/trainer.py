@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import _is_count, _is_real, _require_count, _require_non_negative
 from .data import as_records
-from .gradients import batch_loss_and_grads
+from .gradients import _loss_and_grads
 from .head import (
     PARAM_FIELDS,
     HeadConfig,
@@ -190,28 +190,35 @@ def _require_finite(what: str, flat: np.ndarray, head: HeadParams) -> None:
         raise ValueError(f"non-finite {what} in {name}")
 
 
-def _train_step(head: HeadParams, opt: AdamState, x, t, lr: float, cfg: TrainConfig):
-    """One optimizer step that stops at the first non-finite value.
+def _train_step(
+    head: HeadParams, opt: AdamState, grad, grads, x, t, lr: float, cfg: TrainConfig
+) -> np.ndarray:
+    """One optimizer step that stops at the first non-finite value; returns
+    the batch's per-item loss terms.
 
-    The loss is checked first.  Then, after the update, one screen covers
-    the gradient, the updated weights and the second moment (the first place
-    a huge but finite gradient overflows): the sum of all three is finite
-    only when every entry is.  Only when that screen fails do the exact
-    checks run, in that order, to name the first non-finite field.  A sum
-    that overflows from finite entries fails the screen, and the exact
-    checks behind it then pass.
-    ``train`` silences NumPy's overflow warnings around its steps, because
-    these checks report what the warnings would.
+    ``grad`` is the gradient vector ``train`` keeps for the whole run and
+    ``grads`` its ``head.fields`` views; the step calls the unchecked
+    ``gradients._loss_and_grads``, because ``train`` has checked its inputs
+    once per run.  The loss is checked first.  Then, after the update, one
+    screen covers the gradient, the updated weights and the second moment
+    (the first place a huge but finite gradient overflows): the sum of all
+    three is finite only when every entry is.  Only when that screen fails
+    do the exact checks run, in that order, to name the first non-finite
+    field.  A sum that overflows from finite entries fails the screen, and
+    the exact checks behind it then pass.
+    ``train`` ignores NumPy's overflow, invalid and underflow warnings
+    around its steps: these checks report what the first two would, and
+    underflow to 0 is no fault.
     """
-    rep = batch_loss_and_grads(head, x, t, lam=cfg.lam)
-    if not math.isfinite(rep.loss):
-        raise ValueError(f"non-finite loss {rep.loss!r}")
-    adamw_step(head, opt, rep.flat, lr, cfg)
-    if not math.isfinite(np.concatenate((rep.flat, head.flat, opt.v)).sum()):
-        _require_finite("gradient", rep.flat, head)
+    loss, item_losses = _loss_and_grads(head, x, t, cfg.lam, grads)
+    if not math.isfinite(loss):
+        raise ValueError(f"non-finite loss {loss!r}")
+    adamw_step(head, opt, grad, lr, cfg)
+    if not math.isfinite(np.add.reduce(np.concatenate((grad, head.flat, opt.v)))):
+        _require_finite("gradient", grad, head)
         _require_finite("weight", head.flat, head)
         _require_finite("second moment", opt.v, head)
-    return rep
+    return item_losses
 
 
 def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Checkpoint:
@@ -222,9 +229,12 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
     Mini-batches follow a seeded shuffle each epoch, and a trailing batch is
     dropped only when it has a single item (the correlation penalty needs
     batch variance).  Each step takes its rows of a set's feature matrix
-    ``x``.  A step that goes non-finite stops training with a ``ValueError``
-    naming the epoch, the step and the first non-finite field, before any
-    checkpoint exists.
+    ``x``.  The inputs are checked once per run, not once per step: the
+    sets' features and scores are finite when built, their widths are
+    checked against the head here, ``cfg`` checks ``lam``, and no batch has
+    fewer than 2 items.  A step that goes non-finite stops training with a
+    ``ValueError`` naming the epoch, the step and the first non-finite
+    field, before any checkpoint exists.
     """
     train_set, eval_set = as_records(train_set), as_records(eval_set)
     if not train_set or not eval_set:
@@ -240,6 +250,9 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
     x_train, t_train = feature_matrix(head, train_set), train_set.mos
     x_eval, t_eval = feature_matrix(head, eval_set), eval_set.mos
     opt = init_adam_state(head)
+    # one gradient vector for the run; every step overwrites what it uses
+    grad = np.zeros(head.flat.shape)
+    grads = head.fields(grad)
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
@@ -248,16 +261,17 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
         # per-item loss terms, summed exactly at the end, so the epoch loss
         # does not depend on how the shuffle grouped the items
         item_losses = []
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for step, start in enumerate(range(0, perm.size, cfg.batch_size)):
                 idx = perm[start : start + cfg.batch_size]
                 if idx.size < 2:
                     continue
                 try:
-                    rep = _train_step(head, opt, x_train[idx], t_train[idx], lr, cfg)
+                    item_losses.append(
+                        _train_step(head, opt, grad, grads, x_train[idx], t_train[idx], lr, cfg)
+                    )
                 except ValueError as exc:
                     raise ValueError(f"epoch {epoch}, step {step}: {exc}") from exc
-                item_losses.append(rep.item_losses)
         eval_srcc, eval_plcc = _correlations(batch_forward(head, x_eval).q_rescaled, t_eval)
         item_losses = np.concatenate(item_losses)
         history.append(

@@ -455,6 +455,10 @@ def test_boundary_rows_name_the_first_undefined_row():
     at_threshold = math.log(2.0) / 1.7
     with pytest.raises(ValueError, match=r"gamma .* is not above ln\(2\)/\(d\*alpha\) .*\(row 1\)"):
         core.boundary_thetas_batch([0.0, 0.0, 0.0], [1.0, at_threshold, 0.1])
+    # the only bad row on the threshold itself, where fl(2 e^(-1.7 gamma)) is 1
+    assert 2.0 * np.exp(-1.7 * np.array([at_threshold]))[0] == 1.0
+    with pytest.raises(ValueError, match=r"gamma .* is not above ln\(2\)/\(d\*alpha\) .*\(row 1\)"):
+        core.boundary_thetas_batch([0.0, 0.0], [1.0, at_threshold])
     with pytest.raises(ValueError, match="k >= 3"):
         core.boundary_thetas_batch([0.0], [1.0], k=2)
 

@@ -350,6 +350,13 @@ class TestBoundaryThetas:
         with pytest.raises(ValueError, match="log argument"):
             boundary_thetas(p)
 
+    def test_rejects_gamma_on_the_threshold(self):
+        # fl(2 e^(-1.7 gamma)) is exactly 1 at gamma = ln(2)/1.7
+        gamma = math.log(2.0) / 1.7
+        assert 2.0 * math.exp(-1.7 * gamma) == 1.0
+        with pytest.raises(ValueError, match="log argument"):
+            boundary_thetas(AgrmParams(theta=0.0, beta1=0.0, gamma=gamma, k=5))
+
     def test_rejects_two_grades(self):
         with pytest.raises(ValueError):
             boundary_thetas(AgrmParams(theta=0.0, beta1=0.0, gamma=1.0, k=2))

@@ -1,7 +1,11 @@
 """Tests for the hand-derived gradients."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agrm import gradients, losses
 from agrm.head import (
@@ -402,3 +406,74 @@ class TestStackedAgainstOracle:
         base = batch_loss_and_grads(hp, pairs, t)
         assert rep.loss == base.loss
         assert rep.flat.tobytes() == base.flat.tobytes()
+
+
+def loss_and_upstream_oracle(q, t, lam):
+    """``gradients._loss_and_upstream`` as it was written on the penalty's
+    stacked statistics (the former ``losses.plcc_parts``), kept as the
+    reference for the lean one."""
+    n = q.shape[-1]
+    abs_err = np.abs(t - q)
+    loss = float(abs_err.sum() / n)
+    u = np.sign(q - t) / n
+    if lam == 0.0:
+        return loss, u, abs_err
+    dq = q - (q.sum(axis=-1) / n)[..., None]
+    dt = t - t.sum() / n
+    sd = np.sqrt((dq * dq).sum(axis=-1) / n)
+    qhat = dq / (sd + losses.PLCC_EPSILON)[..., None]
+    that = dt / (math.sqrt((dt * dt).sum() / n) + losses.PLCC_EPSILON)
+    rho = (qhat * that).sum(axis=-1) / n
+    resid = rho[..., None] * qhat - that
+    value = (((qhat - that) ** 2).sum(axis=-1) + (resid**2).sum(axis=-1)) / n
+    g = (2.0 / n) * ((qhat - that) + rho * resid + (that / n) * float(resid @ qhat))
+    dplcc = (g - g.sum() / n) / (sd + losses.PLCC_EPSILON)
+    if sd > 0.0:
+        dplcc -= (float(qhat @ g) / (n * sd)) * qhat
+    penalty = lam * value
+    return loss + penalty, u + lam * dplcc, abs_err + penalty
+
+
+SCORES = st.floats(0.0, 5.0, allow_subnormal=False)
+
+
+@st.composite
+def loss_batches(draw):
+    """(q, t) of N in [2, 64] items: q free or constant, t free, equal to q,
+    or equal to q at some items (exact ties)."""
+    n = draw(st.integers(2, 64))
+    if draw(st.booleans()):
+        q = np.array(draw(st.lists(SCORES, min_size=n, max_size=n)))
+    else:
+        q = np.full(n, draw(SCORES))  # sd == 0
+    t = np.array(draw(st.lists(SCORES, min_size=n, max_size=n)))
+    ties = draw(st.sampled_from(["none", "some", "all"]))
+    if ties == "all":
+        t = q.copy()
+    elif ties == "some":
+        tied = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        t[tied] = q[tied]
+    return q, t
+
+
+def float_bits(v):
+    return np.float64(v).tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(batch=loss_batches(), lam=st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+@example(batch=(np.full(4, 2.5), np.array([1.0, 2.0, 3.0, 4.0])), lam=1.0)
+@example(batch=(np.array([1.0, 2.0, 4.0]), np.array([1.0, 2.0, 4.0])), lam=3.0)
+@example(batch=(np.full(2, 3.0), np.full(2, 3.0)), lam=0.5)
+def test_lean_loss_and_upstream_matches_the_stacked_oracle(batch, lam):
+    """The lean loss keeps every bit of the oracle's loss, upstream gradient
+    and per-item losses, and its loss is bitwise ``total_loss_rows``."""
+    q, t = batch
+    with np.errstate(all="raise", under="ignore"):
+        loss, upstream, item_losses = gradients._loss_and_upstream(q, t, lam)
+        want_loss, want_upstream, want_items = loss_and_upstream_oracle(q, t, lam)
+        rows = losses.total_loss_rows(q, t, lam)
+    assert math.isfinite(loss)
+    assert float_bits(loss) == float_bits(want_loss) == float_bits(rows)
+    assert upstream.tobytes() == want_upstream.tobytes()
+    assert item_losses.tobytes() == want_items.tobytes()

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from agrm import losses, trainer
 from agrm.core import gamma_threshold
 from agrm.data import Records, SynthConfig, split, synth_generate
+from agrm.gradients import batch_loss_and_grads
 from agrm.head import PARAM_FIELDS, HeadConfig, batch_forward, init_head
 from agrm.trainer import (
     PRESET_NAMES,
@@ -262,20 +264,20 @@ class TestTrain:
     def test_non_finite_step_names_epoch_step_and_field(self, monkeypatch, poison, message):
         recs, _ = tiny_dataset()
         tr, te = split(recs, 0.75, seed=0)
-        exact = trainer.batch_loss_and_grads
+        exact = trainer._loss_and_grads
         steps = []
 
-        def poisoned(*args, **kwargs):
-            rep = exact(*args, **kwargs)
+        def poisoned(hp, x, t, lam, grads):
+            loss, item_losses = exact(hp, x, t, lam, grads)
             steps.append(None)
             if len(steps) == 8:  # 36 records, batches of 8: 5 steps per epoch
                 if poison == "loss":
-                    rep.loss = float("nan")
+                    loss = float("nan")
                 else:
-                    rep.grads[poison][...] += np.inf
-            return rep
+                    grads[poison][...] += np.inf
+            return loss, item_losses
 
-        monkeypatch.setattr(trainer, "batch_loss_and_grads", poisoned)
+        monkeypatch.setattr(trainer, "_loss_and_grads", poisoned)
         with pytest.raises(ValueError) as info:
             train(TrainConfig(lr=1e-3, epochs=3, batch_size=8), tr, te, init_head(6, 6, seed=9))
         assert str(info.value) == message
@@ -323,9 +325,12 @@ class TestTrain:
         hp = init_head(6, 6, seed=4)
         opt = init_adam_state(hp)
         opt.v[:] = 1e308
+        grad = np.zeros(hp.flat.shape)
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.concatenate((hp.flat, opt.v)).sum())
-            trainer._train_step(hp, opt, recs.x[:8], recs.mos[:8], 1e-3, TrainConfig(lr=1e-3))
+            trainer._train_step(
+                hp, opt, grad, hp.fields(grad), recs.x[:8], recs.mos[:8], 1e-3, TrainConfig(lr=1e-3)
+            )
         assert opt.t == 1 and np.isfinite(opt.v).all() and np.isfinite(hp.flat).all()
 
     def test_rejects_small_train_set(self):
@@ -344,6 +349,76 @@ class TestTrain:
         recs, _ = tiny_dataset(n=16)
         with pytest.raises(ValueError, match="eval"):
             train(TrainConfig(batch_size=8), recs, recs[:1], init_head(6, 6))
+
+
+def reference_train(cfg, train_set, eval_set, head_init):
+    """``train`` as a loop over the public checked pieces: a fresh gradient
+    from ``batch_loss_and_grads`` each step, ``adamw_step``, ``cosine_lr``
+    and ``evaluate``, with the same shuffle and drop rule."""
+    head = head_init.copy()
+    opt = init_adam_state(head)
+    rng = np.random.default_rng(cfg.seed)
+    history = []
+    for epoch in range(cfg.epochs):
+        lr = cosine_lr(epoch, cfg.lr, cfg.t_max)
+        perm = rng.permutation(len(train_set))
+        item_losses = []
+        for start in range(0, perm.size, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            if idx.size < 2:
+                continue
+            rep = batch_loss_and_grads(head, train_set.x[idx], train_set.mos[idx], cfg.lam)
+            adamw_step(head, opt, rep.flat, lr, cfg)
+            item_losses.append(rep.item_losses)
+        item_losses = np.concatenate(item_losses)
+        eval_srcc, eval_plcc = evaluate(head, eval_set)
+        history.append(
+            EpochStats(epoch, lr, math.fsum(item_losses) / item_losses.size, eval_srcc, eval_plcc)
+        )
+    return head, history
+
+
+# C9's data and its five head configurations checked for identical bytes
+# whenever the training step changes
+C9_HEADS = [
+    HeadConfig(),
+    HeadConfig(k=9, activation="relu", agg_mode="softmax"),
+    HeadConfig(activation="sigmoid", ablation="no_temperature"),
+    HeadConfig(k=3, activation="softplus", ablation="text_only"),
+    HeadConfig(k=7, agg_mode="softmax", ablation="image_only"),
+]
+
+
+@pytest.mark.parametrize(
+    "config", C9_HEADS, ids=lambda c: f"{c.activation}-{c.agg_mode}-k{c.k}-{c.ablation}"
+)
+def test_train_matches_a_loop_over_the_checked_step(monkeypatch, config):
+    """``train`` reuses one gradient vector and skips the per-step input
+    checks, yet its weights and history are bitwise those of the loop over
+    the public pieces; the temperature map's gradient, which no_temperature
+    never writes, reads exactly 0 at every step."""
+    recs, _ = synth_generate(SynthConfig(n=512, noise_sigma=0.25, seed=11))
+    tr, te = split(recs, 0.75, seed=1)
+    hp = init_head(tr.d_img, tr.d_txt, config, seed=99)
+    cfg = TrainConfig(lr=1e-3, epochs=6)  # one cosine restart at t_max 5
+    exact = trainer._loss_and_grads
+    temp_grads = []
+
+    def spy(hp, x, t, lam, grads):
+        out = exact(hp, x, t, lam, grads)
+        temp_grads.append(np.append(grads["phi_i_w"], grads["phi_i_b"]))
+        return out
+
+    monkeypatch.setattr(trainer, "_loss_and_grads", spy)
+    ckpt = train(cfg, tr, te, hp)
+    head, history = reference_train(cfg, tr, te, hp)
+    assert ckpt.head.flat.tobytes() == head.flat.tobytes()
+    assert ckpt.history == history
+    assert len(temp_grads) == cfg.epochs * len(tr) // cfg.batch_size
+    if config.ablation == "no_temperature":
+        assert all(not g.any() for g in temp_grads)
+    else:
+        assert all(g.any() for g in temp_grads)
 
 
 class TestEvaluate:
