@@ -286,17 +286,17 @@ def _band_probs(z_all: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``_band_prob`` over an (N, m + 1) array of z at consecutive thresholds
     and an (N, 1) column of g: the (N, m) bands between them.
 
-    A screen comes first: when every |z| and every g is at most 30, the
-    factored form runs on z and g as they are.  Otherwise it runs with z
-    clipped to [-30, 30] and g capped at 30 so nothing overflows, and the
-    entries with |z| > 30 or g > 30 are then overwritten by the log-space
-    form.  Inside the screen the clip is the identity, so both routes give
-    the same bits.  ``g == 0`` entries come out of the factored form as
-    exactly 0 and are left as they are.
+    A screen comes first: when every |z| and every g is at most 30 (as for
+    no rows at all), the factored form runs on z and g as they are.
+    Otherwise it runs with z clipped to [-30, 30] and g capped at 30 so
+    nothing overflows, and the entries with |z| > 30 or g > 30 are then
+    overwritten by the log-space form.  Inside the screen the clip is the
+    identity, so both routes give the same bits.  ``g == 0`` entries come
+    out of the factored form as exactly 0 and are left as they are.
     """
     z = z_all[:, :-1]
     abs_z = np.abs(z)
-    if abs_z.max() <= 30.0 and g.max() <= 30.0:
+    if abs_z.max(initial=0.0) <= 30.0 and g.max(initial=0.0) <= 30.0:
         return _factored_band(z, g)
     out = _factored_band(np.minimum(np.maximum(z, -30.0), 30.0), np.minimum(g, 30.0))
     hard = np.flatnonzero(((abs_z > 30.0) | (g > 30.0)) & (g > 0.0))

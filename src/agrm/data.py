@@ -37,6 +37,7 @@ ground truth that produced its data.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import json
 import logging
@@ -143,10 +144,10 @@ class Records:
     ``x`` is the (N, d_txt + d_img) float64 feature matrix in
     ``head.feature_matrix`` layout, ``mos`` the (N,) float64 scores, and
     ``id`` and ``dim`` (N,) object arrays of strings.  The constructor takes
-    the columns without copying them and checks them once: every row must
-    make a valid ``FeatureRecord``, and the first that does not is refused
-    with that record's message.  A set is read-only by convention; nothing
-    here writes to its columns.
+    the columns without copying them, except an ``x`` not in C order, and
+    checks them once: every row must make a valid ``FeatureRecord``, and the
+    first that does not is refused with that record's message.  A set is
+    read-only by convention; nothing here writes to its columns.
 
     ``len`` counts the items, iterating yields each row as a
     ``FeatureRecord`` (its vectors are views of ``x``), an integer index
@@ -166,6 +167,8 @@ class Records:
             )
         if x.shape[0]:
             _require_dims(d_img, x.shape[1] - d_img)
+        # C order, so the forward reduces each row as one contiguous run
+        x = np.ascontiguousarray(x)
         self.x, self.d_img, self.mos, self.id, self.dim = x, d_img, mos, id, dim
         # found in bulk; the first bad row's record words its refusal
         bad = np.fromiter(
@@ -405,17 +408,14 @@ def save_records(path, records) -> None:
     ``records`` is a ``Records`` set or a sequence of ``FeatureRecord``.
     """
     rs = as_records(records)
-    with open(path, "wb") as handle:
-        if _is_gzip(path):
-            # fixed header (no name, zero mtime) so equal data -> equal bytes
-            with gzip.GzipFile(
-                filename="", mode="wb", fileobj=handle, mtime=0, compresslevel=GZIP_LEVEL
-            ) as gz:
-                for chunk in _encode_chunks(rs):
-                    gz.write(chunk)
-        else:
-            for chunk in _encode_chunks(rs):
-                handle.write(chunk)
+    with open(path, "wb") as handle, (
+        # fixed header (no name, zero mtime) so equal data -> equal bytes
+        gzip.GzipFile(filename="", mode="wb", fileobj=handle, mtime=0, compresslevel=GZIP_LEVEL)
+        if _is_gzip(path)
+        else contextlib.nullcontext(handle)
+    ) as out:
+        for chunk in _encode_chunks(rs):
+            out.write(chunk)
 
 
 def normalize_mos(records) -> Records:

@@ -22,11 +22,8 @@ telescopes to 1 plus the sum of the k-1 cumulative curves, so the backward
 pass needs only each curve's logistic slope s (1 - s).  Those slopes are read
 off the band masses the forward already returned: s is the mass above a
 grade, 1 - s the mass at or below it, both taken as cumulative sums of the
-masses along each row.  The correlation penalty couples items through the
-batch mean, batch deviation and the correlation coefficient itself, and all
-three couplings are differentiated exactly, from the same batch statistics
-the loss value is computed from.  The absolute-error term uses subgradient 0
-at an exact tie.
+masses along each row.  The loss and its gradient with respect to each
+item's score come from ``losses._loss_and_upstream``.
 
 ``fd_check`` validates the whole thing against central differences.  It
 moves each checked weight by +step and by -step, stacks those 2P perturbed
@@ -116,45 +113,6 @@ def _slopes(probs: np.ndarray) -> np.ndarray:
     return below * above
 
 
-def _loss_and_upstream(
-    q: np.ndarray, t: np.ndarray, lam: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """``losses.total_loss``, dL/dQ (exact through the batch statistics) and
-    the per-item loss terms of ``GradReport.item_losses``.
-
-    The penalty is ``losses._plcc_rows`` for one row, in the same order of
-    operations, so the loss is bitwise ``losses.total_loss_rows``: the batch
-    statistics are Python floats, the sums ``np.add.reduce`` (what
-    ``ndarray.sum`` runs, without its wrapper), and q - t and qhat - that
-    are each formed once.
-    """
-    n = q.size
-    err = q - t
-    abs_err = np.abs(err)
-    loss = float(np.add.reduce(abs_err)) / n  # losses.mae_loss
-    u = np.sign(err) / n
-    if lam == 0.0:
-        return loss, u, abs_err
-    dq = q - float(np.add.reduce(q)) / n
-    dt = t - float(np.add.reduce(t)) / n
-    sd = math.sqrt(float(np.add.reduce(dq * dq)) / n)
-    qhat = dq / (sd + losses.PLCC_EPSILON)
-    that = dt / (math.sqrt(float(np.add.reduce(dt * dt)) / n) + losses.PLCC_EPSILON)
-    rho = float(np.add.reduce(qhat * that)) / n
-    resid = rho * qhat - that
-    diff = qhat - that
-    penalty = lam * (
-        (float(np.add.reduce(diff * diff)) + float(np.add.reduce(resid * resid))) / n
-    )
-    # adjoint w.r.t. the standardized predictions, including the rho coupling
-    g = (2.0 / n) * (diff + rho * resid + (that / n) * float(resid @ qhat))
-    dplcc = (g - float(np.add.reduce(g)) / n) / (sd + losses.PLCC_EPSILON)
-    if sd > 0.0:
-        # through the batch deviation itself
-        dplcc -= (float(qhat @ g) / (n * sd)) * qhat
-    return loss + penalty, u + lam * dplcc, abs_err + penalty
-
-
 @np.errstate(under="ignore")
 def batch_loss_and_grads(
     hp: HeadParams,
@@ -198,7 +156,7 @@ def _loss_and_grads(
     """
     cfg = hp.config
     fw = _forward(hp, x)
-    loss, upstream, item_losses = _loss_and_upstream(fw.q_rescaled, t, lam)
+    loss, upstream, item_losses = losses._loss_and_upstream(fw.q_rescaled, t, lam)
 
     c = cfg.d * cfg.alpha
     sp = _slopes(fw.probs)

@@ -290,13 +290,15 @@ def feature_matrix(hp: HeadParams, items) -> np.ndarray:
     Row i is item i's text features followed by its image features, the
     order of the ability input.  ``items`` is a sequence of feature pairs,
     a ``data.Records`` set, whose ``x`` is kept in this layout, or a matrix
-    already in it; the last two are returned without a copy.
+    already in it; the last two are returned without a copy unless a matrix
+    is not C-ordered float64, so each row is reduced as one contiguous run
+    (see ``_rowdot``).
     """
     if isinstance(items, np.ndarray):
         n = hp.d_txt + hp.d_img
         if items.ndim != 2 or items.shape[1] != n:
             raise ValueError(f"feature matrix shape {items.shape}, expected (N, {n})")
-        return items
+        return np.ascontiguousarray(items, dtype=np.float64)
     if hasattr(items, "d_img"):  # a data.Records set
         x, d_img = items.x, items.d_img
     else:

@@ -73,29 +73,35 @@ def plcc_loss(batch: ScoreBatch) -> float:
     over the batch, so both terms are on the same scale.
     """
     _require_lam(1.0, len(batch))  # the penalty at weight 1
-    return float(_plcc_rows(batch.predicted, batch.target))
+    return float(_plcc_parts(batch.predicted, batch.target)[0])
 
 
-def _plcc_rows(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _plcc_parts(q: np.ndarray, t: np.ndarray) -> tuple:
     """``plcc_loss`` of each row of a (..., N) prediction stack against the
-    (N,) targets ``t``, unchecked.
+    (N,) targets ``t``, unchecked, with the statistics its gradient reads.
 
-    Every statistic is reduced over the last axis, so a row's value is
-    bitwise that of the row alone.  Means and deviations are spelled out as
-    ``np.mean`` and ``np.std`` compute them (same values), without their
-    per-call overhead.
+    Returns (penalty, sd, qhat, that, rho, resid, diff): the batch deviation
+    sd, the standardized scores qhat and that, their correlation rho,
+    resid = rho * qhat - that and diff = qhat - that.  Every statistic is a
+    sum over the last axis, so a row's values are bitwise those of the row
+    alone; for one row, sd and rho are NumPy scalars.  Means and deviations
+    are spelled out as ``np.mean`` and ``np.std`` compute them (same
+    values), without their per-call overhead.
     """
     n = q.shape[-1]
-    # the per-row statistics stay scalars for one row; [..., None] spreads
-    # them over the row's items
-    dq = q - (q.sum(axis=-1) / n)[..., None]
-    dt = t - t.sum() / n
-    sd = np.sqrt((dq * dq).sum(axis=-1) / n)
-    qhat = dq / (sd + PLCC_EPSILON)[..., None]
-    that = dt / (math.sqrt((dt * dt).sum() / n) + PLCC_EPSILON)
-    rho = (qhat * that).sum(axis=-1) / n
-    resid = rho[..., None] * qhat - that
-    return (((qhat - that) ** 2).sum(axis=-1) + (resid**2).sum(axis=-1)) / n
+    # each row's statistics spread over its items; a single row keeps them
+    # scalars, which broadcast faster than (1,) arrays
+    spread = (..., None) if q.ndim > 1 else ()
+    dq = q - (np.add.reduce(q, axis=-1) / n)[spread]
+    dt = t - np.add.reduce(t) / n
+    sd = np.sqrt(np.add.reduce(dq * dq, axis=-1) / n)
+    qhat = dq / (sd + PLCC_EPSILON)[spread]
+    that = dt / (math.sqrt(np.add.reduce(dt * dt) / n) + PLCC_EPSILON)
+    rho = np.add.reduce(qhat * that, axis=-1) / n
+    resid = rho[spread] * qhat - that
+    diff = qhat - that
+    penalty = (np.add.reduce(diff * diff, axis=-1) + np.add.reduce(resid * resid, axis=-1)) / n
+    return penalty, sd, qhat, that, rho, resid, diff
 
 
 def total_loss_rows(q: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
@@ -104,7 +110,38 @@ def total_loss_rows(q: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
     loss = np.abs(t - q).sum(axis=-1) / q.shape[-1]
     if lam == 0.0:
         return loss
-    return loss + lam * _plcc_rows(q, t)
+    return loss + lam * _plcc_parts(q, t)[0]
+
+
+def _loss_and_upstream(
+    q: np.ndarray, t: np.ndarray, lam: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """``total_loss`` of one batch of scores, dL/dq and the per-item loss
+    terms whose mean is the loss: each item's absolute error plus the
+    batch's weighted penalty; unchecked.
+
+    The penalty couples items through the batch mean, the batch deviation
+    and rho itself, and all three couplings are differentiated exactly, from
+    the statistics ``_plcc_parts`` computes the penalty from, so the loss is
+    bitwise ``total_loss_rows``.  The absolute-error term uses subgradient
+    0 at an exact tie.
+    """
+    n = q.size
+    err = q - t
+    abs_err = np.abs(err)
+    loss = float(np.add.reduce(abs_err)) / n
+    u = np.sign(err) / n
+    if lam == 0.0:
+        return loss, u, abs_err
+    value, sd, qhat, that, rho, resid, diff = _plcc_parts(q, t)
+    penalty = lam * float(value)
+    # adjoint w.r.t. the standardized predictions, including the rho coupling
+    g = (2.0 / n) * (diff + rho * resid + (that / n) * float(resid @ qhat))
+    dplcc = (g - float(np.add.reduce(g)) / n) / (sd + PLCC_EPSILON)
+    if sd > 0.0:
+        # through the batch deviation itself
+        dplcc -= (float(qhat @ g) / (n * sd)) * qhat
+    return loss + penalty, u + lam * dplcc, abs_err + penalty
 
 
 def total_loss(batch: ScoreBatch, lam: float = 1.0) -> float:

@@ -103,6 +103,12 @@ class TestKernelChecks:
         with pytest.raises(ValueError, match="k must be an integer >= 2"):
             core.agrm_probs_batch([0.0], [0.0], [1.0], k=1)
 
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_no_rows_give_no_masses(self, k):
+        empty = np.empty(0)
+        assert core.agrm_probs_unchecked(empty, empty, empty, k=k).shape == (0, k)
+        assert core.agrm_probs_batch(empty, empty, empty, k=k).shape == (0, k)
+
     def test_rows_are_normalized(self):
         rng = np.random.default_rng(0)
         p = core.agrm_probs_batch(rng.normal(size=500) * 20, rng.normal(size=500), rng.uniform(0, 3, 500))
@@ -274,6 +280,17 @@ def test_head_forward_is_the_batch_row_in_every_field_bitwise(agg):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (i, name)
     assert one.probs.shape == (4,)
     assert (one.softmax_p is None) == (agg == "linear")
+
+
+def test_fortran_ordered_features_give_the_one_row_forwards_bitwise():
+    """A feature matrix in Fortran order scores each row as a one-row
+    forward does; a strided last axis would sum in another order."""
+    hp = init_head(16, 16, seed=0)
+    x = np.random.default_rng(0).standard_normal((200, 32))
+    batch = batch_forward(hp, np.asfortranarray(x))
+    one_rows = [_forward(hp, x[i : i + 1]).q_rescaled[0] for i in range(x.shape[0])]
+    assert batch.q_rescaled.tobytes() == np.array(one_rows).tobytes()
+    assert batch.q_rescaled.tobytes() == batch_forward(hp, x).q_rescaled.tobytes()
 
 
 def test_feature_matrix_rejects_wrong_widths():

@@ -434,6 +434,25 @@ class TestVerify:
         expected = int((draws["theta"] > draws["beta1"] + 15.0).sum())
         assert doc["violations"]["normalization"] == expected > 0
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 9])
+    def test_a_k_group_refused_whole_counts_as_normalization(self, monkeypatch, k):
+        # the group's later checks then run the kernel on no rows at all
+        normalized = core.normalized_rows
+
+        def refuse_group(probs):
+            ok = normalized(probs)
+            return ok & (probs.shape[1] != k)
+
+        monkeypatch.setattr(core, "normalized_rows", refuse_group)
+        args = cli._build_parser().parse_args(["verify", "--samples", "300"])
+        draws = cli._verify_draws(np.random.default_rng(0), 300, args, core.gamma_threshold())
+        fails, nonunimodal, cf_theta = cli._verify_chunk(draws, standard=True)
+        group = draws["k"] == k
+        assert group.any()
+        assert np.array_equal(fails["normalization"], group)
+        assert not any(fails[name].any() for name in fails if name != "normalization")
+        assert not nonunimodal.any() and np.isnan(cf_theta[group]).all()
+
 
 def nudge(probs, size):
     """Move ``size`` of mass into grade 2 from the largest grade, for k >= 3:

@@ -470,7 +470,7 @@ def test_lean_loss_and_upstream_matches_the_stacked_oracle(batch, lam):
     and per-item losses, and its loss is bitwise ``total_loss_rows``."""
     q, t = batch
     with np.errstate(all="raise", under="ignore"):
-        loss, upstream, item_losses = gradients._loss_and_upstream(q, t, lam)
+        loss, upstream, item_losses = losses._loss_and_upstream(q, t, lam)
         want_loss, want_upstream, want_items = loss_and_upstream_oracle(q, t, lam)
         rows = losses.total_loss_rows(q, t, lam)
     assert math.isfinite(loss)

@@ -351,6 +351,21 @@ class TestTrain:
             train(TrainConfig(batch_size=8), recs, recs[:1], init_head(6, 6))
 
 
+def test_fortran_ordered_records_train_to_the_same_bytes(tmp_path):
+    """A set built from a Fortran-ordered feature matrix trains to the
+    checkpoint bytes of its C-ordered copy."""
+    recs, _ = synth_generate(SynthConfig(n=256, seed=3))
+    fortran = Records(
+        x=np.asfortranarray(recs.x), d_img=recs.d_img, mos=recs.mos, id=recs.id, dim=recs.dim
+    )
+    cfg = TrainConfig(lr=1e-3, epochs=5)
+    head = init_head(recs.d_img, recs.d_txt, seed=1)
+    paths = tmp_path / "c.json", tmp_path / "f.json"
+    for path, rs in zip(paths, (recs, fortran)):
+        save_checkpoint(path, train(cfg, rs[:192], rs[192:], head))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def reference_train(cfg, train_set, eval_set, head_init):
     """``train`` as a loop over the public checked pieces: a fresh gradient
     from ``batch_loss_and_grads`` each step, ``adamw_step``, ``cosine_lr``
