@@ -137,6 +137,10 @@ def _csv_rows(rows) -> str:
 
 def cmd_curves(args) -> int:
     core._require_count("steps", args.steps, 2)
+    # the flags first, so a refusal names the flag and not the range they give
+    core._require_count("k", args.k, 2)
+    core._require_finite("beta1", args.beta1)
+    core._require_non_negative("gamma", args.gamma)
     span = 4.0 * args.gamma * args.k
     lo = args.theta_min if args.theta_min is not None else args.beta1 - span
     hi = args.theta_max if args.theta_max is not None else args.beta1 + span
@@ -207,7 +211,7 @@ def _verify_chunk(draws, standard: bool):
     (``standard`` false) non-unimodal rows are expected, not failures, and
     the boundary family is skipped.
     """
-    c = core.D * core.ALPHA
+    c = core._SCALE
     n = draws["k"].size
     fails = {name: np.zeros(n, dtype=bool) for name in _VERIFY_FAMILIES}
     nonunimodal = np.zeros(n, dtype=bool)
@@ -287,7 +291,7 @@ def cmd_verify(args) -> int:
     # stops below.  That also keeps the kernel's z far from overflow; the
     # slack is nan when the margin is nan or inf.
     reach = args.k_max - 2 + (args.k_max >= 4)
-    slack = 8.0 * core.D * core.ALPHA * np.spacing(reach * (threshold + args.gamma_margin) + 25.0)
+    slack = 8.0 * core._SCALE * np.spacing(reach * (threshold + args.gamma_margin) + 25.0)
     if standard and not (args.gamma_margin > 0.0 and slack < 1.0):
         raise ValueError(
             f"gamma-margin must be > 0 with 8 * d * alpha * spacing({reach} * gamma + 25) < 1 "

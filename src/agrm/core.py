@@ -169,9 +169,9 @@ class GeneralGrmParams:
 class ProbVector(Sequence[float]):
     """Probability mass over grades 1..k, validated at construction.
 
-    Entries must lie in [0, 1] (up to float slack) and sum to 1 within
-    ``_SUM_SLACK`` = 1e-12, a slack fixed here rather than passed in;
-    construction fails otherwise, so downstream code never sees an
+    At least two grades, and the one row must pass ``normalized_rows``, the
+    mass rule every batch path applies; construction fails otherwise, with
+    ``_mass_refusal``'s message, so downstream code never sees an
     unnormalized vector.
     """
 
@@ -181,12 +181,9 @@ class ProbVector(Sequence[float]):
         p = tuple(float(v) for v in values)
         if len(p) < 2:
             raise ValueError("need at least two grades")
-        for v in p:
-            if not math.isfinite(v) or v < -_ENTRY_SLACK or v > 1.0 + _ENTRY_SLACK:
-                raise ValueError(f"entry {v!r} outside [0, 1]")
-        total = math.fsum(p)
-        if abs(total - 1.0) > _SUM_SLACK:
-            raise ValueError(f"mass sums to {total!r}, not 1")
+        row = np.array([p])
+        if not normalized_rows(row)[0]:
+            raise ValueError(_mass_refusal(row[0]))
         self._p = p
 
     def __len__(self) -> int:
@@ -355,17 +352,32 @@ def agrm_probs_unchecked(theta, beta1, gamma, k: int = 5) -> np.ndarray:
     return out
 
 
+def _in_range(probs: np.ndarray) -> np.ndarray:
+    """Entry mask: within [0, 1] up to ``_ENTRY_SLACK``; False for NaN."""
+    return (probs >= -_ENTRY_SLACK) & (probs <= 1.0 + _ENTRY_SLACK)
+
+
 def normalized_rows(probs: np.ndarray) -> np.ndarray:
-    """Row mask of an (N, k) mass array: True where ``ProbVector`` would accept
-    the row, i.e. every entry lies in [0, 1] up to float slack and the row sums
-    to 1 within ``ProbVector``'s own ``_SUM_SLACK``."""
+    """The mass rule, as a row mask of an (N, k) mass array: True where every
+    entry lies in [0, 1] up to ``_ENTRY_SLACK`` and the row's sum is within
+    ``_SUM_SLACK`` of 1.  ``ProbVector`` applies it to its one row, so the
+    mask is True exactly where ``ProbVector`` accepts the row."""
     ok = np.abs(probs.sum(axis=1) - 1.0) <= _SUM_SLACK
     # the entry-wise pass runs only when some entry is out of range (or NaN);
     # the two flat reductions that screen for it cost far less than row-wise
     # ones at small k
     if probs.size and not (probs.min() >= -_ENTRY_SLACK and probs.max() <= 1.0 + _ENTRY_SLACK):
-        ok &= ((probs >= -_ENTRY_SLACK) & (probs <= 1.0 + _ENTRY_SLACK)).all(axis=1)
+        ok &= _in_range(probs).all(axis=1)
     return ok
+
+
+def _mass_refusal(row: np.ndarray) -> str:
+    """Why ``normalized_rows`` refuses a (k,) row: its first entry out of
+    range, else its sum."""
+    in_range = _in_range(row)
+    if not in_range.all():
+        return f"entry {float(row[np.argmin(in_range)])!r} outside [0, 1]"
+    return f"mass sums to {float(row.sum())!r}, not 1"
 
 
 @np.errstate(under="ignore")
@@ -414,11 +426,7 @@ def _checked_probs(theta, beta1, gamma, k: int) -> np.ndarray:
     ok = normalized_rows(out)
     if not ok.all():
         row = int(np.argmin(ok))
-        v = out[row]
-        in_range = (v >= -_ENTRY_SLACK) & (v <= 1.0 + _ENTRY_SLACK)
-        if not in_range.all():
-            raise ValueError(f"entry {float(v[np.argmin(in_range)])!r} outside [0, 1] (row {row})")
-        raise ValueError(f"mass sum {float(v.sum())!r} is not 1 (row {row})")
+        raise ValueError(f"{_mass_refusal(out[row])} (row {row})")
     return out
 
 
@@ -459,17 +467,16 @@ def boundary_thetas(p: AgrmParams) -> tuple[float, float]:
     are the same crossing at beta1.
     """
     _require_distinct_crossings(p.k)
-    c = _SCALE
-    g = c * p.gamma
+    g = _SCALE * p.gamma
     t = 2.0 * math.exp(-g)
     if t >= 1.0:
         raise ValueError(
             "log argument 1 - 2*exp(-d*alpha*gamma) is not positive; "
-            f"need gamma > ln(2)/(d*alpha) = {math.log(2.0) / c!r}, got {p.gamma!r}"
+            f"need gamma > ln(2)/(d*alpha) = {math.log(2.0) / _SCALE!r}, got {p.gamma!r}"
         )
     log_arg = math.log1p(-t)
-    theta1 = p.beta1 - log_arg / c
-    theta2 = (p.beta1 + (p.k - 3) * p.gamma) + (g + log_arg) / c
+    theta1 = p.beta1 - log_arg / _SCALE
+    theta2 = (p.beta1 + (p.k - 3) * p.gamma) + (g + log_arg) / _SCALE
     return theta1, theta2
 
 
@@ -481,17 +488,16 @@ def boundary_thetas_batch(beta1, gamma, k: int = 5):
     """
     _require_distinct_crossings(k)
     beta1, gamma = (np.asarray(v, dtype=np.float64) for v in (beta1, gamma))
-    c = _SCALE
-    g = c * gamma
+    g = _SCALE * gamma
     with np.errstate(under="ignore"):
         t = 2.0 * np.exp(-g)
     # one mask decides and reports, so the two cannot disagree on a row
     ok = t < 1.0
     if not ok.all():
-        raise _first_bad("gamma", gamma, ~ok, f"is not above ln(2)/(d*alpha) = {math.log(2.0) / c!r}")
+        raise _first_bad("gamma", gamma, ~ok, f"is not above ln(2)/(d*alpha) = {math.log(2.0) / _SCALE!r}")
     log_arg = np.log1p(-t)
-    theta1 = beta1 - log_arg / c
-    theta2 = (beta1 + (k - 3) * gamma) + (g + log_arg) / c
+    theta1 = beta1 - log_arg / _SCALE
+    theta2 = (beta1 + (k - 3) * gamma) + (g + log_arg) / _SCALE
     return theta1, theta2
 
 

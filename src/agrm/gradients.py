@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from . import losses
-from .core import _finite_vector, _steps
+from .core import _SCALE, _finite_vector, _steps
 from .head import (
     _ACTIVATION_FUNCS,
     FeaturePair,
@@ -158,10 +158,9 @@ def _loss_and_grads(
     fw = _forward(hp, x)
     loss, upstream, item_losses = losses._loss_and_upstream(fw.q_rescaled, t, lam)
 
-    c = cfg.d * cfg.alpha
     sp = _slopes(fw.probs)
     # through the [1,k] -> [0,5] rescale, then the curves' scale d * alpha
-    uqc = upstream * 5.0 / (cfg.k - 1) * c
+    uqc = upstream * 5.0 / (cfg.k - 1) * _SCALE
     theta_bar = uqc * np.add.reduce(sp, axis=1)
     beta1_bar = -theta_bar
     gamma_bar = -uqc * (sp @ _steps(cfg.k - 1))  # d beta_m / d gamma = m - 1

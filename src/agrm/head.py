@@ -437,8 +437,8 @@ def head_forward(hp: HeadParams, fp: FeaturePair) -> HeadBatch:
     Row 0 of a one-row ``batch_forward``: each field of the returned
     ``HeadBatch`` is a NumPy scalar, ``probs`` (and ``softmax_p`` in softmax
     mode) a (k,) array.  ``core.agrm_probs_batch`` has already held the
-    masses to ``ProbVector``'s rule, and weights that have gone non-finite
-    make it raise.
+    masses to ``core.normalized_rows``, the one mass rule (``ProbVector``
+    applies the same), and weights that have gone non-finite make it raise.
     """
     b = _forward(hp, feature_matrix(hp, [fp]))
     return HeadBatch(*(None if f is None else f[0] for f in b))

@@ -5,6 +5,7 @@ one-row forward is the oracle for every row of a batch.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -114,6 +115,82 @@ class TestKernelChecks:
         p = core.agrm_probs_batch(rng.normal(size=500) * 20, rng.normal(size=500), rng.uniform(0, 3, 500))
         assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
         assert p.min() >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# one mass rule: ProbVector and the batch kernel judge a row alike
+# ---------------------------------------------------------------------------
+
+
+def vector_refusal(row):
+    """``ProbVector``'s refusal of ``row``, or None if it accepts it."""
+    try:
+        core.ProbVector(row)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def batch_refusal(row):
+    """``agrm_probs_batch``'s refusal when its kernel gives ``row`` as its
+    one output row, or None if it accepts it."""
+    with mock.patch.object(core, "agrm_probs_unchecked", lambda *args: row[None]):
+        try:
+            core.agrm_probs_batch([0.0], [0.0], [1.0], k=row.size)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=9),
+    side=st.sampled_from([-1.0, 1.0]),
+    ulps=st.integers(-8, 8),
+)
+# a correctly rounded sum and NumPy's row sum land on opposite sides of the
+# slack here: one of them accepted and the other refused each row
+@example(weights=[0.52, 0.85, 0.61, 0.71], side=1.0, ulps=-1)
+@example(weights=[0.98, 0.58, 0.87, 0.82], side=-1.0, ulps=0)
+def test_one_verdict_and_one_message_per_row(weights, side, ulps):
+    """Rows whose sums sit within a few ulps of 1 -/+ 1e-12: ``ProbVector``
+    refuses exactly the rows ``normalized_rows`` refuses, with the batch
+    kernel's message less its row."""
+    row = np.array(weights) / math.fsum(weights)
+    row *= (1.0 + side * 1e-12 + ulps * 2.0**-52) / row.sum()
+    accepted = core.normalized_rows(row[None])[0]
+    got = vector_refusal(row)
+    assert (got is None) == accepted
+    assert batch_refusal(row) == (None if accepted else f"{got} (row 0)")
+
+
+def test_scalar_kernel_accepts_the_batch_row_at_a_large_offset():
+    """A row the batch kernel accepts is accepted by the scalar kernel too,
+    bit for bit the same."""
+    p = core.AgrmParams(theta=937777.0419334957, beta1=937774.753564766, gamma=1.4798332506309162)
+    row = core.agrm_probs_batch([p.theta], [p.beta1], [p.gamma], k=p.k)[0]
+    assert np.array(core.agrm_probs(p)).tobytes() == row.tobytes()
+
+
+def test_entry_at_the_slack_is_in_range():
+    rows = np.array([[-1e-15, 0.5, 0.5 + 1e-15], [-2e-15, 0.5, 0.5 + 2e-15]])
+    assert core.normalized_rows(rows).tolist() == [True, False]
+    assert vector_refusal(rows[1]) == "entry -2e-15 outside [0, 1]"
+    assert batch_refusal(rows[1]) == "entry -2e-15 outside [0, 1] (row 0)"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[-core._ENTRY_SLACK, 0.5, 0.6], [1.0 + core._ENTRY_SLACK, 0.5]],
+    ids=["low", "high"],
+)
+def test_entry_at_the_slack_is_refused_for_its_sum(row):
+    """An entry exactly at the slack is in range, so a bad sum is what is
+    refused."""
+    row = np.array(row)
+    want = f"mass sums to {float(row.sum())!r}, not 1"
+    assert vector_refusal(row) == want
+    assert batch_refusal(row) == f"{want} (row 0)"
 
 
 # ---------------------------------------------------------------------------

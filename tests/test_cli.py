@@ -246,6 +246,27 @@ class TestCurves:
         assert code == 2 and out == ""
         assert err == f"error: theta range {shown} must have a finite width > 0\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--gamma", "1", "--k", "0"], "k must be an integer >= 2, got 0"),
+            (["--gamma", "1", "--k", "-3"], "k must be an integer >= 2, got -3"),
+            (["--gamma", "-1"], "gamma must be finite and >= 0, got -1.0"),
+            (["--gamma", "nan"], "gamma must be finite and >= 0, got nan"),
+            (["--gamma", "1", "--beta1=nan"], "beta1 must be finite, got nan"),
+            (["--gamma", "1", "--beta1=-inf"], "beta1 must be finite, got -inf"),
+            # with a range given too, the refusal names the flag, not a kernel row
+            (["--gamma", "-1", "--theta-min", "0", "--theta-max", "1"],
+             "gamma must be finite and >= 0, got -1.0"),
+        ],
+        ids=["k-0", "k-negative", "gamma-negative", "gamma-nan", "beta1-nan", "beta1-inf",
+             "given-range"],
+    )
+    def test_bad_flag_is_named_before_the_range(self, capsys, argv, message):
+        code, out, err = run(capsys, "curves", "--beta1", "0", "--steps", "3", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_unwritable_path_exit_2(self, capsys):
         code, _, err = run(
             capsys, "curves", "--beta1", "0", "--gamma", "1",
