@@ -16,6 +16,14 @@ above ``beta_{k-1}``).  Written against the base threshold this means grade
 the grade distribution is unimodal in theta; that guarantee is the reason for
 the arithmetic threshold layout.
 
+Each band's mass is the difference of its two cumulative curves, as in
+Samejima's graded response model, and is computed from them as
+
+    sigma(z_a) - sigma(z_b) = sigma(z_a) * sigma(-z_b) * (1 - e^(z_b - z_a)),
+
+a product that does not cancel at any z, where z = d * alpha * (theta - b)
+at a threshold b.
+
 The scaling constant ``d`` = ``D`` = 1.7 and the discrimination ``alpha`` =
 ``ALPHA`` = 1 are the published constants, fixed here rather than passed in.
 The masses see them only through their product, which multiplies theta,
@@ -72,6 +80,10 @@ D = 1.7
 ALPHA = 1.0
 # the curves' scale d * alpha, the only form in which the kernels use either
 _SCALE = D * ALPHA
+# z is clamped to +/- this before use.  That moves no mass, since e^-|z|
+# underflows to 0 beyond 745 either way, and an overflowing threshold
+# (z = -inf) then meets its neighbour with a gap of 0, not inf - inf = nan
+_Z_CAP = 800.0
 
 
 def _is_count(v, lo: int = 0) -> bool:
@@ -207,34 +219,6 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _band_prob(z: float, z_next: float, g: float) -> float:
-    """Mass between cumulative curves a distance g apart: sigma(z) - sigma(z_next),
-    where z_next = z - g is the next threshold's own z.
-
-    Evaluated through the factored form
-        phi * (e^g - 1) / ((1 + phi)(1 + phi e^g)),   phi = e^-z,
-    which never cancels.  Outside the comfortable range the same expression is
-    taken in log space, where log(e^g - 1) - softplus(z) - softplus(-z_next)
-    is written as
-        log(1 - e^-g) - max(-z, 0) - max(z_next, 0)
-            - log1p(e^-|z|) - log1p(e^-|z_next|)
-    so that no term of size g is cancelled against another: neither e^g nor
-    phi can overflow, and at large g the mass keeps its last digits.  z_next
-    is taken as given rather than as z - g, which loses digits when z and g
-    are both large.
-    """
-    if g == 0.0:
-        return 0.0
-    if g <= 30.0 and abs(z) <= 30.0:
-        phi = math.exp(-z)
-        em1 = math.expm1(g)
-        return phi * em1 / ((1.0 + phi) * (1.0 + phi * (em1 + 1.0)))
-    return math.exp(
-        math.log(-math.expm1(-g)) - max(-z, 0.0) - max(z_next, 0.0)
-        - math.log1p(math.exp(-abs(z))) - math.log1p(math.exp(-abs(z_next)))
-    )
-
-
 def category_probs(p: GeneralGrmParams) -> ProbVector:
     """Per-grade mass as adjacent differences of the cumulative curves."""
     s = [sigmoid(_SCALE * (p.theta - b)) for b in p.thresholds]
@@ -247,17 +231,23 @@ def category_probs(p: GeneralGrmParams) -> ProbVector:
 def agrm_probs(p: AgrmParams) -> ProbVector:
     """Per-grade mass under arithmetic thresholds, stable at any spacing.
 
-    Middle grades use the factored band form; the two edge grades are single
-    logistic evaluations.  Requires gamma >= 0 (decreasing thresholds have no
-    coherent grade bands).
+    The scalar reference for ``agrm_probs_batch``, the same formula in
+    ``math``: the edge grades are sigma(-z_0) and sigma(z_{k-2}), and each
+    middle grade is sigma(z_m) sigma(-z_{m+1}) (1 - e^{z_{m+1} - z_m}).
+    Requires gamma >= 0 (decreasing thresholds have no coherent grade bands).
     """
     if p.gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {p.gamma!r}")
-    g = _SCALE * p.gamma
     # z at each of the k-1 thresholds beta1 + m * gamma, m = 0 .. k-2
-    z = [_SCALE * (p.theta - (p.beta1 + m * p.gamma)) for m in range(p.k - 1)]
+    z = [
+        min(max(_SCALE * (p.theta - (p.beta1 + m * p.gamma)), -_Z_CAP), _Z_CAP)
+        for m in range(p.k - 1)
+    ]
     out = [sigmoid(-z[0])]
-    out.extend(_band_prob(z[m], z[m + 1], g) for m in range(p.k - 2))
+    out.extend(
+        sigmoid(z[m]) * sigmoid(-z[m + 1]) * (0.0 - math.expm1(z[m + 1] - z[m]))
+        for m in range(p.k - 2)
+    )
     out.append(sigmoid(z[-1]))
     return ProbVector(out)
 
@@ -273,53 +263,11 @@ def softplus_array(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _factored_band(z: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``_band_prob``'s factored form, element-wise."""
-    phi, em1 = np.exp(-z), np.expm1(g)
-    return phi * em1 / ((1.0 + phi) * (1.0 + phi * (em1 + 1.0)))
-
-
-def _band_probs(z_all: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``_band_prob`` over an (N, m + 1) array of z at consecutive thresholds
-    and an (N, 1) column of g: the (N, m) bands between them.
-
-    A screen comes first: when every |z| and every g is at most 30 (as for
-    no rows at all), the factored form runs on z and g as they are.
-    Otherwise it runs with z clipped to [-30, 30] and g capped at 30 so
-    nothing overflows, and the entries with |z| > 30 or g > 30 are then
-    overwritten by the log-space form.  Inside the screen the clip is the
-    identity, so both routes give the same bits.  ``g == 0`` entries come
-    out of the factored form as exactly 0 and are left as they are.
-    """
-    z = z_all[:, :-1]
-    abs_z = np.abs(z)
-    if abs_z.max(initial=0.0) <= 30.0 and g.max(initial=0.0) <= 30.0:
-        return _factored_band(z, g)
-    out = _factored_band(np.minimum(np.maximum(z, -30.0), 30.0), np.minimum(g, 30.0))
-    hard = np.flatnonzero(((abs_z > 30.0) | (g > 30.0)) & (g > 0.0))
-    if hard.size:
-        # flat positions: band (i, j) of out is z_all's (i, j), and the next
-        # threshold's z sits right after it
-        rows = hard // z.shape[1]
-        at = hard + rows
-        zf = z_all.reshape(-1)
-        zh, nh, gh = zf[at], zf[at + 1], g.reshape(-1)[rows]
-        out.reshape(-1)[hard] = np.exp(
-            np.log(-np.expm1(-gh)) - np.maximum(-zh, 0.0) - np.maximum(nh, 0.0)
-            - np.log1p(np.exp(-np.abs(zh))) - np.log1p(np.exp(-np.abs(nh)))
-        )
-    return out
-
-
 def _first_bad(name: str, values: np.ndarray, bad: np.ndarray, what: str) -> ValueError:
     """The error for the first flagged entry, naming its row."""
     i = int(np.argmax(bad.reshape(-1)))
     row = np.unravel_index(i, bad.shape)[0]
     return ValueError(f"{name} {float(values.reshape(-1)[i])!r} {what} (row {row})")
-
-
-# sigma(-z) for the lowest grade, sigma(z) for the highest
-_EDGE_SIGNS = np.array([-1.0, 1.0])
 
 
 @functools.lru_cache(maxsize=64)
@@ -335,21 +283,52 @@ def agrm_probs_unchecked(theta, beta1, gamma, k: int = 5) -> np.ndarray:
 
     ``theta``, ``beta1`` and ``gamma`` must be float64 vectors of one length
     with finite entries and gamma >= 0, and k >= 2; the rows that come out
-    are not checked either (``normalized_rows`` does that).  Saturated tails
-    underflow to 0.  This runs under the caller's ``np.errstate`` (NumPy
-    ignores underflow by default); ``agrm_probs_batch`` and ``agrm verify``
-    ignore it explicitly, once around their calls.
+    are not checked either (``normalized_rows`` does that).
+
+    One pass over z at the k-1 thresholds, clamped to +/-``_Z_CAP``:
+    e = exp(-|z|) gives sigma(z) and sigma(-z) as 1 / (1 + e) and
+    e / (1 + e), swapped where z < 0.  The edge grades are sigma(-z_0) and
+    sigma(z_{k-2}); column m + 1 between them is
+
+        sigma(z_m) - sigma(z_{m+1}) = sigma(z_m) sigma(-z_{m+1}) (1 - e^{z_{m+1} - z_m}),
+
+    a product with no cancellation.  It takes the gap between the computed
+    z's rather than d * alpha * gamma, so the masses telescope to 1 at any
+    offset.  Saturated tails underflow to 0.  This runs under the caller's
+    ``np.errstate`` (NumPy ignores underflow by default); ``agrm_probs_batch``
+    and ``agrm verify`` ignore it explicitly, once around their calls.
     """
-    out = np.empty((theta.size, k))
-    gamma = gamma[:, None]
-    # z at each of the k-1 thresholds beta1 + m * gamma, m = 0 .. k-2;
-    # the edge grades (columns 0 and k-1) are sigma(-z_0) and sigma(z_{k-2})
-    z = _SCALE * (theta[:, None] - (beta1[:, None] + _steps(k - 1) * gamma))
-    # (at k = 2 the one column of z meets both signs)
-    out[:, :: k - 1] = sigmoid_array(z[:, :: max(k - 2, 1)] * _EDGE_SIGNS)
-    if k > 2:
-        out[:, 1:-1] = _band_probs(z, _SCALE * gamma)
-    return out
+    # thresholds down the rows and items along them, so every step runs over
+    # contiguous items; the masses go into the (N, k) result through its
+    # transpose
+    z = _steps(k - 1)[:, None] * gamma
+    z += beta1
+    np.subtract(theta, z, out=z)
+    z *= _SCALE
+    np.maximum(z, -_Z_CAP, out=z)
+    np.minimum(z, _Z_CAP, out=z)
+    # e = exp(-|z|), then in place s = e / (1 + e) and r = 1 / (1 + e)
+    s = np.abs(z)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    r = 1.0 + s
+    np.divide(s, r, out=s)
+    np.divide(1.0, r, out=r)
+    pos = z >= 0.0
+    up = np.where(pos, r, s)  # sigma(z)
+    down = np.where(pos, s, r)  # sigma(-z)
+    probs = np.empty((theta.size, k))
+    out = probs.T
+    out[0] = down[0]
+    out[-1] = up[-1]
+    # the gaps z_{m+1} - z_m reuse s; 0.0 - expm1 rather than -expm1, so
+    # that a zero gap (gamma = 0) gives +0.0
+    gap = np.subtract(z[1:], z[:-1], out=s[1:])
+    np.expm1(gap, out=gap)
+    mid = out[1:-1]
+    np.multiply(up[:-1], down[1:], out=mid)
+    mid *= np.subtract(0.0, gap, out=gap)
+    return probs
 
 
 def _in_range(probs: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ one-row forward is the oracle for every row of a batch.
 """
 
 import math
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -52,15 +53,15 @@ WIDE = 6.0 / 1.7
 spacing = st.one_of(
     st.just(0.0),  # g == 0: every middle band is empty
     st.floats(0.0, WIDE),
-    st.floats(WIDE, 40.0 * WIDE),  # g beyond 30 from gamma 17.6: log-space branch
-    st.floats(400.0 * WIDE, 5000.0 * WIDE),  # g beyond 700: log(e^g - 1) taken as g
+    st.floats(WIDE, 40.0 * WIDE),  # g beyond 30 from gamma 17.6
+    st.floats(400.0 * WIDE, 5000.0 * WIDE),  # g beyond 700: e^-g underflows
 )
 item = st.tuples(st.floats(-200.0 * WIDE, 200.0 * WIDE), st.floats(-50.0 * WIDE, 50.0 * WIDE), spacing)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(rows=st.lists(item, min_size=1, max_size=12), k=st.integers(2, 9))
-@example(rows=[(0.3, 0.0, 1.0), (0.0, 0.0, 0.0)], k=5)  # factored form, g == 0
+@example(rows=[(0.3, 0.0, 1.0), (0.0, 0.0, 0.0)], k=5)  # g == 0
 @example(rows=[(40.0, 0.0, 1.0), (-40.0, 0.0, 0.5)], k=6)  # |z| > 30
 @example(rows=[(0.0, 0.0, 20.0), (10.0, 0.0, 500.0)], k=4)  # g > 30, g > 700
 @example(rows=[(100.0, -3.0, 0.0)], k=3)  # g == 0 beside |z| > 30
@@ -194,45 +195,110 @@ def test_entry_at_the_slack_is_refused_for_its_sum(row):
 
 
 # ---------------------------------------------------------------------------
-# the screens against the exact paths they stand in front of
+# the band kernel against the exact masses of its own z
 # ---------------------------------------------------------------------------
 
 
-def clip_path_bands(z_all, g):
-    """The band kernel's clip-and-hard-entry path on every input, without
-    the screen in front of it: the oracle for ``core._band_probs``."""
-    z = z_all[:, :-1]
-    out = core._factored_band(np.minimum(np.maximum(z, -30.0), 30.0), np.minimum(g, 30.0))
-    hard = ((np.abs(z) > 30.0) | (g > 30.0)) & (g > 0.0)
-    rows, cols = np.nonzero(hard)
-    zh, nh, gh = z_all[rows, cols], z_all[rows, cols + 1], g[rows, 0]
-    out[rows, cols] = np.exp(
-        np.log(-np.expm1(-gh)) - np.maximum(-zh, 0.0) - np.maximum(nh, 0.0)
-        - np.log1p(np.exp(-np.abs(zh))) - np.log1p(np.exp(-np.abs(nh)))
-    )
-    return out
+def kernel_z(theta, beta1, gamma, k):
+    """z at the k-1 thresholds by the kernel's own float operations, clamped
+    as the kernel clamps it."""
+    c, cap = core._SCALE, core._Z_CAP
+    return [min(max(c * (theta - (beta1 + m * gamma)), -cap), cap) for m in range(k - 1)]
 
 
-ABOVE_30 = math.nextafter(30.0, math.inf)
+def exact_masses(z):
+    """The k masses of the cumulative curves at ``z``, as Decimals to 330
+    digits.  A difference of two curves keeps 40 of them for any mass of at
+    least 1e-290."""
+    with localcontext() as ctx:
+        ctx.prec = 330
+
+        def sigma(v):
+            return 1 / (1 + (-v).exp())
+
+        s = [sigma(Decimal(v)) for v in z]
+        return [sigma(-Decimal(z[0])), *(a - b for a, b in zip(s, s[1:])), s[-1]]
 
 
-@pytest.mark.parametrize(
-    "z0, g",
-    [(30.0, 1.0), (-30.0, 1.0), (ABOVE_30, 1.0), (-ABOVE_30, 1.0), (0.5, 30.0),
-     (0.5, ABOVE_30), (0.5, 0.0), (30.0, 0.0), (ABOVE_30, 0.0), (-30.0, 30.0)],
+def ulps_off(got, exact):
+    """The largest error of ``got`` in ulps of the exact mass, over the
+    masses of at least 1e-290."""
+    errors = [
+        abs(Decimal(g) - x) / Decimal(math.ulp(float(x)))
+        for g, x in zip(got, exact)
+        if x >= Decimal("1e-290")
+    ]
+    return max(errors, default=0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    k=st.integers(2, 9),
+    g=st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e4)),
+    zj=st.floats(-800.0, 800.0),
+    j=st.integers(0, 7),
+    beta1=st.one_of(st.floats(-10.0, 10.0), st.floats(-1e8, 1e8)),
 )
-def test_band_screen_is_bitwise_the_clip_path(z0, g):
-    """At the screen's edges the bands are the clip path's, bit for bit."""
-    rng = np.random.default_rng(0)
-    z_all = np.sort(rng.uniform(-5.0, 5.0, (6, 4)), axis=1)[:, ::-1].copy()
-    z_all[0, 0] = z0
-    g_col = np.full((6, 1), 1.7)
-    g_col[0, 0] = g
-    g_col[1, 0] = g
+@example(k=5, g=1.7 * 1.3, zj=0.34, j=0, beta1=1000000.1)  # an offset near 1e6
+@example(k=9, g=1e4, zj=-660.0, j=3, beta1=0.0)  # a tail mass of about 5e-287
+@example(k=3, g=1e-12, zj=5.0, j=1, beta1=0.0)  # a tiny gap, where 1 - e^gap needs expm1
+def test_masses_are_within_16_ulps_of_the_exact_masses_of_their_z(k, g, zj, j, beta1):
+    """The batch kernel and the scalar reference against exact masses from
+    the kernel's own z: z_j is placed at ``zj``, the rest follow at
+    ``g`` = d * alpha * gamma apart."""
+    gamma = g / core._SCALE
+    theta = beta1 + min(j, k - 2) * gamma + zj / core._SCALE
+    exact = exact_masses(kernel_z(theta, beta1, gamma, k))
+    batch = core.agrm_probs_batch([theta], [beta1], [gamma], k)[0]
+    scalar = core.agrm_probs(core.AgrmParams(theta=theta, beta1=beta1, gamma=gamma, k=k))
+    assert ulps_off(batch, exact) <= 16
+    assert ulps_off(scalar, exact) <= 16
+
+
+@pytest.mark.parametrize("offset", [1e5, 1e6, 1e8])
+def test_no_row_is_refused_at_a_large_offset(offset):
+    """z carries the rounding of theta, and the masses take their gaps from
+    the z's themselves, so they still sum to 1."""
+    rng = np.random.default_rng(19)
+    n = 20000
+    gamma = rng.uniform(0.82, 5.0, n)
+    beta1 = offset + rng.uniform(-1.0, 1.0, n)
+    theta = rng.uniform(beta1 - 3.0, beta1 + 3.0 * gamma + 3.0)
     with np.errstate(under="ignore"):
-        got = core._band_probs(z_all, g_col)
-        want = clip_path_bands(z_all, g_col)
-    assert got.tobytes() == want.tobytes()
+        probs = core.agrm_probs_unchecked(theta, beta1, gamma, 5)
+    assert int(np.count_nonzero(~core.normalized_rows(probs))) == 0
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_zero_spacing_gives_positive_zero_middle_masses(k):
+    theta = np.array([-40.0, -0.3, 0.0, 0.7, 40.0])
+    beta1, gamma = np.full(5, 0.2), np.zeros(5)
+    zeros = np.zeros(k - 2).tobytes()
+    for i, row in enumerate(core.agrm_probs_batch(theta, beta1, gamma, k)):
+        scalar = core.agrm_probs(core.AgrmParams(theta=theta[i], beta1=0.2, gamma=0.0, k=k))
+        assert row[1:-1].tobytes() == zeros
+        assert np.array(scalar)[1:-1].tobytes() == zeros
+
+
+@pytest.mark.parametrize("k", [2, 5, 9])
+@pytest.mark.parametrize(
+    "theta, beta1, gamma, top",
+    [(0.0, 1e308, 1e308, False), (1e308, -1e308, 0.0, True), (1e308, -1e308, 1.0, True)],
+    ids=["thresholds-overflow", "ability-overflows", "ability-overflows-spaced"],
+)
+def test_an_overflowing_z_gives_an_edge_grade(k, theta, beta1, gamma, top):
+    """Thresholds beyond the float range put all mass on grade 1, an ability
+    beyond it all mass on grade k, with no invalid operation on the way."""
+    want = [0.0] * (k - 1) + [1.0] if top else [1.0] + [0.0] * (k - 1)
+    with np.errstate(over="ignore", invalid="raise"):
+        got = core.agrm_probs_batch([theta], [beta1], [gamma], k)
+    assert got.tolist() == [want]
+    assert list(core.agrm_probs(core.AgrmParams(theta=theta, beta1=beta1, gamma=gamma, k=k))) == want
+
+
+# ---------------------------------------------------------------------------
+# the input screens against the exact checks they stand in front of
+# ---------------------------------------------------------------------------
 
 
 def input_refusal(theta, beta1, gamma):

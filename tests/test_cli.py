@@ -79,6 +79,14 @@ class TestProbe:
         assert code == 0
         assert "boundary crossings: undefined (a crossing overflows: " in out
 
+    def test_large_offset_is_accepted(self, capsys):
+        # z carries the rounding of theta near 1e6; the masses still sum to 1
+        code, doc, err = run_json(
+            capsys, "probe", "--theta", "1000000.3", "--beta1", "1000000.1", "--gamma", "1.3"
+        )
+        assert code == 0 and err == ""
+        assert abs(math.fsum(doc["probs"]) - 1.0) <= 1e-12
+
     def test_invalid_params_exit_2(self, capsys):
         code, _, err = run(
             capsys, "probe", "--theta", "0", "--beta1", "0", "--gamma", "-1"
@@ -124,6 +132,24 @@ class TestCurves:
         lines = out.strip().splitlines()
         assert lines[0] == "theta,p1,p2,p3,p4,p5,q"
         assert len(lines) == 3
+
+    def test_large_offset_is_accepted(self, capsys, tmp_path):
+        out_path = tmp_path / "c.csv"
+        code, out, err = run(
+            capsys, "curves", "--beta1", "100000.1", "--gamma", "1.3", "--steps", "200",
+            "--out", str(out_path),
+        )
+        assert (code, out, err) == (0, f"wrote 200 rows to {out_path}\n", "")
+
+    def test_zero_spacing_prints_positive_zero_middle_masses(self, capsys):
+        code, out, _ = run(
+            capsys, "curves", "--beta1", "0", "--gamma", "0", "--steps", "3",
+            "--theta-min", "-1", "--theta-max", "1", "--json",
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row[2:5] for row in rows] == [[0.0] * 3] * 3
+        assert "-0.0" not in out
 
     def test_rows_sum_to_one(self, capsys):
         code, doc, _ = run_json(
@@ -376,6 +402,20 @@ class TestVerify:
         draws = cli._verify_draws(np.random.default_rng(0), 2000, args, core.gamma_threshold())
         assert code == 1
         assert doc["violations"]["boundary"] == int((draws["k"] >= 3).sum())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--samples", "50", "--k-min", "40000", "--k-max", "40000"],
+            ["--samples", "5", "--k-max", "100000"],
+        ],
+        ids=["k-40000", "k-to-100000"],
+    )
+    def test_many_grades_pass(self, capsys, argv):
+        # abilities reach 1e5, where z carries their rounding
+        code, doc, err = run_json(capsys, "verify", *argv)
+        assert (code, err) == (0, "")
+        assert all(v == 0 for v in doc["violations"].values())
 
     def test_huge_margin_passes_when_abilities_do_not_grow(self, capsys):
         # at k-max 2 the abilities are beta1 -/+ 20 whatever gamma is

@@ -204,7 +204,7 @@ class TestAgrmProbs:
         assert list(agrm_probs(p)) == pytest.approx(expect, abs=1e-14)
 
     def test_matches_naive_differences(self):
-        """The factored band form agrees with plain cumulative differences."""
+        """The one-pass band form agrees with plain cumulative differences."""
         rng = np.random.default_rng(11)
         for _ in range(500):
             k = int(rng.integers(2, 10))
@@ -217,7 +217,7 @@ class TestAgrmProbs:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_huge_spacing_stays_normalized(self):
-        """Log-space branch: spacing far beyond exp overflow still behaves."""
+        """Spacing far beyond exp overflow still behaves."""
         for gamma in (25.0, 450.0, 2000.0):
             p = AgrmParams(theta=3.0, beta1=0.0, gamma=gamma, k=6)
             probs = agrm_probs(p)
