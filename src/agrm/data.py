@@ -50,7 +50,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .core import _float_array, _require_count, _require_non_negative
-from .head import FeaturePair, _pairs_matrix, _require_dims, batch_forward, init_head
+from .head import BLOCK_ELEMENTS, FeaturePair, _pairs_matrix, _require_dims, batch_forward, init_head
 
 __all__ = [
     "DIMS",
@@ -175,7 +175,13 @@ class Records:
             (not (isinstance(i, str) and i and t in DIMS) for i, t in zip(id, dim)),
             dtype=bool, count=len(id),
         )
-        bad |= ~(np.isfinite(x).all(axis=1) & np.isfinite(mos))
+        # a row's sum is finite when every entry is, unless it overflows:
+        # only then are the entries checked one by one, as in ``_finite``
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(x.sum(axis=1))
+        if not finite.all():
+            finite = np.isfinite(x).all(axis=1)
+        bad |= ~(finite & np.isfinite(mos))
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"row {i}: {_refusal(lambda: self[i])}")
@@ -451,9 +457,17 @@ def split(records, train_fraction: float, seed: int = 0):
 def draw_features(rng, n: int, d_img: int, d_txt: int) -> np.ndarray:
     """n standard normal feature pairs from ``rng`` as an (n, d_txt + d_img)
     matrix in ``head.feature_matrix`` layout, drawn as each item's f_i and
-    then its f_t."""
+    then its f_t.
+
+    The two halves of each row are swapped in place, ``head.BLOCK_ELEMENTS``
+    entries at a time, so the draw is the only full-size array.
+    """
     feats = rng.standard_normal((n, d_img + d_txt))
-    return np.concatenate([feats[:, d_img:], feats[:, :d_img]], axis=1)
+    rows = max(1, BLOCK_ELEMENTS // feats.shape[1])
+    for start in range(0, n, rows):
+        block = feats[start : start + rows]
+        block[...] = np.concatenate([block[:, d_img:], block[:, :d_img]], axis=1)
+    return feats
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,31 @@ class TestRecords:
         with pytest.raises(ValueError, match=message):
             Records(**{**cols, **change})
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.sampled_from([0.5, -2.0, 1e308, -1e308, float("nan"), float("inf"), -float("inf")]),
+                     min_size=3, max_size=3),
+            min_size=1, max_size=6,
+        ),
+        mos=st.sampled_from([1.0, 1e308, float("nan")]),
+    )
+    def test_screened_refusal_is_the_first_row_with_a_non_finite_entry(self, rows, mos):
+        """Rows whose sums overflow pass the exact check; the first row with
+        a non-finite entry or score is refused with its record's message."""
+        x, scores = np.array(rows), np.full(len(rows), mos)
+        bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(scores))
+        cols = {"d_img": 1, "mos": scores, "id": ["a"] * len(rows), "dim": ["quality"] * len(rows)}
+        if not bad.any():
+            assert Records(x=x, **cols).x is x
+            return
+        i = int(np.argmax(bad))
+        with pytest.raises(ValueError) as refusal:
+            Records(x=x, **cols)
+        with pytest.raises(ValueError) as record:
+            FeatureRecord(id="a", f_i=x[i, 2:], f_t=x[i, :2], mos=mos, dim="quality")
+        assert str(refusal.value) == f"row {i}: {record.value}"
+
     @pytest.mark.parametrize("column, value", [("x", [[10**400, 1.0]]), ("mos", [10**400])])
     def test_integer_too_large_for_a_float_is_a_value_error(self, column, value):
         cols = {"x": [[1.0, 2.0]], "d_img": 1, "mos": [1.0], "id": ["a"], "dim": ["quality"]}
