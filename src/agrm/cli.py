@@ -34,7 +34,7 @@ from .data import (
     synth_generate,
 )
 from .gradients import fd_check
-from .head import ABLATIONS, ACTIVATIONS, AGG_MODES, HeadConfig, batch_forward, init_head
+from .head import ABLATIONS, ACTIVATIONS, AGG_MODES, HeadConfig, batch_scores, init_head
 from .trainer import (
     PRESET_NAMES,
     Checkpoint,
@@ -475,7 +475,7 @@ def cmd_fd_check(args) -> int:
     head = init_head(args.d_img, args.d_txt, head_cfg, seed=init_seed)
     rng = np.random.default_rng(batch_seed)
     x = draw_features(rng, args.batch, args.d_img, args.d_txt)
-    preds = batch_forward(head, x).q_rescaled
+    preds = batch_scores(head, x)
     # targets sit a finite distance from the predictions so the absolute-error
     # kink stays outside the difference stencil
     offsets = rng.uniform(0.1, 1.0, size=args.batch) * rng.choice([-1.0, 1.0], size=args.batch)

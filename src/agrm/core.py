@@ -263,10 +263,13 @@ def softplus_array(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _first_bad(name: str, values: np.ndarray, bad: np.ndarray, what: str) -> ValueError:
-    """The error for the first flagged entry, naming its row."""
+def _first_bad(
+    name: str, values: np.ndarray, bad: np.ndarray, what: str, first_row: int = 0
+) -> ValueError:
+    """The error for the first flagged entry, naming its row counted from
+    ``first_row``."""
     i = int(np.argmax(bad.reshape(-1)))
-    row = np.unravel_index(i, bad.shape)[0]
+    row = np.unravel_index(i, bad.shape)[0] + first_row
     return ValueError(f"{name} {float(values.reshape(-1)[i])!r} {what} (row {row})")
 
 
@@ -381,10 +384,12 @@ def agrm_probs_batch(theta, beta1, gamma, k: int = 5) -> np.ndarray:
     return _checked_probs(theta, beta1, gamma, k)
 
 
-def _checked_probs(theta, beta1, gamma, k: int) -> np.ndarray:
+def _checked_probs(theta, beta1, gamma, k: int, first_row: int = 0) -> np.ndarray:
     """``agrm_probs_batch`` past its argument checks, under the caller's
     ``np.errstate``: float64 vectors of one length and k >= 2, as the head's
-    forward builds them.
+    forward builds them.  A refusal names its row counted from
+    ``first_row``, the input row of entry 0 when the vectors are one block
+    of a longer input.
 
     Screen, then check exactly: the greatest magnitude over the three
     vectors is finite only when every entry is, and the least gamma says
@@ -398,14 +403,14 @@ def _checked_probs(theta, beta1, gamma, k: int) -> np.ndarray:
     if not (np.abs(np.concatenate((theta, beta1, gamma))).max() < math.inf and gamma.min() >= 0.0):
         for name, arr in (("theta", theta), ("beta1", beta1), ("gamma", gamma)):
             if not np.isfinite(arr).all():
-                raise _first_bad(name, arr, ~np.isfinite(arr), "is not finite")
+                raise _first_bad(name, arr, ~np.isfinite(arr), "is not finite", first_row)
         if gamma.min() < 0.0:
-            raise _first_bad("gamma", gamma, gamma < 0.0, "must be >= 0")
+            raise _first_bad("gamma", gamma, gamma < 0.0, "must be >= 0", first_row)
     out = agrm_probs_unchecked(theta, beta1, gamma, k)
     ok = normalized_rows(out)
     if not ok.all():
         row = int(np.argmin(ok))
-        raise ValueError(f"{_mass_refusal(out[row])} (row {row})")
+        raise ValueError(f"{_mass_refusal(out[row])} (row {row + first_row})")
     return out
 
 

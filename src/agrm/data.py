@@ -29,8 +29,8 @@ a bad row; the first one's ``FeatureRecord`` words the refusal.
 
 The synthetic generator plants a head drawn by ``init_head`` with its
 ability map widened ``ABILITY_SCALE`` times, samples feature pairs from a
-standard normal (``draw_features``), and scores them in one batched forward
-with the planted head, plus optional Gaussian noise.  It returns the planted
+standard normal (``draw_features``), and scores them with the planted head
+(``head.batch_scores``), plus optional Gaussian noise.  It returns the planted
 head alongside the records so a training run can be checked against the
 ground truth that produced its data.
 """
@@ -50,7 +50,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .core import _float_array, _require_count, _require_non_negative
-from .head import BLOCK_ELEMENTS, FeaturePair, _pairs_matrix, _require_dims, batch_forward, init_head
+from .head import BLOCK_ELEMENTS, FeaturePair, _pairs_matrix, _require_dims, batch_scores, init_head
 
 __all__ = [
     "DIMS",
@@ -175,13 +175,7 @@ class Records:
             (not (isinstance(i, str) and i and t in DIMS) for i, t in zip(id, dim)),
             dtype=bool, count=len(id),
         )
-        # a row's sum is finite when every entry is, unless it overflows:
-        # only then are the entries checked one by one, as in ``_finite``
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(x.sum(axis=1))
-        if not finite.all():
-            finite = np.isfinite(x).all(axis=1)
-        bad |= ~(finite & np.isfinite(mos))
+        bad |= ~(np.isfinite(x).all(axis=1) & np.isfinite(mos))
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"row {i}: {_refusal(lambda: self[i])}")
@@ -501,7 +495,7 @@ def synth_generate(cfg: SynthConfig):
     records = Records(
         x=x,
         d_img=cfg.d_img,
-        mos=batch_forward(planted, x).q_rescaled + cfg.noise_sigma * noise,
+        mos=batch_scores(planted, x) + cfg.noise_sigma * noise,
         id=[f"synth-{i:05d}" for i in range(cfg.n)],
         dim=np.array(DIMS, dtype=object)[np.arange(cfg.n) % len(DIMS)],
     )

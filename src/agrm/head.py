@@ -35,11 +35,15 @@ correctly rounded ``core.expected_score``.
 than ``BLOCK_ELEMENTS`` = 2^17 entries (1 MiB of float64) however large N
 is; the widest is the (rows, k, d_txt + d_img) logit product under softmax.
 Each output is allocated once and filled block by block, and since every
-reduction runs along a row, the blocks give the bits of one pass.  At
-N = 100 000 with 16 + 16 features (``tracemalloc``, 2-core x86-64 VM,
-NumPy 2.4) a softmax k = 9 forward peaks at 22.6 MiB for 21.4 MiB of
-outputs, against 226.6 MiB in one pass, and a linear one at 13.2 MiB for
-11.4 MiB, against 27.5 MiB.  Training and ``gradients.fd_check`` call
+reduction runs along a row, the blocks give the bits of one pass.
+``batch_scores`` runs the same blocks but keeps only the rescaled scores,
+which is all the package's scoring callers read.  At N = 100 000 with
+16 + 16 features (``tracemalloc``, 2-core x86-64 VM, NumPy 2.4) a softmax
+k = 9 ``batch_forward`` peaks at 22.6 MiB for 21.4 MiB of outputs, and
+``batch_scores`` at 2.0 MiB for 0.8 MiB of scores, against 226.6 MiB for
+one unblocked pass; under linear the three read 13.2 MiB (11.4 MiB of
+outputs), 2.5 MiB and 27.5 MiB.  A refusal names its row of the whole
+input, not of its block.  Training and ``gradients.fd_check`` call
 ``_forward`` directly, on a batch or a weight stack of their own bounded
 size.
 
@@ -82,6 +86,7 @@ __all__ = [
     "telu",
     "head_forward",
     "batch_forward",
+    "batch_scores",
     "feature_matrix",
     "HeadBatch",
     "init_head",
@@ -98,7 +103,8 @@ TELU_MIN = -0.35328577784821125
 TELU_ARGMIN = -1.0788600584646242
 
 # Most entries (1 MiB of float64) in any temporary of one block of
-# ``batch_forward``, and in one block of ``data.draw_features``'s swap.
+# ``batch_forward`` or ``batch_scores``, and in one block of
+# ``data.draw_features``'s swap.
 BLOCK_ELEMENTS = 1 << 17
 
 
@@ -415,14 +421,18 @@ class HeadBatch(NamedTuple):
     pre_g: np.ndarray
 
 
-def _forward(hp: HeadParams, x: np.ndarray, stack: np.ndarray | None = None) -> HeadBatch:
+def _forward(
+    hp: HeadParams, x: np.ndarray, stack: np.ndarray | None = None, first_row: int = 0
+) -> HeadBatch:
     """The head forward shared by scoring, training and the gradient check.
 
     With ``stack``, a (B, F) array whose row b is a ``flat`` vector in
     ``hp``'s layout, the items are scored under each row's weights at once;
     row b of every output is, bit for bit, the forward of a head whose
     ``flat`` is ``stack[b]``.  It runs under the caller's ``np.errstate``:
-    each public entry ignores underflow once around the whole pass.
+    each public entry ignores underflow once around the whole pass.  A
+    refusal names its row counted from ``first_row``, the input row of
+    ``x[0]`` when ``x`` is one block of a longer input.
     """
     cfg = hp.config
     w = hp if stack is None else SimpleNamespace(**hp.fields(stack[:, None, :]))
@@ -430,7 +440,7 @@ def _forward(hp: HeadParams, x: np.ndarray, stack: np.ndarray | None = None) -> 
     b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma = _difficulty(hp, w, x)
     # the whole stack is checked as one long batch of rows
     probs = core._checked_probs(
-        theta.reshape(-1), beta1.reshape(-1), gamma.reshape(-1), cfg.k
+        theta.reshape(-1), beta1.reshape(-1), gamma.reshape(-1), cfg.k, first_row
     ).reshape(theta.shape + (cfg.k,))
     q = core.expected_score_batch(probs)
     # core.rescale_score, element-wise
@@ -441,13 +451,21 @@ def _forward(hp: HeadParams, x: np.ndarray, stack: np.ndarray | None = None) -> 
 
 
 def _block_rows(hp: HeadParams) -> int:
-    """Rows per block of ``batch_forward``: ``BLOCK_ELEMENTS`` over the widest
+    """Rows per scoring block: ``BLOCK_ELEMENTS`` over the widest
     per-item temporary of ``_forward``, k * (d_txt + d_img) logit terms under
     softmax, d_txt + d_img products under linear, and at least the k grade
     masses."""
     cfg = hp.config
     width = (hp.d_txt + hp.d_img) * (cfg.k if cfg.agg_mode == "softmax" else 1)
     return max(1, BLOCK_ELEMENTS // max(width, cfg.k))
+
+
+def _blocks(hp: HeadParams, x: np.ndarray):
+    """(rows of x, ``_forward`` of those rows) for each block of
+    ``_block_rows`` rows in turn; a refusal names its row of x."""
+    step = _block_rows(hp)
+    for start in range(0, len(x), step):
+        yield slice(start, start + step), _forward(hp, x[start : start + step], first_row=start)
 
 
 @np.errstate(under="ignore")
@@ -459,19 +477,20 @@ def batch_forward(hp: HeadParams, items) -> HeadBatch:
     allocated once and filled block by block (``pre_b`` and ``pre_g`` as
     rows 0 and 1 of one array, as ``_forward`` gives them).  Every
     reduction runs along a row, so the blocks give the bits of one
-    unblocked pass.  N that fits in one block is one ``_forward``.  The
-    peak is the outputs plus about 2 MiB: 22.6 MiB for 21.4 MiB of outputs
-    on 100 000 rows through a softmax k = 9 head of 16 + 16 features, where
-    one pass held 226.6 MiB (see the module docstring).
+    unblocked pass, and a refusal names its row of the whole input.  N that
+    fits in one block is one ``_forward``.  The peak is the outputs plus
+    about 2 MiB: 22.6 MiB for 21.4 MiB of outputs on 100 000 rows through a
+    softmax k = 9 head of 16 + 16 features, where one pass held 226.6 MiB
+    (see the module docstring).  Callers that need only the scores use
+    ``batch_scores``.
     """
     x = feature_matrix(hp, items)
-    n, rows = len(x), _block_rows(hp)
-    if n <= rows:
+    n = len(x)
+    if n <= _block_rows(hp):
         return _forward(hp, x)
     pre = np.empty((2, n))
     out = None
-    for start in range(0, n, rows):
-        block = _forward(hp, x[start : start + rows])
+    for rows, block in _blocks(hp, x):
         if out is None:
             out = HeadBatch(**{
                 name: None if f is None else np.empty((n,) + f.shape[1:])
@@ -480,8 +499,27 @@ def batch_forward(hp: HeadParams, items) -> HeadBatch:
             }, pre_b=pre[0], pre_g=pre[1])
         for whole, f in zip(out, block):
             if f is not None:
-                whole[start : start + rows] = f
+                whole[rows] = f
     return out
+
+
+@np.errstate(under="ignore")
+def batch_scores(hp: HeadParams, items) -> np.ndarray:
+    """The rescaled scores of N items, ``batch_forward(hp, items).q_rescaled``
+    bit for bit; see ``feature_matrix`` for ``items``.
+
+    Only the scores are kept: each block's other outputs are dropped once
+    its scores are copied, so the peak is the N scores plus one block's
+    temporaries, 2.0 MiB for 0.8 MiB of scores on 100 000 rows through a
+    softmax k = 9 head of 16 + 16 features.  ``trainer.predict``, the
+    held-out scores of ``trainer.train``, ``data.synth_generate`` and
+    ``agrm fd-check`` score through it.
+    """
+    x = feature_matrix(hp, items)
+    q = np.empty(len(x))
+    for rows, block in _blocks(hp, x):
+        q[rows] = block.q_rescaled
+    return q
 
 
 @np.errstate(under="ignore")

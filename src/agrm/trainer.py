@@ -31,7 +31,7 @@ from .head import (
     PARAM_FIELDS,
     HeadConfig,
     HeadParams,
-    batch_forward,
+    batch_scores,
     feature_matrix,
 )
 from .losses import plcc_metric, srcc
@@ -272,7 +272,7 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
                     )
                 except ValueError as exc:
                     raise ValueError(f"epoch {epoch}, step {step}: {exc}") from exc
-        eval_srcc, eval_plcc = _correlations(batch_forward(head, x_eval).q_rescaled, t_eval)
+        eval_srcc, eval_plcc = _correlations(batch_scores(head, x_eval), t_eval)
         item_losses = np.concatenate(item_losses)
         history.append(
             EpochStats(
@@ -296,8 +296,8 @@ def _correlations(preds: np.ndarray, mos: np.ndarray) -> tuple:
 
 
 def predict(head: HeadParams, records) -> np.ndarray:
-    """Rescaled head scores of the records, in order, from one batched forward."""
-    return batch_forward(head, records).q_rescaled
+    """Rescaled head scores of the records, in order (``head.batch_scores``)."""
+    return batch_scores(head, records)
 
 
 def evaluate(head: HeadParams, records, preds=None) -> tuple:

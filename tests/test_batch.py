@@ -25,6 +25,7 @@ from agrm.head import (
     HeadConfig,
     _forward,
     batch_forward,
+    batch_scores,
     feature_matrix,
     head_forward,
     init_head,
@@ -476,7 +477,7 @@ BLOCK_BYTES = 8 * head.BLOCK_ELEMENTS
 @pytest.mark.parametrize("cfg", EVERY_CONFIG, ids=config_id)
 def test_blocked_forward_is_the_unblocked_forward_bitwise(cfg, n, monkeypatch):
     """Three rows a block: 2 rows fit in one, 13 take four full blocks and
-    a partial one."""
+    a partial one.  ``batch_scores`` gives the same scores."""
     hp = init_head(1, 2, cfg, seed=n)
     hp.agg_w *= 3.0
     width = 3 * cfg.k if cfg.agg_mode == "softmax" else cfg.k
@@ -493,11 +494,57 @@ def test_blocked_forward_is_the_unblocked_forward_bitwise(cfg, n, monkeypatch):
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
     assert got.pre_b.base is got.pre_g.base and got.pre_b.base.shape == (2, n)
     assert (got.softmax_p is None) == (cfg.agg_mode == "linear")
+    assert batch_scores(hp, x).tobytes() == want.q_rescaled.tobytes()
     for i in range(n):
         one = head_forward(hp, FeaturePair(f_i=x[i, 2:], f_t=x[i, :2]))
         assert [np.asarray(f).tobytes() for f in one if f is not None] == [
             f[i].tobytes() for f in got if f is not None
         ]
+
+
+def infinite_row(x, i, monkeypatch):
+    """x with row i's features infinite, so its ability is not finite."""
+    x = x.copy()
+    x[i] = np.inf
+    return x
+
+
+def doubled_mass(x, i, monkeypatch):
+    """x with row i's features at 1e3, and the band kernel doubling the
+    masses of every row whose ability is that large, so the mass rule
+    refuses it (a linear head's ability grows with its features)."""
+    x = x.copy()
+    x[i] = 1e3
+    kernel = core.agrm_probs_unchecked
+
+    def doubling(theta, beta1, gamma, k):
+        out = kernel(theta, beta1, gamma, k)
+        out[np.abs(theta) > 50.0] *= 2.0
+        return out
+
+    monkeypatch.setattr(core, "agrm_probs_unchecked", doubling)
+    return x
+
+
+@pytest.mark.parametrize(
+    "agg, bad",
+    [("linear", infinite_row), ("softmax", infinite_row), ("linear", doubled_mass)],
+    ids=["linear-input", "softmax-input", "linear-masses"],
+)
+def test_blocked_refusal_names_the_row_of_the_whole_input(agg, bad, monkeypatch):
+    """Row 10 sits in the fourth block of three rows; both blocked entries
+    name it as row 10, as one pass over the whole input does."""
+    hp = init_head(1, 2, HeadConfig(k=4, agg_mode=agg), seed=1)
+    width = 3 * 4 if agg == "softmax" else 4
+    monkeypatch.setattr(head, "BLOCK_ELEMENTS", 3 * width)
+    x = bad(np.random.default_rng(1).standard_normal((13, 3)), 10, monkeypatch)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=r"\(row 10\)$") as whole:
+            _forward(hp, x)
+        for fn in (batch_forward, batch_scores):
+            with pytest.raises(ValueError) as blocked:
+                fn(hp, x)
+            assert str(blocked.value) == str(whole.value)
 
 
 def traced_peak(fn, *args):
@@ -510,19 +557,21 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("score", [batch_forward, batch_scores], ids=["forward", "scores"])
 @pytest.mark.parametrize(
     "cfg, n",
     [(HeadConfig(k=9, agg_mode="softmax"), 5000), (HeadConfig(k=5), 50000)],
     ids=["softmax-k9", "linear-k5"],
 )
-def test_blocked_forward_holds_its_outputs_and_a_few_blocks(cfg, n):
+def test_blocked_scoring_holds_its_outputs_and_a_few_blocks(cfg, n, score):
     """An unblocked pass holds the (N, k, 32) logit terms under softmax
-    (11 MiB here) or the (N, 32) ability products under linear (12 MiB)."""
+    (11 MiB here) or the (N, 32) ability products under linear (12 MiB).
+    ``batch_scores`` keeps only the (N,) scores."""
     hp = init_head(16, 16, cfg, seed=0)
     x = np.random.default_rng(0).standard_normal((n, 32))
     assert n > 10 * head._block_rows(hp)
-    out, peak = traced_peak(batch_forward, hp, x)
-    outputs = sum(f.nbytes for f in out if f is not None)
+    out, peak = traced_peak(score, hp, x)
+    outputs = out.nbytes if score is batch_scores else sum(f.nbytes for f in out if f is not None)
     assert peak <= outputs + 4 * BLOCK_BYTES
 
 

@@ -1341,9 +1341,9 @@ class TestEvalScoresOnce:
         calls = []
         forward = head._forward
 
-        def counting(hp, x):
+        def counting(hp, x, **kwargs):
             calls.append(x.shape[0])
-            return forward(hp, x)
+            return forward(hp, x, **kwargs)
 
         monkeypatch.setattr(head, "_forward", counting)
         code, doc, _ = run_json(capsys, "eval", "--checkpoint", str(planted), "--data", str(data))

@@ -280,9 +280,9 @@ class TestRecords:
         ),
         mos=st.sampled_from([1.0, 1e308, float("nan")]),
     )
-    def test_screened_refusal_is_the_first_row_with_a_non_finite_entry(self, rows, mos):
-        """Rows whose sums overflow pass the exact check; the first row with
-        a non-finite entry or score is refused with its record's message."""
+    def test_refusal_is_the_first_row_with_a_non_finite_entry(self, rows, mos):
+        """Rows whose sums overflow are accepted; the first row with a
+        non-finite entry or score is refused with its record's message."""
         x, scores = np.array(rows), np.full(len(rows), mos)
         bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(scores))
         cols = {"d_img": 1, "mos": scores, "id": ["a"] * len(rows), "dim": ["quality"] * len(rows)}
