@@ -42,7 +42,6 @@ from .trainer import (
     evaluate,
     evaluate_by_dim,
     load_checkpoint,
-    predict,
     preset,
     save_checkpoint,
     train,
@@ -404,6 +403,8 @@ def cmd_train(args) -> int:
         train_set = records
         eval_set = load_records(args.eval_data)
     else:
+        if not 0.0 < args.val_fraction < 1.0:
+            raise ValueError(f"val-fraction must be in (0, 1), got {args.val_fraction}")
         train_set, eval_set = split(records, 1.0 - args.val_fraction, seed=args.split_seed)
     if not train_set:
         raise ValueError("train split is empty")
@@ -444,7 +445,7 @@ def cmd_eval(args) -> int:
     records = load_records(args.data)
     if len(records) < 2:
         raise ValueError(f"evaluation needs >= 2 records, got {len(records)}")
-    preds = predict(ckpt.head, records)
+    preds = batch_scores(ckpt.head, records)
     overall_srcc, overall_plcc = evaluate(ckpt.head, records, preds)
     per_dim = evaluate_by_dim(ckpt.head, records, preds)
     doc = {

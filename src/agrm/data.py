@@ -30,9 +30,13 @@ a bad row; the first one's ``FeatureRecord`` words the refusal.
 The synthetic generator plants a head drawn by ``init_head`` with its
 ability map widened ``ABILITY_SCALE`` times, samples feature pairs from a
 standard normal (``draw_features``), and scores them with the planted head
-(``head.batch_scores``), plus optional Gaussian noise.  It returns the planted
-head alongside the records so a training run can be checked against the
-ground truth that produced its data.
+(``head.batch_scores``), plus optional Gaussian noise.  Past its N-sized
+arrays (the feature draw, the noise and the record columns), it holds at
+most a few blocks of ``head.BLOCK_ELEMENTS`` entries: the draw's halves are
+swapped in place, and the scores are streamed from ``head.forward_blocks``
+one block of rows at a time.  It returns the planted head alongside the
+records so a training run can be checked against the ground truth that
+produced its data.
 """
 
 from __future__ import annotations

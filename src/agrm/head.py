@@ -31,21 +31,22 @@ in a training batch or in an evaluation set.  The mean grade q is a
 compensated row sum (``core.expected_score_batch``), within an ulp of the
 correctly rounded ``core.expected_score``.
 
-``batch_forward`` scores its N rows in blocks, so no temporary holds more
-than ``BLOCK_ELEMENTS`` = 2^17 entries (1 MiB of float64) however large N
-is; the widest is the (rows, k, d_txt + d_img) logit product under softmax.
-Each output is allocated once and filled block by block, and since every
-reduction runs along a row, the blocks give the bits of one pass.
-``batch_scores`` runs the same blocks but keeps only the rescaled scores,
-which is all the package's scoring callers read.  At N = 100 000 with
+``forward_blocks`` streams its N rows in blocks of ``_block_rows`` rows, so
+no temporary holds more than ``BLOCK_ELEMENTS`` = 2^17 entries (1 MiB of
+float64) however large N is; the widest is the (rows, k, d_txt + d_img)
+logit product under softmax.  It yields each block's rows with their
+``HeadBatch``, and since every reduction runs along a row, the blocks
+concatenated are the bits of one pass over the whole input.  A caller keeps
+what it reads of each block and nothing more: ``batch_scores`` keeps the
+rescaled scores, which is all the package's scoring callers read, and a
+per-block reduction keeps no N-sized output at all.  At N = 100 000 with
 16 + 16 features (``tracemalloc``, 2-core x86-64 VM, NumPy 2.4) a softmax
-k = 9 ``batch_forward`` peaks at 22.6 MiB for 21.4 MiB of outputs, and
-``batch_scores`` at 2.0 MiB for 0.8 MiB of scores, against 226.6 MiB for
-one unblocked pass; under linear the three read 13.2 MiB (11.4 MiB of
-outputs), 2.5 MiB and 27.5 MiB.  A refusal names its row of the whole
-input, not of its block.  Training and ``gradients.fd_check`` call
-``_forward`` directly, on a batch or a weight stack of their own bounded
-size.
+k = 9 head streamed with nothing kept peaks at 1.2 MiB, and ``batch_scores``
+at 2.0 MiB for 0.8 MiB of scores, against 226.6 MiB for one unblocked pass;
+under linear the two read 1.8 MiB and 2.5 MiB, against 27.5 MiB.  A
+refusal names its row of the whole input, not of its block.  Training and
+``gradients.fd_check`` call ``_forward`` directly, on a batch or a weight
+stack of their own bounded size.
 
 The same forward also takes a (B, F) stack of weight vectors, each row a
 ``HeadParams.flat`` in the head's layout, and scores the N items under all
@@ -85,7 +86,7 @@ __all__ = [
     "HeadParams",
     "telu",
     "head_forward",
-    "batch_forward",
+    "forward_blocks",
     "batch_scores",
     "feature_matrix",
     "HeadBatch",
@@ -103,8 +104,7 @@ TELU_MIN = -0.35328577784821125
 TELU_ARGMIN = -1.0788600584646242
 
 # Most entries (1 MiB of float64) in any temporary of one block of
-# ``batch_forward`` or ``batch_scores``, and in one block of
-# ``data.draw_features``'s swap.
+# ``forward_blocks``, and in one block of ``data.draw_features``'s swap.
 BLOCK_ELEMENTS = 1 << 17
 
 
@@ -430,7 +430,7 @@ def _forward(
     ``hp``'s layout, the items are scored under each row's weights at once;
     row b of every output is, bit for bit, the forward of a head whose
     ``flat`` is ``stack[b]``.  It runs under the caller's ``np.errstate``:
-    each public entry ignores underflow once around the whole pass.  A
+    each public entry ignores underflow around its own calls of it.  A
     refusal names its row counted from ``first_row``, the input row of
     ``x[0]`` when ``x`` is one block of a longer input.
     """
@@ -460,65 +460,45 @@ def _block_rows(hp: HeadParams) -> int:
     return max(1, BLOCK_ELEMENTS // max(width, cfg.k))
 
 
-def _blocks(hp: HeadParams, x: np.ndarray):
-    """(rows of x, ``_forward`` of those rows) for each block of
-    ``_block_rows`` rows in turn; a refusal names its row of x."""
-    step = _block_rows(hp)
-    for start in range(0, len(x), step):
-        yield slice(start, start + step), _forward(hp, x[start : start + step], first_row=start)
+def forward_blocks(hp: HeadParams, items):
+    """The forward pass over N items, one block of rows at a time; see
+    ``feature_matrix`` for ``items``.
 
-
-@np.errstate(under="ignore")
-def batch_forward(hp: HeadParams, items) -> HeadBatch:
-    """Forward pass over N items at once; see ``feature_matrix`` for ``items``.
-
-    The items are scored in blocks of ``_block_rows`` rows, so no temporary
-    holds more than ``BLOCK_ELEMENTS`` entries, and each output is
-    allocated once and filled block by block (``pre_b`` and ``pre_g`` as
-    rows 0 and 1 of one array, as ``_forward`` gives them).  Every
-    reduction runs along a row, so the blocks give the bits of one
-    unblocked pass, and a refusal names its row of the whole input.  N that
-    fits in one block is one ``_forward``.  The peak is the outputs plus
-    about 2 MiB: 22.6 MiB for 21.4 MiB of outputs on 100 000 rows through a
-    softmax k = 9 head of 16 + 16 features, where one pass held 226.6 MiB
-    (see the module docstring).  Callers that need only the scores use
-    ``batch_scores``.
+    Yields ``(rows, batch)`` for each block of ``_block_rows`` rows in
+    order: ``rows`` is the block's slice of the input rows and ``batch`` the
+    block's ``HeadBatch``, bit for bit those rows of one unblocked pass.
+    No temporary holds more than ``BLOCK_ELEMENTS`` entries, so a caller
+    that keeps only what it reads of each block holds one block at a time,
+    however large N is (see the module docstring).  A refusal names its row
+    of the whole input.  Each block is computed with underflow ignored, and
+    the caller's loop body runs under the caller's own ``np.errstate``.
     """
     x = feature_matrix(hp, items)
-    n = len(x)
-    if n <= _block_rows(hp):
-        return _forward(hp, x)
-    pre = np.empty((2, n))
-    out = None
-    for rows, block in _blocks(hp, x):
-        if out is None:
-            out = HeadBatch(**{
-                name: None if f is None else np.empty((n,) + f.shape[1:])
-                for name, f in block._asdict().items()
-                if name not in ("pre_b", "pre_g")
-            }, pre_b=pre[0], pre_g=pre[1])
-        for whole, f in zip(out, block):
-            if f is not None:
-                whole[rows] = f
-    return out
+    step = _block_rows(hp)
+    for start in range(0, len(x), step):
+        rows = slice(start, min(start + step, len(x)))
+        # not around the yield: the caller's code between blocks keeps its own
+        with np.errstate(under="ignore"):
+            batch = _forward(hp, x[rows], first_row=start)
+        yield rows, batch
 
 
-@np.errstate(under="ignore")
 def batch_scores(hp: HeadParams, items) -> np.ndarray:
-    """The rescaled scores of N items, ``batch_forward(hp, items).q_rescaled``
-    bit for bit; see ``feature_matrix`` for ``items``.
+    """The rescaled scores of N items, in order; see ``feature_matrix`` for
+    ``items``.
 
-    Only the scores are kept: each block's other outputs are dropped once
-    its scores are copied, so the peak is the N scores plus one block's
-    temporaries, 2.0 MiB for 0.8 MiB of scores on 100 000 rows through a
-    softmax k = 9 head of 16 + 16 features.  ``trainer.predict``, the
-    held-out scores of ``trainer.train``, ``data.synth_generate`` and
-    ``agrm fd-check`` score through it.
+    The scores of each block of ``forward_blocks``, copied into one (N,)
+    array; the block's other outputs are dropped, so the peak is the N
+    scores plus one block, 2.0 MiB for 0.8 MiB of scores on 100 000 rows
+    through a softmax k = 9 head of 16 + 16 features.  ``agrm eval``,
+    ``trainer.evaluate`` and ``evaluate_by_dim``, the held-out scores of
+    ``trainer.train``, ``data.synth_generate`` and ``agrm fd-check`` score
+    through it.
     """
     x = feature_matrix(hp, items)
     q = np.empty(len(x))
-    for rows, block in _blocks(hp, x):
-        q[rows] = block.q_rescaled
+    for rows, batch in forward_blocks(hp, x):
+        q[rows] = batch.q_rescaled
     return q
 
 
@@ -526,9 +506,10 @@ def batch_scores(hp: HeadParams, items) -> np.ndarray:
 def head_forward(hp: HeadParams, fp: FeaturePair) -> HeadBatch:
     """Full forward pass: features to grade distribution and rescaled score.
 
-    Row 0 of a one-row ``batch_forward``: each field of the returned
-    ``HeadBatch`` is a NumPy scalar, ``probs`` (and ``softmax_p`` in softmax
-    mode) a (k,) array.  ``core.agrm_probs_batch`` has already held the
+    Row 0 of ``_forward`` on the one-row feature matrix, the row
+    ``forward_blocks`` gives the item in any batch: each field of the
+    returned ``HeadBatch`` is a NumPy scalar, ``probs`` (and ``softmax_p`` in
+    softmax mode) a (k,) array.  ``core.agrm_probs_batch`` has already held the
     masses to ``core.normalized_rows``, the one mass rule (``ProbVector``
     applies the same), and weights that have gone non-finite make it raise.
     """

@@ -50,7 +50,6 @@ __all__ = [
     "init_adam_state",
     "adamw_step",
     "train",
-    "predict",
     "evaluate",
     "evaluate_by_dim",
     "save_checkpoint",
@@ -295,30 +294,25 @@ def _correlations(preds: np.ndarray, mos: np.ndarray) -> tuple:
     return srcc(preds, mos), plcc_metric(preds, mos)
 
 
-def predict(head: HeadParams, records) -> np.ndarray:
-    """Rescaled head scores of the records, in order (``head.batch_scores``)."""
-    return batch_scores(head, records)
-
-
 def evaluate(head: HeadParams, records, preds=None) -> tuple:
     """Rank and linear correlation of head scores against recorded scores.
 
-    ``preds``, when given, are the records' ``predict`` scores, reused
+    ``preds``, when given, are the records' ``head.batch_scores``, reused
     instead of running the forward again.
     """
     records = as_records(records)
     if len(records) < 2:
         raise ValueError(f"evaluation needs >= 2 records, got {len(records)}")
     if preds is None:
-        preds = predict(head, records)
+        preds = batch_scores(head, records)
     return _correlations(preds, records.mos)
 
 
 def evaluate_by_dim(head: HeadParams, records, preds=None) -> dict:
     """Per-dimension metrics; dimensions with fewer than 2 records are skipped.
 
-    Every record is scored once (or ``preds`` is reused, as in ``evaluate``)
-    and the scores are grouped by dimension.
+    Every record is scored once by ``head.batch_scores`` (or ``preds`` is
+    reused, as in ``evaluate``) and the scores are grouped by dimension.
     """
     records = as_records(records)
     groups = {dim: records.dim == dim for dim in dict.fromkeys(records.dim.tolist())}
@@ -326,7 +320,7 @@ def evaluate_by_dim(head: HeadParams, records, preds=None) -> dict:
     if not groups:
         return {}
     if preds is None:
-        preds = predict(head, records)
+        preds = batch_scores(head, records)
     return {dim: _correlations(preds[sel], records.mos[sel]) for dim, sel in groups.items()}
 
 

@@ -4,6 +4,7 @@ The scalar ``core.agrm_probs`` is the oracle for the batch kernel, and a
 one-row forward is the oracle for every row of a batch.
 """
 
+import itertools
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -24,9 +25,9 @@ from agrm.head import (
     HeadBatch,
     HeadConfig,
     _forward,
-    batch_forward,
     batch_scores,
     feature_matrix,
+    forward_blocks,
     head_forward,
     init_head,
 )
@@ -43,6 +44,16 @@ CONFIGS = [
 
 def config_id(cfg):
     return f"{cfg.activation}-{cfg.agg_mode}-k{cfg.k}-{cfg.ablation}"
+
+
+def assembled(batches):
+    """One ``HeadBatch`` of the given blocks' ``HeadBatch``es, in order."""
+    return HeadBatch(*(None if f[0] is None else np.concatenate(f) for f in zip(*batches)))
+
+
+def streamed(hp, items):
+    """Every field of ``forward_blocks(hp, items)``, its blocks concatenated."""
+    return assembled([batch for _, batch in forward_blocks(hp, items)])
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +393,7 @@ def test_batch_rows_equal_one_row_calls_bitwise(cfg, n):
         FeaturePair(f_i=2.0 * rng.standard_normal(5), f_t=2.0 * rng.standard_normal(7))
         for _ in range(n)
     ]
-    batch = batch_forward(hp, pairs)
+    batch = streamed(hp, pairs)
     for i, fp in enumerate(pairs):
         one = head_forward(hp, fp)
         row = (
@@ -403,7 +414,7 @@ def test_matrix_and_pairs_give_the_same_batch():
     x = feature_matrix(hp, pairs)
     assert x.shape == (6, 7)
     assert np.array_equal(x[2], np.concatenate([pairs[2].f_t, pairs[2].f_i]))
-    assert np.array_equal(batch_forward(hp, x).q, batch_forward(hp, pairs).q)
+    assert np.array_equal(streamed(hp, x).q, streamed(hp, pairs).q)
 
 
 @pytest.mark.parametrize("agg", AGG_MODES)
@@ -415,7 +426,7 @@ def test_head_forward_is_the_batch_row_in_every_field_bitwise(agg):
         FeaturePair(f_i=2.0 * rng.standard_normal(5), f_t=2.0 * rng.standard_normal(7))
         for _ in range(5)
     ]
-    batch = batch_forward(hp, pairs)
+    batch = streamed(hp, pairs)
     for i, fp in enumerate(pairs):
         one = head_forward(hp, fp)
         assert type(one) is HeadBatch
@@ -436,10 +447,10 @@ def test_fortran_ordered_features_give_the_one_row_forwards_bitwise():
     forward does; a strided last axis would sum in another order."""
     hp = init_head(16, 16, seed=0)
     x = np.random.default_rng(0).standard_normal((200, 32))
-    batch = batch_forward(hp, np.asfortranarray(x))
+    batch = streamed(hp, np.asfortranarray(x))
     one_rows = [_forward(hp, x[i : i + 1]).q_rescaled[0] for i in range(x.shape[0])]
     assert batch.q_rescaled.tobytes() == np.array(one_rows).tobytes()
-    assert batch.q_rescaled.tobytes() == batch_forward(hp, x).q_rescaled.tobytes()
+    assert batch.q_rescaled.tobytes() == streamed(hp, x).q_rescaled.tobytes()
 
 
 def test_feature_matrix_rejects_wrong_widths():
@@ -477,14 +488,21 @@ BLOCK_BYTES = 8 * head.BLOCK_ELEMENTS
 @pytest.mark.parametrize("cfg", EVERY_CONFIG, ids=config_id)
 def test_blocked_forward_is_the_unblocked_forward_bitwise(cfg, n, monkeypatch):
     """Three rows a block: 2 rows fit in one, 13 take four full blocks and
-    a partial one.  ``batch_scores`` gives the same scores."""
+    a partial one.  The blocks cover the rows in order, and concatenated
+    they are one unblocked pass; ``batch_scores`` gives the same scores."""
     hp = init_head(1, 2, cfg, seed=n)
     hp.agg_w *= 3.0
     width = 3 * cfg.k if cfg.agg_mode == "softmax" else cfg.k
     monkeypatch.setattr(head, "BLOCK_ELEMENTS", 3 * width + 1)
     assert head._block_rows(hp) == 3
     x = 2.0 * np.random.default_rng(n).standard_normal((n, 3))
-    got = batch_forward(hp, x)
+    blocks = list(forward_blocks(hp, x))
+    assert [rows for rows, _ in blocks] == [slice(i, min(i + 3, n)) for i in range(0, n, 3)]
+    for rows, batch in blocks:
+        assert batch.pre_b.base is batch.pre_g.base
+        assert batch.pre_b.base.shape == (2, rows.stop - rows.start)
+        assert (batch.softmax_p is None) == (cfg.agg_mode == "linear")
+    got = streamed(hp, x)
     with np.errstate(under="ignore"):
         want = _forward(hp, x)
     for name, g, w in zip(HeadBatch._fields, got, want):
@@ -492,8 +510,6 @@ def test_blocked_forward_is_the_unblocked_forward_bitwise(cfg, n, monkeypatch):
             assert g is None and name == "softmax_p" and cfg.agg_mode == "linear"
         else:
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
-    assert got.pre_b.base is got.pre_g.base and got.pre_b.base.shape == (2, n)
-    assert (got.softmax_p is None) == (cfg.agg_mode == "linear")
     assert batch_scores(hp, x).tobytes() == want.q_rescaled.tobytes()
     for i in range(n):
         one = head_forward(hp, FeaturePair(f_i=x[i, 2:], f_t=x[i, :2]))
@@ -533,7 +549,8 @@ def doubled_mass(x, i, monkeypatch):
 )
 def test_blocked_refusal_names_the_row_of_the_whole_input(agg, bad, monkeypatch):
     """Row 10 sits in the fourth block of three rows; both blocked entries
-    name it as row 10, as one pass over the whole input does."""
+    name it as row 10, as one pass over the whole input does, after
+    yielding the three blocks before it."""
     hp = init_head(1, 2, HeadConfig(k=4, agg_mode=agg), seed=1)
     width = 3 * 4 if agg == "softmax" else 4
     monkeypatch.setattr(head, "BLOCK_ELEMENTS", 3 * width)
@@ -541,10 +558,14 @@ def test_blocked_refusal_names_the_row_of_the_whole_input(agg, bad, monkeypatch)
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match=r"\(row 10\)$") as whole:
             _forward(hp, x)
-        for fn in (batch_forward, batch_scores):
+        for fn in (streamed, batch_scores):
             with pytest.raises(ValueError) as blocked:
                 fn(hp, x)
             assert str(blocked.value) == str(whole.value)
+        blocks = forward_blocks(hp, x)
+        assert [rows.start for rows, _ in itertools.islice(blocks, 3)] == [0, 3, 6]
+        with pytest.raises(ValueError, match=r"\(row 10\)$"):
+            next(blocks)
 
 
 def traced_peak(fn, *args):
@@ -557,7 +578,12 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("score", [batch_forward, batch_scores], ids=["forward", "scores"])
+def least_gamma(hp, x):
+    """The least spacing over x, streamed: no N-sized output is kept."""
+    return min(batch.gamma.min() for _, batch in forward_blocks(hp, x))
+
+
+@pytest.mark.parametrize("score", [least_gamma, batch_scores], ids=["blocks", "scores"])
 @pytest.mark.parametrize(
     "cfg, n",
     [(HeadConfig(k=9, agg_mode="softmax"), 5000), (HeadConfig(k=5), 50000)],
@@ -566,12 +592,13 @@ def traced_peak(fn, *args):
 def test_blocked_scoring_holds_its_outputs_and_a_few_blocks(cfg, n, score):
     """An unblocked pass holds the (N, k, 32) logit terms under softmax
     (11 MiB here) or the (N, 32) ability products under linear (12 MiB).
-    ``batch_scores`` keeps only the (N,) scores."""
+    A streamed pass that keeps a running reduction holds a few blocks,
+    and ``batch_scores`` only the (N,) scores beside them."""
     hp = init_head(16, 16, cfg, seed=0)
     x = np.random.default_rng(0).standard_normal((n, 32))
     assert n > 10 * head._block_rows(hp)
     out, peak = traced_peak(score, hp, x)
-    outputs = out.nbytes if score is batch_scores else sum(f.nbytes for f in out if f is not None)
+    outputs = out.nbytes if score is batch_scores else 0
     assert peak <= outputs + 4 * BLOCK_BYTES
 
 
@@ -654,8 +681,12 @@ def test_stack_is_checked_as_a_whole():
 
 @pytest.mark.parametrize("agg", AGG_MODES)
 @pytest.mark.parametrize("act", ACTIVATIONS)
-def test_no_floating_point_warnings_at_extremes(act, agg):
-    """telu inputs above 20, |z| above 30 and g above 700, all under raise."""
+def test_no_floating_point_warnings_at_extremes(act, agg, monkeypatch):
+    """telu inputs above 20, |z| above 30 and g above 700, all under raise.
+
+    The forward streams three blocks of 8 rows: each block is computed with
+    underflow ignored, while the caller's loop body between blocks keeps
+    the caller's own rule."""
     # In softmax mode the ability stays in [0, lambda_s] = [0, 10] and a
     # sigmoid base difficulty in (0, 1), so there |z| passes 30 only at the
     # upper thresholds of a longer scale; elsewhere it does at the lowest.
@@ -664,11 +695,19 @@ def test_no_floating_point_warnings_at_extremes(act, agg):
     hp = init_head(3, 3, cfg, seed=2)
     hp.agg_w *= 40.0
     hp.phi_gamma_b[()] = 800.0  # spacing pre-activation far above 20
+    monkeypatch.setattr(head, "BLOCK_ELEMENTS", 8 * 6 * (k if agg == "softmax" else 1))
+    assert head._block_rows(hp) == 8
     rng = np.random.default_rng(2)
     x = 10.0 * rng.standard_normal((24, 6))
+    blocks = []
     with np.errstate(all="raise"):
-        fw = batch_forward(hp, x)
+        for _, batch in forward_blocks(hp, x):
+            blocks.append(batch)
+            with pytest.raises(FloatingPointError, match="underflow"):
+                np.exp(-1000.0)
         rep = batch_loss_and_grads(hp, x, np.linspace(0.0, 5.0, 24))
+    assert len(blocks) == 3
+    fw = assembled(blocks)
     assert np.all(np.isfinite(fw.q)) and math.isfinite(rep.loss)
     c = cfg.d * cfg.alpha
     assert fw.pre_g.min() > 20.0

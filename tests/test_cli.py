@@ -651,6 +651,16 @@ class TestTrainEval:
         assert history[0] == "epoch,lr,train_loss,eval_srcc,eval_plcc"
         assert len(history) == 4
 
+    @pytest.mark.parametrize("value", ["1.5", "0", "-0.5", "nan"])
+    def test_val_fraction_out_of_range_names_the_flag(self, capsys, tmp_path, value):
+        data = self.make_data(capsys, tmp_path)
+        ck = tmp_path / "ck.json"
+        err = assert_clean_exit_2(
+            capsys, "train", "--data", str(data), "--val-fraction", value, "--out", str(ck),
+        )
+        assert err == f"error: val-fraction must be in (0, 1), got {float(value)!r}\n"
+        assert not ck.exists()
+
     def test_train_deterministic(self, capsys, tmp_path):
         data = self.make_data(capsys, tmp_path)
         outs = []

@@ -21,7 +21,7 @@ from agrm.head import (
     HeadConfig,
     HeadParams,
     _ACTIVATION_FUNCS,
-    batch_forward,
+    forward_blocks,
     grade_positions,
     head_forward,
     init_head,
@@ -404,6 +404,6 @@ def test_every_spacing_clears_the_threshold(act, agg, abl, seed, w_scale, x_scal
     hp.phi_gamma_b[()] = gamma_bias
     x = x_scale * np.random.default_rng(seed).standard_normal((16, 9))
     x[0] = 0.0
-    gamma = batch_forward(hp, x).gamma
+    gamma = np.concatenate([batch.gamma for _, batch in forward_blocks(hp, x)])
     assert np.isfinite(gamma).all()
     assert gamma.min() > core.gamma_threshold()
