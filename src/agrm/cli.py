@@ -6,9 +6,12 @@ sweep), ``synth`` (generate a dataset with a planted head), ``train``,
 ``eval``, and ``fd-check`` (finite-difference gradient audit).
 
 Exit codes: 0 success, 1 a check ran and failed, 2 bad usage or input.
-Every command takes ``--json`` for machine-readable output; human output
-carries the same numbers formatted to 9 significant digits.  Randomized
-commands print their seeds up front so any report can be reproduced.
+Every command takes ``--json`` for machine-readable output.  Each report
+command builds one document; ``--json`` prints it, and the human output is
+its rendering by ``_render`` (one line per key, floats to 9 significant
+digits), so every fact a user reads is also in the JSON.  ``curves`` writes
+CSV instead.  Randomized commands report their seeds, so any report can be
+reproduced.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -52,12 +56,40 @@ def _fmt(x) -> str:
     return format(float(x), ".9g")
 
 
-def _emit(args, doc: dict, human_lines) -> None:
-    if args.json:
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
+def _text(value) -> str:
+    """One value of a report document as its human line writes it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt(value)
+    if value is None:
+        return "n/a"
+    if isinstance(value, list):
+        return " ".join(map(_text, value))
+    if isinstance(value, dict):
+        return " ".join(f"{key}={_text(v)}" for key, v in value.items())
+    return str(value)
+
+
+def _render(doc: dict, prefix: str = "") -> list[str]:
+    """The human lines of a report document, whatever the command.
+
+    Each key gives one ``key: value`` line, in the document's order.  An
+    object is written ``key: k1=v1 k2=v2``, and a non-empty object of
+    objects gives one such line per inner key, labelled ``key.inner``.
+    """
+    lines = []
+    for key, value in doc.items():
+        if isinstance(value, dict) and value and all(isinstance(v, dict) for v in value.values()):
+            lines += _render(value, f"{prefix}{key}.")
+        else:
+            text = _text(value)
+            lines.append(f"{prefix}{key}: {text}" if text else f"{prefix}{key}:")
+    return lines
+
+
+def _emit(args, doc: dict) -> None:
+    print(json.dumps(doc, sort_keys=True) if args.json else "\n".join(_render(doc)))
 
 
 # ---------------------------------------------------------------- probe
@@ -66,61 +98,31 @@ def cmd_probe(args) -> int:
     params = AgrmParams(theta=args.theta, beta1=args.beta1, gamma=args.gamma, k=args.k)
     probs = core.agrm_probs(params)
     q = core.expected_score(probs)
-    q_rescaled = core.rescale_score(q, params.k)
-    modal = core.modal_grade(probs)
     threshold = core.gamma_threshold()
-    above = params.gamma > threshold
-    unimodal = core.is_unimodal(probs)
-    try:
-        theta1, theta2 = core.boundary_thetas(params)
-        if not (math.isfinite(theta1) and math.isfinite(theta2)):
-            raise ValueError(f"a crossing overflows: theta1={theta1!r}, theta2={theta2!r}")
-        boundary_note = None
-    except ValueError as exc:
-        theta1 = theta2 = None
-        boundary_note = str(exc)
-
     doc = {
         "params": {
             "theta": params.theta, "beta1": params.beta1, "gamma": params.gamma, "k": params.k,
         },
         "probs": list(probs),
+        "sum": sum(probs),
         "q": q,
-        "q_rescaled": q_rescaled,
-        "modal_grade": modal,
+        "q_rescaled": core.rescale_score(q, params.k),
+        "modal_grade": core.modal_grade(probs),
         "gamma_threshold": threshold,
-        "above_threshold": above,
-        "unimodal": unimodal,
-        "theta1": theta1,
-        "theta2": theta2,
+        "above_threshold": params.gamma > threshold,
+        "theta1": None,
+        "theta2": None,
+        "crossings_undefined": None,
+        "unimodal": core.is_unimodal(probs),
     }
-    lines = [
-        f"probe: theta={_fmt(params.theta)} beta1={_fmt(params.beta1)} "
-        f"gamma={_fmt(params.gamma)} k={params.k}",
-    ]
-    lines += [f"P_{m + 1} = {_fmt(p)}" for m, p in enumerate(probs)]
-    lines += [
-        f"sum = {_fmt(sum(probs))}",
-        f"Q = {_fmt(q)}",
-        f"Q_rescaled = {_fmt(q_rescaled)}",
-        f"modal_grade = {modal}",
-        f"gamma_threshold = {_fmt(threshold)}",
-    ]
-    if above:
-        lines.append(
-            f"spacing {_fmt(params.gamma)} > threshold: unimodality guaranteed"
-        )
-    else:
-        lines.append(
-            f"spacing {_fmt(params.gamma)} <= threshold {_fmt(threshold)}: "
-            "unimodality not guaranteed"
-        )
-    if theta1 is not None:
-        lines += [f"theta1 = {_fmt(theta1)}", f"theta2 = {_fmt(theta2)}"]
-    else:
-        lines.append(f"boundary crossings: undefined ({boundary_note})")
-    lines.append(f"unimodal: {'yes' if unimodal else 'NO'}")
-    _emit(args, doc, lines)
+    try:
+        theta1, theta2 = core.boundary_thetas(params)
+        if not (math.isfinite(theta1) and math.isfinite(theta2)):
+            raise ValueError(f"a crossing overflows: theta1={theta1!r}, theta2={theta2!r}")
+        doc.update(theta1=theta1, theta2=theta2)
+    except ValueError as exc:
+        doc["crossings_undefined"] = str(exc)
+    _emit(args, doc)
     return 0
 
 
@@ -296,14 +298,16 @@ def cmd_verify(args) -> int:
             f"gamma-margin must be > 0 with 8 * d * alpha * spacing({reach} * gamma + 25) < 1 "
             f"at k-max {args.k_max}, got {args.gamma_margin!r}"
         )
-    mode = "standard" if standard else "sub-threshold"
-    header = (
-        f"verify: samples={args.samples} seed={args.seed} "
-        f"k=[{args.k_min},{args.k_max}] mode={mode}"
-    )
+    doc = {
+        "samples": args.samples,
+        "seed": args.seed,
+        "k_min": args.k_min,
+        "k_max": args.k_max,
+        "mode": "standard" if standard else "sub-threshold",
+    }
     if args.samples == 0:
-        doc = {"samples": 0, "seed": args.seed, "violations": {}, "pass": True}
-        _emit(args, doc, [header, "warning: 0 samples, vacuous pass"])
+        doc.update({"violations": {}, "warning": "0 samples, vacuous pass", "pass": True})
+        _emit(args, doc)
         return 0
 
     rng = np.random.default_rng(args.seed)
@@ -327,30 +331,14 @@ def cmd_verify(args) -> int:
                 "gamma": float(draws["gamma"][i]), "k": int(draws["k"][i]),
             }
 
-    violations = sum(counts.values())
-    doc = {
-        "samples": args.samples,
-        "seed": args.seed,
+    doc.update({
         "violations": counts,
         "expected_nonunimodal": expected_nonunimodal,
-        "pass": violations == 0,
-    }
-    lines = [header]
-    lines += [f"{name}: {n} violations" for name, n in counts.items()]
-    if args.allow_sub_threshold:
-        lines.append(
-            f"non-unimodal instances found: {expected_nonunimodal} "
-            "(expected below threshold)"
-        )
-    for family, params in first.items():
-        lines.append(
-            f"counterexample [{family}]: theta={_fmt(params['theta'])} "
-            f"beta1={_fmt(params['beta1'])} gamma={_fmt(params['gamma'])} "
-            f"k={params['k']}"
-        )
-    lines.append("PASS" if violations == 0 else "FAIL")
-    _emit(args, doc, lines)
-    return 0 if violations == 0 else 1
+        "counterexamples": first,
+        "pass": not any(counts.values()),
+    })
+    _emit(args, doc)
+    return 0 if doc["pass"] else 1
 
 
 # ---------------------------------------------------------------- synth
@@ -365,21 +353,13 @@ def cmd_synth(args) -> int:
     if args.planted_out:
         ckpt = Checkpoint(head=planted, config=TrainConfig(), history=[], seed=args.seed)
         save_checkpoint(args.planted_out, ckpt)
-    counts = dim_counts(records)
     doc = {
         "n": cfg.n, "seed": cfg.seed, "noise_sigma": cfg.noise_sigma,
+        "d_img": cfg.d_img, "d_txt": cfg.d_txt,
         "out": str(args.out), "planted_out": args.planted_out,
-        "dim_counts": counts,
+        "dim_counts": dim_counts(records),
     }
-    lines = [
-        f"synth: n={cfg.n} seed={cfg.seed} noise={_fmt(cfg.noise_sigma)} "
-        f"dims=({cfg.d_img},{cfg.d_txt})",
-        f"wrote {len(records)} records to {args.out} "
-        f"({', '.join(f'{d}={counts[d]}' for d in counts)})",
-    ]
-    if args.planted_out:
-        lines.append(f"wrote planted head to {args.planted_out}")
-    _emit(args, doc, lines)
+    _emit(args, doc)
     return 0
 
 
@@ -396,6 +376,11 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
+    history_path = args.history_out or (str(args.out) + ".history.csv")
+    # refused before the run, so a bad path costs no training and writes nothing
+    for flag, path in (("out", args.out), ("history-out", history_path)):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag} must be in an existing directory, got {path}")
     records = load_records(args.data)
     if args.normalize:
         records = normalize_mos(records)
@@ -403,8 +388,12 @@ def cmd_train(args) -> int:
         train_set = records
         eval_set = load_records(args.eval_data)
     else:
-        if not 0.0 < args.val_fraction < 1.0:
-            raise ValueError(f"val-fraction must be in (0, 1), got {args.val_fraction}")
+        # also refuses a fraction so small that 1 - val-fraction rounds to 1
+        if not 0.0 < 1.0 - args.val_fraction < 1.0:
+            raise ValueError(
+                f"val-fraction must be in (0, 1) with 1 - val-fraction < 1, "
+                f"got {args.val_fraction!r}"
+            )
         train_set, eval_set = split(records, 1.0 - args.val_fraction, seed=args.split_seed)
     if not train_set:
         raise ValueError("train split is empty")
@@ -412,29 +401,23 @@ def cmd_train(args) -> int:
     head = init_head(train_set.d_img, train_set.d_txt, seed=args.init_seed)
     ckpt = train(cfg, train_set, eval_set, head)
     save_checkpoint(args.out, ckpt)
-    history_path = args.history_out or (str(args.out) + ".history.csv")
     with open(history_path, "w", encoding="utf-8") as handle:
         handle.write("epoch,lr,train_loss,eval_srcc,eval_plcc\n")
         handle.write(_csv_rows([dataclasses.astuple(row) for row in ckpt.history]))
     final = ckpt.history[-1]
     doc = {
-        "checkpoint": str(args.out),
-        "history": history_path,
         "preset": args.preset,
         "seed": cfg.seed,
         "init_seed": args.init_seed,
         "epochs": cfg.epochs,
+        "train_n": len(train_set),
+        "eval_n": len(eval_set),
         "final_srcc": final.eval_srcc,
         "final_plcc": final.eval_plcc,
+        "checkpoint": str(args.out),
+        "history": history_path,
     }
-    lines = [
-        f"train: preset={args.preset} seed={cfg.seed} init_seed={args.init_seed} "
-        f"epochs={cfg.epochs} train_n={len(train_set)} eval_n={len(eval_set)}",
-        f"final eval: SRCC={_fmt(final.eval_srcc)} PLCC={_fmt(final.eval_plcc)}",
-        f"wrote checkpoint to {args.out}",
-        f"wrote history to {history_path}",
-    ]
-    _emit(args, doc, lines)
+    _emit(args, doc)
     return 0
 
 
@@ -455,13 +438,7 @@ def cmd_eval(args) -> int:
         "plcc": overall_plcc,
         "by_dim": {d: {"srcc": s, "plcc": p} for d, (s, p) in sorted(per_dim.items())},
     }
-    lines = [
-        f"eval: checkpoint={args.checkpoint} n={len(records)}",
-        f"overall: SRCC={_fmt(overall_srcc)} PLCC={_fmt(overall_plcc)}",
-    ]
-    for d, (s, p) in sorted(per_dim.items()):
-        lines.append(f"{d}: SRCC={_fmt(s)} PLCC={_fmt(p)}")
-    _emit(args, doc, lines)
+    _emit(args, doc)
     return 0
 
 
@@ -488,6 +465,9 @@ def cmd_fd_check(args) -> int:
         "activation": args.activation,
         "agg": args.agg,
         "ablation": args.ablation,
+        "batch": args.batch,
+        "d_img": args.d_img,
+        "d_txt": args.d_txt,
         "step": args.step,
         "tol": args.tol,
         "checked": report.checked,
@@ -496,17 +476,8 @@ def cmd_fd_check(args) -> int:
         "max_rel_err": report.max_rel_err,
         "pass": report.failures == 0,
     }
-    lines = [
-        f"fd-check: seed={args.seed} k={args.k} activation={args.activation} "
-        f"agg={args.agg} ablation={args.ablation} batch={args.batch}",
-        f"step={_fmt(args.step)} tol={_fmt(args.tol)}",
-        f"checked={report.checked} skipped={report.skipped} failures={report.failures}",
-        "max_rel_err = "
-        + (_fmt(report.max_rel_err) if report.max_rel_err is not None else "n/a"),
-        "PASS" if report.failures == 0 else "FAIL",
-    ]
-    _emit(args, doc, lines)
-    return 0 if report.failures == 0 else 1
+    _emit(args, doc)
+    return 0 if doc["pass"] else 1
 
 
 # ---------------------------------------------------------------- parser

@@ -42,10 +42,11 @@ class TestProbe:
             capsys, "probe", "--theta", "0.5", "--beta1", "0", "--gamma", "1"
         )
         assert code == 0
-        assert "P_1 = " in out and "P_5 = " in out
-        assert "modal_grade = 2" in out
-        assert "unimodal: yes" in out
-        assert "theta1 = 0.267475574" in out
+        lines = out.splitlines()
+        assert len(lines[1].removeprefix("probs: ").split()) == 5
+        assert "modal_grade: 2" in lines
+        assert "unimodal: true" in lines
+        assert "theta1: 0.267475574" in lines
 
     def test_probabilities_match_library(self, capsys):
         code, doc, _ = run_json(
@@ -64,8 +65,10 @@ class TestProbe:
             capsys, "probe", "--theta", "0", "--beta1", "0", "--gamma", "0.1"
         )
         assert code == 0
-        assert "unimodality not guaranteed" in out
-        assert "boundary crossings: undefined" in out
+        lines = out.splitlines()
+        assert "above_threshold: false" in lines
+        assert "theta1: n/a" in lines
+        assert "crossings_undefined: log argument " in out
 
     def test_overflowing_crossing_is_undefined(self, capsys):
         # theta2 = beta_{k-2} + ... overflows; the JSON stays strict
@@ -77,7 +80,7 @@ class TestProbe:
         assert doc["theta1"] is None and doc["theta2"] is None
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert "boundary crossings: undefined (a crossing overflows: " in out
+        assert "\ncrossings_undefined: a crossing overflows: " in out
 
     def test_large_offset_is_accepted(self, capsys):
         # z carries the rounding of theta near 1e6; the masses still sum to 1
@@ -104,7 +107,7 @@ class TestProbe:
         assert code == 0
         assert sorted(doc["params"]) == ["beta1", "gamma", "k", "theta"]
         _, out, _ = run(capsys, "probe", "--theta", "0", "--beta1", "0", "--gamma", "1")
-        assert out.splitlines()[0] == "probe: theta=0 beta1=0 gamma=1 k=5"
+        assert out.splitlines()[0] == "params: theta=0 beta1=0 gamma=1 k=5"
 
 
 @pytest.mark.parametrize(
@@ -314,7 +317,7 @@ class TestVerify:
     def test_header_reports_seed(self, capsys):
         code, out, _ = run(capsys, "verify", "--samples", "10", "--seed", "42")
         assert code == 0
-        assert "seed=42" in out.splitlines()[0]
+        assert out.splitlines()[1] == "seed: 42"
 
     def test_sub_threshold_mode_finds_and_tolerates(self, capsys):
         code, doc, _ = run_json(
@@ -328,7 +331,7 @@ class TestVerify:
     def test_zero_samples_vacuous_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--samples", "0")
         assert code == 0
-        assert "vacuous" in out
+        assert "warning: 0 samples, vacuous pass" in out.splitlines()
 
     def test_negative_samples_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--samples", "-1")
@@ -461,21 +464,22 @@ class TestVerify:
         argv = ["verify", "--samples", "400", "--seed", "2"]
         code, out, err = run(capsys, *argv)
         assert code == 1 and err == ""
-        assert out.splitlines()[-1] == "FAIL"
+        assert out.splitlines()[-1] == "pass: false"
         counts, _, first = scalar_sweep(argv, probs_of=lambda p: nudge(core.agrm_probs(p), size))
         assert counts["closed_form"] > 0 and counts["shift"] > 0
-        reported = dict(line.split(": ", 1) for line in out.splitlines()[1:6])
-        assert {f: reported[f] for f in compared} == {f: f"{counts[f]} violations" for f in compared}
+        (line,) = [line for line in out.splitlines() if line.startswith("violations: ")]
+        reported = dict(pair.split("=") for pair in line.removeprefix("violations: ").split())
+        assert {f: reported[f] for f in compared} == {f: str(counts[f]) for f in compared}
         # each counterexample is the oracle's first failing draw, in draw order
         want = [
-            f"counterexample [{family}]: theta={cli._fmt(p.theta)} "
+            f"counterexamples.{family}: theta={cli._fmt(p.theta)} "
             f"beta1={cli._fmt(p.beta1)} gamma={cli._fmt(p.gamma)} k={p.k}"
             for family, p in first.items()
             if family in compared
         ]
         got = [
             line for line in out.splitlines()
-            if any(line.startswith(f"counterexample [{family}]") for family in compared)
+            if any(line.startswith(f"counterexamples.{family}: ") for family in compared)
         ]
         assert got == want
 
@@ -596,7 +600,7 @@ class TestSynth:
             capsys, "synth", "--n", "24", "--seed", "5", "--out", str(out_path)
         )
         assert code == 0
-        assert "seed=5" in out
+        assert "seed: 5" in out.splitlines()
         recs = load_records(out_path)
         assert len(recs) == 24
 
@@ -610,7 +614,7 @@ class TestSynth:
         assert code == 0
         code, out, _ = run(capsys, "eval", "--checkpoint", str(planted), "--data", str(data))
         assert code == 0
-        assert "overall: SRCC=1 PLCC=1" in out
+        assert {"srcc: 1", "plcc: 1"} <= set(out.splitlines())
 
     def test_json_reports_counts(self, capsys, tmp_path):
         code, doc, _ = run_json(
@@ -644,22 +648,42 @@ class TestTrainEval:
             "--epochs", "3", "--batch-size", "8", "--out", str(ck),
         )
         assert code == 0
-        assert "final eval: SRCC=" in out
+        assert any(line.startswith("final_srcc: ") for line in out.splitlines())
         ckpt = load_checkpoint(ck)
         assert ckpt.epochs_completed == 3
         history = (tmp_path / "ck.json.history.csv").read_text().splitlines()
         assert history[0] == "epoch,lr,train_loss,eval_srcc,eval_plcc"
         assert len(history) == 4
 
-    @pytest.mark.parametrize("value", ["1.5", "0", "-0.5", "nan"])
+    # 1 - v rounds to 1 for any v <= 2**-54, which would leave no held-out set
+    @pytest.mark.parametrize("value", ["1.5", "0", "-0.5", "nan", "1e-17", repr(2.0**-54)])
     def test_val_fraction_out_of_range_names_the_flag(self, capsys, tmp_path, value):
         data = self.make_data(capsys, tmp_path)
         ck = tmp_path / "ck.json"
         err = assert_clean_exit_2(
             capsys, "train", "--data", str(data), "--val-fraction", value, "--out", str(ck),
         )
-        assert err == f"error: val-fraction must be in (0, 1), got {float(value)!r}\n"
+        assert err == (
+            "error: val-fraction must be in (0, 1) with 1 - val-fraction < 1, "
+            f"got {float(value)!r}\n"
+        )
         assert not ck.exists()
+
+    @pytest.mark.parametrize("flag", ["out", "history-out"])
+    def test_missing_output_directory_is_refused_before_training(
+        self, capsys, tmp_path, monkeypatch, flag
+    ):
+        data = self.make_data(capsys, tmp_path)
+        ck, history = tmp_path / "ck.json", tmp_path / "h.csv"
+        missing = tmp_path / "missing" / ("ck.json" if flag == "out" else "h.csv")
+        paths = {"out": ck, "history-out": history, flag: missing}
+        monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("training started"))
+        err = assert_clean_exit_2(
+            capsys, "train", "--data", str(data), "--epochs", "1",
+            "--out", str(paths["out"]), "--history-out", str(paths["history-out"]),
+        )
+        assert err == f"error: {flag} must be in an existing directory, got {missing}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
 
     def test_train_deterministic(self, capsys, tmp_path):
         data = self.make_data(capsys, tmp_path)
@@ -1441,7 +1465,7 @@ class TestFdCheck:
     def test_seed_in_header(self, capsys):
         code, out, _ = run(capsys, "fd-check", "--seed", "13")
         assert code == 0
-        assert "seed=13" in out.splitlines()[0]
+        assert out.splitlines()[0] == "seed: 13"
 
 
 @pytest.mark.parametrize(
@@ -1460,3 +1484,71 @@ def test_negative_seed_names_its_flag(capsys, argv, flag):
     # refused before any file is read or written
     err = assert_clean_exit_2(capsys, *argv, "-1")
     assert err == f"error: {flag} must be an integer >= 0, got -1\n"
+
+
+def test_render_rules():
+    doc = {
+        "name": "a b/c.json", "n": 3, "x": 0.1 + 0.2, "ok": True, "bad": False, "none": None,
+        "xs": [1.0, 2, 0.5], "obj": {"k": 5, "p": 1 / 3}, "empty": {},
+        "nested": {"b": {"s": 1.0}, "a": {"s": None, "t": "x"}},
+    }
+    assert cli._render(doc) == [
+        "name: a b/c.json", "n: 3", "x: 0.3", "ok: true", "bad: false", "none: n/a",
+        "xs: 1 2 0.5", "obj: k=5 p=0.333333333", "empty:",
+        "nested.b: s=1", "nested.a: s=n/a t=x",
+    ]
+
+
+def _nudged_kernel(monkeypatch):
+    kernel = core.agrm_probs_unchecked
+    monkeypatch.setattr(
+        core, "agrm_probs_unchecked",
+        lambda theta, beta1, gamma, k=5: nudge(kernel(theta, beta1, gamma, k), 1e-8),
+    )
+
+
+REPORTS = {
+    "probe": ["probe", "--theta", "0.5", "--beta1", "0", "--gamma", "1"],
+    "probe-undefined": ["probe", "--theta", "0", "--beta1", "0", "--gamma", "0.1"],
+    "probe-overflow": ["probe", "--theta", "0", "--beta1", "1e308", "--gamma", "1e308"],
+    "verify": ["verify", "--samples", "300", "--seed", "2"],
+    "verify-failing": ["verify", "--samples", "400", "--seed", "2"],
+    "verify-sub-threshold": ["verify", "--samples", "300", "--allow-sub-threshold"],
+    "verify-vacuous": ["verify", "--samples", "0"],
+    "synth": ["synth", "--n", "24", "--d-img", "3", "--d-txt", "4", "--out", "{dir}/s.jsonl"],
+    "synth-planted": [
+        "synth", "--n", "24", "--out", "{dir}/s.jsonl.gz", "--planted-out", "{dir}/s.json",
+    ],
+    "train": [
+        "train", "--data", "{dir}/d.jsonl", "--epochs", "2", "--batch-size", "8",
+        "--out", "{dir}/ck.json",
+    ],
+    "eval": ["eval", "--checkpoint", "{dir}/p.json", "--data", "{dir}/d.jsonl"],
+    "fd-check": ["fd-check", "--agg", "softmax", "--k", "3", "--batch", "4"],
+}
+
+
+@pytest.mark.parametrize("case", list(REPORTS))
+def test_human_text_is_the_rendering_of_the_json_doc(capsys, tmp_path, monkeypatch, case):
+    code, _, _ = run(
+        capsys, "synth", "--n", "48", "--d-img", "6", "--d-txt", "6", "--noise", "0.3",
+        "--out", str(tmp_path / "d.jsonl"), "--planted-out", str(tmp_path / "p.json"),
+    )
+    assert code == 0
+    if case == "verify-failing":
+        _nudged_kernel(monkeypatch)
+    argv = [a.format(dir=tmp_path) for a in REPORTS[case]]
+    docs = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, doc: (docs.append(doc), emit(args, doc)))
+    code, human, err = run(capsys, *argv)
+    json_code, printed, json_err = run(capsys, *argv, "--json")
+    assert err == json_err == "" and code == json_code == int(case == "verify-failing")
+    # the human run printed the rendering of the document --json printed
+    doc = docs[1]
+    assert printed == json.dumps(doc, sort_keys=True) + "\n"
+    assert json.loads(printed) == doc == docs[0]
+    assert human == "".join(line + "\n" for line in cli._render(doc))
+    assert len(human.splitlines()) >= len(doc)
+    if case == "verify-failing":
+        assert set(doc["counterexamples"]) == {f for f, n in doc["violations"].items() if n}
