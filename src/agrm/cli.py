@@ -343,11 +343,26 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- synth
 
+def _require_output_paths(*flag_paths) -> None:
+    """Refuse an output path in a missing directory, or one that names a
+    directory, before the command does any work, so a bad path costs
+    nothing and writes nothing.  Takes (flag, path) pairs; a None path is
+    an output not asked for."""
+    for flag, path in flag_paths:
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} must name a file, not a directory, got {path}")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag} must be in an existing directory, got {path}")
+
+
 def cmd_synth(args) -> int:
     cfg = SynthConfig(
         n=args.n, d_img=args.d_img, d_txt=args.d_txt,
         noise_sigma=args.noise, seed=args.seed,
     )
+    _require_output_paths(("out", args.out), ("planted-out", args.planted_out))
     records, planted = synth_generate(cfg)
     save_records(args.out, records)
     if args.planted_out:
@@ -377,10 +392,7 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_train(args) -> int:
     history_path = args.history_out or (str(args.out) + ".history.csv")
-    # refused before the run, so a bad path costs no training and writes nothing
-    for flag, path in (("out", args.out), ("history-out", history_path)):
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"{flag} must be in an existing directory, got {path}")
+    _require_output_paths(("out", args.out), ("history-out", history_path))
     records = load_records(args.data)
     if args.normalize:
         records = normalize_mos(records)

@@ -12,20 +12,27 @@ On disk, records live in a line-delimited JSON format, one object per line
 with keys ``id``, ``fi``, ``ft``, ``mos``, ``dim``.  Vectors are plain
 decimal arrays, so files diff and stream trivially, and Python's
 shortest-repr float encoding makes save -> load an exact round trip.
-``load_records`` parses each line straight into the columns, feature entries
-into one flat buffer, and ``save_records`` writes the lines in chunks of
-``SAVE_CHUNK_ROWS``, so neither holds more than one copy of the features.
-A file is gzip-compressed exactly when its name ends in ``.gz``.  Archives
-are written at the fixed level ``GZIP_LEVEL`` = 1, which compresses about 9x
-faster than the default level 9 for a file about 8% larger, and with a
-zeroed timestamp, so identical data produces identical bytes; archives
+``save_records`` writes the lines in chunks of ``SAVE_CHUNK_ROWS``, and
+``load_records`` parses ``LOAD_BLOCK_BYTES`` of text at a time straight into
+the columns, feature entries into one flat buffer, so neither holds more
+than one copy of the features.  A file is gzip-compressed exactly when its
+name ends in ``.gz``.  An archive is one gzip member with a fixed header (no
+name, zero mtime, so identical data produces identical bytes) around a raw
+deflate body coded with Huffman codes only: the digits of shortest-repr
+floats have almost no repeats for LZ77 to find, and skipping the search
+compresses about 30% faster than level 1 for a file 8% larger.  Archives
 written at any level load.
 
-``FeatureRecord`` is the one rule for a valid row and words every refusal;
-the reader adds only the file format's rules (objects with the five keys,
-JSON-number scores and entries, feature lengths equal to the first line's).
-The reader's per-line checks and the bulk checks of ``Records`` only detect
-a bad row; the first one's ``FeatureRecord`` words the refusal.
+The reader parses each block of whole lines with one ``json.loads`` and
+checks its columns in bulk (``_read_blocks``); anything that screen does not
+pass sends the whole file to the per-line reader (``_read_lines``), which
+alone accepts what the screen doubts and words every refusal with its line
+number.  ``FeatureRecord`` is the one rule for a valid row and words every
+refusal; the reader adds only the file format's rules (objects with the
+five keys, JSON-number scores and entries, feature lengths equal to the
+first line's).  The reader's checks and the bulk checks of ``Records`` only
+detect a bad row; the first one's ``FeatureRecord`` words the refusal.
+Loaded ``dim`` tags are the ``DIMS`` strings themselves.
 
 The synthetic generator plants a head drawn by ``init_head`` with its
 ability map widened ``ABILITY_SCALE`` times, samples feature pairs from a
@@ -41,14 +48,16 @@ produced its data.
 
 from __future__ import annotations
 
-import contextlib
 import gzip
 import json
 import logging
 import math
+import operator
+import os
 import zlib
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -76,17 +85,29 @@ logger = logging.getLogger(__name__)
 
 DIMS = ("quality", "consistency", "authenticity")
 
-# gzip level of written archives: level 9 took 1.8 s for 20000 records of
-# 32 features, level 1 0.2 s, for a file 8% larger
+# deflate level of written archives; their body is Huffman-coded only (no
+# LZ77 matches, which shortest-repr float digits hardly have), so the level
+# sets no more than the header's XFL byte, 4 ("fastest") for level 1
 GZIP_LEVEL = 1
 # lines encoded and written at a time
 SAVE_CHUNK_ROWS = 2048
+# decompressed bytes read, parsed and screened at a time
+LOAD_BLOCK_BYTES = 1 << 16
 # widens the planted head's freshly drawn ability map so synthetic scores
 # cover the full range instead of clustering mid-scale
 ABILITY_SCALE = 4.0
 
 _FIELD_KEYS = ("id", "fi", "ft", "mos", "dim")
 _KEY_SET = frozenset(_FIELD_KEYS)
+# a parsed record object's values in _FIELD_KEYS order; a KeyError if one is missing
+_FIELDS = operator.itemgetter(*_FIELD_KEYS)
+# a tag -> its index in DIMS; a set's dim column indexes _DIM_TAGS, so a
+# loaded set shares the three DIMS strings as a synthesized one does
+_DIM_CODES = {d: i for i, d in enumerate(DIMS)}
+_DIM_TAGS = np.array(DIMS, dtype=object)
+# gzip member header (RFC 1952): deflate, no flags or name, zero mtime, XFL 4
+# (fastest), OS 255 (unknown), as gzip.GzipFile writes it at level 1
+_GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff"
 
 # the types json.loads gives a JSON number; a quoted number or a boolean,
 # which float() would take, is refused
@@ -138,7 +159,8 @@ class FeatureRecord(FeaturePair):
 
 def _strings(values) -> np.ndarray:
     """A 1-d object array holding ``values`` as they are."""
-    values = list(values)
+    if not isinstance(values, list):
+        values = list(values)
     return np.fromiter(values, dtype=object, count=len(values))
 
 
@@ -291,7 +313,8 @@ def _line_refusal(obj: dict) -> str:
 
 def _read_line(line: str, feats: array):
     """Check one record line, append its text then image features to
-    ``feats``, and return (id, mos, dim, (text, image) feature lengths)."""
+    ``feats``, and return (id, mos, dim's index in DIMS, (text, image)
+    feature lengths)."""
     try:
         obj = json.loads(line)
     # a deeply nested line exhausts the parser's recursion
@@ -324,14 +347,14 @@ def _read_line(line: str, feats: array):
         valid = False
     if not valid:
         raise ValueError(_line_refusal(obj))
-    return ident, float(score), dim, (len(ft), len(fi))
+    return ident, float(score), _DIM_CODES[dim], (len(ft), len(fi))
 
 
 def _read_lines(lines) -> Records:
     """Parse record lines into one set; the first malformed line is a
     ``ValueError`` naming its line number."""
     feats = array("d")  # per record: its text features, then its image features
-    ids, scores, dims = [], array("d"), []
+    ids, scores, dims = [], array("d"), array("b")
     first = None  # line number and (text, image) feature lengths of the first record
     for lineno, line in enumerate(lines, start=1):
         if line.isspace():
@@ -348,27 +371,135 @@ def _read_lines(lines) -> Records:
         ids.append(ident)
         scores.append(score)
         dims.append(dim)
-    d_txt, d_img = first[1] if first else (0, 0)
+    return _parsed(feats, first[1] if first else None, scores, ids, dims)
+
+
+def _parsed(feats: array, widths, scores: array, ids: list, dims: array) -> Records:
+    """The set over a parsed file's columns; ``widths`` are the records'
+    (text, image) feature lengths, None for a file with no record, and
+    ``dims`` the tags' indices in DIMS."""
+    d_txt, d_img = widths or (0, 0)
     x = np.frombuffer(feats, dtype=np.float64).reshape(len(scores), d_txt + d_img)
     return Records._checked(
-        x, d_img, np.frombuffer(scores, dtype=np.float64), _strings(ids), _strings(dims)
+        x, d_img, np.frombuffer(scores, dtype=np.float64), _strings(ids),
+        _DIM_TAGS[np.frombuffer(dims, dtype=np.int8)],
     )
+
+
+def _line_blocks(handle):
+    """The text of ``handle``, UTF-8 bytes read ``LOAD_BLOCK_BYTES`` at a
+    time and decoded in runs of whole lines; a last line without a newline
+    gets one.  A newline byte never falls inside a UTF-8 character, so each
+    run decodes on its own."""
+    pieces = []
+    while block := handle.read(LOAD_BLOCK_BYTES):
+        end = block.rfind(b"\n") + 1
+        if not end:
+            pieces.append(block)
+            continue
+        pieces.append(block[:end])
+        text, pieces = b"".join(pieces).decode("utf-8"), [block[end:]]
+        del block  # not held while the caller parses the text
+        yield text
+    tail = b"".join(pieces)
+    if tail:
+        yield tail.decode("utf-8") + "\n"
+
+
+def _read_blocks(handle):
+    """The set a record file holds, parsed a block of whole lines at a time;
+    None as soon as a block fails the screen.
+
+    A block is one ``json.loads`` of its lines with each line wrapped as its
+    own array, ``[[line 1\\n],[line 2\\n],...]``.  The separator holds a raw
+    newline, which no JSON string may, so it cannot hide in a string; and a
+    block passes only when it parses to one array per line, each holding
+    nothing (a blank line) or one object whose feature entries are numbers,
+    so every separator closes and opens a line's array.  Each line is then
+    the object it would parse to on its own.  The block's columns are
+    checked in bulk against the per-line reader's rules: exactly the five
+    keys, non-empty string ids, scores and feature entries that are numbers
+    (``array("d")`` takes exactly the JSON numbers and booleans; the types
+    are checked one by one only in a block holding ``true`` or ``false``)
+    and finite, tags in ``DIMS``, and feature lengths equal to the first
+    record's.  A line the per-line reader splits differently (a bare
+    ``\\r``) or cannot decode fails the screen.
+    """
+    feats, scores, ids, dims = array("d"), array("d"), [], array("b")
+    widths = None  # (text, image) feature lengths of the first record
+    try:
+        for text in _line_blocks(handle):
+            if "\r" in text and text.count("\r") != text.count("\r\n"):
+                return None
+            # only a block holding the literals can hold a boolean
+            literals = "true" in text or "false" in text
+            doc = "[[" + text.replace("\n", "\n],[") + "]]"
+            lines = json.loads(doc)
+            # each separator adds 3 characters; one array per line, and one
+            # more after the block's last newline
+            newlines = (len(doc) - len(text) - 4) // 3
+            if len(lines) != newlines + 1 or max(map(len, lines)) > 1:
+                return None
+            rows = list(chain.from_iterable(lines))
+            if not rows:
+                continue
+            if set(map(len, rows)) != {len(_FIELD_KEYS)}:
+                return None
+            ident, fi, ft, mos, dim = zip(*map(_FIELDS, rows))
+            widths = widths or (len(ft[0]), len(fi[0]))
+            if (
+                set(map(type, ident)) != {str} or "" in ident or 0 in widths
+                or set(map(len, ft)) != {widths[0]} or set(map(len, fi)) != {widths[1]}
+            ):
+                return None
+            if literals and not _numbers(chain(mos, *ft, *fi)):
+                return None
+            block_feats = array("d", chain.from_iterable(chain.from_iterable(zip(ft, fi))))
+            block_scores = array("d", mos)
+            if not all(np.isfinite(np.frombuffer(a)).all() for a in (block_feats, block_scores)):
+                return None
+            feats += block_feats
+            scores += block_scores
+            ids += ident
+            dims += array("b", map(_DIM_CODES.__getitem__, dim))
+    # a JSON or UTF-8 error is a ValueError, a line that is no object or a
+    # non-number a TypeError, an integer too large for a float an
+    # OverflowError, a missing key or a tag not in DIMS a KeyError, a deeply
+    # nested line a RecursionError
+    except (ValueError, TypeError, OverflowError, KeyError, RecursionError):
+        return None
+    return _parsed(feats, widths, scores, ids, dims)
 
 
 def load_records(path) -> Records:
     """Read a record file into one set, rows in file order.
 
-    Every line is checked as it is read (keys, types, finite numbers, and
-    feature lengths equal to the first record's); the first malformed line
-    is a ``ValueError`` naming its line number.  A name ending in ``.gz`` is
-    read as gzip; a truncated or corrupt archive is a ``ValueError`` too.
+    Every line is checked (keys, types, finite numbers, and feature lengths
+    equal to the first record's); the first malformed line is a
+    ``ValueError`` naming its line number.  A name ending in ``.gz`` is read
+    as gzip; a truncated or corrupt archive is a ``ValueError`` too.
+
+    A regular file is parsed ``LOAD_BLOCK_BYTES`` at a time and each block
+    screened in bulk (``_read_blocks``).  Anything the screen does not pass,
+    a damaged archive included, sends the whole file to the per-line reader,
+    read from the start: it alone accepts what the screen doubts, and it
+    words every refusal.  Any other file, such as a pipe, which cannot be
+    read twice, goes to the per-line reader alone.
     """
     opener = gzip.open if _is_gzip(path) else open
-    try:
-        with opener(path, "rt", encoding="utf-8") as handle:
-            records = _read_lines(handle)
-    except (EOFError, zlib.error) as exc:
-        raise ValueError(f"{path}: corrupt gzip data: {exc}") from exc
+    records = None
+    if os.path.isfile(path):
+        with opener(path, "rb") as handle:
+            try:
+                records = _read_blocks(handle)
+            except (EOFError, zlib.error, gzip.BadGzipFile):
+                pass
+    if records is None:
+        try:
+            with opener(path, "rt", encoding="utf-8") as handle:
+                records = _read_lines(handle)
+        except (EOFError, zlib.error) as exc:
+            raise ValueError(f"{path}: corrupt gzip data: {exc}") from exc
     counts = dim_counts(records)
     logger.info(
         "loaded %d records from %s (%s)",
@@ -412,14 +543,23 @@ def save_records(path, records) -> None:
     ``records`` is a ``Records`` set or a sequence of ``FeatureRecord``.
     """
     rs = as_records(records)
-    with open(path, "wb") as handle, (
-        # fixed header (no name, zero mtime) so equal data -> equal bytes
-        gzip.GzipFile(filename="", mode="wb", fileobj=handle, mtime=0, compresslevel=GZIP_LEVEL)
-        if _is_gzip(path)
-        else contextlib.nullcontext(handle)
-    ) as out:
+    with open(path, "wb") as handle:
+        if not _is_gzip(path):
+            handle.writelines(_encode_chunks(rs))
+            return
+        # one gzip member: the fixed header (no name, zero mtime, so equal
+        # data -> equal bytes), a raw Huffman-only deflate body, and the
+        # CRC-32 and length of the text
+        deflate = zlib.compressobj(
+            GZIP_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS, strategy=zlib.Z_HUFFMAN_ONLY
+        )
+        crc = size = 0
+        handle.write(_GZIP_HEADER)
         for chunk in _encode_chunks(rs):
-            out.write(chunk)
+            crc, size = zlib.crc32(chunk, crc), size + len(chunk)
+            handle.write(deflate.compress(chunk))
+        handle.write(deflate.flush())
+        handle.write(crc.to_bytes(4, "little") + (size % 2**32).to_bytes(4, "little"))
 
 
 def normalize_mos(records) -> Records:
@@ -501,6 +641,6 @@ def synth_generate(cfg: SynthConfig):
         d_img=cfg.d_img,
         mos=batch_scores(planted, x) + cfg.noise_sigma * noise,
         id=[f"synth-{i:05d}" for i in range(cfg.n)],
-        dim=np.array(DIMS, dtype=object)[np.arange(cfg.n) % len(DIMS)],
+        dim=_DIM_TAGS[np.arange(cfg.n) % len(DIMS)],
     )
     return records, planted

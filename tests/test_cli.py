@@ -629,6 +629,30 @@ class TestSynth:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["out", "planted-out"])
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_bad_output_path_is_refused_before_synthesis(
+        self, capsys, tmp_path, monkeypatch, flag, kind
+    ):
+        """A path in a missing directory, or one naming a directory, exits 2
+        naming the flag before any record is drawn, and nothing is written."""
+        (tmp_path / "dd").mkdir()
+        bad = tmp_path / "missing" / "x" if kind == "missing-directory" else tmp_path / "dd"
+        paths = {"out": tmp_path / "d.jsonl", "planted-out": tmp_path / "p.json", flag: bad}
+        monkeypatch.setattr(cli, "synth_generate", lambda *a: pytest.fail("synthesis started"))
+        err = assert_clean_exit_2(
+            capsys, "synth", "--n", "24",
+            "--out", str(paths["out"]), "--planted-out", str(paths["planted-out"]),
+        )
+        want = (
+            f"{flag} must be in an existing directory, got {bad}"
+            if kind == "missing-directory"
+            else f"{flag} must name a file, not a directory, got {bad}"
+        )
+        assert err == f"error: {want}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dd"]
+        assert not any((tmp_path / "dd").iterdir())
+
 
 class TestTrainEval:
     def make_data(self, capsys, tmp_path, n=48, noise="0", seed="9"):
@@ -684,6 +708,24 @@ class TestTrainEval:
         )
         assert err == f"error: {flag} must be in an existing directory, got {missing}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
+
+    @pytest.mark.parametrize("flag", ["out", "history-out"])
+    def test_output_path_naming_a_directory_is_refused_before_reading(
+        self, capsys, tmp_path, monkeypatch, flag
+    ):
+        data = self.make_data(capsys, tmp_path)
+        directory = tmp_path / "dd"
+        directory.mkdir()
+        paths = {"out": tmp_path / "ck.json", "history-out": tmp_path / "h.csv", flag: directory}
+        monkeypatch.setattr(cli, "load_records", lambda *a: pytest.fail("records read"))
+        monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("training started"))
+        err = assert_clean_exit_2(
+            capsys, "train", "--data", str(data), "--epochs", "1",
+            "--out", str(paths["out"]), "--history-out", str(paths["history-out"]),
+        )
+        assert err == f"error: {flag} must name a file, not a directory, got {directory}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "dd"]
+        assert not any(directory.iterdir())
 
     def test_train_deterministic(self, capsys, tmp_path):
         data = self.make_data(capsys, tmp_path)

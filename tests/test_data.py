@@ -1,15 +1,21 @@
 import gzip
+import io
 import json
+import os
+import threading
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import agrm.data
 from agrm.cli import main
 from agrm.data import (
     DIMS,
     GZIP_LEVEL,
+    LOAD_BLOCK_BYTES,
     FeatureRecord,
     Records,
     SynthConfig,
@@ -20,6 +26,8 @@ from agrm.data import (
     save_records,
     split,
     synth_generate,
+    _read_blocks,
+    _read_lines,
 )
 from agrm.head import FeaturePair, head_forward, init_head
 from agrm.losses import srcc
@@ -201,7 +209,7 @@ ENTRIES = st.one_of(
 )
 IDS = st.one_of(
     st.sampled_from(['say "hi"', "back\\slash", "tab\tnew\nline", "caf\u00e9", "\u6f22\u5b57",
-                     "\U0001f600", "nul\x00", "\u2028"]),
+                     "\U0001f600", "nul\x00", "\u2028", "true", "falsetto"]),
     st.text(min_size=1),
 )
 
@@ -342,9 +350,29 @@ class TestRoundTrip:
         path = tmp_path / "d.jsonl.gz"
         save_records(path, recs)
         raw = path.read_bytes()
-        # header: no name, zero mtime, and the extra-flags byte of level 1
-        assert raw[3] == 0 and raw[4:8] == b"\0\0\0\0" and raw[8] == 4
+        # header: deflate, no flags or name, zero mtime, the extra-flags
+        # byte of level 1 and OS 255, as gzip.GzipFile writes it
+        assert raw[:10] == bytes.fromhex("1f8b08000000000004ff")
         assert GZIP_LEVEL == 1
+
+    def test_archive_is_one_gzip_member_of_the_plain_bytes(self, tmp_path):
+        """The header, one raw deflate stream of the plain file's bytes, and
+        their CRC-32 and length; nothing else."""
+        recs, _ = synth_generate(SynthConfig(n=300, noise_sigma=0.2, seed=6))
+        plain, packed = tmp_path / "d.jsonl", tmp_path / "d.jsonl.gz"
+        save_records(plain, recs)
+        save_records(packed, recs)
+        text, body = plain.read_bytes(), zlib.decompressobj(-zlib.MAX_WBITS)
+        assert body.decompress(packed.read_bytes()[10:]) == text and body.eof
+        assert body.unused_data == zlib.crc32(text).to_bytes(4, "little") + len(text).to_bytes(4, "little")
+
+    def test_huffman_only_archive_is_at_most_a_tenth_larger_than_level_1(self, tmp_path):
+        recs, _ = synth_generate(SynthConfig(n=2000, noise_sigma=0.25, seed=1))
+        plain, packed = tmp_path / "d.jsonl", tmp_path / "d.jsonl.gz"
+        save_records(plain, recs)
+        save_records(packed, recs)
+        level_1 = gzip.compress(plain.read_bytes(), compresslevel=1, mtime=0)
+        assert len(packed.read_bytes()) <= 1.10 * len(level_1)
 
     def test_archives_of_any_level_load(self, tmp_path):
         recs, _ = synth_generate(SynthConfig(n=40, seed=3))
@@ -354,6 +382,20 @@ class TestRoundTrip:
             path = tmp_path / f"d{level}.jsonl.gz"
             path.write_bytes(gzip.compress(plain.read_bytes(), compresslevel=level, mtime=0))
             assert load_records(path) == recs
+
+    def test_archives_of_gzip_file_load(self, tmp_path):
+        """Archives written through ``gzip.GzipFile`` at level 1, as the
+        writer made them before its body was Huffman-only, load the same."""
+        recs, _ = synth_generate(SynthConfig(n=40, seed=3))
+        plain = tmp_path / "d.jsonl"
+        save_records(plain, recs)
+        buffer = io.BytesIO()
+        with gzip.GzipFile(filename="", mode="wb", fileobj=buffer, mtime=0, compresslevel=1) as out:
+            out.write(plain.read_bytes())
+        path = tmp_path / "old.jsonl.gz"
+        path.write_bytes(buffer.getvalue())
+        assert path.read_bytes()[:10] == bytes.fromhex("1f8b08000000000004ff")
+        assert load_records(path) == recs
 
     def test_save_takes_rows_and_writes_in_chunks(self, tmp_path, monkeypatch):
         import agrm.data
@@ -365,6 +407,234 @@ class TestRoundTrip:
         chunked = tmp_path / "chunked.jsonl"
         save_records(chunked, list(recs))
         assert chunked.read_bytes() == whole.read_bytes()
+
+
+def per_line_load(path):
+    """The set a record file holds as the per-line reader alone reads it:
+    the oracle of the block reader, refusals worded the same."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    try:
+        with opener(path, "rt", encoding="utf-8") as handle:
+            return _read_lines(handle)
+    except (EOFError, zlib.error) as exc:
+        raise ValueError(f"{path}: corrupt gzip data: {exc}") from exc
+
+
+def outcome(load, path):
+    """What ``load(path)`` gives: the set, or the refusal's type and message."""
+    try:
+        return load(path)
+    except (ValueError, OSError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(path):
+    got, want = outcome(load_records, path), outcome(per_line_load, path)
+    if not isinstance(want, Records):
+        assert got == want
+        return
+    assert isinstance(got, Records), got
+    assert got.d_img == want.d_img and got.x.shape == want.x.shape
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.mos.tobytes() == want.mos.tobytes()
+    assert got.id.tolist() == want.id.tolist()
+    assert got.dim.tolist() == want.dim.tolist()
+    assert all(d is DIMS[DIMS.index(d)] for d in got.dim)
+
+
+# block sizes from one byte, which splits every multi-byte character and
+# every line, to the reader's own
+BLOCK_SIZES = st.sampled_from([1, 2, 3, 5, 17, 64, 300, 4096, LOAD_BLOCK_BYTES])
+
+
+@st.composite
+def record_texts(draw):
+    """The text of a valid record file, in the freedom the format leaves a
+    writer: escaped or raw non-ASCII ids, integer entries and scores, LF,
+    CRLF or bare-CR line ends, blank lines, and no newline at the end."""
+    rs = draw(record_sets())
+    parts = []
+    for i, r in enumerate(rs):
+        def number(v):
+            return int(v) if v.is_integer() and draw(st.booleans()) else v
+        obj = {
+            "id": r.id, "fi": [number(v) for v in r.f_i.tolist()],
+            "ft": [number(v) for v in r.f_t.tolist()], "mos": number(r.mos), "dim": r.dim,
+        }
+        parts.append(draw(st.sampled_from(["", "\n", "  \n", "\t\r\n"])))
+        parts.append(json.dumps(obj, ensure_ascii=draw(st.booleans())))
+        last = i == len(rs) - 1
+        parts.append(draw(st.sampled_from(["\n", "\n", "\r\n", "\r"] + [""] * last)))
+    return "".join(parts)
+
+
+class TestBlockReader:
+    """The block reader gives what the per-line reader gives, bit for bit,
+    or refuses with its exact message; every doubt goes to it."""
+
+    @settings(
+        derandomize=True, max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=record_texts(), block=BLOCK_SIZES, packed=st.booleans())
+    def test_valid_files_load_as_the_per_line_reader_reads_them(self, tmp_path, text, block, packed):
+        raw = text.encode("utf-8")
+        path = tmp_path / ("r.jsonl.gz" if packed else "r.jsonl")
+        path.write_bytes(gzip.compress(raw, mtime=0) if packed else raw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agrm.data, "LOAD_BLOCK_BYTES", block)
+            assert_same_outcome(path)
+            # only a line end the per-line reader splits apart from "\n"
+            # sends a valid file to it
+            if "\r" not in text.replace("\r\n", ""):
+                assert _read_blocks(io.BytesIO(raw)) is not None
+
+    @settings(
+        derandomize=True, max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(rs=record_sets(), block=BLOCK_SIZES, data=st.data())
+    def test_a_corrupted_line_is_refused_as_the_per_line_reader_refuses_it(
+        self, tmp_path, rs, block, data
+    ):
+        lines = json_lines_oracle(rs).decode("utf-8").splitlines(keepends=True)
+        at = data.draw(st.integers(0, len(lines) - 1), label="line")
+        line = lines[at]
+        i = data.draw(st.integers(0, len(line) - 1), label="at")
+        kind = data.draw(st.sampled_from(["cut", "insert", "delete", "replace"]), label="kind")
+        char = data.draw(st.sampled_from(list('[]{}",:\n\r 0.-eE\\tfx\u00e9')), label="char")
+        lines[at] = {
+            "cut": line[:i] + "\n",
+            "insert": line[:i] + char + line[i:],
+            "delete": line[:i] + line[i + 1 :],
+            "replace": line[:i] + char + line[i + 1 :],
+        }[kind]
+        path = tmp_path / "r.jsonl"
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agrm.data, "LOAD_BLOCK_BYTES", block)
+            assert_same_outcome(path)
+
+    @settings(
+        derandomize=True, max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(rs=record_sets(), data=st.data())
+    def test_a_damaged_archive_is_refused_as_the_per_line_reader_refuses_it(self, tmp_path, rs, data):
+        path = tmp_path / "r.jsonl.gz"
+        save_records(path, rs)
+        raw = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(1, len(raw) - 1), label="cut")]
+        else:
+            raw[data.draw(st.integers(10, len(raw) - 1), label="at")] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(raw))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agrm.data, "LOAD_BLOCK_BYTES", data.draw(BLOCK_SIZES, label="block"))
+            assert_same_outcome(path)
+
+    GOOD = '{"id":"a","fi":[1.0,2.0],"ft":[3.0],"mos":1.0,"dim":"quality"}'
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            # two objects on one line: a wrapper holding two objects, ...
+            (GOOD + "\n" + GOOD + "," + GOOD + "\n", 2),
+            # ... one more wrapper than lines, ...
+            (GOOD + "\n" + GOOD + "],[" + GOOD + "\n", 2),
+            # ... or none that parses
+            (GOOD + "\n" + GOOD + GOOD + "\n", 2),
+            # an fi array left open and continued on the next line, whose
+            # wrapped block parses to one object for two lines
+            ('{"id":"a","fi":[[1.0\n2.0]],"ft":[3.0],"mos":1.0,"dim":"quality"}\n', 1),
+            ('{"id":"a","fi":[1.0,\n2.0],"ft":[3.0],"mos":1.0,"dim":"quality"}\n', 1),
+            # a string left open and closed on the next line, alone or
+            # with a second object that makes up the count of wrappers
+            ('{"id":"a\nb","fi":[1.0,2.0],"ft":[3.0],"mos":1.0,"dim":"quality"}\n', 1),
+            ('{"id":"a\nb","fi":[1.0,2.0],"ft":[3.0],"mos":1.0,"dim":"quality"}],[' + GOOD + "\n", 1),
+            # a bare carriage return ends a line for the per-line reader
+            ('{"id":"a","fi":[1.0,2.0],\r"ft":[3.0],"mos":1.0,"dim":"quality"}\n', 1),
+        ],
+        ids=["two-objects", "two-wrappers", "two-objects-unseparated", "open-fi-nested",
+             "open-fi", "open-string", "open-string-two-wrappers", "bare-cr"],
+    )
+    def test_seams_between_lines_are_refused_with_the_line(self, tmp_path, text, lineno):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(text.encode())
+        assert _read_blocks(io.BytesIO(text.encode())) is None
+        with pytest.raises(ValueError) as refusal:
+            load_records(path)
+        assert str(refusal.value).startswith(f"line {lineno}: invalid record: ")
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"fi": []}, "f_i must be a non-empty 1-d vector"),
+            ({"ft": []}, "f_t must be a non-empty 1-d vector"),
+            ({"fi": [], "ft": []}, "f_i must be a non-empty 1-d vector"),
+        ],
+    )
+    def test_empty_features_in_every_record_are_refused(self, tmp_path, fields, message):
+        """Feature lengths all equal to the first record's, and 0."""
+        obj = {**json.loads(self.GOOD), **fields}
+        path = tmp_path / "r.jsonl"
+        path.write_text((json.dumps(obj) + "\n") * 2)
+        with pytest.raises(ValueError, match="^line 1: " + message):
+            load_records(path)
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "jsonl.gz"])
+    def test_a_valid_file_never_reaches_the_per_line_reader(self, tmp_path, monkeypatch, suffix):
+        """Blocks end mid-line and mid-file, and one record line is longer
+        than a block; the block reader reads it all."""
+        recs, _ = synth_generate(SynthConfig(n=600, noise_sigma=0.2, seed=7))
+        wide, _ = synth_generate(SynthConfig(n=3, d_img=3000, d_txt=2000, seed=8))
+        path = tmp_path / f"r.{suffix}"
+        for rs in (recs, wide):
+            save_records(path, rs)
+            monkeypatch.setattr(agrm.data, "_read_lines", lambda lines: pytest.fail("per-line read"))
+            loaded = load_records(path)
+            monkeypatch.undo()
+            assert loaded == rs and loaded.x.tobytes() == rs.x.tobytes()
+        assert len(path.read_bytes() if suffix == "jsonl" else gzip.decompress(path.read_bytes())) > (
+            3 * LOAD_BLOCK_BYTES
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_read_once(self, tmp_path):
+        """A pipe cannot be read twice, so a file the screen would doubt (a
+        bare carriage return) still loads whole from it."""
+        fifo = tmp_path / "r.jsonl"
+        os.mkfifo(fifo)
+        texts = [self.GOOD + "\r" + self.GOOD + "\n", ""]
+
+        def feed():
+            # one writer per open of the read end; a second read gets ""
+            for text in texts:
+                with open(fifo, "w", newline="") as out:
+                    out.write(text)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        loaded = load_records(fifo)
+        # release the writer waiting for a second reader
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+        assert len(loaded) == 2 and loaded.id.tolist() == ["a", "a"]
+
+    def test_loaded_tags_are_the_dims_strings(self, tmp_path):
+        recs, _ = synth_generate(SynthConfig(n=30, seed=2))
+        path = tmp_path / "r.jsonl"
+        save_records(path, recs)
+        # a blank line with a form feed sends the file to the per-line reader
+        doubted = tmp_path / "doubted.jsonl"
+        doubted.write_bytes(b"\x0c\n" + path.read_bytes())
+        for p in (path, doubted):
+            loaded = load_records(p)
+            assert loaded == recs
+            for i, d in enumerate(loaded.dim):
+                assert d is DIMS[i % len(DIMS)]
 
 
 class TestNormalizeMos:
