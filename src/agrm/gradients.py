@@ -26,16 +26,19 @@ masses along each row.  The loss and its gradient with respect to each
 item's score come from ``losses._loss_and_upstream``.
 
 ``fd_check`` validates the whole thing against central differences.  It
-moves each checked weight by +step and by -step, stacks those 2P perturbed
-weight vectors as rows of a (2P, F) array over the F flat weights, and
-scores the whole stack through the forward and the loss alone, with no
-Jacobian of the backward pass: ``head._forward`` takes the stack and gives a
-(2P, N) grid of scores, and ``losses.total_loss_rows`` reduces it to 2P
-losses.  Every reduction runs over the last axis, so each perturbed loss is
-bitwise the loss of that one perturbed head.  The stack is built and scored
-in chunks of at most ``FD_STACK_ELEMENTS`` (stack row, item, weight)
-entries, which bounds memory for wide heads and large batches without
-changing a bit.  Failures are reported in the result, not thrown.
+runs the base forward once, for the loss, the gradient and the relu kink
+mask, then moves each checked weight by +step and by -step and scores those
+2P perturbed heads through the forward and the loss alone, with no
+Jacobian of the backward pass.  A moved weight feeds one pre-activation
+unit, so ``head._moved_scores`` starts each perturbed head from the base
+forward's units and recomputes only that unit, giving a (2P, N) grid of
+scores that ``losses.total_loss_rows`` reduces to 2P losses.  Every
+reduction runs over the last axis, so each perturbed loss is bitwise the
+loss of that one perturbed head.  The heads are scored in chunks of at most
+``FD_CHUNK_ELEMENTS`` entries, which bounds memory for wide heads and large
+batches without changing a bit.  Failures are reported in the result, not
+thrown; a step so large that some perturbed head leaves the float range is
+refused, naming the moved weight.
 """
 
 from __future__ import annotations
@@ -51,10 +54,12 @@ from .core import _SCALE, _finite_vector, _steps
 from .head import (
     _ACTIVATION_FUNCS,
     FeaturePair,
+    HeadBatch,
     HeadParams,
-    _difficulty,
     _forward,
     _inputs,
+    _moved_elements,
+    _moved_scores,
     feature_matrix,
     grade_positions,
 )
@@ -65,12 +70,12 @@ __all__ = ["GradReport", "batch_loss_and_grads", "fd_check"]
 # coordinate feeding a pre-activation this close to 0 is skipped.
 RELU_KINK_MARGIN = 1e-3
 
-# Most (stack row, item, weight) triples fd_check scores in one stacked
-# forward, so every temporary of a chunk, the softmax logits product
-# (rows, N, k, d_txt + d_img) the largest, stays within this many float64
-# entries (16 MiB) however wide the head or large the batch.  A chunk never
-# holds less than one coordinate's two rows.
-FD_STACK_ELEMENTS = 1 << 21
+# Most float64 entries (16 MiB) one chunk of fd_check's moved heads holds,
+# however wide the head or large the batch: each head's moved weight row and
+# the tail's temporaries, counted together (``head._moved_elements``), with
+# one block of ``head.BLOCK_ELEMENTS`` unit products on top.  A chunk never
+# holds less than one coordinate's two heads.
+FD_CHUNK_ELEMENTS = 1 << 21
 
 
 @dataclass
@@ -129,20 +134,30 @@ def batch_loss_and_grads(
     gradient written into its ``hp.fields`` view; the report carries the
     vector as ``flat`` and the views as ``grads``.
     """
+    return _checked_pass(hp, pairs, targets, lam)[-1]
+
+
+def _checked_pass(
+    hp: HeadParams, pairs, targets, lam: float
+) -> tuple[np.ndarray, np.ndarray, HeadBatch, GradReport]:
+    """``batch_loss_and_grads`` with what it computes on the way: the
+    feature matrix, the targets and the forward, then the report."""
     x = feature_matrix(hp, pairs)
     n = x.shape[0]
     t = _finite_vector("targets", targets)
     if t.size != n:
         raise ValueError(f"targets shape {t.shape} does not match {n} pairs")
     losses._require_lam(lam, n)
+    fw = _forward(hp, x)
     flat = np.zeros(hp.flat.shape)
     grads = hp.fields(flat)
-    loss, item_losses = _loss_and_grads(hp, x, t, lam, grads)
-    return GradReport(loss=loss, grads=grads, item_losses=item_losses, flat=flat)
+    loss, item_losses = _loss_and_grads(hp, x, t, lam, grads, fw)
+    return x, t, fw, GradReport(loss=loss, grads=grads, item_losses=item_losses, flat=flat)
 
 
 def _loss_and_grads(
-    hp: HeadParams, x: np.ndarray, t: np.ndarray, lam: float, grads: dict[str, np.ndarray]
+    hp: HeadParams, x: np.ndarray, t: np.ndarray, lam: float, grads: dict[str, np.ndarray],
+    fw: HeadBatch | None = None,
 ) -> tuple[float, np.ndarray]:
     """The batch loss and per-item loss terms; the gradient goes into
     ``grads``, the ``hp.fields`` views of a vector shaped like ``hp.flat``.
@@ -153,9 +168,11 @@ def _loss_and_grads(
     ``np.errstate``.  Each call overwrites every field's view in full,
     except the temperature map's under no_temperature, which it never
     writes; so a vector that starts at 0 can serve batch after batch.
+    ``fw`` is ``_forward(hp, x)`` when the caller has run it already.
     """
     cfg = hp.config
-    fw = _forward(hp, x)
+    if fw is None:
+        fw = _forward(hp, x)
     loss, upstream, item_losses = losses._loss_and_upstream(fw.q_rescaled, t, lam)
 
     sp = _slopes(fw.probs)
@@ -193,24 +210,43 @@ def _loss_and_grads(
     return loss, item_losses
 
 
+def _flat_name(hp: HeadParams, c: int) -> str:
+    """Flat weight ``c`` by its field and index, such as ``agg_w[2, 7]``."""
+    for name, at in hp.fields(np.arange(hp.flat.size)).items():
+        index = np.argwhere(at == c)
+        if len(index):
+            return name + (f"[{', '.join(map(str, index[0]))}]" if at.ndim else "")
+
+
 def _perturbed_losses(
-    hp: HeadParams, x: np.ndarray, t: np.ndarray, lam: float, coords: np.ndarray, step: float
+    hp: HeadParams, x: np.ndarray, t: np.ndarray, lam: float, coords: np.ndarray, step: float,
+    base: HeadBatch,
 ) -> np.ndarray:
-    """Batch losses with flat weight ``coords[j]`` moved by +step (row 0, column
-    j) or by -step (row 1), from stacked forwards of ``FD_STACK_ELEMENTS``
-    entries at most; see the module docstring."""
-    w = hp.flat
-    per = max(1, FD_STACK_ELEMENTS // (2 * x.shape[0] * w.size))
-    out = np.empty((2, coords.size))
+    """Batch losses with flat weight ``coords[j]`` moved by +step (row 0,
+    column j) or by -step (row 1), for ascending ``coords``; ``base`` is
+    ``_forward(hp, x)``.  The moved heads are scored by
+    ``head._moved_scores`` in chunks of at most ``FD_CHUNK_ELEMENTS``
+    entries; see the module docstring.  A moved head the forward refuses is
+    refused here, naming the step and the moved weight."""
+    per = max(1, FD_CHUNK_ELEMENTS // (2 * _moved_elements(hp, x.shape[0])))
+    out = np.empty((coords.size, 2))
     for start in range(0, coords.size, per):
-        c = coords[start : start + per]
-        r = np.arange(c.size)
-        stack = np.tile(w, (2, c.size, 1))
-        stack[0, r, c] = w[c] + step
-        stack[1, r, c] = w[c] - step
-        q = _forward(hp, x, stack.reshape(2 * c.size, w.size)).q_rescaled
-        out[:, start : start + c.size] = losses.total_loss_rows(q, t, lam).reshape(2, c.size)
-    return out
+        # each coordinate's two heads side by side: +step, then -step
+        c = np.repeat(coords[start : start + per], 2)
+        d = np.tile((step, -step), c.size // 2)
+        try:
+            q = _moved_scores(hp, x, base, c, d)
+        except ValueError:
+            # name the first moved head the forward refuses, with its row of x
+            for r in range(c.size):
+                try:
+                    _moved_scores(hp, x, base, c[r : r + 1], d[r : r + 1])
+                except ValueError as exc:
+                    moved = f"{_flat_name(hp, c[r])} moved by {'+' if d[r] > 0.0 else '-'}step"
+                    raise ValueError(f"step {step!r} with {moved}: {exc}") from None
+            raise
+        out[start : start + per] = losses.total_loss_rows(q, t, lam).reshape(-1, 2)
+    return out.T
 
 
 @np.errstate(under="ignore")
@@ -226,37 +262,35 @@ def fd_check(
 
     Each coordinate's difference quotient comes from the loss with that one
     weight moved by +step and by -step, through the forward and the loss
-    alone, never through the backward pass.  The 2P perturbed heads of the P
-    checked coordinates are scored as one (2P, F) weight stack, in chunks of
-    at most ``FD_STACK_ELEMENTS`` entries (``_perturbed_losses``).  Relative
-    error per coordinate is |a - f| / max(|a|, |f|, 1e-12).  With the relu
+    alone, never through the backward pass.  The base forward runs once
+    and serves the loss, the gradient, the relu kink mask and the 2P
+    perturbed heads of the P checked coordinates, which recompute only the
+    unit their weight feeds (``_perturbed_losses``).  Relative error per
+    coordinate is |a - f| / max(|a|, |f|, 1e-12).  With the relu
     activation, coordinates feeding a pre-activation within
     ``RELU_KINK_MARGIN`` of the kink on any item are skipped rather than
     measured one-sided.  The returned report carries the analytic gradients,
     the worst relative error over checked coordinates, and how many
     coordinates were checked, skipped, and over ``tol``.  ``step`` and
-    ``tol`` must be finite and positive.
+    ``tol`` must be finite and positive, and a step that moves some head
+    past the forward's checks is refused, naming the moved weight.
     """
     for name, value in (("step", step), ("tol", tol)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    x = feature_matrix(hp, pairs)
-    t = np.asarray(targets, dtype=np.float64)
-    base = batch_loss_and_grads(hp, x, t, lam)
+    x, t, fw, base = _checked_pass(hp, pairs, targets, lam)
 
     skipped_at = np.zeros(hp.flat.shape, dtype=bool)
     if hp.config.activation == "relu":
-        # the difficulty branch alone gives the pre-activations
-        _, _, _, pre_b, pre_g, _, _ = _difficulty(hp, hp, x)
-        near_b = bool(np.any(np.abs(pre_b) < RELU_KINK_MARGIN))
-        near_g = bool(np.any(np.abs(pre_g) < RELU_KINK_MARGIN))
+        near_b = bool(np.any(np.abs(fw.pre_b) < RELU_KINK_MARGIN))
+        near_g = bool(np.any(np.abs(fw.pre_g) < RELU_KINK_MARGIN))
         skip = hp.fields(skipped_at)
         skip["phi_beta_w"][...] = skip["phi_beta_b"][...] = near_b
         skip["phi_gamma_w"][...] = skip["phi_gamma_b"][...] = near_g
         skip["phi_i_w"][...] = skip["phi_i_b"][...] = near_b or near_g
 
     coords = np.flatnonzero(~skipped_at)
-    hi, lo = _perturbed_losses(hp, x, t, lam, coords, step)
+    hi, lo = _perturbed_losses(hp, x, t, lam, coords, step, fw)
     fd = (hi - lo) / (2.0 * step)
     a = base.flat[coords]
     rel = np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-12)

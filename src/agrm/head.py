@@ -45,22 +45,29 @@ k = 9 head streamed with nothing kept peaks at 1.2 MiB, and ``batch_scores``
 at 2.0 MiB for 0.8 MiB of scores, against 226.6 MiB for one unblocked pass;
 under linear the two read 1.8 MiB and 2.5 MiB, against 27.5 MiB.  A
 refusal names its row of the whole input, not of its block.  Training and
-``gradients.fd_check`` call ``_forward`` directly, on a batch or a weight
-stack of their own bounded size.
+``gradients.fd_check`` call ``_forward`` directly, on a batch of their own
+bounded size.
 
-The same forward also takes a (B, F) stack of weight vectors, each row a
-``HeadParams.flat`` in the head's layout, and scores the N items under all
-B of them at once: every output gains a leading B axis, (B, N) and
-(B, N, k).  ``HeadParams.fields`` is the one home of the flat layout: it
+The forward runs in two stages.  ``_units`` gives the four affine
+pre-activation units, each a dot product over its fan-in plus a bias: the
+ability (or the k grade logits under softmax), the base-difficulty prior,
+the spacing prior and the temperature shift.  The tail turns units into
+scores: the softmax, the activation, the band kernel, the mean grade and
+the rescale.  ``HeadParams.fields`` is the one home of the flat layout: it
 views any array whose last axis is laid out like ``flat`` as the weight
-fields, in either direction.  It serves the head's own fields, the stack,
-the gradient (``gradients.batch_loss_and_grads`` writes each field's
-gradient into its view of one flat vector), and masks or names over the
-flat weights.  Each stacked weight field gets a unit axis for the items, so
-a weight of shape (B, n) meets the (N, n) features as (B, 1, n) and
-``_rowdot`` gives (B, N); every reduction runs over the last axis, so row b
-of the result is bitwise the forward of row b's weights alone.
-``gradients.fd_check`` scores all its perturbed weight vectors this way.
+fields, in either direction.  It serves the head's own fields, the gradient
+(``gradients.batch_loss_and_grads`` writes each field's gradient into its
+view of one flat vector), and masks or names over the flat weights.
+
+A flat weight feeds exactly one unit, so ``_moved_scores`` scores R heads
+that each differ from ``hp`` in one flat weight from the base forward's
+units: each head recomputes only its moved unit, one dot product over that
+unit's fan-in, keeps the base ability or difficulties the move leaves
+alone, and the shared tail runs over all R * N rows at once.  Under
+softmax a moved weight then costs N * fan-in products, against
+N * k * (d_txt + d_img) for a whole forward.  Every reduction runs over a
+row, so row r is bitwise the forward of that one moved head.
+``gradients.fd_check`` scores its perturbed heads this way.
 """
 
 from __future__ import annotations
@@ -68,7 +75,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -104,7 +110,8 @@ TELU_MIN = -0.35328577784821125
 TELU_ARGMIN = -1.0788600584646242
 
 # Most entries (1 MiB of float64) in any temporary of one block of
-# ``forward_blocks``, and in one block of ``data.draw_features``'s swap.
+# ``forward_blocks``, in one block of ``data.draw_features``'s swap, and in
+# one block of ``_moved_scores``'s unit products.
 BLOCK_ELEMENTS = 1 << 17
 
 
@@ -363,48 +370,85 @@ def _inputs(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prior_in, temp_in
 
 
-def _ability(hp: HeadParams, w, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Abilities (..., N) and, in softmax mode, the grade softmax (..., N, k).
+# each pre-activation unit as its (weight field, bias field): in
+# ``_layout``'s order a unit's weight is followed by its bias, so each unit
+# owns one run of ``flat``, in this order
+_UNITS = tuple(zip(PARAM_FIELDS[::2], PARAM_FIELDS[1::2]))
 
-    ``w`` holds the weight fields: ``hp`` itself, or the fields of a weight
-    stack, each with a unit axis for the items.
-    """
+
+def _units(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four affine pre-activation units of the rows of x, in ``_UNITS``
+    order: the ability (N,) under linear or the k grade logits (N, k) under
+    softmax, then the base-difficulty prior, the spacing prior and the
+    temperature shift, each (N,).  Each is a dot product over its fan-in
+    plus its bias; under no_temperature the shift is 0."""
+    cfg = hp.config
+    prior_in, temp_in = _inputs(hp, x)
+    agg_in = x if cfg.agg_mode == "linear" else x[:, None, :]
+    agg = _rowdot(agg_in, hp.agg_w) + hp.agg_b
+    b_prior = _rowdot(prior_in, hp.phi_beta_w) + hp.phi_beta_b
+    g_prior = _rowdot(prior_in, hp.phi_gamma_w) + hp.phi_gamma_b
+    if cfg.ablation == "no_temperature":
+        tau = np.zeros(b_prior.shape)
+    else:
+        tau = _rowdot(temp_in, hp.phi_i_w) + hp.phi_i_b
+    return agg, b_prior, g_prior, tau
+
+
+def _ability(hp: HeadParams, agg: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Abilities (..., N) from the ability unit and, in softmax mode, the
+    grade softmax (..., N, k) of the logits ``agg``, whose expectation over
+    the grade positions, scaled by ``lambda_s``, is the ability."""
     cfg = hp.config
     if cfg.agg_mode == "linear":
-        return _rowdot(x, w.agg_w) + w.agg_b, None
-    logits = _rowdot(x[:, None, :], w.agg_w) + w.agg_b
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return agg, None
+    e = np.exp(agg - agg.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     return cfg.lambda_s * _rowdot(p, grade_positions(cfg.k)), p
 
 
-def _difficulty(hp: HeadParams, w, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(beta1_prior, gamma_prior, tau, pre_b, pre_g, beta1, gamma), each (..., N)."""
-    cfg = hp.config
-    prior_in, temp_in = _inputs(hp, x)
-    b_prior = _rowdot(prior_in, w.phi_beta_w) + w.phi_beta_b
-    g_prior = _rowdot(prior_in, w.phi_gamma_w) + w.phi_gamma_b
-    if cfg.ablation == "no_temperature":
-        tau = np.zeros(b_prior.shape)
-    else:
-        tau = _rowdot(temp_in, w.phi_i_w) + w.phi_i_b
+def _activate(
+    hp: HeadParams, b_prior: np.ndarray, g_prior: np.ndarray, tau: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The (2, ...) activation inputs [pre_b, pre_g], each prior plus the
+    shift, then beta1 and gamma: the activation runs once over both, and
+    the spacing gets ``eta``."""
     # both activation inputs in one array, so the activation runs once; the
     # array owns its data, so it is the base of the pre_b and pre_g views
     pre = np.array((b_prior, g_prior))
     pre += tau
-    act = _ACTIVATION_FUNCS[cfg.activation][0](pre)
-    return b_prior, g_prior, tau, pre[0], pre[1], act[0], act[1] + cfg.eta
+    act = _ACTIVATION_FUNCS[hp.config.activation][0](pre)
+    return pre, act[0], act[1] + hp.config.eta
+
+
+def _grades(
+    hp: HeadParams, theta: np.ndarray, beta1: np.ndarray, gamma: np.ndarray, first_row: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grade masses (..., k), mean grades and rescaled scores (...) of
+    abilities and difficulties of one shape.  The kernel checks all their
+    entries as one long batch of rows, and a refusal names its row counted
+    from ``first_row``."""
+    k = hp.config.k
+    probs = core._checked_probs(
+        theta.reshape(-1), beta1.reshape(-1), gamma.reshape(-1), k, first_row
+    ).reshape(theta.shape + (k,))
+    q = core.expected_score_batch(probs)
+    # core.rescale_score, element-wise
+    q_rescaled = np.minimum(5.0, np.maximum(0.0, (q - 1.0) * 5.0 / (k - 1.0)))
+    return probs, q, q_rescaled
 
 
 class HeadBatch(NamedTuple):
     """One forward pass over N items, row i belonging to item i.
 
-    Every field is an (N,) array except ``probs`` (N, k) and ``softmax_p``
-    ((N, k) in softmax mode, else None).  ``softmax_p``, ``pre_b`` and
-    ``pre_g`` (the activation inputs) are what the backward pass reads;
-    ``pre_b`` and ``pre_g`` are rows 0 and 1 of one array, their ``base``,
-    which the backward hands to the activation derivative whole.
-    A forward over a (B, F) weight stack puts a leading B axis on each.
+    Every field is an (N,) array except ``probs`` (N, k), and ``softmax_p``
+    and ``logits`` ((N, k) in softmax mode, else None).  ``softmax_p``,
+    ``pre_b`` and ``pre_g`` (the activation inputs) are what the backward
+    pass reads; ``pre_b`` and ``pre_g`` are rows 0 and 1 of one array, their
+    ``base``, which the backward hands to the activation derivative whole.
+    The four pre-activation units are ``theta`` (linear) or ``logits``
+    (softmax), ``beta1_prior``, ``gamma_prior`` and ``tau``: what
+    ``_moved_scores`` starts its moved heads from.
     """
 
     theta: np.ndarray
@@ -419,35 +463,114 @@ class HeadBatch(NamedTuple):
     softmax_p: np.ndarray | None
     pre_b: np.ndarray
     pre_g: np.ndarray
+    logits: np.ndarray | None
 
 
-def _forward(
-    hp: HeadParams, x: np.ndarray, stack: np.ndarray | None = None, first_row: int = 0
-) -> HeadBatch:
-    """The head forward shared by scoring, training and the gradient check.
+def _forward(hp: HeadParams, x: np.ndarray, first_row: int = 0) -> HeadBatch:
+    """The head forward shared by scoring, training and the gradient check:
+    the four pre-activation units (``_units``), then the tail that turns
+    them into scores (``_ability``, ``_activate``, ``_grades``).
 
-    With ``stack``, a (B, F) array whose row b is a ``flat`` vector in
-    ``hp``'s layout, the items are scored under each row's weights at once;
-    row b of every output is, bit for bit, the forward of a head whose
-    ``flat`` is ``stack[b]``.  It runs under the caller's ``np.errstate``:
-    each public entry ignores underflow around its own calls of it.  A
-    refusal names its row counted from ``first_row``, the input row of
-    ``x[0]`` when ``x`` is one block of a longer input.
+    It runs under the caller's ``np.errstate``: each public entry ignores
+    underflow around its own calls of it.  A refusal names its row counted
+    from ``first_row``, the input row of ``x[0]`` when ``x`` is one block of
+    a longer input.
+    """
+    agg, b_prior, g_prior, tau = _units(hp, x)
+    theta, softmax_p = _ability(hp, agg)
+    pre, beta1, gamma = _activate(hp, b_prior, g_prior, tau)
+    probs, q, q_rescaled = _grades(hp, theta, beta1, gamma, first_row)
+    logits = None if softmax_p is None else agg
+    return HeadBatch(
+        theta, b_prior, g_prior, tau, beta1, gamma, probs, q, q_rescaled, softmax_p, pre[0],
+        pre[1], logits,
+    )
+
+
+def _moved_elements(hp: HeadParams, n: int) -> int:
+    """Most float64 entries ``_moved_scores`` holds for each moved head over
+    n items: its moved weight row, at the widest fan-in (the ability
+    unit's), and the tail's temporaries, counted together.  The unit
+    products come on top, in blocks of at most ``BLOCK_ELEMENTS`` entries."""
+    # the moved logits and their softmax, then the kernel's and the mean
+    # grade's temporaries: tracemalloc reads at most 7k + 1 per item, k 2..20
+    return hp.d_txt + hp.d_img + 8 * n * (hp.config.k + 1)
+
+
+def _moved_units(hp: HeadParams, x: np.ndarray, coords: np.ndarray, deltas: np.ndarray):
+    """The moved unit of each head of ``_moved_scores``, unit by unit.
+
+    Yields ``(u, lo, hi, out, values)`` for each block of heads ``lo:hi``
+    that move unit ``_UNITS[u]``, each block's products at most
+    ``BLOCK_ELEMENTS`` entries: ``out`` is the unit output each head moves
+    (its logit under softmax, else 0), and ``values`` (hi - lo, N) that
+    output recomputed as one dot product over the unit's fan-in plus its
+    bias, with the head's weight or bias moved.  A no_temperature head has
+    no temperature unit to move.
+    """
+    moved = hp.flat[coords] + deltas
+    prior_in, temp_in = _inputs(hp, x)
+    # where each field starts in flat, and the first head at or past it
+    starts = np.cumsum([0] + [getattr(hp, name).size for name in PARAM_FIELDS]).tolist()
+    firsts = np.searchsorted(coords, starts).tolist()
+    for u, ((w_name, b_name), unit_in) in enumerate(zip(_UNITS, (x, prior_in, prior_in, temp_in))):
+        # the heads moving a weight of the unit, then those moving its bias
+        lo, mid, hi = firsts[2 * u : 2 * u + 3]
+        if lo == hi or (u == 3 and hp.config.ablation == "no_temperature"):
+            continue
+        w = getattr(hp, w_name).reshape(-1, unit_in.shape[1])  # (outputs, fan-in)
+        at_w = coords[lo:mid] - starts[2 * u]
+        out = np.concatenate((at_w // w.shape[1], coords[mid:hi] - starts[2 * u + 1]))
+        rows_w, rows_b = w[out], getattr(hp, b_name).reshape(-1)[out]
+        rows_w[np.arange(mid - lo), at_w % w.shape[1]] = moved[lo:mid]
+        rows_b[mid - lo :] = moved[mid:hi]
+        per = max(1, BLOCK_ELEMENTS // unit_in.size)
+        for start in range(0, hi - lo, per):
+            heads = slice(start, start + per)
+            values = _rowdot(unit_in, rows_w[heads, None, :]) + rows_b[heads, None]
+            yield u, lo + start, lo + start + len(values), out[heads], values
+
+
+@np.errstate(over="ignore", invalid="ignore", under="ignore")
+def _moved_scores(
+    hp: HeadParams, x: np.ndarray, base: HeadBatch, coords: np.ndarray, deltas: np.ndarray
+) -> np.ndarray:
+    """Rescaled scores (R, N) of R heads over the N rows of x, head r being
+    ``hp`` with flat weight ``coords[r]`` moved by ``deltas[r]``; ``coords``
+    ascends and ``base`` is ``_forward(hp, x)``.
+
+    Row r is bitwise the ``q_rescaled`` of ``_forward`` on a copy of ``hp``
+    with that one weight moved.  A flat weight feeds one unit, so head r
+    starts from ``base``'s units and recomputes only the moved one
+    (``_moved_units``).  A head moved in the ability unit keeps ``base``'s
+    beta1 and gamma and runs the softmax, under softmax; one moved in a
+    difficulty unit keeps ``base``'s theta and runs the activation; and the
+    grade tail runs over all R * N rows at once.  Overflow and invalid
+    operations are ignored: a non-finite unit reaches the kernel's checks,
+    which refuse it, naming its row of the R * N, head by head.
     """
     cfg = hp.config
-    w = hp if stack is None else SimpleNamespace(**hp.fields(stack[:, None, :]))
-    theta, softmax_p = _ability(hp, w, x)
-    b_prior, g_prior, tau, pre_b, pre_g, beta1, gamma = _difficulty(hp, w, x)
-    # the whole stack is checked as one long batch of rows
-    probs = core._checked_probs(
-        theta.reshape(-1), beta1.reshape(-1), gamma.reshape(-1), cfg.k, first_row
-    ).reshape(theta.shape + (cfg.k,))
-    q = core.expected_score_batch(probs)
-    # core.rescale_score, element-wise
-    q_rescaled = np.minimum(5.0, np.maximum(0.0, (q - 1.0) * 5.0 / (cfg.k - 1.0)))
-    return HeadBatch(
-        theta, b_prior, g_prior, tau, beta1, gamma, probs, q, q_rescaled, softmax_p, pre_b, pre_g
+    theta, beta1, gamma = (
+        np.repeat(v[None], coords.size, 0) for v in (base.theta, base.beta1, base.gamma)
     )
+    # the difficulty heads follow the ability heads, each starting from
+    # base's base-difficulty prior, spacing prior and shift
+    first = int(np.searchsorted(coords, hp.agg_w.size + hp.agg_b.size))
+    units = [
+        np.repeat(v[None], coords.size - first, 0)
+        for v in (base.beta1_prior, base.gamma_prior, base.tau)
+    ]
+    for u, lo, hi, out, values in _moved_units(hp, x, coords, deltas):
+        if u == 0 and cfg.agg_mode == "linear":
+            theta[lo:hi] = values
+        elif u == 0:
+            logits = np.repeat(base.logits[None], hi - lo, 0)
+            logits[np.arange(hi - lo), :, out] = values
+            theta[lo:hi] = _ability(hp, logits)[0]
+        else:
+            units[u - 1][lo - first : hi - first] = values
+    _, beta1[first:], gamma[first:] = _activate(hp, *units)
+    return _grades(hp, theta, beta1, gamma, 0)[2]
 
 
 def _block_rows(hp: HeadParams) -> int:
@@ -508,10 +631,11 @@ def head_forward(hp: HeadParams, fp: FeaturePair) -> HeadBatch:
 
     Row 0 of ``_forward`` on the one-row feature matrix, the row
     ``forward_blocks`` gives the item in any batch: each field of the
-    returned ``HeadBatch`` is a NumPy scalar, ``probs`` (and ``softmax_p`` in
-    softmax mode) a (k,) array.  ``core.agrm_probs_batch`` has already held the
-    masses to ``core.normalized_rows``, the one mass rule (``ProbVector``
-    applies the same), and weights that have gone non-finite make it raise.
+    returned ``HeadBatch`` is a NumPy scalar, ``probs`` (and ``softmax_p`` and
+    ``logits`` in softmax mode) a (k,) array.  ``core.agrm_probs_batch`` has
+    already held the masses to ``core.normalized_rows``, the one mass rule
+    (``ProbVector`` applies the same), and weights that have gone non-finite
+    make it raise.
     """
     b = _forward(hp, feature_matrix(hp, [fp]))
     return HeadBatch(*(None if f is None else f[0] for f in b))

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agrm import core, data, head, losses
-from agrm.gradients import batch_loss_and_grads
+from agrm.gradients import batch_loss_and_grads, fd_check
 from agrm.head import (
     ABLATIONS,
     ACTIVATIONS,
@@ -432,7 +432,7 @@ def test_head_forward_is_the_batch_row_in_every_field_bitwise(agg):
         assert type(one) is HeadBatch
         for name, got, rows in zip(HeadBatch._fields, one, batch):
             if rows is None:
-                assert agg == "linear" and name == "softmax_p" and got is None
+                assert agg == "linear" and name in ("softmax_p", "logits") and got is None
                 continue
             want = rows[i]
             assert type(got) is type(want), name  # NumPy scalars, (k,) arrays
@@ -507,7 +507,7 @@ def test_blocked_forward_is_the_unblocked_forward_bitwise(cfg, n, monkeypatch):
         want = _forward(hp, x)
     for name, g, w in zip(HeadBatch._fields, got, want):
         if w is None:
-            assert g is None and name == "softmax_p" and cfg.agg_mode == "linear"
+            assert g is None and name in ("softmax_p", "logits") and cfg.agg_mode == "linear"
         else:
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
     assert batch_scores(hp, x).tobytes() == want.q_rescaled.tobytes()
@@ -615,7 +615,7 @@ def test_draw_features_swaps_the_halves_in_place():
 
 
 # ---------------------------------------------------------------------------
-# a forward over a weight stack against one forward per stacked head
+# heads moved in one weight against one forward per moved head
 # ---------------------------------------------------------------------------
 
 
@@ -626,52 +626,67 @@ def test_draw_features_swaps_the_halves_in_place():
     act=st.sampled_from(ACTIVATIONS),
     agg=st.sampled_from(AGG_MODES),
     abl=st.sampled_from(ABLATIONS),
-    b=st.integers(1, 6),
     n=st.integers(1, 40),
     dims=st.tuples(st.integers(1, 80), st.integers(1, 80)),
     lam=st.sampled_from([0.0, 0.5, 1.0]),
 )
-def test_stacked_rows_equal_one_head_forwards_bitwise(seed, k, act, agg, abl, b, n, dims, lam):
-    """Row b of a stacked forward is the forward of a head whose flat is W[b],
-    and row b of ``total_loss_rows`` is ``total_loss`` of that row.
+def test_moved_rows_equal_one_head_forwards_bitwise(seed, k, act, agg, abl, n, dims, lam):
+    """Row r of ``_moved_scores`` is the forward of a copy of the head with
+    flat weight coords[r] moved by deltas[r], and row r of
+    ``total_loss_rows`` is ``total_loss`` of that row.
 
-    Batches past 8 items and rows past 128 features reach the blocked
-    (pairwise) summation of NumPy's reductions.
+    The coordinates are a random sorted subset of the flat weights, each
+    moved by a random step of either sign, repeats allowed.  Batches past 8
+    items and rows past 128 features reach the blocked (pairwise) summation
+    of NumPy's reductions.
     """
     if n == 1:
         lam = 0.0  # the correlation penalty needs two items
     rng = np.random.default_rng(seed)
     cfg = HeadConfig(k=k, activation=act, agg_mode=agg, ablation=abl)
     hp = init_head(*dims, cfg, seed=seed)
-    w = hp.flat + rng.standard_normal((b, hp.flat.size))
+    hp.flat[:] += rng.standard_normal(hp.flat.size)
     x = 2.0 * rng.standard_normal((n, sum(dims)))
     t = rng.uniform(0.0, 5.0, n)
-    stacked = _forward(hp, x, w)
-    rows = losses.total_loss_rows(stacked.q_rescaled, t, lam)
-    assert rows.shape == (b,)
-    for i in range(b):
+    coords = np.sort(rng.choice(hp.flat.size, size=rng.integers(1, 7)))
+    deltas = 10.0 ** rng.uniform(-8.0, 0.0, coords.size) * rng.choice([-1.0, 1.0], coords.size)
+    with np.errstate(under="ignore"):
+        q = head._moved_scores(hp, x, _forward(hp, x), coords, deltas)
+    rows = losses.total_loss_rows(q, t, lam)
+    assert q.shape == (coords.size, n)
+    for r, (c, d) in enumerate(zip(coords, deltas)):
         one = hp.copy()
-        one.flat[:] = w[i]
-        want = _forward(one, x)
-        for name, field in want._asdict().items():
-            got = getattr(stacked, name)
-            if field is None:
-                assert got is None
-            else:
-                assert got[i].shape == field.shape
-                assert got[i].tobytes() == field.tobytes(), name
-        batch = losses.ScoreBatch(predicted=stacked.q_rescaled[i], target=t)
-        assert rows[i] == losses.total_loss(batch, lam)
+        one.flat[c] = hp.flat[c] + d
+        with np.errstate(under="ignore"):
+            want = _forward(one, x).q_rescaled
+        assert q[r].tobytes() == want.tobytes(), (r, c)
+        batch = losses.ScoreBatch(predicted=want, target=t)
+        assert rows[r].tobytes() == np.float64(losses.total_loss(batch, lam)).tobytes()
 
 
-def test_stack_is_checked_as_a_whole():
-    """A non-finite weight in any stacked row reaches the kernel's checks."""
-    hp = init_head(3, 4, seed=3)
-    w = np.tile(hp.flat, (3, 1))
-    w[2, 0] = np.inf
-    x = np.random.default_rng(3).standard_normal((2, 7))
-    with pytest.raises(ValueError, match=r"not finite \(row 4\)"):
-        _forward(hp, x, w)
+@pytest.mark.parametrize(
+    "agg, bias, features, where",
+    [
+        # +step sends the ability or a logit past the float range
+        ("linear", 0.0, 4.0, "agg_w[0] moved by +step: theta -inf is not finite (row 0)"),
+        ("softmax", 0.0, 4.0, "agg_w[0, 0] moved by +step: theta nan is not finite (row 2)"),
+        # -step sends the base-difficulty bias from -1e308 to -inf, and telu's
+        # -inf * tanh(0) is nan; no weight before it overflows
+        ("linear", -1e308, 0.5, "phi_beta_b moved by -step: beta1 nan is not finite (row 0)"),
+        ("softmax", -1e308, 0.5, "phi_beta_b moved by -step: beta1 nan is not finite (row 0)"),
+    ],
+)
+def test_an_overflowing_step_is_refused_naming_the_moved_weight(agg, bias, features, where):
+    """A step that moves some head past the forward's checks is one
+    ``ValueError`` naming the step, the moved weight and its sign, and the
+    row of x, with no floating-point warning on the way (tier-1 fails any
+    RuntimeWarning)."""
+    hp = init_head(3, 4, HeadConfig(agg_mode=agg), seed=3)
+    hp.phi_beta_b[()] = bias
+    x = np.random.default_rng(3).uniform(-features, features, (3, 7))
+    with pytest.raises(ValueError) as info:
+        fd_check(hp, x, np.array([1.0, 2.0, 3.0]), step=1e308)
+    assert str(info.value) == f"step 1e+308 with {where}"
 
 
 # ---------------------------------------------------------------------------

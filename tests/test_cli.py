@@ -4,6 +4,7 @@ import gzip
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1498,6 +1499,29 @@ class TestFdCheck:
         assert err.splitlines() == [
             f"error: {flag[2:]} must be finite and > 0, got {float(value)!r}"
         ]
+
+    def test_wide_softmax_check_peaks_below_the_weight_stack_check(self, capsys):
+        """2700 coordinates of a 128 + 128 softmax k = 9 head over 16 items,
+        the CI head.  Traced the same way, the weight-stack check this
+        replaced peaked at 15.7 MiB here, within its 16 MiB chunk budget;
+        the moved-head check reads 12.0 MiB (2-core x86-64 VM, NumPy 2.4)."""
+        argv = ["fd-check", "--agg", "softmax", "--k", "9", "--d-img", "128", "--d-txt", "128"]
+        tracemalloc.start()
+        try:
+            code, doc, _ = run_json(capsys, *argv, "--batch", "16")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and doc["pass"] is True and doc["checked"] == 2700
+        assert peak <= 15.7 * 2**20
+
+    def test_overflowing_step_exits_2_naming_the_moved_weight(self, capsys):
+        """One stderr line and no NumPy warning: the pytest configuration
+        turns a RuntimeWarning into an error, which would escape ``main``."""
+        err = assert_clean_exit_2(capsys, "fd-check", "--step", "1e308")
+        assert err == (
+            "error: step 1e+308 with agg_w[0] moved by +step: theta inf is not finite (row 5)\n"
+        )
 
     @pytest.mark.parametrize("value", ["1", "0", "-1"])
     def test_batch_below_two_exits_2(self, capsys, value):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agrm import gradients, losses
+from agrm import gradients, head, losses
 from agrm.head import (
     ABLATIONS,
     ACTIVATIONS,
@@ -324,14 +324,15 @@ def relu_kink_head():
 def assert_matches_oracle(hp, pairs, t, lam=1.0, step=1e-4):
     want, coords, perturbed = fd_oracle(hp, pairs, t, step=step, lam=lam)
     x = feature_matrix(hp, pairs)
-    got = gradients._perturbed_losses(hp, x, np.asarray(t), lam, coords, step)
+    base = _forward(hp, x)
+    got = gradients._perturbed_losses(hp, x, np.asarray(t), lam, coords, step, base)
     assert got.tobytes() == perturbed.tobytes()
     assert report_fields(fd_check(hp, pairs, t, step=step, lam=lam)) == want
     return want
 
 
 class TestStackedAgainstOracle:
-    """Every perturbed loss of the stacked pass, bit for bit, and the report."""
+    """Every perturbed loss of the moved-head pass, bit for bit, and the report."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("cfg", PERFECT_FIT_CONFIGS, ids=config_id)
@@ -354,58 +355,54 @@ class TestStackedAgainstOracle:
     @pytest.mark.parametrize("pairs_per_chunk", [1, 15])
     def test_chunking_is_bitwise_neutral(self, monkeypatch, pairs_per_chunk):
         """One coordinate per chunk, and chunks of 15 of the 73 coordinates,
-        the last one partial, against the single chunk of the default budget."""
+        the last one partial, each with one moved head per block of unit
+        products, against the single chunk of the default budgets."""
         hp = init_head(6, 6, HeadConfig(k=4, agg_mode="softmax"), seed=22)
         pairs, t = make_batch(np.random.default_rng(22), hp)
         x = feature_matrix(hp, pairs)
+        base = _forward(hp, x)
         coords = np.arange(hp.flat.size)
-        row_elements = x.shape[0] * hp.flat.size
-        assert 2 * coords.size * row_elements <= gradients.FD_STACK_ELEMENTS
-        whole = gradients._perturbed_losses(hp, x, t, 1.0, coords, 1e-4)
+        head_elements = head._moved_elements(hp, x.shape[0])
+        assert 2 * coords.size * head_elements <= gradients.FD_CHUNK_ELEMENTS
+        whole = gradients._perturbed_losses(hp, x, t, 1.0, coords, 1e-4, base)
         rep = fd_check(hp, pairs, t)
-        monkeypatch.setattr(gradients, "FD_STACK_ELEMENTS", 2 * pairs_per_chunk * row_elements)
-        chunked = gradients._perturbed_losses(hp, x, t, 1.0, coords, 1e-4)
+        monkeypatch.setattr(gradients, "FD_CHUNK_ELEMENTS", 2 * pairs_per_chunk * head_elements)
+        monkeypatch.setattr(head, "BLOCK_ELEMENTS", 1)  # one head per block of products
+        chunked = gradients._perturbed_losses(hp, x, t, 1.0, coords, 1e-4, base)
         assert chunked.tobytes() == whole.tobytes()
         assert report_fields(fd_check(hp, pairs, t)) == report_fields(rep)
 
-    def test_forward_is_run_once_per_chunk(self, monkeypatch):
-        from agrm import head
-
-        hp = init_head(6, 6, seed=23)
+    @pytest.mark.parametrize("activation", ["telu", "relu"])
+    def test_forward_is_run_once(self, monkeypatch, activation):
+        """The base forward serves the loss, the gradient, the relu kink mask
+        and every moved head; no other forward runs."""
+        hp = init_head(6, 6, HeadConfig(activation=activation), seed=23)
         pairs, t = make_batch(np.random.default_rng(23), hp)
         calls = []
 
-        def counting(hp, x, stack=None):
-            calls.append(None if stack is None else stack.shape)
-            return head._forward(hp, x, stack)
+        def counting(hp, x, first_row=0):
+            calls.append(x.shape)
+            return _forward(hp, x, first_row)
 
         monkeypatch.setattr(gradients, "_forward", counting)
-        rep = fd_check(hp, pairs, t)
-        # the backward pass runs its own forward
-        assert calls == [None, (2 * rep.checked, hp.flat.size)]
+        monkeypatch.setattr(head, "_forward", counting)
+        fd_check(hp, pairs, t)
+        assert calls == [(len(pairs), 12)]
 
-    def test_relu_kink_mask_runs_no_forward_of_its_own(self, monkeypatch):
-        """A relu head reads its pre-activations without a second forward,
-        and its report, loss and gradients keep every bit."""
-        from agrm import head
-
+    def test_relu_head_keeps_the_bits_of_the_checked_entry(self):
+        """On a relu head with skipped coordinates, the report is the
+        oracle's, and its loss and gradient are ``batch_loss_and_grads``'s,
+        bit for bit."""
         hp = relu_kink_head()
         pairs, t = make_batch(np.random.default_rng(14), hp)
-        calls = []
-
-        def counting(hp, x, stack=None):
-            calls.append(None if stack is None else stack.shape)
-            return head._forward(hp, x, stack)
-
-        monkeypatch.setattr(gradients, "_forward", counting)
         rep = fd_check(hp, pairs, t)
-        assert calls == [None, (2 * rep.checked, hp.flat.size)]
-        monkeypatch.undo()
         want, _, _ = fd_oracle(hp, pairs, t)
         assert report_fields(rep) == want and want["skipped"] > 0
         base = batch_loss_and_grads(hp, pairs, t)
-        assert rep.loss == base.loss
+        assert np.float64(rep.loss).tobytes() == np.float64(base.loss).tobytes()
         assert rep.flat.tobytes() == base.flat.tobytes()
+        for name, grad in base.grads.items():
+            assert rep.grads[name].tobytes() == grad.tobytes(), name
 
 
 def loss_and_upstream_oracle(q, t, lam):
