@@ -45,26 +45,35 @@ k = 9 head streamed with nothing kept peaks at 1.2 MiB, and ``batch_scores``
 at 2.0 MiB for 0.8 MiB of scores, against 226.6 MiB for one unblocked pass;
 under linear the two read 1.8 MiB and 2.5 MiB, against 27.5 MiB.  A
 refusal names its row of the whole input, not of its block.  Training and
-``gradients.fd_check`` call ``_forward`` directly, on a batch of their own
-bounded size.
+``gradients.fd_check`` call ``_forward`` directly on their whole batch,
+whose units are bounded the same way (below).
 
 The forward runs in two stages.  ``_units`` gives the four affine
-pre-activation units, each a dot product over its fan-in plus a bias: the
-ability (or the k grade logits under softmax), the base-difficulty prior,
-the spacing prior and the temperature shift.  The tail turns units into
-scores: the softmax, the activation, the band kernel, the mean grade and
-the rescale.  ``HeadParams.fields`` is the one home of the flat layout: it
-views any array whose last axis is laid out like ``flat`` as the weight
-fields, in either direction.  It serves the head's own fields, the gradient
-(``gradients.batch_loss_and_grads`` writes each field's gradient into its
-view of one flat vector), and masks or names over the flat weights.
+pre-activation units, each a dot product over its feature columns plus a
+bias: the ability (or the k grade logits under softmax), the
+base-difficulty prior, the spacing prior and the temperature shift.  The
+tail (``_ability``, ``_activate``, ``_grades``) turns units into scores:
+the softmax, the activation, the band kernel, the mean grade and the
+rescale.  The unit table (``_unit_table``, built once per ``HeadParams``) is
+the one home of the mapping from units to fields and columns: each unit's
+weight and bias fields, the weight's shape and the columns the head's
+ablation feeds it.  The field layout, the forward, the backward
+(``gradients._loss_and_grads``), the moved heads and ``fd_check``'s relu
+mask all walk it, unit by unit.  ``HeadParams.fields`` is the one home of
+the flat layout: it views any array whose last axis is laid out like
+``flat`` as the weight fields, in either direction.  It serves the head's
+own fields, the gradient (``gradients.batch_loss_and_grads`` writes each
+field's gradient into its view of one flat vector), and masks or names over
+the flat weights.  ``_units`` takes its rows a block of ``_block_rows`` at a
+time, as ``forward_blocks`` does, so a training or gradient-check batch of
+any size never holds its (N, k, d_txt + d_img) logit products either.
 
 A flat weight feeds exactly one unit, so ``_moved_scores`` scores R heads
 that each differ from ``hp`` in one flat weight from the base forward's
-units: each head recomputes only its moved unit, one dot product over that
-unit's fan-in, keeps the base ability or difficulties the move leaves
-alone, and the shared tail runs over all R * N rows at once.  Under
-softmax a moved weight then costs N * fan-in products, against
+units: each head starts from a copy of the four base units, takes in its
+moved unit, recomputed as one dot product over that unit's columns, and
+the forward's own tail runs over all R * N rows at once.  Under softmax a
+moved weight then costs N * fan-in products, against
 N * k * (d_txt + d_img) for a whole forward.  Every reduction runs over a
 row, so row r is bitwise the forward of that one moved head.
 ``gradients.fd_check`` scores its perturbed heads this way.
@@ -110,8 +119,9 @@ TELU_MIN = -0.35328577784821125
 TELU_ARGMIN = -1.0788600584646242
 
 # Most entries (1 MiB of float64) in any temporary of one block of
-# ``forward_blocks``, in one block of ``data.draw_features``'s swap, and in
-# one block of ``_moved_scores``'s unit products.
+# ``forward_blocks`` or of ``_units``, in one block of
+# ``data.draw_features``'s swap, and in one block of ``_moved_scores``'s
+# unit products.
 BLOCK_ELEMENTS = 1 << 17
 
 
@@ -198,33 +208,56 @@ def _require_dims(d_img, d_txt) -> None:
         raise ValueError(f"feature dims must be >= 1, got ({d_img!r}, {d_txt!r})")
 
 
-def _layout(cfg: HeadConfig, d_img: int, d_txt: int) -> dict[str, tuple[int, ...]]:
-    """Shape of each learnable field, in field order.
+# each pre-activation unit as its (weight field, bias field), in ``flat``'s
+# order: the ability (or the k grade logits), the base-difficulty prior, the
+# spacing prior and the temperature shift.  A unit's weight is followed by
+# its bias, so each unit owns one run of ``flat``.
+_UNITS = (
+    ("agg_w", "agg_b"),
+    ("phi_beta_w", "phi_beta_b"),
+    ("phi_gamma_w", "phi_gamma_b"),
+    ("phi_i_w", "phi_i_b"),
+)
+# the learnable fields in ``flat``'s order, the same for every configuration:
+# the order of the initialization draws and of ``HeadParams.flat``
+PARAM_FIELDS = sum(_UNITS, ())
 
-    That order, the same for every configuration, is ``PARAM_FIELDS``: the
-    order of the initialization draws and of ``HeadParams.flat``.  A
-    weight's fan-in is its last axis.  The prior maps read the text features
-    (image features under image_only) and the temperature map the image
-    features (text features under text_only).
+
+class _Unit(NamedTuple):
+    """One unit of the unit table: its weight and bias fields, the weight's
+    shape (the unit's outputs, then its fan-in; the bias is the outputs)
+    and the feature columns the weight reads, None for a unit the ablation
+    drops, whose output is 0."""
+
+    weight: str
+    bias: str
+    shape: tuple[int, ...]
+    columns: slice | None
+
+
+def _unit_table(cfg: HeadConfig, d_img: int, d_txt: int) -> tuple[_Unit, ...]:
+    """The units of ``_UNITS`` at the head's widths, under its ablation.
+
+    The ability unit reads every column of the feature matrix, the prior
+    maps the text columns (the image columns under image_only) and the
+    temperature map the image columns (the text columns under text_only);
+    under no_temperature the temperature map is dropped, its weight keeping
+    its width.  This is the one place the ablation's columns are chosen.
     """
     n = d_txt + d_img
-    prior = d_img if cfg.ablation == "image_only" else d_txt
-    temp = d_txt if cfg.ablation == "text_only" else d_img
-    linear = cfg.agg_mode == "linear"
-    return {
-        "agg_w": (n,) if linear else (cfg.k, n),
-        "agg_b": () if linear else (cfg.k,),
-        "phi_beta_w": (prior,),
-        "phi_beta_b": (),
-        "phi_gamma_w": (prior,),
-        "phi_gamma_b": (),
-        "phi_i_w": (temp,),
-        "phi_i_b": (),
-    }
+    f_t, f_i = slice(0, d_txt), slice(d_txt, n)
+    prior = f_i if cfg.ablation == "image_only" else f_t
+    temp = f_t if cfg.ablation == "text_only" else f_i
+    agg = (n,) if cfg.agg_mode == "linear" else (cfg.k, n)
+    shapes = [agg] + [(c.stop - c.start,) for c in (prior, prior, temp)]
+    columns = (slice(0, n), prior, prior, None if cfg.ablation == "no_temperature" else temp)
+    return tuple(_Unit(*f, shape, c) for f, shape, c in zip(_UNITS, shapes, columns))
 
 
-# the learnable fields in ``_layout``'s order
-PARAM_FIELDS = tuple(_layout(HeadConfig(), 1, 1))
+def _layout(table: tuple[_Unit, ...]) -> dict[str, tuple[int, ...]]:
+    """Shape of each learnable field of a unit table, in ``PARAM_FIELDS``
+    order.  A weight's fan-in is its last axis."""
+    return {f: s for u in table for f, s in ((u.weight, u.shape), (u.bias, u.shape[:-1]))}
 
 
 @dataclass
@@ -233,7 +266,7 @@ class HeadParams:
 
     Shapes: with n = d_txt + d_img, ``agg_w`` is (n,) in linear mode and
     (k, n) in softmax mode, ``agg_b`` () or (k,); the widths of the prior
-    and temperature maps follow the ablation (see ``_layout``).  The fields
+    and temperature maps follow the ablation (see ``_unit_table``).  The fields
     are views into one flat vector, ``flat``, in ``PARAM_FIELDS`` order, so
     an in-place update of either is an update of both; never rebind a field.
     Instances are mutated only by the trainer; treat them as read-only
@@ -254,10 +287,12 @@ class HeadParams:
 
     def __post_init__(self):
         _require_dims(self.d_img, self.d_txt)
+        # the unit table every forward and backward reads, built once
+        self._table = _unit_table(self.config, self.d_img, self.d_txt)
         # every shape is compared before anything is allocated, so widths
         # that do not match the weights cannot ask for a huge flat vector
         arrays, slots, offset = {}, [], 0
-        for name, shape in _layout(self.config, self.d_img, self.d_txt).items():
+        for name, shape in _layout(self._table).items():
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"{name} shape {arr.shape}, expected {shape}")
@@ -362,37 +397,30 @@ def _rowdot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.add.reduce(a * w, axis=-1)
 
 
-def _inputs(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column views of x: (difficulty-prior input, temperature input)."""
-    f_t, f_i = x[:, : hp.d_txt], x[:, hp.d_txt :]
-    prior_in = f_i if hp.config.ablation == "image_only" else f_t
-    temp_in = f_t if hp.config.ablation == "text_only" else f_i
-    return prior_in, temp_in
-
-
-# each pre-activation unit as its (weight field, bias field): in
-# ``_layout``'s order a unit's weight is followed by its bias, so each unit
-# owns one run of ``flat``, in this order
-_UNITS = tuple(zip(PARAM_FIELDS[::2], PARAM_FIELDS[1::2]))
-
-
-def _units(hp: HeadParams, x: np.ndarray) -> tuple[np.ndarray, ...]:
+def _units(hp: HeadParams, x: np.ndarray) -> list[np.ndarray]:
     """The four affine pre-activation units of the rows of x, in ``_UNITS``
     order: the ability (N,) under linear or the k grade logits (N, k) under
     softmax, then the base-difficulty prior, the spacing prior and the
-    temperature shift, each (N,).  Each is a dot product over its fan-in
-    plus its bias; under no_temperature the shift is 0."""
-    cfg = hp.config
-    prior_in, temp_in = _inputs(hp, x)
-    agg_in = x if cfg.agg_mode == "linear" else x[:, None, :]
-    agg = _rowdot(agg_in, hp.agg_w) + hp.agg_b
-    b_prior = _rowdot(prior_in, hp.phi_beta_w) + hp.phi_beta_b
-    g_prior = _rowdot(prior_in, hp.phi_gamma_w) + hp.phi_gamma_b
-    if cfg.ablation == "no_temperature":
-        tau = np.zeros(b_prior.shape)
-    else:
-        tau = _rowdot(temp_in, hp.phi_i_w) + hp.phi_i_b
-    return agg, b_prior, g_prior, tau
+    temperature shift, each (N,).  Each is a dot product over the columns
+    the unit table names plus its bias; a dropped unit is 0.  More rows
+    than one block of ``_block_rows`` are taken a block at a time, so a
+    large batch never holds its (N, k, d_txt + d_img) logit products; every
+    reduction runs along a row, so the blocks give the bits of one pass."""
+    step = _block_rows(hp)
+    if len(x) > step:
+        blocks = [_units(hp, x[start : start + step]) for start in range(0, len(x), step)]
+        return [np.concatenate(unit) for unit in zip(*blocks)]
+    units = []
+    for unit in hp._table:
+        b = getattr(hp, unit.bias)
+        if unit.columns is None:
+            units.append(np.zeros(x.shape[:1] + b.shape))
+            continue
+        w = getattr(hp, unit.weight)
+        # each row meets every output's weight row
+        rows = x[:, unit.columns] if w.ndim == 1 else x[:, None, unit.columns]
+        units.append(_rowdot(rows, w) + b)
+    return units
 
 
 def _ability(hp: HeadParams, agg: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -402,7 +430,10 @@ def _ability(hp: HeadParams, agg: np.ndarray) -> tuple[np.ndarray, np.ndarray | 
     cfg = hp.config
     if cfg.agg_mode == "linear":
         return agg, None
-    e = np.exp(agg - agg.max(axis=-1, keepdims=True))
+    # the row maxima, taken over a copy laid out grade first: a max
+    # reduction over the short grade axis runs up to 8x slower on the
+    # moved heads' logit stacks, and a maximum is exact in any layout
+    e = np.exp(agg - np.moveaxis(agg, -1, 0).copy().max(axis=0)[..., None])
     p = e / e.sum(axis=-1, keepdims=True)
     return cfg.lambda_s * _rowdot(p, grade_positions(cfg.k)), p
 
@@ -490,11 +521,13 @@ def _forward(hp: HeadParams, x: np.ndarray, first_row: int = 0) -> HeadBatch:
 def _moved_elements(hp: HeadParams, n: int) -> int:
     """Most float64 entries ``_moved_scores`` holds for each moved head over
     n items: its moved weight row, at the widest fan-in (the ability
-    unit's), and the tail's temporaries, counted together.  The unit
-    products come on top, in blocks of at most ``BLOCK_ELEMENTS`` entries."""
-    # the moved logits and their softmax, then the kernel's and the mean
-    # grade's temporaries: tracemalloc reads at most 7k + 1 per item, k 2..20
-    return hp.d_txt + hp.d_img + 8 * n * (hp.config.k + 1)
+    unit's), and its copy of the base units and the tail's temporaries,
+    counted together.  The unit products come on top, in blocks of at most
+    ``BLOCK_ELEMENTS`` entries."""
+    # the units, the softmax, then the kernel's and the mean grade's
+    # temporaries: tracemalloc reads at most 9.0 (k + 1) per item under
+    # softmax and 7.9 (k + 1) under linear, k 2..20, from 16 items
+    return hp.d_txt + hp.d_img + 10 * n * (hp.config.k + 1)
 
 
 def _moved_units(hp: HeadParams, x: np.ndarray, coords: np.ndarray, deltas: np.ndarray):
@@ -504,24 +537,24 @@ def _moved_units(hp: HeadParams, x: np.ndarray, coords: np.ndarray, deltas: np.n
     that move unit ``_UNITS[u]``, each block's products at most
     ``BLOCK_ELEMENTS`` entries: ``out`` is the unit output each head moves
     (its logit under softmax, else 0), and ``values`` (hi - lo, N) that
-    output recomputed as one dot product over the unit's fan-in plus its
-    bias, with the head's weight or bias moved.  A no_temperature head has
-    no temperature unit to move.
+    output recomputed as one dot product over the unit's columns plus its
+    bias, with the head's weight or bias moved.  A dropped unit has nothing
+    to move.
     """
     moved = hp.flat[coords] + deltas
-    prior_in, temp_in = _inputs(hp, x)
     # where each field starts in flat, and the first head at or past it
     starts = np.cumsum([0] + [getattr(hp, name).size for name in PARAM_FIELDS]).tolist()
     firsts = np.searchsorted(coords, starts).tolist()
-    for u, ((w_name, b_name), unit_in) in enumerate(zip(_UNITS, (x, prior_in, prior_in, temp_in))):
+    for u, unit in enumerate(hp._table):
         # the heads moving a weight of the unit, then those moving its bias
         lo, mid, hi = firsts[2 * u : 2 * u + 3]
-        if lo == hi or (u == 3 and hp.config.ablation == "no_temperature"):
+        if lo == hi or unit.columns is None:
             continue
-        w = getattr(hp, w_name).reshape(-1, unit_in.shape[1])  # (outputs, fan-in)
+        unit_in = x[:, unit.columns]
+        w = getattr(hp, unit.weight).reshape(-1, unit_in.shape[1])  # (outputs, fan-in)
         at_w = coords[lo:mid] - starts[2 * u]
         out = np.concatenate((at_w // w.shape[1], coords[mid:hi] - starts[2 * u + 1]))
-        rows_w, rows_b = w[out], getattr(hp, b_name).reshape(-1)[out]
+        rows_w, rows_b = w[out], getattr(hp, unit.bias).reshape(-1)[out]
         rows_w[np.arange(mid - lo), at_w % w.shape[1]] = moved[lo:mid]
         rows_b[mid - lo :] = moved[mid:hi]
         per = max(1, BLOCK_ELEMENTS // unit_in.size)
@@ -540,47 +573,35 @@ def _moved_scores(
     ascends and ``base`` is ``_forward(hp, x)``.
 
     Row r is bitwise the ``q_rescaled`` of ``_forward`` on a copy of ``hp``
-    with that one weight moved.  A flat weight feeds one unit, so head r
-    starts from ``base``'s units and recomputes only the moved one
-    (``_moved_units``).  A head moved in the ability unit keeps ``base``'s
-    beta1 and gamma and runs the softmax, under softmax; one moved in a
-    difficulty unit keeps ``base``'s theta and runs the activation; and the
-    grade tail runs over all R * N rows at once.  Overflow and invalid
-    operations are ignored: a non-finite unit reaches the kernel's checks,
-    which refuse it, naming its row of the R * N, head by head.
+    with that one weight moved.  A flat weight feeds one unit, so each head
+    starts from a copy of ``base``'s four units, takes in the one unit
+    ``_moved_units`` recomputes, and the forward's own tail (``_ability``,
+    ``_activate``, ``_grades``) runs over all R * N rows at once.  Overflow
+    and invalid operations are ignored: a non-finite unit reaches the
+    kernel's checks, which refuse it, naming its row of the R * N, head by
+    head.
     """
-    cfg = hp.config
-    theta, beta1, gamma = (
-        np.repeat(v[None], coords.size, 0) for v in (base.theta, base.beta1, base.gamma)
-    )
-    # the difficulty heads follow the ability heads, each starting from
-    # base's base-difficulty prior, spacing prior and shift
-    first = int(np.searchsorted(coords, hp.agg_w.size + hp.agg_b.size))
+    agg = base.theta if base.logits is None else base.logits
     units = [
-        np.repeat(v[None], coords.size - first, 0)
-        for v in (base.beta1_prior, base.gamma_prior, base.tau)
+        np.repeat(v[None], coords.size, 0)
+        for v in (agg, base.beta1_prior, base.gamma_prior, base.tau)
     ]
     for u, lo, hi, out, values in _moved_units(hp, x, coords, deltas):
-        if u == 0 and cfg.agg_mode == "linear":
-            theta[lo:hi] = values
-        elif u == 0:
-            logits = np.repeat(base.logits[None], hi - lo, 0)
-            logits[np.arange(hi - lo), :, out] = values
-            theta[lo:hi] = _ability(hp, logits)[0]
-        else:
-            units[u - 1][lo - first : hi - first] = values
-    _, beta1[first:], gamma[first:] = _activate(hp, *units)
+        # the unit's outputs on a last axis, one of them outside softmax
+        units[u].reshape(coords.size, len(x), -1)[np.arange(lo, hi), :, out] = values
+    # the forward's tail; the logits are dropped once read, so the band
+    # kernel runs beside no (R, N, k) array but its own
+    theta = _ability(hp, units.pop(0))[0]
+    _, beta1, gamma = _activate(hp, *units)
     return _grades(hp, theta, beta1, gamma, 0)[2]
 
 
 def _block_rows(hp: HeadParams) -> int:
     """Rows per scoring block: ``BLOCK_ELEMENTS`` over the widest
-    per-item temporary of ``_forward``, k * (d_txt + d_img) logit terms under
-    softmax, d_txt + d_img products under linear, and at least the k grade
-    masses."""
-    cfg = hp.config
-    width = (hp.d_txt + hp.d_img) * (cfg.k if cfg.agg_mode == "softmax" else 1)
-    return max(1, BLOCK_ELEMENTS // max(width, cfg.k))
+    per-item temporary of ``_forward``, the ability unit's products, one
+    per entry of its weight (k * (d_txt + d_img) logit terms under softmax,
+    d_txt + d_img under linear), and at least the k grade masses."""
+    return max(1, BLOCK_ELEMENTS // max(hp.agg_w.size, hp.config.k))
 
 
 def forward_blocks(hp: HeadParams, items):
@@ -657,10 +678,8 @@ def init_head(
     cfg = config or HeadConfig()
     rng = np.random.default_rng(seed)
     fields = {}
-    for name, shape in _layout(cfg, d_img, d_txt).items():
-        if name.endswith("_b"):
-            fields[name] = np.zeros(shape)
-        else:
-            s = 1.0 / math.sqrt(shape[-1])
-            fields[name] = rng.uniform(-s, s, size=shape)
+    for unit in _unit_table(cfg, d_img, d_txt):
+        s = 1.0 / math.sqrt(unit.shape[-1])
+        fields[unit.weight] = rng.uniform(-s, s, size=unit.shape)
+        fields[unit.bias] = np.zeros(unit.shape[:-1])
     return HeadParams(config=cfg, d_img=d_img, d_txt=d_txt, **fields)

@@ -602,6 +602,20 @@ def test_blocked_scoring_holds_its_outputs_and_a_few_blocks(cfg, n, score):
     assert peak <= outputs + 4 * BLOCK_BYTES
 
 
+def test_the_gradient_pass_holds_its_per_item_arrays_and_a_few_blocks():
+    """The pass behind ``batch_loss_and_grads`` and ``fd_check``'s base
+    forward, on 4000 rows of a 128 + 128 softmax k = 9 head: one unblocked
+    forward holds the (N, k, 256) logit products, 70 MiB; blocked, the
+    peak is the (N, k) arrays the backward reads, at most 10 (k + 1)
+    entries per item, and two blocks of products (2.6 MiB here)."""
+    n, k = 4000, 9
+    hp = init_head(128, 128, HeadConfig(k=k, agg_mode="softmax"), seed=0)
+    rng = np.random.default_rng(0)
+    x, t = rng.standard_normal((n, 256)), rng.uniform(0.0, 5.0, n)
+    _, peak = traced_peak(batch_loss_and_grads, hp, x, t)
+    assert peak <= 8 * 10 * n * (k + 1) + 2 * BLOCK_BYTES
+
+
 def test_draw_features_swaps_the_halves_in_place():
     """The result is the draw itself, with no second full-size copy, and
     the same bits as concatenating the swapped halves of the draw."""

@@ -21,6 +21,7 @@ from agrm.head import (
     HeadConfig,
     HeadParams,
     _ACTIVATION_FUNCS,
+    _forward,
     forward_blocks,
     grade_positions,
     head_forward,
@@ -319,6 +320,39 @@ class TestDifficultyForward:
         a = FeaturePair(f_i=rng.standard_normal(8), f_t=f_t)
         b = FeaturePair(f_i=rng.standard_normal(8), f_t=f_t)
         assert difficulty(hp, a) == difficulty(hp, b)
+
+    @pytest.mark.parametrize("agg", AGG_MODES)
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_each_unit_reads_the_columns_its_ablation_names(self, ablation, agg):
+        """At 3 image and 7 text features, where swapping the text and
+        image columns, or the prior and temperature columns, changes the
+        widths, each unit of the batch forward is its dot product written
+        out over the columns the ablation names, plus its bias."""
+        hp = init_head(3, 7, HeadConfig(k=4, agg_mode=agg, ablation=ablation), seed=61)
+        hp.flat[...] = np.random.default_rng(62).standard_normal(hp.flat.size)
+        x = np.random.default_rng(63).standard_normal((5, 10))
+        f_t, f_i = x[:, :7], x[:, 7:]
+        prior = f_i if ablation == "image_only" else f_t
+        temp = f_t if ablation == "text_only" else f_i
+        assert hp.phi_beta_w.shape == hp.phi_gamma_w.shape == (prior.shape[1],)
+        assert hp.phi_i_w.shape == (temp.shape[1],)
+
+        def dot(w, b, cols):
+            return [math.fsum(c * v for c, v in zip(w, row)) + b for row in cols]
+
+        out = _forward(hp, x)
+        ability = out.theta if agg == "linear" else out.logits
+        want = np.array(dot(hp.agg_w, hp.agg_b, x) if agg == "linear" else [
+            dot(hp.agg_w[j], hp.agg_b[j], x) for j in range(4)
+        ]).T
+        assert ability == pytest.approx(want, rel=1e-12, abs=1e-12)
+        tau = [0.0] * 5 if ablation == "no_temperature" else dot(hp.phi_i_w, hp.phi_i_b, temp)
+        for unit, want in (
+            (out.beta1_prior, dot(hp.phi_beta_w, hp.phi_beta_b, prior)),
+            (out.gamma_prior, dot(hp.phi_gamma_w, hp.phi_gamma_b, prior)),
+            (out.tau, tau),
+        ):
+            assert unit == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestHeadForward:
