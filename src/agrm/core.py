@@ -84,6 +84,9 @@ _SCALE = D * ALPHA
 # underflows to 0 beyond 745 either way, and an overflowing threshold
 # (z = -inf) then meets its neighbour with a gap of 0, not inf - inf = nan
 _Z_CAP = 800.0
+# up to this many sums, ``_grade_sum`` copies its array rather than adding
+# it row by row
+_SUM_COPY = 192
 
 
 def _is_count(v, lo: int = 0) -> bool:
@@ -281,6 +284,39 @@ def _steps(n: int) -> np.ndarray:
     return out
 
 
+def _grade_sum(a: np.ndarray) -> np.ndarray:
+    """The sums over the first axis of a grade-first (k, ...) array, bit for
+    bit those of ``np.add.reduce`` over a contiguous last axis of k terms.
+
+    NumPy adds fewer than 8 such terms in sequence, as a reduction over the
+    first axis does.  From 8 terms on it keeps 8 interleaved partial sums,
+    combines them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and
+    adds the terms left over one by one; above 128 terms it splits the run
+    (its first part a multiple of 8) and adds the two parts' sums.  Here
+    every add runs over whole rows.  For at most ``_SUM_COPY`` sums the
+    array is instead copied into that last-axis layout and summed by NumPy
+    itself, which takes fewer calls; ``test_core`` pins both routes.
+    """
+    k = len(a)
+    if k < 8:
+        return np.add.reduce(a, axis=0)
+    if a.size <= _SUM_COPY * k:
+        return np.add.reduce(np.ascontiguousarray(a.T), axis=-1).T
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _grade_sum(a[:half]) + _grade_sum(a[half:])
+    # the 8 partial sums, each from +0.0 as NumPy's reduction starts, so no
+    # sum is -0.0; then their tree and the terms left over
+    m = k // 8
+    r = np.add.reduce(a[: 8 * m].reshape((m, 8) + a.shape[1:]), axis=0)
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    out = r[0] + r[1]
+    for row in a[8 * m :]:
+        out += row
+    return out
+
+
 def agrm_probs_unchecked(theta, beta1, gamma, k: int = 5) -> np.ndarray:
     """The arithmetic of ``agrm_probs_batch`` without any of its checks.
 
@@ -300,10 +336,14 @@ def agrm_probs_unchecked(theta, beta1, gamma, k: int = 5) -> np.ndarray:
     offset.  Saturated tails underflow to 0.  This runs under the caller's
     ``np.errstate`` (NumPy ignores underflow by default); ``agrm_probs_batch``
     and ``agrm verify`` ignore it explicitly, once around their calls.
+
+    The masses fill a grade-first (k, N) array, and the (N, k) result is
+    its transpose, a view: its ``.T`` is that array, each grade one
+    contiguous row, which is what the mass rule, the mean grade, the
+    unimodality check and the backward's slopes read.
     """
     # thresholds down the rows and items along them, so every step runs over
-    # contiguous items; the masses go into the (N, k) result through its
-    # transpose
+    # contiguous items
     z = _steps(k - 1)[:, None] * gamma
     z += beta1
     np.subtract(theta, z, out=z)
@@ -320,8 +360,7 @@ def agrm_probs_unchecked(theta, beta1, gamma, k: int = 5) -> np.ndarray:
     pos = z >= 0.0
     up = np.where(pos, r, s)  # sigma(z)
     down = np.where(pos, s, r)  # sigma(-z)
-    probs = np.empty((theta.size, k))
-    out = probs.T
+    out = np.empty((k, theta.size))
     out[0] = down[0]
     out[-1] = up[-1]
     # the gaps z_{m+1} - z_m reuse s; 0.0 - expm1 rather than -expm1, so
@@ -331,7 +370,7 @@ def agrm_probs_unchecked(theta, beta1, gamma, k: int = 5) -> np.ndarray:
     mid = out[1:-1]
     np.multiply(up[:-1], down[1:], out=mid)
     mid *= np.subtract(0.0, gap, out=gap)
-    return probs
+    return out.T
 
 
 def _in_range(probs: np.ndarray) -> np.ndarray:
@@ -343,13 +382,14 @@ def normalized_rows(probs: np.ndarray) -> np.ndarray:
     """The mass rule, as a row mask of an (N, k) mass array: True where every
     entry lies in [0, 1] up to ``_ENTRY_SLACK`` and the row's sum is within
     ``_SUM_SLACK`` of 1.  ``ProbVector`` applies it to its one row, so the
-    mask is True exactly where ``ProbVector`` accepts the row."""
-    ok = np.abs(probs.sum(axis=1) - 1.0) <= _SUM_SLACK
+    mask is True exactly where ``ProbVector`` accepts the row.  It reads
+    the masses grade first, the kernel's own layout."""
+    ok = np.abs(_grade_sum(probs.T) - 1.0) <= _SUM_SLACK
     # the entry-wise pass runs only when some entry is out of range (or NaN);
     # the two flat reductions that screen for it cost far less than row-wise
     # ones at small k
     if probs.size and not (probs.min() >= -_ENTRY_SLACK and probs.max() <= 1.0 + _ENTRY_SLACK):
-        ok &= _in_range(probs).all(axis=1)
+        ok &= _in_range(probs.T).all(axis=0)
     return ok
 
 
@@ -530,20 +570,21 @@ def is_unimodal_batch(probs: np.ndarray) -> np.ndarray:
     Same comparisons as the scalar function: rises to the first maximum and
     falls after it, each step with slack ``_UNIMODAL_SLACK``, and at most two
     entries within that slack of the maximum next to each other around it.
+    The masses are read grade first, so each step runs over whole grades.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[1] < 2:
-        raise ValueError(f"need an (N, k) array with k >= 2, got shape {probs.shape}")
-    n, k = probs.shape
-    peak = probs.argmax(axis=1)[:, None]
-    step = np.diff(probs, axis=1)
+    by_grade = np.asarray(probs, dtype=np.float64).T
+    if by_grade.ndim != 2 or len(by_grade) < 2:
+        raise ValueError(f"need an (N, k) array with k >= 2, got shape {by_grade.T.shape}")
+    k, n = by_grade.shape
+    peak = by_grade.argmax(axis=0)[None]
+    step = np.diff(by_grade, axis=0)
     # steps up to the peak may dip by the slack, steps after it rise by it
-    monotone = (np.where(np.arange(k - 1) < peak, -step, step) <= _UNIMODAL_SLACK).all(axis=1)
-    # near-maximal entries, padded by two columns a side so the peak's
+    monotone = (np.where(np.arange(k - 1)[:, None] < peak, -step, step) <= _UNIMODAL_SLACK).all(axis=0)
+    # near-maximal entries, padded by two grades a side so the peak's
     # neighbours at distance 1 and 2 can be read without bounds checks
-    near = np.zeros((n, k + 4), dtype=bool)
-    near[:, 2:-2] = probs >= np.take_along_axis(probs, peak, axis=1) - _UNIMODAL_SLACK
-    left2, left1, right1, right2 = np.take_along_axis(near, peak + np.array([0, 1, 3, 4]), axis=1).T
+    near = np.zeros((k + 4, n), dtype=bool)
+    near[2:-2] = by_grade >= np.take_along_axis(by_grade, peak, axis=0) - _UNIMODAL_SLACK
+    left2, left1, right1, right2 = np.take_along_axis(near, peak + np.array([[0], [1], [3], [4]]), axis=0)
     # the plateau is 1 + (near run left of the peak) + (near run right of it)
     return monotone & ~(left1 & (left2 | right1)) & ~(right1 & right2)
 
@@ -561,16 +602,21 @@ def expected_score_batch(probs: np.ndarray) -> np.ndarray:
 
     A plain sum of the k terms can land 2 ulp away from the correctly
     rounded mean that ``expected_score`` gives.  Here the running sums come
-    from ``cumsum``, which adds one column at a time; TwoSum recovers the
+    from ``cumsum``, which adds one grade at a time; TwoSum recovers the
     exact rounding error of each of those additions, and the errors are
-    added back once, which keeps the result within an ulp of it.  Every row
-    is still reduced on its own.
+    added back once (``_grade_sum``), which keeps the result within an ulp
+    of it.  Every row is still reduced on its own, and the terms are laid
+    out grade first (the transpose of the kernel's (N, k) view is
+    contiguous), so each step runs over whole grades.  No grades is the
+    scalar function's error.
     """
-    terms = probs * _steps(probs.shape[-1] + 1)[1:]
-    run = terms.cumsum(axis=-1)
-    s, t, x = run[..., :-1], run[..., 1:], terms[..., 1:]  # t = fl(s + x)
+    if not probs.shape[-1]:
+        raise ValueError("empty probability vector")
+    terms = (probs * _steps(probs.shape[-1] + 1)[1:]).T
+    run = terms.cumsum(axis=0)
+    s, t, x = run[:-1], run[1:], terms[1:]  # t = fl(s + x)
     z = t - s
-    return run[..., -1] + ((s - (t - z)) + (x - z)).sum(axis=-1)
+    return (run[-1] + _grade_sum((s - (t - z)) + (x - z))).T
 
 
 def rescale_score(q: float, k: int) -> float:

@@ -2,9 +2,15 @@
 
 The forward pass is the head's own batch forward, so training scores each
 item exactly as ``head_forward`` does.  A batch is the (N, d) feature matrix
-of ``head.feature_matrix``, one item per row, and the backward pass runs on
-the same layout: every per-item quantity is an (N,) vector or an (N, k)
-array.  The backward walks the head's unit table (``head._unit_table``)
+of ``head.feature_matrix``, one item per row.  Every per-item quantity of
+the backward pass is an (N,) vector or, like the head's tail, a grade-first
+(k, N) array read through the ``.T`` of the forward's (N, k) views: the
+slopes and the softmax adjoint take their sums over the grades in
+``core._grade_sum``'s order, each add over whole rows.  Two reductions keep
+a C-ordered (N, k-1) or (N, k) operand, because a transposed view changes
+their bits: the slopes' product with the threshold steps, and the ability
+unit's weight and bias gradients, which read its adjoint as C-ordered
+(N, k).  The backward walks the head's unit table (``head._unit_table``)
 and names no field: each unit gets its adjoint, (N,) or (N, k), and its
 weight gradient is ``adjoint.T @ input`` over the columns the table names,
 its bias gradient the adjoint summed over the rows; a unit the ablation
@@ -25,7 +31,7 @@ telescopes to 1 plus the sum of the k-1 cumulative curves, so the backward
 pass needs only each curve's logistic slope s (1 - s).  Those slopes are read
 off the band masses the forward already returned: s is the mass above a
 grade, 1 - s the mass at or below it, both taken as cumulative sums of the
-masses along each row.  The loss and its gradient with respect to each
+masses over the grades.  The loss and its gradient with respect to each
 item's score come from ``losses._loss_and_upstream``.
 
 ``fd_check`` validates the whole thing against central differences.  It
@@ -57,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from . import losses
-from .core import _SCALE, _finite_vector, _steps
+from .core import _SCALE, _finite_vector, _grade_sum, _steps
 from .head import (
     _ACTIVATION_FUNCS,
     FeaturePair,
@@ -114,13 +120,14 @@ class GradReport:
 
 
 def _slopes(probs: np.ndarray) -> np.ndarray:
-    """Logistic slopes s_m (1 - s_m) of the k-1 cumulative curves, (N, k-1).
+    """Logistic slopes s_m (1 - s_m) of the k-1 cumulative curves, (k-1, N),
+    from the grade-first (k, N) masses.
 
     s_m is the mass above grade m and 1 - s_m the mass at or below it, each
     summed from the tail it covers so neither is a difference near 1.
     """
-    below = probs[:, :-1].cumsum(axis=1)
-    above = probs[:, :0:-1].cumsum(axis=1)[:, ::-1]
+    below = probs[:-1].cumsum(axis=0)
+    above = probs[:0:-1].cumsum(axis=0)[::-1]
     return below * above
 
 
@@ -182,12 +189,13 @@ def _loss_and_grads(
         fw = _forward(hp, x)
     loss, upstream, item_losses = losses._loss_and_upstream(fw.q_rescaled, t, lam)
 
-    sp = _slopes(fw.probs)
+    sp = _slopes(fw.probs.T)
     # through the [1,k] -> [0,5] rescale, then the curves' scale d * alpha
     uqc = upstream * 5.0 / (cfg.k - 1) * _SCALE
-    theta_bar = uqc * np.add.reduce(sp, axis=1)
+    theta_bar = uqc * _grade_sum(sp)
     beta1_bar = -theta_bar
-    gamma_bar = -uqc * (sp @ _steps(cfg.k - 1))  # d beta_m / d gamma = m - 1
+    # d beta_m / d gamma = m - 1; the product keeps its (N, k-1) operand
+    gamma_bar = -uqc * (np.ascontiguousarray(sp.T) @ _steps(cfg.k - 1))
 
     # the derivative runs once on the forward's (2, N) stack [pre_b, pre_g]
     # (see HeadBatch)
@@ -197,9 +205,9 @@ def _loss_and_grads(
     if cfg.agg_mode == "linear":
         ability_bar = theta_bar
     else:
-        p = fw.softmax_p
-        pbar = (theta_bar * cfg.lambda_s)[:, None] * grade_positions(cfg.k)
-        ability_bar = p * (pbar - (pbar * p).sum(axis=1, keepdims=True))
+        p = fw.softmax_p.T
+        pbar = ((theta_bar * cfg.lambda_s)[:, None] * grade_positions(cfg.k)).T
+        ability_bar = np.ascontiguousarray((p * (pbar - _grade_sum(pbar * p))).T)
     # each unit's adjoint, in the unit table's order: the shift feeds both
     # activation inputs; a dropped unit's gradient stays 0
     for unit, bar in zip(hp._table, (ability_bar, db, dg, db + dg)):

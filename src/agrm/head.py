@@ -20,9 +20,14 @@ grade distribution and the forward needs no spacing check of its own.
 The forward runs on a batch: an (N, d_txt + d_img) feature matrix whose row
 i is item i's text features followed by its image features
 (``feature_matrix``), giving (N,) vectors of abilities, priors and spacings
-and an (N, k) array of grade masses (``core.agrm_probs_batch``), gathered in
-a ``HeadBatch``.  ``head_forward`` is the one-row case: it returns row 0 of
-every ``HeadBatch`` field.  Every per-row dot product is a
+and the grade masses (``core.agrm_probs_batch``), gathered in a
+``HeadBatch``.  The tail holds every per-grade array grade first, (k, N),
+so each reduction over the grades (the softmax's sum and expectation, the
+mass check, the mean grade) adds whole rows of N items, in the order NumPy
+adds a row's k entries (``core._grade_sum``); ``HeadBatch`` shows the
+masses and the softmax as (N, k) transposed views.
+``head_forward`` is the one-row case: it returns row 0 of every
+``HeadBatch`` field.  Every per-row dot product is a
 multiply and a sum over the row (``_rowdot``), not a BLAS matmul: BLAS
 blocks its work by the number of rows, so a matmul can give a row a
 different last bit in a different batch, while the row-wise sum cannot.
@@ -35,7 +40,7 @@ correctly rounded ``core.expected_score``.
 no temporary holds more than ``BLOCK_ELEMENTS`` = 2^17 entries (1 MiB of
 float64) however large N is; the widest is the (rows, k, d_txt + d_img)
 logit product under softmax.  It yields each block's rows with their
-``HeadBatch``, and since every reduction runs along a row, the blocks
+``HeadBatch``, and since every reduction stays within one item, the blocks
 concatenated are the bits of one pass over the whole input.  A caller keeps
 what it reads of each block and nothing more: ``batch_scores`` keeps the
 rescaled scores, which is all the package's scoring callers read, and a
@@ -74,8 +79,8 @@ units: each head starts from a copy of the four base units, takes in its
 moved unit, recomputed as one dot product over that unit's columns, and
 the forward's own tail runs over all R * N rows at once.  Under softmax a
 moved weight then costs N * fan-in products, against
-N * k * (d_txt + d_img) for a whole forward.  Every reduction runs over a
-row, so row r is bitwise the forward of that one moved head.
+N * k * (d_txt + d_img) for a whole forward.  Every reduction stays within
+one item, so row r is bitwise the forward of that one moved head.
 ``gradients.fd_check`` scores its perturbed heads this way.
 """
 
@@ -424,18 +429,16 @@ def _units(hp: HeadParams, x: np.ndarray) -> list[np.ndarray]:
 
 
 def _ability(hp: HeadParams, agg: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Abilities (..., N) from the ability unit and, in softmax mode, the
-    grade softmax (..., N, k) of the logits ``agg``, whose expectation over
-    the grade positions, scaled by ``lambda_s``, is the ability."""
+    """Abilities (M,) from the ability unit and, in softmax mode, the grade
+    softmax (k, M) of the grade-first logits ``agg``, whose expectation over
+    the grade positions, scaled by ``lambda_s``, is the ability.  Each
+    reduction over the grades runs over whole grade rows."""
     cfg = hp.config
     if cfg.agg_mode == "linear":
         return agg, None
-    # the row maxima, taken over a copy laid out grade first: a max
-    # reduction over the short grade axis runs up to 8x slower on the
-    # moved heads' logit stacks, and a maximum is exact in any layout
-    e = np.exp(agg - np.moveaxis(agg, -1, 0).copy().max(axis=0)[..., None])
-    p = e / e.sum(axis=-1, keepdims=True)
-    return cfg.lambda_s * _rowdot(p, grade_positions(cfg.k)), p
+    e = np.exp(agg - agg.max(axis=0))
+    p = e / core._grade_sum(e)
+    return cfg.lambda_s * core._grade_sum(p * grade_positions(cfg.k)[:, None]), p
 
 
 def _activate(
@@ -455,14 +458,12 @@ def _activate(
 def _grades(
     hp: HeadParams, theta: np.ndarray, beta1: np.ndarray, gamma: np.ndarray, first_row: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grade masses (..., k), mean grades and rescaled scores (...) of
-    abilities and difficulties of one shape.  The kernel checks all their
-    entries as one long batch of rows, and a refusal names its row counted
-    from ``first_row``."""
+    """Grade masses (M, k), the transposed view of the kernel's grade-first
+    array, then mean grades and rescaled scores (M,) of M abilities and
+    difficulties.  The kernel checks them as one batch of rows, and a
+    refusal names its row counted from ``first_row``."""
     k = hp.config.k
-    probs = core._checked_probs(
-        theta.reshape(-1), beta1.reshape(-1), gamma.reshape(-1), k, first_row
-    ).reshape(theta.shape + (k,))
+    probs = core._checked_probs(theta, beta1, gamma, k, first_row)
     q = core.expected_score_batch(probs)
     # core.rescale_score, element-wise
     q_rescaled = np.minimum(5.0, np.maximum(0.0, (q - 1.0) * 5.0 / (k - 1.0)))
@@ -473,7 +474,9 @@ class HeadBatch(NamedTuple):
     """One forward pass over N items, row i belonging to item i.
 
     Every field is an (N,) array except ``probs`` (N, k), and ``softmax_p``
-    and ``logits`` ((N, k) in softmax mode, else None).  ``softmax_p``,
+    and ``logits`` ((N, k) in softmax mode, else None); ``probs`` and
+    ``softmax_p`` are the transposed views of the tail's grade-first
+    arrays, which the backward reads back through ``.T``.  ``softmax_p``,
     ``pre_b`` and ``pre_g`` (the activation inputs) are what the backward
     pass reads; ``pre_b`` and ``pre_g`` are rows 0 and 1 of one array, their
     ``base``, which the backward hands to the activation derivative whole.
@@ -508,10 +511,10 @@ def _forward(hp: HeadParams, x: np.ndarray, first_row: int = 0) -> HeadBatch:
     a longer input.
     """
     agg, b_prior, g_prior, tau = _units(hp, x)
-    theta, softmax_p = _ability(hp, agg)
+    theta, p = _ability(hp, agg.T)
     pre, beta1, gamma = _activate(hp, b_prior, g_prior, tau)
     probs, q, q_rescaled = _grades(hp, theta, beta1, gamma, first_row)
-    logits = None if softmax_p is None else agg
+    softmax_p, logits = (None, None) if p is None else (p.T, agg)
     return HeadBatch(
         theta, b_prior, g_prior, tau, beta1, gamma, probs, q, q_rescaled, softmax_p, pre[0],
         pre[1], logits,
@@ -525,8 +528,10 @@ def _moved_elements(hp: HeadParams, n: int) -> int:
     counted together.  The unit products come on top, in blocks of at most
     ``BLOCK_ELEMENTS`` entries."""
     # the units, the softmax, then the kernel's and the mean grade's
-    # temporaries: tracemalloc reads at most 9.0 (k + 1) per item under
-    # softmax and 7.9 (k + 1) under linear, k 2..20, from 16 items
+    # temporaries, all grade first: tracemalloc reads at most 7.2 (k + 1)
+    # per item under softmax and 7.7 (k + 1) under linear, k 2..20, 16
+    # items and each weight of a 1 + 1 head moved once; 6.8 (k + 1) at
+    # 256 heads
     return hp.d_txt + hp.d_img + 10 * n * (hp.config.k + 1)
 
 
@@ -576,24 +581,26 @@ def _moved_scores(
     with that one weight moved.  A flat weight feeds one unit, so each head
     starts from a copy of ``base``'s four units, takes in the one unit
     ``_moved_units`` recomputes, and the forward's own tail (``_ability``,
-    ``_activate``, ``_grades``) runs over all R * N rows at once.  Overflow
+    ``_activate``, ``_grades``) runs over all R * N items at once, head r's
+    at entries r * N to (r + 1) * N - 1 of each unit.  Overflow
     and invalid operations are ignored: a non-finite unit reaches the
     kernel's checks, which refuse it, naming its row of the R * N, head by
     head.
     """
-    agg = base.theta if base.logits is None else base.logits
+    agg = base.theta if base.logits is None else base.logits.T
+    # each unit's R copies side by side, the logits grade first, (k, R * N)
     units = [
-        np.repeat(v[None], coords.size, 0)
+        np.repeat(v[..., None, :], coords.size, -2).reshape(v.shape[:-1] + (-1,))
         for v in (agg, base.beta1_prior, base.gamma_prior, base.tau)
     ]
     for u, lo, hi, out, values in _moved_units(hp, x, coords, deltas):
-        # the unit's outputs on a last axis, one of them outside softmax
-        units[u].reshape(coords.size, len(x), -1)[np.arange(lo, hi), :, out] = values
+        # the unit's outputs on the first axis, one of them outside softmax
+        units[u].reshape(-1, coords.size, len(x))[out, np.arange(lo, hi)] = values
     # the forward's tail; the logits are dropped once read, so the band
-    # kernel runs beside no (R, N, k) array but its own
+    # kernel runs beside no (k, R * N) array but its own
     theta = _ability(hp, units.pop(0))[0]
     _, beta1, gamma = _activate(hp, *units)
-    return _grades(hp, theta, beta1, gamma, 0)[2]
+    return _grades(hp, theta, beta1, gamma, 0)[2].reshape(coords.size, len(x))
 
 
 def _block_rows(hp: HeadParams) -> int:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agrm import core
 from agrm.core import (
@@ -471,3 +473,42 @@ class TestScores:
     def test_rescale_rejects_degenerate_scale(self):
         with pytest.raises(ValueError):
             rescale_score(1.0, 1)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0,)])
+    def test_batch_mean_grade_of_no_grades_is_the_scalar_error(self, shape):
+        with pytest.raises(ValueError, match="^empty probability vector$"):
+            expected_score([])
+        with pytest.raises(ValueError, match="^empty probability vector$"):
+            core.expected_score_batch(np.empty(shape))
+
+
+# ---------------------------------------------------------------------------
+# the summation order over grades
+# ---------------------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    k=st.one_of(st.integers(2, 40), st.sampled_from([129, 136, 200, 257, 300])),
+    # items on both sides of the count ``_grade_sum`` copies instead of
+    # adding row by row
+    n=st.one_of(st.integers(0, 4), st.integers(core._SUM_COPY - 40, core._SUM_COPY + 80)),
+    fortran=st.booleans(),
+    spread=st.floats(0.0, 300.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grade_sum_adds_in_numpys_last_axis_order(k, n, fortran, spread, seed):
+    """``core._grade_sum`` of a grade-first (k, n) array, C- or F-ordered,
+    is byte for byte ``np.add.reduce`` over the contiguous last axis of its
+    (n, k) transpose, the order every reduction over grades keeps.  The
+    terms span up to 2^(2 * spread) in magnitude, so a different order
+    changes bits, and some items are all -0.0.  A NumPy whose pairwise sum
+    adds in another order fails here."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, k)) * np.exp2(rng.uniform(-spread, spread, (n, k)))
+    rows[rng.random(n) < 0.1] = -0.0
+    want = np.add.reduce(rows, axis=-1)
+    by_grade = np.asfortranarray(rows.T) if fortran else np.ascontiguousarray(rows.T)
+    got = core._grade_sum(by_grade)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -9,7 +9,8 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agrm import core
+from agrm import core, losses
+from agrm.gradients import batch_loss_and_grads
 from agrm.head import (
     ABLATIONS,
     ACTIVATIONS,
@@ -18,10 +19,15 @@ from agrm.head import (
     TELU_ARGMIN,
     TELU_MIN,
     FeaturePair,
+    HeadBatch,
     HeadConfig,
     HeadParams,
     _ACTIVATION_FUNCS,
+    _activate,
     _forward,
+    _moved_scores,
+    _moved_units,
+    _units,
     forward_blocks,
     grade_positions,
     head_forward,
@@ -441,3 +447,93 @@ def test_every_spacing_clears_the_threshold(act, agg, abl, seed, w_scale, x_scal
     gamma = np.concatenate([batch.gamma for _, batch in forward_blocks(hp, x)])
     assert np.isfinite(gamma).all()
     assert gamma.min() > core.gamma_threshold()
+
+
+# ---------------------------------------------------------------------------
+# grade-first arrays against the tail written over a last grade axis
+# ---------------------------------------------------------------------------
+
+
+def _tail_over_last_axis(hp, agg, b_prior, g_prior, tau):
+    """The forward's tail from its four units, with every per-grade array
+    laid out (..., k) and each reduction over grades running along that
+    contiguous last axis: (theta, beta1, gamma, probs, q, q_rescaled,
+    softmax_p, pre)."""
+    cfg = hp.config
+    theta, p = agg, None
+    if cfg.agg_mode == "softmax":
+        e = np.exp(agg - agg.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        theta = cfg.lambda_s * np.add.reduce(p * grade_positions(cfg.k), axis=-1)
+    pre, beta1, gamma = _activate(hp, b_prior, g_prior, tau)
+    kernel = core.agrm_probs_unchecked(*(v.reshape(-1) for v in (theta, beta1, gamma)), cfg.k)
+    probs = np.ascontiguousarray(kernel).reshape(theta.shape + (cfg.k,))
+    terms = probs * np.arange(1.0, cfg.k + 1)
+    run = terms.cumsum(axis=-1)
+    s, t, x = run[..., :-1], run[..., 1:], terms[..., 1:]
+    z = t - s
+    q = run[..., -1] + ((s - (t - z)) + (x - z)).sum(axis=-1)
+    q_rescaled = np.minimum(5.0, np.maximum(0.0, (q - 1.0) * 5.0 / (cfg.k - 1.0)))
+    return theta, beta1, gamma, probs, q, q_rescaled, p, pre
+
+
+def _grad_over_last_axis(hp, x, t, lam, probs, p, pre, q_rescaled):
+    """The flat gradient from the tail's (N, k) outputs, the slopes
+    (N, k-1) and the softmax adjoint (N, k) each reduced along its last
+    axis."""
+    cfg = hp.config
+    upstream = losses._loss_and_upstream(q_rescaled, t, lam)[1]
+    sp = probs[:, :-1].cumsum(axis=1) * probs[:, :0:-1].cumsum(axis=1)[:, ::-1]
+    uqc = upstream * 5.0 / (cfg.k - 1) * core._SCALE
+    theta_bar = uqc * np.add.reduce(sp, axis=1)
+    gamma_bar = -uqc * (sp @ np.arange(float(cfg.k - 1)))
+    db, dg = np.array((-theta_bar, gamma_bar)) * _ACTIVATION_FUNCS[cfg.activation][1](pre)
+    ability_bar = theta_bar
+    if cfg.agg_mode == "softmax":
+        pbar = (theta_bar * cfg.lambda_s)[:, None] * grade_positions(cfg.k)
+        ability_bar = p * (pbar - (pbar * p).sum(axis=1, keepdims=True))
+    flat = np.zeros(hp.flat.size)
+    grads = hp.fields(flat)
+    for unit, bar in zip(hp._table, (ability_bar, db, dg, db + dg)):
+        grads[unit.weight][...] = bar.T @ x[:, unit.columns]
+        grads[unit.bias][...] = np.add.reduce(bar, axis=0)
+    return flat
+
+
+@pytest.mark.parametrize("k", [9, 16, 20])
+@pytest.mark.parametrize("agg", AGG_MODES)
+@pytest.mark.parametrize("n", [24, 300])
+def test_grade_first_tail_matches_the_last_axis_tail_bitwise(k, agg, n):
+    """Every ``HeadBatch`` field, the flat gradient and the rows of
+    ``_moved_scores`` are byte for byte those of the tail recomputed over a
+    last grade axis, at grade counts where NumPy's pairwise sum is not a
+    sequential one.  A reduction over grades that leaves
+    ``core._grade_sum``'s order changes some bit here: the forward of 24
+    items and the moved heads take its copy route, 300 items its rows."""
+    rng = np.random.default_rng(100 * k + n)
+    hp = init_head(3, 4, HeadConfig(k=k, agg_mode=agg, activation="softplus"), seed=k)
+    hp.flat[:] += rng.normal(0.0, 0.5, hp.flat.size)
+    x = 2.0 * rng.standard_normal((n, 7))
+    t = rng.uniform(0.0, 5.0, n)
+    coords = np.sort(rng.choice(hp.flat.size, size=min(24, hp.flat.size), replace=False))
+    deltas = rng.normal(0.0, 0.3, coords.size)
+    with np.errstate(under="ignore"):
+        fw = _forward(hp, x)
+        units = _units(hp, x)
+        theta, beta1, gamma, probs, q, q_rescaled, p, pre = _tail_over_last_axis(hp, *units)
+        logits = None if p is None else units[0]
+        want = HeadBatch(theta, *units[1:], beta1, gamma, probs, q, q_rescaled, p, *pre, logits)
+        for name, got, expect in zip(HeadBatch._fields, fw, want):
+            assert (got is None) == (expect is None), name
+            assert got is None or (got.shape, got.tobytes()) == (expect.shape, expect.tobytes()), name
+
+        flat = batch_loss_and_grads(hp, x, t, 0.5).flat
+        assert flat.tobytes() == _grad_over_last_axis(hp, x, t, 0.5, probs, p, pre, q_rescaled).tobytes()
+
+        x = x[:24]
+        base = _forward(hp, x)
+        stack = [np.repeat(v[None], coords.size, 0) for v in _units(hp, x)]
+        for u, lo, hi, out, values in _moved_units(hp, x, coords, deltas):
+            stack[u].reshape(coords.size, len(x), -1)[np.arange(lo, hi), :, out] = values
+        moved = _moved_scores(hp, x, base, coords, deltas)
+        assert moved.tobytes() == _tail_over_last_axis(hp, *stack)[5].tobytes()
