@@ -84,9 +84,6 @@ _SCALE = D * ALPHA
 # underflows to 0 beyond 745 either way, and an overflowing threshold
 # (z = -inf) then meets its neighbour with a gap of 0, not inf - inf = nan
 _Z_CAP = 800.0
-# up to this many sums, ``_grade_sum`` copies its array rather than adding
-# it row by row
-_SUM_COPY = 192
 
 
 def _is_count(v, lo: int = 0) -> bool:
@@ -289,32 +286,14 @@ def _grade_sum(a: np.ndarray) -> np.ndarray:
     bit those of ``np.add.reduce`` over a contiguous last axis of k terms.
 
     NumPy adds fewer than 8 such terms in sequence, as a reduction over the
-    first axis does.  From 8 terms on it keeps 8 interleaved partial sums,
-    combines them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and
-    adds the terms left over one by one; above 128 terms it splits the run
-    (its first part a multiple of 8) and adds the two parts' sums.  Here
-    every add runs over whole rows.  For at most ``_SUM_COPY`` sums the
-    array is instead copied into that last-axis layout and summed by NumPy
-    itself, which takes fewer calls; ``test_core`` pins both routes.
+    first axis does, so there each add runs over whole rows.  From 8 terms
+    on its pairwise sum keeps interleaved partial sums, and the array is
+    copied into the last-axis layout and summed by NumPy itself, so the
+    order is NumPy's own at every k and every batch size.
     """
-    k = len(a)
-    if k < 8:
+    if len(a) < 8:
         return np.add.reduce(a, axis=0)
-    if a.size <= _SUM_COPY * k:
-        return np.add.reduce(np.ascontiguousarray(a.T), axis=-1).T
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        return _grade_sum(a[:half]) + _grade_sum(a[half:])
-    # the 8 partial sums, each from +0.0 as NumPy's reduction starts, so no
-    # sum is -0.0; then their tree and the terms left over
-    m = k // 8
-    r = np.add.reduce(a[: 8 * m].reshape((m, 8) + a.shape[1:]), axis=0)
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
-    out = r[0] + r[1]
-    for row in a[8 * m :]:
-        out += row
-    return out
+    return np.add.reduce(np.ascontiguousarray(a.T), axis=-1).T
 
 
 def agrm_probs_unchecked(theta, beta1, gamma, k: int = 5) -> np.ndarray:

@@ -6,7 +6,7 @@ of ``head.feature_matrix``, one item per row.  Every per-item quantity of
 the backward pass is an (N,) vector or, like the head's tail, a grade-first
 (k, N) array read through the ``.T`` of the forward's (N, k) views: the
 slopes and the softmax adjoint take their sums over the grades in
-``core._grade_sum``'s order, each add over whole rows.  Two reductions keep
+``core._grade_sum``'s order, NumPy's own over a row.  Two reductions keep
 a C-ordered (N, k-1) or (N, k) operand, because a transposed view changes
 their bits: the slopes' product with the threshold steps, and the ability
 unit's weight and bias gradients, which read its adjoint as C-ordered

@@ -23,9 +23,9 @@ i is item i's text features followed by its image features
 and the grade masses (``core.agrm_probs_batch``), gathered in a
 ``HeadBatch``.  The tail holds every per-grade array grade first, (k, N),
 so each reduction over the grades (the softmax's sum and expectation, the
-mass check, the mean grade) adds whole rows of N items, in the order NumPy
-adds a row's k entries (``core._grade_sum``); ``HeadBatch`` shows the
-masses and the softmax as (N, k) transposed views.
+mass check, the mean grade) adds whole rows of N items below 8 grades, in
+the order NumPy adds a row's k entries (``core._grade_sum``); ``HeadBatch``
+shows the masses and the softmax as (N, k) transposed views.
 ``head_forward`` is the one-row case: it returns row 0 of every
 ``HeadBatch`` field.  Every per-row dot product is a
 multiply and a sum over the row (``_rowdot``), not a BLAS matmul: BLAS

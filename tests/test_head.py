@@ -508,8 +508,7 @@ def test_grade_first_tail_matches_the_last_axis_tail_bitwise(k, agg, n):
     ``_moved_scores`` are byte for byte those of the tail recomputed over a
     last grade axis, at grade counts where NumPy's pairwise sum is not a
     sequential one.  A reduction over grades that leaves
-    ``core._grade_sum``'s order changes some bit here: the forward of 24
-    items and the moved heads take its copy route, 300 items its rows."""
+    ``core._grade_sum``'s order changes some bit here."""
     rng = np.random.default_rng(100 * k + n)
     hp = init_head(3, 4, HeadConfig(k=k, agg_mode=agg, activation="softplus"), seed=k)
     hp.flat[:] += rng.normal(0.0, 0.5, hp.flat.size)
