@@ -217,9 +217,12 @@ def _verify_chunk(draws, standard: bool):
     fails = {name: np.zeros(n, dtype=bool) for name in _VERIFY_FAMILIES}
     nonunimodal = np.zeros(n, dtype=bool)
     cf_theta = np.full(n, np.nan)
-    order = np.argsort(draws["k"], kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(draws["k"][order])) + 1):
-        k = int(draws["k"][rows[0]])
+    # the narrowest dtype that holds every k: its stable sort is a radix
+    # sort, with the same permutation as the int64 one
+    ks = draws["k"]
+    order = np.argsort(ks.astype(np.min_scalar_type(ks.max())), kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(ks[order])) + 1):
+        k = int(ks[rows[0]])
         theta, beta1, gamma = (draws[name][rows] for name in ("theta", "beta1", "gamma"))
         probs = core.agrm_probs_unchecked(theta, beta1, gamma, k=k)
         ok = core.normalized_rows(probs)

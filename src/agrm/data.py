@@ -12,16 +12,20 @@ On disk, records live in a line-delimited JSON format, one object per line
 with keys ``id``, ``fi``, ``ft``, ``mos``, ``dim``.  Vectors are plain
 decimal arrays, so files diff and stream trivially, and Python's
 shortest-repr float encoding makes save -> load an exact round trip.
-``save_records`` writes the lines in chunks of ``SAVE_CHUNK_ROWS``, and
-``load_records`` parses ``LOAD_BLOCK_BYTES`` of text at a time straight into
-the columns, feature entries into one flat buffer, so neither holds more
-than one copy of the features.  A file is gzip-compressed exactly when its
-name ends in ``.gz``.  An archive is one gzip member with a fixed header (no
-name, zero mtime, so identical data produces identical bytes) around a raw
-deflate body coded with Huffman codes only: the digits of shortest-repr
-floats have almost no repeats for LZ77 to find, and skipping the search
-compresses about 30% faster than level 1 for a file 8% larger.  Archives
-written at any level load.
+``save_records`` encodes the lines in chunks of ``SAVE_CHUNK_ROWS`` on the
+calling thread and, for a set of more than one chunk, hands each chunk to
+one worker thread, which writes it (an archive's chunk after its CRC-32 and
+deflate) while the next chunk is encoded; one chunk is in flight at a time,
+and the file's bytes are those of writing the chunks one after another.
+``load_records`` parses ``LOAD_BLOCK_BYTES`` of text at a time straight
+into the columns, feature entries into one flat buffer, on the calling
+thread alone, so neither holds more than one copy of the features.  A file
+is gzip-compressed exactly when its name ends in ``.gz``.  An archive is
+one gzip member with a fixed header (no name, zero mtime, so identical data
+produces identical bytes) around a raw deflate body coded with Huffman
+codes only: the digits of shortest-repr floats have almost no repeats for
+LZ77 to find, and skipping the search compresses about 30% faster than
+level 1 for a file 8% larger.  Archives written at any level load.
 
 The reader parses each block of whole lines with one ``json.loads`` and
 checks its columns in bulk (``_read_blocks``); anything that screen does not
@@ -537,15 +541,52 @@ def _encode_chunks(rs: Records):
         ).encode("ascii")
 
 
+def _write_in_turn(sink, chunks) -> None:
+    """``sink(chunk)`` for each of ``chunks`` in order, on the calling thread."""
+    for chunk in chunks:
+        sink(chunk)
+
+
+def _write_behind(sink, chunks) -> None:
+    """``sink(chunk)`` for each of ``chunks`` in order, on one worker thread,
+    while the calling thread produces the next chunk.
+
+    A produced chunk is handed over once the worker is done with the one
+    before, so one chunk is in flight at a time.  The worker has stopped
+    when this returns or raises; an error in ``sink`` stops the production
+    and is raised here.
+    """
+    # imported here: it would add about 1 ms to every import of the package
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None
+        for chunk in chunks:
+            if pending is not None:
+                pending.result()
+            pending = worker.submit(sink, chunk)
+        if pending is not None:
+            pending.result()
+
+
 def save_records(path, records) -> None:
     """Write records one per line; ``load_records`` restores them exactly.
 
     ``records`` is a ``Records`` set or a sequence of ``FeatureRecord``.
+    The calling thread encodes ``SAVE_CHUNK_ROWS`` lines at a time.  With
+    more than one chunk, one worker thread writes each chunk (for a ``.gz``
+    name, after its CRC-32 and deflate, which release the interpreter lock)
+    while the next is encoded, one chunk in flight; it is joined before
+    this returns, and an error it meets is raised here.  The header, the
+    deflate flush and the trailer are written on the calling thread, so the
+    file's bytes are those of writing the chunks one after another.
     """
     rs = as_records(records)
+    # a single chunk leaves nothing to encode while it is written
+    write = _write_behind if len(rs) > SAVE_CHUNK_ROWS else _write_in_turn
     with open(path, "wb") as handle:
         if not _is_gzip(path):
-            handle.writelines(_encode_chunks(rs))
+            write(handle.write, _encode_chunks(rs))
             return
         # one gzip member: the fixed header (no name, zero mtime, so equal
         # data -> equal bytes), a raw Huffman-only deflate body, and the
@@ -554,10 +595,14 @@ def save_records(path, records) -> None:
             GZIP_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS, strategy=zlib.Z_HUFFMAN_ONLY
         )
         crc = size = 0
-        handle.write(_GZIP_HEADER)
-        for chunk in _encode_chunks(rs):
+
+        def sink(chunk):
+            nonlocal crc, size
             crc, size = zlib.crc32(chunk, crc), size + len(chunk)
             handle.write(deflate.compress(chunk))
+
+        handle.write(_GZIP_HEADER)
+        write(sink, _encode_chunks(rs))
         handle.write(deflate.flush())
         handle.write(crc.to_bytes(4, "little") + (size % 2**32).to_bytes(4, "little"))
 

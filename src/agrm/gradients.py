@@ -241,7 +241,8 @@ def _perturbed_losses(
     for start in range(0, coords.size, per):
         # each coordinate's two heads side by side: +step, then -step
         c = np.repeat(coords[start : start + per], 2)
-        d = np.tile((step, -step), c.size // 2)
+        d = np.empty(c.size)
+        d[0::2], d[1::2] = step, -step
         try:
             q = _moved_scores(hp, x, base, c, d)
         except ValueError:

@@ -2,6 +2,7 @@ import gzip
 import io
 import json
 import os
+import sys
 import threading
 import zlib
 
@@ -355,16 +356,20 @@ class TestRoundTrip:
         assert raw[:10] == bytes.fromhex("1f8b08000000000004ff")
         assert GZIP_LEVEL == 1
 
-    def test_archive_is_one_gzip_member_of_the_plain_bytes(self, tmp_path):
+    @pytest.mark.parametrize("chunk_rows", [agrm.data.SAVE_CHUNK_ROWS, 4])
+    def test_archive_is_one_gzip_member_of_the_plain_bytes(self, tmp_path, monkeypatch, chunk_rows):
         """The header, one raw deflate stream of the plain file's bytes, and
-        their CRC-32 and length; nothing else."""
+        their CRC-32 and length; nothing else.  Small chunks make many
+        hand-offs to the writer's worker thread."""
         recs, _ = synth_generate(SynthConfig(n=300, noise_sigma=0.2, seed=6))
+        monkeypatch.setattr(agrm.data, "SAVE_CHUNK_ROWS", chunk_rows)
         plain, packed = tmp_path / "d.jsonl", tmp_path / "d.jsonl.gz"
         save_records(plain, recs)
         save_records(packed, recs)
         text, body = plain.read_bytes(), zlib.decompressobj(-zlib.MAX_WBITS)
         assert body.decompress(packed.read_bytes()[10:]) == text and body.eof
         assert body.unused_data == zlib.crc32(text).to_bytes(4, "little") + len(text).to_bytes(4, "little")
+        assert load_records(packed) == recs
 
     def test_huffman_only_archive_is_at_most_a_tenth_larger_than_level_1(self, tmp_path):
         recs, _ = synth_generate(SynthConfig(n=2000, noise_sigma=0.25, seed=1))
@@ -407,6 +412,116 @@ class TestRoundTrip:
         chunked = tmp_path / "chunked.jsonl"
         save_records(chunked, list(recs))
         assert chunked.read_bytes() == whole.read_bytes()
+
+
+class TestWriterPipeline:
+    """``save_records`` encodes on the calling thread and writes a set of
+    more than one chunk on one worker thread, joined before it returns."""
+
+    @pytest.mark.parametrize("failing", [2, 7])
+    @pytest.mark.parametrize("name", ["d.jsonl", "d.jsonl.gz"])
+    def test_a_sink_error_is_raised_once_the_worker_has_stopped(
+        self, tmp_path, monkeypatch, name, failing
+    ):
+        recs, _ = synth_generate(SynthConfig(n=25, seed=5))
+        monkeypatch.setattr(agrm.data, "SAVE_CHUNK_ROWS", 4)  # 7 chunks
+        error = OSError("disk full")
+        caller = threading.current_thread()
+        opened, encoded = [], []
+
+        class FailingFile:
+            """A file whose chunk write number ``failing`` off the calling
+            thread raises."""
+
+            def __init__(self, path, mode):
+                self.file, self.chunks = open(path, mode), 0
+                opened.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, data):
+                if threading.current_thread() is not caller:
+                    self.chunks += 1
+                    if self.chunks == failing:
+                        raise error
+                return self.file.write(data)
+
+        encode = agrm.data._encode_chunks
+
+        def counted(rs):
+            for chunk in encode(rs):
+                encoded.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(agrm.data, "open", FailingFile, raising=False)
+        monkeypatch.setattr(agrm.data, "_encode_chunks", counted)
+        threads = threading.active_count()
+        with pytest.raises(OSError) as raised:
+            save_records(tmp_path / name, recs)
+        assert raised.value is error
+        assert threading.active_count() == threads
+        [handle] = opened
+        assert handle.file.closed and handle.chunks == failing
+        # production stops with the chunk encoded while the failing one was written
+        assert len(encoded) == min(failing + 1, 7)
+
+    def test_only_a_set_of_more_than_one_chunk_starts_a_thread(self, tmp_path, monkeypatch):
+        recs, _ = synth_generate(SynthConfig(n=5, seed=5))
+        monkeypatch.setattr(agrm.data, "SAVE_CHUNK_ROWS", 4)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        for n, threads in ((1, 0), (4, 0), (5, 1)):
+            for path in (tmp_path / f"{n}.jsonl", tmp_path / f"{n}.jsonl.gz"):
+                started.clear()
+                save_records(path, recs[:n])
+                assert len(started) == threads
+                assert load_records(path) == recs[:n]
+
+    def test_an_empty_set_is_the_empty_member(self, tmp_path):
+        path = tmp_path / "e.jsonl.gz"
+        threads = threading.active_count()
+        save_records(path, [])
+        assert threading.active_count() == threads
+        assert path.read_bytes() == bytes.fromhex("1f8b08000000000004ff0300") + bytes(8)
+        assert len(load_records(path)) == 0
+
+    def test_concurrent_saves_each_write_their_own_archive(self, tmp_path, monkeypatch):
+        """Four saves at once, more than the cores of a small machine, with
+        the interpreter switching threads as often as it can."""
+        monkeypatch.setattr(agrm.data, "SAVE_CHUNK_ROWS", 8)
+        sets = [synth_generate(SynthConfig(n=60 + 10 * i, seed=i))[0] for i in range(4)]
+        plains = []
+        for i, rs in enumerate(sets):
+            save_records(tmp_path / f"{i}.jsonl", rs)
+            plains.append((tmp_path / f"{i}.jsonl").read_bytes())
+        errors = []
+
+        def save(i):
+            try:
+                save_records(tmp_path / f"{i}.jsonl.gz", sets[i])
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=save, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        for i, rs in enumerate(sets):
+            path = tmp_path / f"{i}.jsonl.gz"
+            assert gzip.decompress(path.read_bytes()) == plains[i]
+            assert load_records(path) == rs
 
 
 def per_line_load(path):
