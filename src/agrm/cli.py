@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -201,16 +202,26 @@ def _verify_draws(rng, n, args, threshold) -> dict:
     }
 
 
+def _window(first):
+    """The two thresholds ``first`` and ``first`` + 1 as ``core._cell_probs``
+    steps: (2, 1) for one index shared by a group, (2, N) for one per row."""
+    return first + core._steps(2)[:, None]
+
+
 @np.errstate(under="ignore")
 def _verify_chunk(draws, standard: bool):
     """Check one chunk of draws: (failure mask per family, non-unimodal mask,
     closed-form probe abilities), each aligned with the draws.
 
     Rows are checked in groups that share k, since the kernel takes one k.
-    A row that fails ``core.normalized_rows`` counts under ``normalization``
-    and is dropped from the other families.  Below the threshold
-    (``standard`` false) non-unimodal rows are expected, not failures, and
-    the boundary family is skipped.
+    The unimodality and normalization families read whole rows of
+    ``core.agrm_probs_unchecked``.  Each probe reads one or two grades and
+    computes only the two thresholds around them (``core._cell_probs``),
+    which gives those grades bit for bit as the whole row would.  A row
+    that fails ``core.normalized_rows`` counts under ``normalization`` and
+    is dropped from the other families.  Below the threshold (``standard``
+    false) non-unimodal rows are expected, not failures, and the boundary
+    family is skipped.
     """
     c = core._SCALE
     n = draws["k"].size
@@ -230,15 +241,15 @@ def _verify_chunk(draws, standard: bool):
             fails["normalization"][rows] = ~ok
             rows, theta, beta1, gamma, probs = rows[ok], theta[ok], beta1[ok], gamma[ok], probs[ok]
         (fails["unimodality"] if standard else nonunimodal)[rows] = ~core.is_unimodal_batch(probs)
-        at = np.arange(rows.size)
 
         # middle-band closed form against naive sigmoid differences, probed
-        # where the naive route is itself trustworthy
+        # where the naive route is itself trustworthy; grade m lies between
+        # thresholds m - 2 and m - 1
         if k >= 3:
             m = draws["cf_m"][rows]
             lower = beta1 + (m - 2) * gamma
             theta_cf = lower + draws["cf_z"][rows] / c
-            closed = core.agrm_probs_unchecked(theta_cf, beta1, gamma, k=k)[at, m - 1]
+            closed = core._cell_probs(theta_cf, beta1, gamma, k, _window(m - 2.0))[1]
             naive = core.sigmoid_array(c * (theta_cf - lower)) - core.sigmoid_array(
                 c * (theta_cf - (beta1 + (m - 1) * gamma))
             )
@@ -248,8 +259,8 @@ def _verify_chunk(draws, standard: bool):
         # adjacent middle grades are translations of each other
         if k >= 4:
             m = draws["shift_m"][rows]
-            shifted = core.agrm_probs_unchecked(theta - gamma, beta1, gamma, k=k)
-            fails["shift"][rows] = np.abs(probs[at, m] - shifted[at, m - 1]) > _VERIFY_TOL
+            shifted = core._cell_probs(theta - gamma, beta1, gamma, k, _window(m - 2.0))[1]
+            fails["shift"][rows] = np.abs(probs[np.arange(rows.size), m] - shifted) > _VERIFY_TOL
 
         # edge-grade handover points and their placement, both within
         # _BOUNDARY_SLACK plus the rounding a handover point carries: a mass
@@ -258,14 +269,15 @@ def _verify_chunk(draws, standard: bool):
         # threshold a handover point sits on its peak.
         if k >= 3 and standard:
             theta1, theta2 = core.boundary_thetas_batch(beta1, gamma, k=k)
-            pv1 = core.agrm_probs_unchecked(theta1, beta1, gamma, k=k)
-            pv2 = core.agrm_probs_unchecked(theta2, beta1, gamma, k=k)
+            # grades 1 and 2, then grades k-1 and k
+            pv1 = core._cell_probs(theta1, beta1, gamma, k, _window(0.0))
+            pv2 = core._cell_probs(theta2, beta1, gamma, k, _window(k - 3.0))
             slack1, slack2 = (
                 _BOUNDARY_SLACK + 8.0 * c * np.spacing(np.abs(t)) for t in (theta1, theta2)
             )
             ok = (
-                (np.abs(pv1[:, 0] - pv1[:, 1]) < slack1)
-                & (np.abs(pv2[:, k - 2] - pv2[:, k - 1]) < slack2)
+                (np.abs(pv1[0] - pv1[1]) < slack1)
+                & (np.abs(pv2[1] - pv2[2]) < slack2)
                 # core.peak_ability of grades 2 and k-1
                 & (theta1 < beta1 + 0.5 * gamma + slack1)
                 & (theta2 > beta1 + (k - 2.5) * gamma - slack2)
@@ -497,6 +509,9 @@ def cmd_fd_check(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+# built once per process: parsing leaves the parser as it was, and a
+# build costs more than a short command
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agrm",

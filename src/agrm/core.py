@@ -296,34 +296,39 @@ def _grade_sum(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(a.T), axis=-1).T
 
 
-def agrm_probs_unchecked(theta, beta1, gamma, k: int = 5) -> np.ndarray:
-    """The arithmetic of ``agrm_probs_batch`` without any of its checks.
+def _cell_probs(theta, beta1, gamma, k: int, steps: np.ndarray) -> np.ndarray:
+    """The masses of the cells that the thresholds beta1 + steps * gamma cut
+    the grade scale of the k-grade model into, grade first: (r + 1, N) for
+    r thresholds and N items.
 
-    ``theta``, ``beta1`` and ``gamma`` must be float64 vectors of one length
-    with finite entries and gamma >= 0, and k >= 2; the rows that come out
-    are not checked either (``normalized_rows`` does that).
+    ``steps`` holds r >= 1 ascending, consecutive threshold indices (floats
+    in 0 .. k-2), shared by every item as an (r, 1) column or one window per
+    item as (r, N).  Cell 0 lies below the first threshold, sigma(-z), cell
+    r above the last, sigma(z), and each cell between them is one grade;
+    with every threshold, ``_steps(k - 1)[:, None]``, the cells are the k
+    grades.  ``theta``, ``beta1`` and ``gamma`` are as in
+    ``agrm_probs_unchecked``, and nothing is checked.  The arithmetic reads
+    the thresholds alone; ``k`` names the model they are cut from, so a
+    stand-in for this function (the verify tests' fault injection) can
+    build that model's full rows.
 
-    One pass over z at the k-1 thresholds, clamped to +/-``_Z_CAP``:
+    One pass over z at the window's thresholds, clamped to +/-``_Z_CAP``:
     e = exp(-|z|) gives sigma(z) and sigma(-z) as 1 / (1 + e) and
-    e / (1 + e), swapped where z < 0.  The edge grades are sigma(-z_0) and
-    sigma(z_{k-2}); column m + 1 between them is
+    e / (1 + e), swapped where z < 0.  The cell between thresholds a and
+    b = a + 1 is
 
-        sigma(z_m) - sigma(z_{m+1}) = sigma(z_m) sigma(-z_{m+1}) (1 - e^{z_{m+1} - z_m}),
+        sigma(z_a) - sigma(z_b) = sigma(z_a) sigma(-z_b) (1 - e^{z_b - z_a}),
 
     a product with no cancellation.  It takes the gap between the computed
     z's rather than d * alpha * gamma, so the masses telescope to 1 at any
-    offset.  Saturated tails underflow to 0.  This runs under the caller's
-    ``np.errstate`` (NumPy ignores underflow by default); ``agrm_probs_batch``
-    and ``agrm verify`` ignore it explicitly, once around their calls.
-
-    The masses fill a grade-first (k, N) array, and the (N, k) result is
-    its transpose, a view: its ``.T`` is that array, each grade one
-    contiguous row, which is what the mass rule, the mean grade, the
-    unimodality check and the backward's slopes read.
+    offset.  Saturated tails underflow to 0.  Each entry comes from the
+    same float operations on the same z whatever the window, so a grade's
+    mass is bitwise the same in every window that holds its two thresholds,
+    and an end cell at threshold 0 or k-2 is bitwise grade 1 or grade k.
     """
     # thresholds down the rows and items along them, so every step runs over
     # contiguous items
-    z = _steps(k - 1)[:, None] * gamma
+    z = steps * gamma
     z += beta1
     np.subtract(theta, z, out=z)
     z *= _SCALE
@@ -339,7 +344,7 @@ def agrm_probs_unchecked(theta, beta1, gamma, k: int = 5) -> np.ndarray:
     pos = z >= 0.0
     up = np.where(pos, r, s)  # sigma(z)
     down = np.where(pos, s, r)  # sigma(-z)
-    out = np.empty((k, theta.size))
+    out = np.empty((len(z) + 1, theta.size))
     out[0] = down[0]
     out[-1] = up[-1]
     # the gaps z_{m+1} - z_m reuse s; 0.0 - expm1 rather than -expm1, so
@@ -349,7 +354,28 @@ def agrm_probs_unchecked(theta, beta1, gamma, k: int = 5) -> np.ndarray:
     mid = out[1:-1]
     np.multiply(up[:-1], down[1:], out=mid)
     mid *= np.subtract(0.0, gap, out=gap)
-    return out.T
+    return out
+
+
+def agrm_probs_unchecked(theta, beta1, gamma, k: int = 5) -> np.ndarray:
+    """The arithmetic of ``agrm_probs_batch`` without any of its checks:
+    ``_cell_probs`` over all k-1 thresholds, the one full-row kernel.
+
+    ``theta``, ``beta1`` and ``gamma`` must be float64 vectors of one length
+    with finite entries and gamma >= 0, and k >= 2; the rows that come out
+    are not checked either (``normalized_rows`` does that).  This runs
+    under the caller's ``np.errstate`` (NumPy ignores underflow by
+    default); ``agrm_probs_batch`` and ``agrm verify`` ignore it
+    explicitly, once around their calls.  ``agrm verify``'s probes read one
+    or two grades each and call ``_cell_probs`` with only the two
+    thresholds around them, which gives those grades bit for bit.
+
+    The masses fill a grade-first (k, N) array, and the (N, k) result is
+    its transpose, a view: its ``.T`` is that array, each grade one
+    contiguous row, which is what the mass rule, the mean grade, the
+    unimodality check and the backward's slopes read.
+    """
+    return _cell_probs(theta, beta1, gamma, k, _steps(k - 1)[:, None]).T
 
 
 def _in_range(probs: np.ndarray) -> np.ndarray:

@@ -281,8 +281,13 @@ def _is_gzip(path) -> bool:
 
 def _finite(values) -> bool:
     # a sum is finite when every term is, unless it overflows: only then
-    # are the terms checked one by one; a non-number term is a TypeError
-    s = sum(values)
+    # are the terms checked one by one; a non-number term is a TypeError.
+    # Integer terms add exactly, so their sum can outgrow a float while
+    # each term fits one, and adding a float to it then raises
+    try:
+        s = sum(values)
+    except OverflowError:
+        s = math.inf
     return s - s == 0 or all(map(math.isfinite, values))
 
 

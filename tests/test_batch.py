@@ -101,6 +101,39 @@ def test_batch_mean_grade_matches_expected_score(rows, k):
         assert abs(q[i] - core.expected_score(row)) <= 1e-15
 
 
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    rows=st.lists(item, min_size=1, max_size=12),
+    offset=st.floats(-1e6, 1e6),
+    k=st.integers(2, 64),
+    pick=st.data(),
+)
+def test_window_cells_are_the_full_rows_entries(rows, offset, k, pick):
+    """Each single-grade cell of a window is bitwise the full row's grade,
+    and an end cell at threshold 0 or k-2 bitwise the edge grade, for
+    windows shared by the rows and windows one per row."""
+    theta, beta1, gamma = (np.array(col) for col in zip(*rows))
+    theta, beta1 = theta + offset, beta1 + offset
+    width = pick.draw(st.integers(1, k - 1), label="width")
+    starts = st.integers(0, k - 1 - width)
+    if pick.draw(st.booleans(), label="shared"):
+        first = [pick.draw(starts, label="first")]
+    else:
+        first = pick.draw(st.lists(starts, min_size=len(rows), max_size=len(rows)), label="firsts")
+    first = np.array(first, dtype=np.float64)
+    steps = first + core._steps(width)[:, None]
+    full = core.agrm_probs_unchecked(theta, beta1, gamma, k)
+    cells = core._cell_probs(theta, beta1, gamma, k, steps)
+    assert cells.shape == (width + 1, len(rows))
+    at = np.arange(len(rows))
+    grade = np.broadcast_to(first, at.shape).astype(np.int64)
+    for j in range(1, width):
+        assert cells[j].tobytes() == full[at, grade + j].tobytes()
+    low, high = grade == 0, grade + width == k - 1
+    assert cells[0][low].tobytes() == full[low, 0].tobytes()
+    assert cells[-1][high].tobytes() == full[high, -1].tobytes()
+
+
 class TestKernelChecks:
     def test_non_finite_input_names_row(self):
         with pytest.raises(ValueError, match=r"beta1 inf is not finite \(row 1\)"):

@@ -456,12 +456,8 @@ class TestVerify:
         ids=["1e-9", "1e-8"],
     )
     def test_checks_are_live(self, capsys, monkeypatch, size, compared):
-        kernel = core.agrm_probs_unchecked
-
-        def nudged_kernel(theta, beta1, gamma, k=5):
-            return nudge(kernel(theta, beta1, gamma, k), size)
-
-        monkeypatch.setattr(core, "agrm_probs_unchecked", nudged_kernel)
+        # the full rows and every probe's window alike
+        monkeypatch.setattr(core, "_cell_probs", nudged_cells(core._cell_probs, size))
         argv = ["verify", "--samples", "400", "--seed", "2"]
         code, out, err = run(capsys, *argv)
         assert code == 1 and err == ""
@@ -530,6 +526,24 @@ def nudge(probs, size):
         out[:, 1] += size
         out[at, peak] -= size
     return out if np.ndim(probs) == 2 else core.ProbVector(out[0])
+
+
+def nudged_cells(kernel, size):
+    """A stand-in for ``core._cell_probs`` (``kernel``): the nudged full rows
+    at the given k, cut at the window's thresholds.  Each single-grade cell
+    is its nudged mass, and each end cell the nudged mass on its side of the
+    window."""
+
+    def cells(theta, beta1, gamma, k, steps):
+        rows = nudge(kernel(theta, beta1, gamma, k, core._steps(k - 1)[:, None]).T, size)
+        first = np.broadcast_to(steps[0], theta.shape).astype(np.int64)[:, None]
+        grades = np.arange(k)
+        middle = np.take_along_axis(rows, first + np.arange(1, len(steps)), axis=1)
+        below = np.where(grades <= first, rows, 0.0).sum(axis=1)
+        above = np.where(grades >= first + len(steps), rows, 0.0).sum(axis=1)
+        return np.vstack([below, middle.T, above])
+
+    return cells
 
 
 def scalar_sweep(argv, probs_of=core.agrm_probs):
@@ -1566,11 +1580,7 @@ def test_render_rules():
 
 
 def _nudged_kernel(monkeypatch):
-    kernel = core.agrm_probs_unchecked
-    monkeypatch.setattr(
-        core, "agrm_probs_unchecked",
-        lambda theta, beta1, gamma, k=5: nudge(kernel(theta, beta1, gamma, k), 1e-8),
-    )
+    monkeypatch.setattr(core, "_cell_probs", nudged_cells(core._cell_probs, 1e-8))
 
 
 REPORTS = {
@@ -1618,3 +1628,37 @@ def test_human_text_is_the_rendering_of_the_json_doc(capsys, tmp_path, monkeypat
     assert len(human.splitlines()) >= len(doc)
     if case == "verify-failing":
         assert set(doc["counterexamples"]) == {f for f, n in doc["violations"].items() if n}
+
+
+def test_consecutive_calls_parse_as_fresh_processes(capsys, tmp_path, monkeypatch):
+    """One parser serves every call in a process, and each call still
+    parses from the defaults alone: no value of an earlier call, and no
+    earlier parse error, reaches a later one."""
+    assert cli._build_parser() is cli._build_parser()
+    data = str(tmp_path / "d.jsonl")
+    calls = [
+        ["synth", "--n", "48", "--d-img", "6", "--d-txt", "6", "--out", data],
+        ["verify", "--samples", "10", "--seed", "3"],
+        # train's --seed is None unless given, so the preset's seed holds
+        ["train", "--data", data, "--epochs", "1", "--batch-size", "8", "--out", str(tmp_path / "ck.json")],
+        ["verify", "--samples", "oops"],
+        ["verify", "--samples", "10"],
+    ]
+    parsed = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, doc: (parsed.append(args), emit(args, doc)))
+    for argv in calls:
+        if "oops" in argv:
+            with pytest.raises(SystemExit) as stop:
+                main([*argv, "--json"])
+            assert stop.value.code == 2
+            assert "invalid int value: 'oops'" in capsys.readouterr().err
+            continue
+        code, doc, err = run_json(capsys, *argv)
+        assert (code, err) == (0, "")
+        fresh = cli._build_parser.__wrapped__().parse_args([*argv, "--json"])
+        assert vars(parsed.pop()) == vars(fresh)
+        if argv[0] == "verify":
+            assert doc["seed"] == (3 if "--seed" in argv else 0)
+        if argv[0] == "train":
+            assert fresh.seed is None and doc["seed"] == preset("paper").seed

@@ -548,6 +548,11 @@ def assert_same_outcome(path):
     if not isinstance(want, Records):
         assert got == want
         return
+    assert_same_records(got, want)
+
+
+def assert_same_records(got, want):
+    """``got`` is the set ``want``, bit for bit."""
     assert isinstance(got, Records), got
     assert got.d_img == want.d_img and got.x.shape == want.x.shape
     assert got.x.tobytes() == want.x.tobytes()
@@ -555,6 +560,26 @@ def assert_same_outcome(path):
     assert got.id.tolist() == want.id.tolist()
     assert got.dim.tolist() == want.dim.tolist()
     assert all(d is DIMS[DIMS.index(d)] for d in got.dim)
+
+
+def load_from_pipe(tmp_path, text):
+    """``load_records`` of a named pipe that a writer thread fills with ``text``."""
+    fifo = tmp_path / "pipe.jsonl"
+    os.mkfifo(fifo)
+
+    def feed():
+        # one writer per open of the read end; a second read gets ""
+        for chunk in (text, ""):
+            with open(fifo, "w", newline="") as out:
+                out.write(chunk)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    loaded = load_records(fifo)
+    # release the writer waiting for a second reader
+    os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+    writer.join(timeout=10)
+    return loaded
 
 
 # block sizes from one byte, which splits every multi-byte character and
@@ -720,23 +745,28 @@ class TestBlockReader:
     def test_a_pipe_is_read_once(self, tmp_path):
         """A pipe cannot be read twice, so a file the screen would doubt (a
         bare carriage return) still loads whole from it."""
-        fifo = tmp_path / "r.jsonl"
-        os.mkfifo(fifo)
-        texts = [self.GOOD + "\r" + self.GOOD + "\n", ""]
-
-        def feed():
-            # one writer per open of the read end; a second read gets ""
-            for text in texts:
-                with open(fifo, "w", newline="") as out:
-                    out.write(text)
-
-        writer = threading.Thread(target=feed, daemon=True)
-        writer.start()
-        loaded = load_records(fifo)
-        # release the writer waiting for a second reader
-        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
-        writer.join(timeout=10)
+        loaded = load_from_pipe(tmp_path, self.GOOD + "\r" + self.GOOD + "\n")
         assert len(loaded) == 2 and loaded.id.tolist() == ["a", "a"]
+
+    # integer entries that each fit a float but whose exact sum does not,
+    # then a float, whose addition to that sum overflows
+    OUTGROWN = '{"id":"a","fi":[1.0],"ft":[%d,%d,-0.0],"mos":1.0,"dim":"quality"}' % (
+        (int(sys.float_info.max),) * 2
+    )
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_entries_whose_integer_sum_outgrows_a_float_load_on_every_path(self, tmp_path):
+        text = self.OUTGROWN + "\n" + self.OUTGROWN + "\n"
+        want = _read_blocks(io.BytesIO(text.encode()))
+        assert want is not None and want.x[0].tolist() == [sys.float_info.max] * 2 + [-0.0, 1.0]
+        path = tmp_path / "r.jsonl"
+        path.write_text(text)
+        bare_cr = tmp_path / "cr.jsonl"
+        bare_cr.write_text(text.replace("\n", "\r", 1), newline="")
+        assert_same_records(load_records(path), want)
+        assert_same_records(per_line_load(path), want)
+        assert_same_records(load_records(bare_cr), want)
+        assert_same_records(load_from_pipe(tmp_path, text), want)
 
     def test_loaded_tags_are_the_dims_strings(self, tmp_path):
         recs, _ = synth_generate(SynthConfig(n=30, seed=2))
