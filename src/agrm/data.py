@@ -27,15 +27,17 @@ codes only: the digits of shortest-repr floats have almost no repeats for
 LZ77 to find, and skipping the search compresses about 30% faster than
 level 1 for a file 8% larger.  Archives written at any level load.
 
-The reader parses each block of whole lines with one ``json.loads`` and
-checks its columns in bulk (``_read_blocks``); anything that screen does not
-pass sends the whole file to the per-line reader (``_read_lines``), which
-alone accepts what the screen doubts and words every refusal with its line
-number.  ``FeatureRecord`` is the one rule for a valid row and words every
-refusal; the reader adds only the file format's rules (objects with the
-five keys, JSON-number scores and entries, feature lengths equal to the
-first line's).  The reader's checks and the bulk checks of ``Records`` only
-detect a bad row; the first one's ``FeatureRecord`` words the refusal.
+Every file, a pipe or an archive alike, is opened once and read
+``LOAD_BLOCK_BYTES`` at a time.  Each run of whole lines is parsed with one
+``json.loads`` and its columns checked in bulk (``_read_blocks``); a run
+that screen doubts is read line by line from its own bytes
+(``_read_lines``), which words every refusal with its line number, and the
+next run goes back to the screen.  ``FeatureRecord`` is the one rule for a
+valid row and words every refusal; the per-line reader adds only the file
+format's rules (objects with the five keys, JSON-number scores and entries,
+feature lengths equal to the first record's).  The screen and the bulk
+checks of ``Records`` only detect a bad row; the first one's
+``FeatureRecord`` words the refusal.
 Loaded ``dim`` tags are the ``DIMS`` strings themselves.
 
 The synthetic generator plants a head drawn by ``init_head`` with its
@@ -57,7 +59,6 @@ import json
 import logging
 import math
 import operator
-import os
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -71,7 +72,6 @@ from .head import BLOCK_ELEMENTS, FeaturePair, _pairs_matrix, _require_dims, bat
 
 __all__ = [
     "DIMS",
-    "GZIP_LEVEL",
     "FeatureRecord",
     "Records",
     "SynthConfig",
@@ -89,10 +89,6 @@ logger = logging.getLogger(__name__)
 
 DIMS = ("quality", "consistency", "authenticity")
 
-# deflate level of written archives; their body is Huffman-coded only (no
-# LZ77 matches, which shortest-repr float digits hardly have), so the level
-# sets no more than the header's XFL byte, 4 ("fastest") for level 1
-GZIP_LEVEL = 1
 # lines encoded and written at a time
 SAVE_CHUNK_ROWS = 2048
 # decompressed bytes read, parsed and screened at a time
@@ -279,18 +275,6 @@ def _is_gzip(path) -> bool:
     return str(path).endswith(".gz")
 
 
-def _finite(values) -> bool:
-    # a sum is finite when every term is, unless it overflows: only then
-    # are the terms checked one by one; a non-number term is a TypeError.
-    # Integer terms add exactly, so their sum can outgrow a float while
-    # each term fits one, and adding a float to it then raises
-    try:
-        s = sum(values)
-    except OverflowError:
-        s = math.inf
-    return s - s == 0 or all(map(math.isfinite, values))
-
-
 def _numbers(values) -> bool:
     return set(map(type, values)) <= _NUMBER_TYPES
 
@@ -305,25 +289,15 @@ def _refusal(record) -> str:
     raise AssertionError("a row found bad makes a valid record")
 
 
-def _line_refusal(obj: dict) -> str:
-    """Why a parsed record line is refused: the file format's rule that
-    scores and feature entries are JSON numbers, then the line's record."""
-    if type(obj["mos"]) not in _NUMBER_TYPES:
-        return f"mos must be a number, got {obj['mos']!r}"
-    for key in ("fi", "ft"):
-        if type(obj[key]) is not list or not _numbers(obj[key]):
-            return f"{key} must be an array of numbers"
-    return _refusal(
-        lambda: FeatureRecord(
-            id=obj["id"], f_i=obj["fi"], f_t=obj["ft"], mos=obj["mos"], dim=obj["dim"]
-        )
-    )
-
-
 def _read_line(line: str, feats: array):
     """Check one record line, append its text then image features to
     ``feats``, and return (id, mos, dim's index in DIMS, (text, image)
-    feature lengths)."""
+    feature lengths).
+
+    The file format's rules come first: JSON, one object with exactly the
+    five keys, a score and feature entries that are JSON numbers.  The
+    line's ``FeatureRecord`` then judges the rest and words its refusal.
+    """
     try:
         obj = json.loads(line)
     # a deeply nested line exhausts the parser's recursion
@@ -336,42 +310,41 @@ def _read_line(line: str, feats: array):
         if missing:
             raise ValueError(f"missing fields {missing}")
         raise ValueError(f"unknown fields {[k for k in obj if k not in _KEY_SET]}")
-    ident, fi, ft, score, dim = obj["id"], obj["fi"], obj["ft"], obj["mos"], obj["dim"]
-    # a yes/no test of the record rule; _line_refusal words a failure
-    try:
-        valid = (
-            type(ident) is str and ident != ""
-            and type(score) in _NUMBER_TYPES and math.isfinite(score)
-            and dim in DIMS
-            and type(fi) is list and type(ft) is list and len(fi) > 0 and len(ft) > 0
-            # only a line holding "true" or "false" can carry a boolean entry
-            and not (("true" in line or "false" in line) and not _numbers(fi + ft))
-            and _finite(ft) and _finite(fi)
-        )
-        if valid:
-            # an integer too large for a float is an OverflowError here
-            feats.extend(ft)
-            feats.extend(fi)
-    except (TypeError, OverflowError):
-        valid = False
-    if not valid:
-        raise ValueError(_line_refusal(obj))
-    return ident, float(score), _DIM_CODES[dim], (len(ft), len(fi))
+    ident, fi, ft, score, dim = _FIELDS(obj)
+    if type(score) not in _NUMBER_TYPES:
+        raise ValueError(f"mos must be a number, got {score!r}")
+    for key, values in (("fi", fi), ("ft", ft)):
+        if type(values) is not list or not _numbers(values):
+            raise ValueError(f"{key} must be an array of numbers")
+    record = FeatureRecord(id=ident, f_i=fi, f_t=ft, mos=score, dim=dim)
+    feats.extend(ft)
+    feats.extend(fi)
+    return ident, record.mos, _DIM_CODES[dim], (len(ft), len(fi))
 
 
-def _read_lines(lines) -> Records:
-    """Parse record lines into one set; the first malformed line is a
-    ``ValueError`` naming its line number."""
-    feats = array("d")  # per record: its text features, then its image features
-    ids, scores, dims = [], array("d"), array("b")
-    first = None  # line number and (text, image) feature lengths of the first record
-    for lineno, line in enumerate(lines, start=1):
-        if line.isspace():
-            continue
+def _read_lines(run: bytes, cols, lineno: int, first):
+    """Read a run of whole record lines one line at a time into ``cols``,
+    the (features, scores, ids, tag indices) columns of ``_read_blocks``,
+    and return ``(lineno, first)`` after the run: the count of lines read,
+    and the first record's line number and (text, image) feature lengths
+    (None before any record).  The first bad line is a ``ValueError``
+    naming its line number.
+
+    The run splits at ``\\n``, ``\\r`` and ``\\r\\n`` alone, as text mode
+    splits a file; each line decodes on its own, and one that has an end
+    is read with the end ``\\n``, as text mode gives it.
+    """
+    feats, scores, ids, dims = cols
+    for raw in run.splitlines(keepends=True):
+        lineno += 1
         try:
+            line = raw.decode("utf-8")
+            if line[-1] in "\r\n":
+                line = line.rstrip("\r\n") + "\n"
+            if line.isspace():
+                continue
             ident, score, dim, widths = _read_line(line, feats)
-            if first is None:
-                first = lineno, widths
+            first = first or (lineno, widths)
             for name, got, want in zip(("image", "text"), widths[::-1], first[1][::-1]):
                 if got != want:
                     raise ValueError(f"{name} feature length {got} != {want} from line {first[0]}")
@@ -380,26 +353,66 @@ def _read_lines(lines) -> Records:
         ids.append(ident)
         scores.append(score)
         dims.append(dim)
-    return _parsed(feats, first[1] if first else None, scores, ids, dims)
+    return lineno, first
 
 
-def _parsed(feats: array, widths, scores: array, ids: list, dims: array) -> Records:
-    """The set over a parsed file's columns; ``widths`` are the records'
-    (text, image) feature lengths, None for a file with no record, and
-    ``dims`` the tags' indices in DIMS."""
-    d_txt, d_img = widths or (0, 0)
-    x = np.frombuffer(feats, dtype=np.float64).reshape(len(scores), d_txt + d_img)
-    return Records._checked(
-        x, d_img, np.frombuffer(scores, dtype=np.float64), _strings(ids),
-        _DIM_TAGS[np.frombuffer(dims, dtype=np.int8)],
-    )
+def _screen_run(run: bytes, cols, lineno: int, first):
+    """``_read_lines(run, cols, lineno, first)`` for a run that passes the
+    bulk screen of ``_read_blocks``, the columns found and checked in bulk;
+    None, with ``cols`` left as they were, for a run the screen doubts."""
+    try:
+        text = run.decode("utf-8")
+        if "\r" in text and text.count("\r") != text.count("\r\n"):
+            return None
+        # only a run holding the literals can hold a boolean
+        literals = "true" in text or "false" in text
+        doc = "[[" + text.replace("\n", "\n],[") + "]]"
+        lines = json.loads(doc)
+        # each separator adds 3 characters; one array per line, and one
+        # more after the run's last newline
+        newlines = (len(doc) - len(text) - 4) // 3
+        if len(lines) != newlines + 1 or max(map(len, lines)) > 1:
+            return None
+        rows = list(chain.from_iterable(lines))
+        if not rows:
+            return lineno + newlines, first
+        if set(map(len, rows)) != {len(_FIELD_KEYS)}:
+            return None
+        ident, fi, ft, mos, dim = zip(*map(_FIELDS, rows))
+        widths = first[1] if first else (len(ft[0]), len(fi[0]))
+        if (
+            set(map(type, ident)) != {str} or "" in ident or 0 in widths
+            or set(map(len, ft)) != {widths[0]} or set(map(len, fi)) != {widths[1]}
+        ):
+            return None
+        if literals and not _numbers(chain(mos, *ft, *fi)):
+            return None
+        run_feats = array("d", chain.from_iterable(chain.from_iterable(zip(ft, fi))))
+        run_scores = array("d", mos)
+        if not all(np.isfinite(np.frombuffer(a)).all() for a in (run_feats, run_scores)):
+            return None
+        run_dims = array("b", map(_DIM_CODES.__getitem__, dim))
+    # a JSON or UTF-8 error is a ValueError, a line that is no object or a
+    # non-number a TypeError, an integer too large for a float an
+    # OverflowError, a missing key or a tag not in DIMS a KeyError, a deeply
+    # nested line a RecursionError
+    except (ValueError, TypeError, OverflowError, KeyError, RecursionError):
+        return None
+    feats, scores, ids, dims = cols
+    feats += run_feats
+    scores += run_scores
+    ids += ident
+    dims += run_dims
+    first = first or (lineno + 1 + next(i for i, line in enumerate(lines) if line), widths)
+    return lineno + newlines, first
 
 
-def _line_blocks(handle):
-    """The text of ``handle``, UTF-8 bytes read ``LOAD_BLOCK_BYTES`` at a
-    time and decoded in runs of whole lines; a last line without a newline
-    gets one.  A newline byte never falls inside a UTF-8 character, so each
-    run decodes on its own."""
+def _line_runs(handle):
+    """The bytes of ``handle``, read ``LOAD_BLOCK_BYTES`` at a time, in runs
+    of whole lines: each run ends at the last newline byte read so far, and
+    a last line without one is the last run.  A newline byte never falls
+    inside a UTF-8 character or a ``\\r\\n``, so each run decodes and splits
+    into lines on its own."""
     pieces = []
     while block := handle.read(LOAD_BLOCK_BYTES):
         end = block.rfind(b"\n") + 1
@@ -407,77 +420,50 @@ def _line_blocks(handle):
             pieces.append(block)
             continue
         pieces.append(block[:end])
-        text, pieces = b"".join(pieces).decode("utf-8"), [block[end:]]
-        del block  # not held while the caller parses the text
-        yield text
-    tail = b"".join(pieces)
-    if tail:
-        yield tail.decode("utf-8") + "\n"
+        run, pieces = b"".join(pieces), [block[end:]]
+        del block  # not held while the caller parses the run
+        yield run
+    if tail := b"".join(pieces):
+        yield tail
 
 
-def _read_blocks(handle):
-    """The set a record file holds, parsed a block of whole lines at a time;
-    None as soon as a block fails the screen.
+def _read_blocks(handle) -> Records:
+    """The set a record file holds, read from ``handle`` in runs of whole
+    lines (``_line_runs``), each screened in bulk; a run the screen doubts
+    is read line by line (``_read_lines``), and the next run goes back to
+    the screen.
 
-    A block is one ``json.loads`` of its lines with each line wrapped as its
-    own array, ``[[line 1\\n],[line 2\\n],...]``.  The separator holds a raw
-    newline, which no JSON string may, so it cannot hide in a string; and a
-    block passes only when it parses to one array per line, each holding
-    nothing (a blank line) or one object whose feature entries are numbers,
-    so every separator closes and opens a line's array.  Each line is then
-    the object it would parse to on its own.  The block's columns are
-    checked in bulk against the per-line reader's rules: exactly the five
-    keys, non-empty string ids, scores and feature entries that are numbers
-    (``array("d")`` takes exactly the JSON numbers and booleans; the types
-    are checked one by one only in a block holding ``true`` or ``false``)
-    and finite, tags in ``DIMS``, and feature lengths equal to the first
-    record's.  A line the per-line reader splits differently (a bare
-    ``\\r``) or cannot decode fails the screen.
+    The screen parses a run with one ``json.loads`` of its lines, each
+    wrapped as its own array, ``[[line 1\\n],[line 2\\n],...]``.  The
+    separator holds a raw newline, which no JSON string may, so it cannot
+    hide in a string; and a run passes only when it parses to one array per
+    line, each holding nothing (a blank line) or one object whose feature
+    entries are numbers, so every separator closes and opens a line's
+    array.  Each line is then the object it would parse to on its own.  The
+    run's columns are checked in bulk against the per-line reader's rules:
+    exactly the five keys, non-empty string ids, scores and feature entries
+    that are numbers (``array("d")`` takes exactly the JSON numbers and
+    booleans; the types are checked one by one only in a run holding
+    ``true`` or ``false``) and finite, tags in ``DIMS``, and feature lengths
+    equal to the first record's, which may lie in an earlier run.  A run
+    holding a line the per-line reader splits differently (a bare ``\\r``)
+    or cannot decode is doubted too.  Only what the screen doubts reaches
+    the per-line reader, which words every refusal with its line number.
     """
-    feats, scores, ids, dims = array("d"), array("d"), [], array("b")
-    widths = None  # (text, image) feature lengths of the first record
-    try:
-        for text in _line_blocks(handle):
-            if "\r" in text and text.count("\r") != text.count("\r\n"):
-                return None
-            # only a block holding the literals can hold a boolean
-            literals = "true" in text or "false" in text
-            doc = "[[" + text.replace("\n", "\n],[") + "]]"
-            lines = json.loads(doc)
-            # each separator adds 3 characters; one array per line, and one
-            # more after the block's last newline
-            newlines = (len(doc) - len(text) - 4) // 3
-            if len(lines) != newlines + 1 or max(map(len, lines)) > 1:
-                return None
-            rows = list(chain.from_iterable(lines))
-            if not rows:
-                continue
-            if set(map(len, rows)) != {len(_FIELD_KEYS)}:
-                return None
-            ident, fi, ft, mos, dim = zip(*map(_FIELDS, rows))
-            widths = widths or (len(ft[0]), len(fi[0]))
-            if (
-                set(map(type, ident)) != {str} or "" in ident or 0 in widths
-                or set(map(len, ft)) != {widths[0]} or set(map(len, fi)) != {widths[1]}
-            ):
-                return None
-            if literals and not _numbers(chain(mos, *ft, *fi)):
-                return None
-            block_feats = array("d", chain.from_iterable(chain.from_iterable(zip(ft, fi))))
-            block_scores = array("d", mos)
-            if not all(np.isfinite(np.frombuffer(a)).all() for a in (block_feats, block_scores)):
-                return None
-            feats += block_feats
-            scores += block_scores
-            ids += ident
-            dims += array("b", map(_DIM_CODES.__getitem__, dim))
-    # a JSON or UTF-8 error is a ValueError, a line that is no object or a
-    # non-number a TypeError, an integer too large for a float an
-    # OverflowError, a missing key or a tag not in DIMS a KeyError, a deeply
-    # nested line a RecursionError
-    except (ValueError, TypeError, OverflowError, KeyError, RecursionError):
-        return None
-    return _parsed(feats, widths, scores, ids, dims)
+    # per record: its text then image features, its score, its id and its
+    # tag's index in DIMS
+    cols = feats, scores, ids, dims = array("d"), array("d"), [], array("b")
+    # lines read; the first record's line and (text, image) feature lengths
+    state = 0, None
+    for run in _line_runs(handle):
+        state = _screen_run(run, cols, *state) or _read_lines(run, cols, *state)
+    _, first = state
+    d_txt, d_img = first[1] if first else (0, 0)
+    x = np.frombuffer(feats, dtype=np.float64).reshape(len(scores), d_txt + d_img)
+    return Records._checked(
+        x, d_img, np.frombuffer(scores, dtype=np.float64), _strings(ids),
+        _DIM_TAGS[np.frombuffer(dims, dtype=np.int8)],
+    )
 
 
 def load_records(path) -> Records:
@@ -486,29 +472,21 @@ def load_records(path) -> Records:
     Every line is checked (keys, types, finite numbers, and feature lengths
     equal to the first record's); the first malformed line is a
     ``ValueError`` naming its line number.  A name ending in ``.gz`` is read
-    as gzip; a truncated or corrupt archive is a ``ValueError`` too.
+    as gzip; a truncated or corrupt archive is a ``ValueError`` too, raised
+    by the read that meets the damage, before the lines of that read are
+    checked.
 
-    A regular file is parsed ``LOAD_BLOCK_BYTES`` at a time and each block
-    screened in bulk (``_read_blocks``).  Anything the screen does not pass,
-    a damaged archive included, sends the whole file to the per-line reader,
-    read from the start: it alone accepts what the screen doubts, and it
-    words every refusal.  Any other file, such as a pipe, which cannot be
-    read twice, goes to the per-line reader alone.
+    Any file, a pipe or an archive alike, is opened once, in binary, and
+    read ``LOAD_BLOCK_BYTES`` at a time through ``_read_blocks``, which
+    screens each run of whole lines in bulk and reads a run it doubts line
+    by line.
     """
     opener = gzip.open if _is_gzip(path) else open
-    records = None
-    if os.path.isfile(path):
+    try:
         with opener(path, "rb") as handle:
-            try:
-                records = _read_blocks(handle)
-            except (EOFError, zlib.error, gzip.BadGzipFile):
-                pass
-    if records is None:
-        try:
-            with opener(path, "rt", encoding="utf-8") as handle:
-                records = _read_lines(handle)
-        except (EOFError, zlib.error) as exc:
-            raise ValueError(f"{path}: corrupt gzip data: {exc}") from exc
+            records = _read_blocks(handle)
+    except (EOFError, zlib.error) as exc:
+        raise ValueError(f"{path}: corrupt gzip data: {exc}") from exc
     counts = dim_counts(records)
     logger.info(
         "loaded %d records from %s (%s)",
@@ -595,10 +573,10 @@ def save_records(path, records) -> None:
             return
         # one gzip member: the fixed header (no name, zero mtime, so equal
         # data -> equal bytes), a raw Huffman-only deflate body, and the
-        # CRC-32 and length of the text
-        deflate = zlib.compressobj(
-            GZIP_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS, strategy=zlib.Z_HUFFMAN_ONLY
-        )
+        # CRC-32 and length of the text.  Huffman-only coding makes no LZ77
+        # matches, which shortest-repr float digits hardly have, so levels 1
+        # to 9 write the same body: 1 stands for any of them
+        deflate = zlib.compressobj(1, zlib.DEFLATED, -zlib.MAX_WBITS, strategy=zlib.Z_HUFFMAN_ONLY)
         crc = size = 0
 
         def sink(chunk):

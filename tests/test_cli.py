@@ -1081,6 +1081,20 @@ class TestMalformedRecords:
         path.write_bytes(bytes(raw))
         self.train_exits_2(capsys, tmp_path, path)
 
+    def test_a_line_not_utf8_exits_2_naming_its_line(self, capsys, tmp_path):
+        """The decoder's message is about the line alone, its position
+        counted from the line's first byte."""
+        lines = [json.dumps(o).encode() for o in valid_records()]
+        lines[2] = b'{"id":"\xff","fi":[1.0,2.0,3.0],"ft":[1.0,2.0,3.0],"mos":1.0,"dim":"quality"}'
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        err = assert_clean_exit_2(
+            capsys, "train", "--data", str(path), "--out", str(tmp_path / "ck.json"),
+        )
+        assert err == (
+            "error: line 3: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"
+        )
+
     def test_deeply_nested_line_exits_2(self, capsys, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(DEEP + "\n")

@@ -15,7 +15,6 @@ import agrm.data
 from agrm.cli import main
 from agrm.data import (
     DIMS,
-    GZIP_LEVEL,
     LOAD_BLOCK_BYTES,
     FeatureRecord,
     Records,
@@ -27,8 +26,6 @@ from agrm.data import (
     save_records,
     split,
     synth_generate,
-    _read_blocks,
-    _read_lines,
 )
 from agrm.head import FeaturePair, head_forward, init_head
 from agrm.losses import srcc
@@ -354,7 +351,6 @@ class TestRoundTrip:
         # header: deflate, no flags or name, zero mtime, the extra-flags
         # byte of level 1 and OS 255, as gzip.GzipFile writes it
         assert raw[:10] == bytes.fromhex("1f8b08000000000004ff")
-        assert GZIP_LEVEL == 1
 
     @pytest.mark.parametrize("chunk_rows", [agrm.data.SAVE_CHUNK_ROWS, 4])
     def test_archive_is_one_gzip_member_of_the_plain_bytes(self, tmp_path, monkeypatch, chunk_rows):
@@ -525,14 +521,76 @@ class TestWriterPipeline:
 
 
 def per_line_load(path):
-    """The set a record file holds as the per-line reader alone reads it:
-    the oracle of the block reader, refusals worded the same."""
+    """The set a record file holds, each line judged on its own as the
+    format defines it: the oracle of ``load_records``, refusals worded the
+    same.
+
+    The file is read ``LOAD_BLOCK_BYTES`` at a time, as the reader reads
+    it, and a read error is raised as it comes.  After each read, the lines
+    that end before the last newline byte read so far are judged in file
+    order: the format's rules, then the line's ``FeatureRecord``, then the
+    first record's feature lengths.  A line splits at ``\\n``, ``\\r`` and
+    ``\\r\\n``, as text mode splits it, and one that is not UTF-8 is
+    refused with the decoder's message about that line alone."""
+    rows, first, lineno = [], None, 0
+
+    def judge(raw):
+        nonlocal first, lineno
+        lineno += 1
+        try:
+            line = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if not line.strip():
+            return
+        try:
+            obj = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"line {lineno}: invalid record: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"line {lineno}: expected an object, got {type(obj).__name__}")
+        keys = ("id", "fi", "ft", "mos", "dim")
+        missing = [k for k in keys if k not in obj]
+        if missing:
+            raise ValueError(f"line {lineno}: missing fields {missing}")
+        unknown = [k for k in obj if k not in keys]
+        if unknown:
+            raise ValueError(f"line {lineno}: unknown fields {unknown}")
+        if type(obj["mos"]) not in (int, float):
+            raise ValueError(f"line {lineno}: mos must be a number, got {obj['mos']!r}")
+        for key in ("fi", "ft"):
+            if not isinstance(obj[key], list) or not {type(v) for v in obj[key]} <= {int, float}:
+                raise ValueError(f"line {lineno}: {key} must be an array of numbers")
+        try:
+            rec = FeatureRecord(
+                id=obj["id"], f_i=obj["fi"], f_t=obj["ft"], mos=obj["mos"], dim=obj["dim"]
+            )
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        first = first or (lineno, rec)
+        for name, got, want in (("image", rec.f_i, first[1].f_i), ("text", rec.f_t, first[1].f_t)):
+            if got.size != want.size:
+                raise ValueError(
+                    f"line {lineno}: {name} feature length {got.size} != {want.size} "
+                    f"from line {first[0]}"
+                )
+        rows.append(rec)
+
     opener = gzip.open if str(path).endswith(".gz") else open
+    pending = b""
     try:
-        with opener(path, "rt", encoding="utf-8") as handle:
-            return _read_lines(handle)
+        with opener(path, "rb") as handle:
+            while block := handle.read(agrm.data.LOAD_BLOCK_BYTES):
+                pending += block
+                end = pending.rfind(b"\n") + 1
+                for raw in pending[:end].splitlines(keepends=True):
+                    judge(raw)
+                pending = pending[end:]
     except (EOFError, zlib.error) as exc:
         raise ValueError(f"{path}: corrupt gzip data: {exc}") from exc
+    for raw in pending.splitlines(keepends=True):
+        judge(raw)
+    return as_records(rows)
 
 
 def outcome(load, path):
@@ -575,11 +633,26 @@ def load_from_pipe(tmp_path, text):
 
     writer = threading.Thread(target=feed, daemon=True)
     writer.start()
-    loaded = load_records(fifo)
-    # release the writer waiting for a second reader
-    os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
-    writer.join(timeout=10)
-    return loaded
+    try:
+        return load_records(fifo)
+    finally:
+        # release the writer waiting for a second reader
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+
+
+def per_line_calls(monkeypatch):
+    """A list that gains ``(run, lineno, first)`` each time ``load_records``
+    hands a run to the per-line reader, from now until ``monkeypatch``
+    undoes its changes."""
+    calls, read = [], agrm.data._read_lines
+
+    def spy(run, cols, lineno, first):
+        calls.append((run, lineno, first))
+        return read(run, cols, lineno, first)
+
+    monkeypatch.setattr(agrm.data, "_read_lines", spy)
+    return calls
 
 
 # block sizes from one byte, which splits every multi-byte character and
@@ -609,8 +682,9 @@ def record_texts(draw):
 
 
 class TestBlockReader:
-    """The block reader gives what the per-line reader gives, bit for bit,
-    or refuses with its exact message; every doubt goes to it."""
+    """``load_records`` gives what the per-line oracle gives, bit for bit,
+    or refuses with its exact message; a run the screen doubts, and only
+    such a run, goes to the per-line reader."""
 
     @settings(
         derandomize=True, max_examples=300, deadline=None,
@@ -623,11 +697,12 @@ class TestBlockReader:
         path.write_bytes(gzip.compress(raw, mtime=0) if packed else raw)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(agrm.data, "LOAD_BLOCK_BYTES", block)
+            calls = per_line_calls(mp)
             assert_same_outcome(path)
-            # only a line end the per-line reader splits apart from "\n"
-            # sends a valid file to it
-            if "\r" not in text.replace("\r\n", ""):
-                assert _read_blocks(io.BytesIO(raw)) is not None
+            # a line end that text mode splits apart from "\n" (a bare
+            # "\r") sends the run holding it to the per-line reader, and
+            # nothing else in a valid file does
+            assert bool(calls) == ("\r" in text.replace("\r\n", ""))
 
     @settings(
         derandomize=True, max_examples=300, deadline=None,
@@ -698,12 +773,13 @@ class TestBlockReader:
         ids=["two-objects", "two-wrappers", "two-objects-unseparated", "open-fi-nested",
              "open-fi", "open-string", "open-string-two-wrappers", "bare-cr"],
     )
-    def test_seams_between_lines_are_refused_with_the_line(self, tmp_path, text, lineno):
+    def test_seams_between_lines_are_refused_with_the_line(self, tmp_path, monkeypatch, text, lineno):
         path = tmp_path / "r.jsonl"
         path.write_bytes(text.encode())
-        assert _read_blocks(io.BytesIO(text.encode())) is None
+        calls = per_line_calls(monkeypatch)
         with pytest.raises(ValueError) as refusal:
             load_records(path)
+        assert calls, "the screen passed the run"
         assert str(refusal.value).startswith(f"line {lineno}: invalid record: ")
         assert_same_outcome(path)
 
@@ -733,7 +809,7 @@ class TestBlockReader:
         path = tmp_path / f"r.{suffix}"
         for rs in (recs, wide):
             save_records(path, rs)
-            monkeypatch.setattr(agrm.data, "_read_lines", lambda lines: pytest.fail("per-line read"))
+            monkeypatch.setattr(agrm.data, "_read_lines", lambda *run: pytest.fail("per-line read"))
             loaded = load_records(path)
             monkeypatch.undo()
             assert loaded == rs and loaded.x.tobytes() == rs.x.tobytes()
@@ -743,10 +819,52 @@ class TestBlockReader:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_pipe_is_read_once(self, tmp_path):
-        """A pipe cannot be read twice, so a file the screen would doubt (a
-        bare carriage return) still loads whole from it."""
+        """A run the screen doubts (a bare carriage return) is read line by
+        line from the bytes already read, so a pipe, which cannot be read
+        twice, loads it whole."""
         loaded = load_from_pipe(tmp_path, self.GOOD + "\r" + self.GOOD + "\n")
         assert len(loaded) == 2 and loaded.id.tolist() == ["a", "a"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_valid_pipe_never_reaches_the_per_line_reader(self, tmp_path, monkeypatch):
+        recs, _ = synth_generate(SynthConfig(n=600, noise_sigma=0.2, seed=7))
+        path = tmp_path / "r.jsonl"
+        save_records(path, recs)
+        assert len(path.read_bytes()) > 3 * LOAD_BLOCK_BYTES
+        monkeypatch.setattr(agrm.data, "_read_lines", lambda *run: pytest.fail("per-line read"))
+        assert_same_records(load_from_pipe(tmp_path, path.read_text()), recs)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_refuses_a_bad_line_in_a_later_run_by_its_line(self, tmp_path, monkeypatch):
+        """Runs of records and runs of blank lines alone pass the screen
+        before it, and each counts its lines."""
+        lines = [self.GOOD] * 10 + [""] * 600 + [self.GOOD] * 20
+        lines[619] = self.GOOD.replace('"mos":1.0', '"mos":"1.0"')
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "r.jsonl"
+        path.write_text(text)
+        monkeypatch.setattr(agrm.data, "LOAD_BLOCK_BYTES", 256)
+        calls = per_line_calls(monkeypatch)
+        with pytest.raises(ValueError) as refusal:
+            load_from_pipe(tmp_path, text)
+        assert str(refusal.value) == "line 620: mos must be a number, got '1.0'"
+        assert outcome(per_line_load, path) == (ValueError, str(refusal.value))
+        assert len(calls) == 1 and calls[0][1] > 610
+
+    def test_a_width_mismatch_names_a_first_record_of_an_earlier_run(self, tmp_path, monkeypatch):
+        """The narrow line is a run of its own, held to the widths of line 2."""
+        before = "\n" + (self.GOOD + "\n") * 21
+        narrow = self.GOOD.replace('"fi":[1.0,2.0]', '"fi":[1.0]') + "\n"
+        path = tmp_path / "r.jsonl"
+        path.write_text(before + narrow + narrow)
+        monkeypatch.setattr(agrm.data, "LOAD_BLOCK_BYTES", len(before))
+        calls = per_line_calls(monkeypatch)
+        with pytest.raises(ValueError) as refusal:
+            load_records(path)
+        assert str(refusal.value) == "line 23: image feature length 1 != 2 from line 2"
+        # the screen read line 2 and handed on its line and (text, image) widths
+        assert len(calls) == 1 and calls[0][2] == (2, (1, 2))
+        assert_same_outcome(path)
 
     # integer entries that each fit a float but whose exact sum does not,
     # then a float, whose addition to that sum overflows
@@ -755,24 +873,26 @@ class TestBlockReader:
     )
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_entries_whose_integer_sum_outgrows_a_float_load_on_every_path(self, tmp_path):
+    def test_entries_whose_integer_sum_outgrows_a_float_load_on_every_path(self, tmp_path, monkeypatch):
         text = self.OUTGROWN + "\n" + self.OUTGROWN + "\n"
-        want = _read_blocks(io.BytesIO(text.encode()))
-        assert want is not None and want.x[0].tolist() == [sys.float_info.max] * 2 + [-0.0, 1.0]
         path = tmp_path / "r.jsonl"
         path.write_text(text)
         bare_cr = tmp_path / "cr.jsonl"
         bare_cr.write_text(text.replace("\n", "\r", 1), newline="")
+        want = per_line_load(path)
+        assert want.x[0].tolist() == [sys.float_info.max] * 2 + [-0.0, 1.0]
+        calls = per_line_calls(monkeypatch)
         assert_same_records(load_records(path), want)
-        assert_same_records(per_line_load(path), want)
-        assert_same_records(load_records(bare_cr), want)
         assert_same_records(load_from_pipe(tmp_path, text), want)
+        assert calls == []
+        assert_same_records(load_records(bare_cr), want)
+        assert len(calls) == 1
 
     def test_loaded_tags_are_the_dims_strings(self, tmp_path):
         recs, _ = synth_generate(SynthConfig(n=30, seed=2))
         path = tmp_path / "r.jsonl"
         save_records(path, recs)
-        # a blank line with a form feed sends the file to the per-line reader
+        # a blank line with a form feed sends the run to the per-line reader
         doubted = tmp_path / "doubted.jsonl"
         doubted.write_bytes(b"\x0c\n" + path.read_bytes())
         for p in (path, doubted):
