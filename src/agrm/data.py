@@ -28,7 +28,10 @@ LZ77 to find, and skipping the search compresses about 30% faster than
 level 1 for a file 8% larger.  Archives written at any level load.
 
 Every file, a pipe or an archive alike, is opened once and read
-``LOAD_BLOCK_BYTES`` at a time.  Each run of whole lines is parsed with one
+``LOAD_BLOCK_BYTES`` at a time, in runs of whole lines (``_line_runs``):
+``\\n``, ``\\r\\n`` and ``\\r`` each end a line, and each run has its line
+ends turned into ``\\n`` once, so a file with any of them takes the same
+screened path, in runs of about a block.  Each run is parsed with one
 ``json.loads`` and its columns checked in bulk (``_read_blocks``); a run
 that screen doubts is read line by line from its own bytes
 (``_read_lines``), which words every refusal with its line number, and the
@@ -330,17 +333,14 @@ def _read_lines(run: bytes, cols, lineno: int, first):
     (None before any record).  The first bad line is a ``ValueError``
     naming its line number.
 
-    The run splits at ``\\n``, ``\\r`` and ``\\r\\n`` alone, as text mode
-    splits a file; each line decodes on its own, and one that has an end
-    is read with the end ``\\n``, as text mode gives it.
+    The run's lines end in ``\\n`` (see ``_read_blocks``); each line
+    decodes on its own.
     """
     feats, scores, ids, dims = cols
     for raw in run.splitlines(keepends=True):
         lineno += 1
         try:
             line = raw.decode("utf-8")
-            if line[-1] in "\r\n":
-                line = line.rstrip("\r\n") + "\n"
             if line.isspace():
                 continue
             ident, score, dim, widths = _read_line(line, feats)
@@ -362,8 +362,6 @@ def _screen_run(run: bytes, cols, lineno: int, first):
     None, with ``cols`` left as they were, for a run the screen doubts."""
     try:
         text = run.decode("utf-8")
-        if "\r" in text and text.count("\r") != text.count("\r\n"):
-            return None
         # only a run holding the literals can hold a boolean
         literals = "true" in text or "false" in text
         doc = "[[" + text.replace("\n", "\n],[") + "]]"
@@ -409,13 +407,17 @@ def _screen_run(run: bytes, cols, lineno: int, first):
 
 def _line_runs(handle):
     """The bytes of ``handle``, read ``LOAD_BLOCK_BYTES`` at a time, in runs
-    of whole lines: each run ends at the last newline byte read so far, and
-    a last line without one is the last run.  A newline byte never falls
-    inside a UTF-8 character or a ``\\r\\n``, so each run decodes and splits
-    into lines on its own."""
-    pieces = []
+    of whole lines: each ends at the last ``\\n`` or ``\\r`` read so far,
+    but a ``\\r`` that ends a block waits for the next, whose first byte may
+    make it a ``\\r\\n``; a last line without an end is the last run.  A
+    line end never falls inside a UTF-8 character or a ``\\r\\n``, so each
+    run decodes and splits into lines on its own."""
+    pieces, cr = [], b""
     while block := handle.read(LOAD_BLOCK_BYTES):
-        end = block.rfind(b"\n") + 1
+        block = cr + block
+        cr = b"\r" if block.endswith(b"\r") else b""
+        block = block[: len(block) - len(cr)]
+        end = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
         if not end:
             pieces.append(block)
             continue
@@ -423,7 +425,7 @@ def _line_runs(handle):
         run, pieces = b"".join(pieces), [block[end:]]
         del block  # not held while the caller parses the run
         yield run
-    if tail := b"".join(pieces):
+    if tail := b"".join(pieces) + cr:
         yield tail
 
 
@@ -446,9 +448,9 @@ def _read_blocks(handle) -> Records:
     booleans; the types are checked one by one only in a run holding
     ``true`` or ``false``) and finite, tags in ``DIMS``, and feature lengths
     equal to the first record's, which may lie in an earlier run.  A run
-    holding a line the per-line reader splits differently (a bare ``\\r``)
-    or cannot decode is doubted too.  Only what the screen doubts reaches
-    the per-line reader, which words every refusal with its line number.
+    that does not decode is doubted too.  Only what the screen doubts
+    reaches the per-line reader, which words every refusal with its line
+    number.
     """
     # per record: its text then image features, its score, its id and its
     # tag's index in DIMS
@@ -456,6 +458,9 @@ def _read_blocks(handle) -> Records:
     # lines read; the first record's line and (text, image) feature lengths
     state = 0, None
     for run in _line_runs(handle):
+        # every line end as the "\n" that the screen and the per-line reader
+        # split at, as text mode reads it
+        run = run.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         state = _screen_run(run, cols, *state) or _read_lines(run, cols, *state)
     _, first = state
     d_txt, d_img = first[1] if first else (0, 0)
@@ -472,7 +477,8 @@ def load_records(path) -> Records:
     Every line is checked (keys, types, finite numbers, and feature lengths
     equal to the first record's); the first malformed line is a
     ``ValueError`` naming its line number.  A name ending in ``.gz`` is read
-    as gzip; a truncated or corrupt archive is a ``ValueError`` too, raised
+    as gzip; a truncated or corrupt archive (a bad deflate stream, CRC,
+    length or magic number) is a ``ValueError`` naming the path too, raised
     by the read that meets the damage, before the lines of that read are
     checked.
 
@@ -485,7 +491,7 @@ def load_records(path) -> Records:
     try:
         with opener(path, "rb") as handle:
             records = _read_blocks(handle)
-    except (EOFError, zlib.error) as exc:
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise ValueError(f"{path}: corrupt gzip data: {exc}") from exc
     counts = dim_counts(records)
     logger.info(

@@ -14,10 +14,10 @@ unit's weight and bias gradients, which read its adjoint as C-ordered
 and names no field: each unit gets its adjoint, (N,) or (N, k), and its
 weight gradient is ``adjoint.T @ input`` over the columns the table names,
 its bias gradient the adjoint summed over the rows; a unit the ablation
-drops keeps a zero gradient.  Each is written into its field's view
-(``HeadParams.fields``) of one vector laid out like ``HeadParams.flat``,
-the vector the optimizer steps on and ``fd_check`` compares; no second
-copy of the layout exists.  ``batch_loss_and_grads`` is
+drops keeps a zero gradient.  Each unit's gradients are written into its
+run (``head._Unit``) of one vector laid out like ``HeadParams.flat``, the
+vector the optimizer steps on and ``fd_check`` compares; the table's runs
+are the only record of the layout.  ``batch_loss_and_grads`` is
 the checked entry: it refuses bad features, targets and loss weights, then
 runs ``_loss_and_grads``, the unchecked core, on a fresh zero vector.  The
 trainer checks its inputs once per run and calls the core itself, with one
@@ -143,9 +143,9 @@ def batch_loss_and_grads(
     ``pairs`` is a sequence of feature pairs or their ``feature_matrix``.
     This is the checked entry: it refuses bad features, targets and ``lam``,
     then runs the unchecked ``_loss_and_grads`` with underflow ignored.
-    The gradient is one zero vector shaped like ``hp.flat``, each field's
-    gradient written into its ``hp.fields`` view; the report carries the
-    vector as ``flat`` and the views as ``grads``.
+    The gradient is one zero vector shaped like ``hp.flat``, each unit's
+    gradient written into its run; the report carries the vector as
+    ``flat`` and its ``hp.fields`` views as ``grads``.
     """
     return _checked_pass(hp, pairs, targets, lam)[-1]
 
@@ -163,23 +163,23 @@ def _checked_pass(
     losses._require_lam(lam, n)
     fw = _forward(hp, x)
     flat = np.zeros(hp.flat.shape)
-    grads = hp.fields(flat)
-    loss, item_losses = _loss_and_grads(hp, x, t, lam, grads, fw)
-    return x, t, fw, GradReport(loss=loss, grads=grads, item_losses=item_losses, flat=flat)
+    loss, item_losses = _loss_and_grads(hp, x, t, lam, flat, fw)
+    report = GradReport(loss=loss, grads=hp.fields(flat), item_losses=item_losses, flat=flat)
+    return x, t, fw, report
 
 
 def _loss_and_grads(
-    hp: HeadParams, x: np.ndarray, t: np.ndarray, lam: float, grads: dict[str, np.ndarray],
+    hp: HeadParams, x: np.ndarray, t: np.ndarray, lam: float, grad: np.ndarray,
     fw: HeadBatch | None = None,
 ) -> tuple[float, np.ndarray]:
     """The batch loss and per-item loss terms; the gradient goes into
-    ``grads``, the ``hp.fields`` views of a vector shaped like ``hp.flat``.
+    ``grad``, a vector shaped like ``hp.flat``, each unit's into its run.
 
     The unchecked core of ``batch_loss_and_grads``: ``x`` is an (N, d)
     feature matrix of the head's widths, ``t`` N finite targets, and ``lam``
     a loss weight the batch admits.  It runs under the caller's
-    ``np.errstate``.  Each call overwrites every field's view in full,
-    except those of a unit the ablation drops (the temperature map under
+    ``np.errstate``.  Each call overwrites every unit's run in full, except
+    that of a unit the ablation drops (the temperature map under
     no_temperature), which it never writes; so a vector that starts at 0
     can serve batch after batch.
     ``fw`` is ``_forward(hp, x)`` when the caller has run it already.
@@ -212,18 +212,18 @@ def _loss_and_grads(
     # activation inputs; a dropped unit's gradient stays 0
     for unit, bar in zip(hp._table, (ability_bar, db, dg, db + dg)):
         if unit.columns is not None:
-            grads[unit.weight][...] = bar.T @ x[:, unit.columns]
-            grads[unit.bias][...] = np.add.reduce(bar, axis=0)
+            grad[unit.start : unit.mid] = (bar.T @ x[:, unit.columns]).ravel()
+            grad[unit.mid : unit.stop] = np.add.reduce(bar, axis=0)
 
     return loss, item_losses
 
 
 def _flat_name(hp: HeadParams, c: int) -> str:
     """Flat weight ``c`` by its field name and its index in the field."""
-    for name, at in hp.fields(np.arange(hp.flat.size)).items():
-        index = np.argwhere(at == c)
-        if len(index):
-            return name + (f"[{', '.join(map(str, index[0]))}]" if at.ndim else "")
+    unit = next(u for u in hp._table if c < u.stop)
+    name, start, _, shape = unit.runs()[0 if c < unit.mid else 1]
+    index = np.unravel_index(c - start, shape)
+    return name + (f"[{', '.join(map(str, index))}]" if shape else "")
 
 
 def _perturbed_losses(
@@ -292,11 +292,10 @@ def fd_check(
     skipped_at = np.zeros(hp.flat.shape, dtype=bool)
     if hp.config.activation == "relu":
         near_b, near_g = np.any(np.abs(fw.pre_b.base) < RELU_KINK_MARGIN, axis=1)
-        skip = hp.fields(skipped_at)
         # a unit is skipped whole when an activation input it feeds is near
         # the kink: the ability unit feeds none, the shift both
         for unit, near in zip(hp._table, (False, near_b, near_g, near_b | near_g)):
-            skip[unit.weight][...] = skip[unit.bias][...] = near
+            skipped_at[unit.start : unit.stop] = near
 
     coords = np.flatnonzero(~skipped_at)
     hi, lo = _perturbed_losses(hp, x, t, lam, coords, step, fw)

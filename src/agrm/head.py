@@ -60,18 +60,17 @@ base-difficulty prior, the spacing prior and the temperature shift.  The
 tail (``_ability``, ``_activate``, ``_grades``) turns units into scores:
 the softmax, the activation, the band kernel, the mean grade and the
 rescale.  The unit table (``_unit_table``, built once per ``HeadParams``) is
-the one home of the mapping from units to fields and columns: each unit's
-weight and bias fields, the weight's shape and the columns the head's
-ablation feeds it.  The field layout, the forward, the backward
-(``gradients._loss_and_grads``), the moved heads and ``fd_check``'s relu
-mask all walk it, unit by unit.  ``HeadParams.fields`` is the one home of
-the flat layout: it views any array whose last axis is laid out like
-``flat`` as the weight fields, in either direction.  It serves the head's
-own fields, the gradient (``gradients.batch_loss_and_grads`` writes each
-field's gradient into its view of one flat vector), and masks or names over
-the flat weights.  ``_units`` takes its rows a block of ``_block_rows`` at a
-time, as ``forward_blocks`` does, so a training or gradient-check batch of
-any size never holds its (N, k, d_txt + d_img) logit products either.
+the one home of the mapping from units to fields and columns and of the
+flat layout: each unit's weight and bias fields, the weight's shape, the
+columns the head's ablation feeds it, and its run of ``flat``, the weight
+at ``start:mid`` and the bias at ``mid:stop``.  ``HeadParams.fields``
+reads the runs to view any array laid out like ``flat`` as the fields.
+The forward, the backward (``gradients._loss_and_grads``, which writes each
+unit's gradient into its run), the moved heads, ``fd_check``'s relu mask
+and ``gradients._flat_name`` all walk it, unit by unit.  ``_units`` takes
+its rows a block of ``_block_rows`` at a time, as ``forward_blocks`` does,
+so a training or gradient-check batch of any size never holds its
+(N, k, d_txt + d_img) logit products either.
 
 A flat weight feeds exactly one unit, so ``_moved_scores`` scores R heads
 that each differ from ``hp`` in one flat weight from the base forward's
@@ -230,18 +229,28 @@ PARAM_FIELDS = sum(_UNITS, ())
 
 class _Unit(NamedTuple):
     """One unit of the unit table: its weight and bias fields, the weight's
-    shape (the unit's outputs, then its fan-in; the bias is the outputs)
-    and the feature columns the weight reads, None for a unit the ablation
-    drops, whose output is 0."""
+    shape (the unit's outputs, then its fan-in; the bias is the outputs),
+    the feature columns the weight reads, None for a unit the ablation
+    drops, whose output is 0, and the unit's run of ``flat``: the weight at
+    ``start:mid``, the bias at ``mid:stop``."""
 
     weight: str
     bias: str
     shape: tuple[int, ...]
     columns: slice | None
+    start: int
+    mid: int
+    stop: int
+
+    def runs(self):
+        """(field, run start, run stop, shape) of the weight, then the bias."""
+        w, b = self.shape, self.shape[:-1]
+        return (self.weight, self.start, self.mid, w), (self.bias, self.mid, self.stop, b)
 
 
 def _unit_table(cfg: HeadConfig, d_img: int, d_txt: int) -> tuple[_Unit, ...]:
-    """The units of ``_UNITS`` at the head's widths, under its ablation.
+    """The units of ``_UNITS`` at the head's widths, under its ablation,
+    their runs laid end to end in ``PARAM_FIELDS`` order.
 
     The ability unit reads every column of the feature matrix, the prior
     maps the text columns (the image columns under image_only) and the
@@ -256,13 +265,12 @@ def _unit_table(cfg: HeadConfig, d_img: int, d_txt: int) -> tuple[_Unit, ...]:
     agg = (n,) if cfg.agg_mode == "linear" else (cfg.k, n)
     shapes = [agg] + [(c.stop - c.start,) for c in (prior, prior, temp)]
     columns = (slice(0, n), prior, prior, None if cfg.ablation == "no_temperature" else temp)
-    return tuple(_Unit(*f, shape, c) for f, shape, c in zip(_UNITS, shapes, columns))
-
-
-def _layout(table: tuple[_Unit, ...]) -> dict[str, tuple[int, ...]]:
-    """Shape of each learnable field of a unit table, in ``PARAM_FIELDS``
-    order.  A weight's fan-in is its last axis."""
-    return {f: s for u in table for f, s in ((u.weight, u.shape), (u.bias, u.shape[:-1]))}
+    table, start = [], 0
+    for names, shape, c in zip(_UNITS, shapes, columns):
+        mid = start + math.prod(shape)
+        table.append(_Unit(*names, shape, c, start, mid, mid + math.prod(shape[:-1])))
+        start = table[-1].stop
+    return tuple(table)
 
 
 @dataclass
@@ -272,8 +280,9 @@ class HeadParams:
     Shapes: with n = d_txt + d_img, ``agg_w`` is (n,) in linear mode and
     (k, n) in softmax mode, ``agg_b`` () or (k,); the widths of the prior
     and temperature maps follow the ablation (see ``_unit_table``).  The fields
-    are views into one flat vector, ``flat``, in ``PARAM_FIELDS`` order, so
-    an in-place update of either is an update of both; never rebind a field.
+    are views into one flat vector, ``flat``, each at its run in the unit
+    table, the one home of the flat layout, so an in-place update of either
+    is an update of both; never rebind a field.
     Instances are mutated only by the trainer; treat them as read-only
     elsewhere.
     """
@@ -296,25 +305,14 @@ class HeadParams:
         self._table = _unit_table(self.config, self.d_img, self.d_txt)
         # every shape is compared before anything is allocated, so widths
         # that do not match the weights cannot ask for a huge flat vector
-        arrays, slots, offset = {}, [], 0
-        for name, shape in _layout(self._table).items():
+        parts = []
+        for name, _, _, shape in (f for u in self._table for f in u.runs()):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"{name} shape {arr.shape}, expected {shape}")
-            arrays[name] = arr
-            # a bias is one entry, a 1-d weight one slice; only a 2-d weight
-            # needs a reshape of its slice
-            at = offset if not shape else slice(offset, offset + arr.size)
-            slots.append((name, (..., at), shape if len(shape) > 1 else None))
-            offset += arr.size
-        # (name, index of the field's entries on flat's axis, shape to
-        # reshape them to or None) of each field, read by fields
-        self._slots = tuple(slots)
-        self._flat = np.empty(offset)
-        views = self.fields(self._flat)
-        for name, view in views.items():
-            view[...] = arrays[name]
-        vars(self).update(views)
+            parts.append(arr.ravel())
+        self._flat = np.concatenate(parts)
+        vars(self).update(self.fields(self._flat))
 
     @property
     def flat(self) -> np.ndarray:
@@ -324,16 +322,17 @@ class HeadParams:
     def fields(self, arr: np.ndarray) -> dict[str, np.ndarray]:
         """Views of ``arr``, whose last axis is laid out like ``flat``: one per
         field, in ``PARAM_FIELDS`` order, shaped ``arr.shape[:-1]`` followed by
-        the field's own shape.  Writing a field's view writes ``arr``; this is
-        the one place that maps flat vectors to fields, either way."""
+        the field's own shape, at the field's run in the unit table, the one
+        home of the layout.  Writing a field's view writes ``arr``."""
         return {
-            name: arr[at] if shape is None else arr[at].reshape(arr.shape[:-1] + shape)
-            for name, at, shape in self._slots
+            name: arr[..., start:stop].reshape(arr.shape[:-1] + shape)
+            for u in self._table
+            for name, start, stop, shape in u.runs()
         }
 
     def copy(self) -> "HeadParams":
-        kwargs = {name: getattr(self, name).copy() for name in PARAM_FIELDS}
-        return HeadParams(config=self.config, d_img=self.d_img, d_txt=self.d_txt, **kwargs)
+        # a new head copies the fields it is given into its own flat vector
+        return HeadParams(self.config, self.d_img, self.d_txt, **self.fields(self._flat))
 
 
 def _pairs_matrix(pairs) -> tuple[np.ndarray, int]:
@@ -547,19 +546,16 @@ def _moved_units(hp: HeadParams, x: np.ndarray, coords: np.ndarray, deltas: np.n
     to move.
     """
     moved = hp.flat[coords] + deltas
-    # where each field starts in flat, and the first head at or past it
-    starts = np.cumsum([0] + [getattr(hp, name).size for name in PARAM_FIELDS]).tolist()
-    firsts = np.searchsorted(coords, starts).tolist()
     for u, unit in enumerate(hp._table):
         # the heads moving a weight of the unit, then those moving its bias
-        lo, mid, hi = firsts[2 * u : 2 * u + 3]
+        lo, mid, hi = np.searchsorted(coords, (unit.start, unit.mid, unit.stop)).tolist()
         if lo == hi or unit.columns is None:
             continue
         unit_in = x[:, unit.columns]
-        w = getattr(hp, unit.weight).reshape(-1, unit_in.shape[1])  # (outputs, fan-in)
-        at_w = coords[lo:mid] - starts[2 * u]
-        out = np.concatenate((at_w // w.shape[1], coords[mid:hi] - starts[2 * u + 1]))
-        rows_w, rows_b = w[out], getattr(hp, unit.bias).reshape(-1)[out]
+        w = hp.flat[unit.start : unit.mid].reshape(-1, unit_in.shape[1])  # (outputs, fan-in)
+        at_w = coords[lo:mid] - unit.start
+        out = np.concatenate((at_w // w.shape[1], coords[mid:hi] - unit.mid))
+        rows_w, rows_b = w[out], hp.flat[unit.mid : unit.stop][out]
         rows_w[np.arange(mid - lo), at_w % w.shape[1]] = moved[lo:mid]
         rows_b[mid - lo :] = moved[mid:hi]
         per = max(1, BLOCK_ELEMENTS // unit_in.size)

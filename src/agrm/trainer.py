@@ -190,26 +190,26 @@ def _require_finite(what: str, flat: np.ndarray, head: HeadParams) -> None:
 
 
 def _train_step(
-    head: HeadParams, opt: AdamState, grad, grads, x, t, lr: float, cfg: TrainConfig
+    head: HeadParams, opt: AdamState, grad, x, t, lr: float, cfg: TrainConfig
 ) -> np.ndarray:
     """One optimizer step that stops at the first non-finite value; returns
     the batch's per-item loss terms.
 
-    ``grad`` is the gradient vector ``train`` keeps for the whole run and
-    ``grads`` its ``head.fields`` views; the step calls the unchecked
-    ``gradients._loss_and_grads``, because ``train`` has checked its inputs
-    once per run.  The loss is checked first.  Then, after the update, one
-    screen covers the gradient, the updated weights and the second moment
-    (the first place a huge but finite gradient overflows): the sum of all
-    three is finite only when every entry is.  Only when that screen fails
-    do the exact checks run, in that order, to name the first non-finite
-    field.  A sum that overflows from finite entries fails the screen, and
-    the exact checks behind it then pass.
+    ``grad`` is the gradient vector ``train`` keeps for the whole run; the
+    step calls the unchecked ``gradients._loss_and_grads``, because
+    ``train`` has checked its inputs once per run.  The loss is checked
+    first.  Then, after the update, one screen covers the gradient, the
+    updated weights and the second moment (the first place a huge but
+    finite gradient overflows): the sum of all three is finite only when
+    every entry is.  Only when that screen fails do the exact checks run,
+    in that order, to name the first non-finite field.  A sum that
+    overflows from finite entries fails the screen, and the exact checks
+    behind it then pass.
     ``train`` ignores NumPy's overflow, invalid and underflow warnings
     around its steps: these checks report what the first two would, and
     underflow to 0 is no fault.
     """
-    loss, item_losses = _loss_and_grads(head, x, t, cfg.lam, grads)
+    loss, item_losses = _loss_and_grads(head, x, t, cfg.lam, grad)
     if not math.isfinite(loss):
         raise ValueError(f"non-finite loss {loss!r}")
     adamw_step(head, opt, grad, lr, cfg)
@@ -251,7 +251,6 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
     opt = init_adam_state(head)
     # one gradient vector for the run; every step overwrites what it uses
     grad = np.zeros(head.flat.shape)
-    grads = head.fields(grad)
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
@@ -267,7 +266,7 @@ def train(cfg: TrainConfig, train_set, eval_set, head_init: HeadParams) -> Check
                     continue
                 try:
                     item_losses.append(
-                        _train_step(head, opt, grad, grads, x_train[idx], t_train[idx], lr, cfg)
+                        _train_step(head, opt, grad, x_train[idx], t_train[idx], lr, cfg)
                     )
                 except ValueError as exc:
                     raise ValueError(f"epoch {epoch}, step {step}: {exc}") from exc

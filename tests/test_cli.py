@@ -1081,6 +1081,26 @@ class TestMalformedRecords:
         path.write_bytes(bytes(raw))
         self.train_exits_2(capsys, tmp_path, path)
 
+    @pytest.mark.parametrize(
+        "at, message",
+        [
+            (-8, "CRC check failed"),
+            (-4, "Incorrect length of data produced"),
+            (0, "Not a gzipped file"),
+        ],
+        ids=["crc", "isize", "magic"],
+    )
+    def test_a_damaged_archive_exits_2_naming_its_path(self, capsys, tmp_path, at, message):
+        """A flipped CRC, length or magic byte is refused in the one wording
+        every archive fault takes, with the path."""
+        plain, ckpt = synth_planted(capsys, tmp_path)
+        path = tmp_path / "d.jsonl.gz"
+        raw = bytearray(gzip.compress(plain.read_bytes(), mtime=0))
+        raw[at] ^= 1
+        path.write_bytes(bytes(raw))
+        err = assert_clean_exit_2(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(path))
+        assert err.startswith(f"error: {path}: corrupt gzip data: {message}")
+
     def test_a_line_not_utf8_exits_2_naming_its_line(self, capsys, tmp_path):
         """The decoder's message is about the line alone, its position
         counted from the line's first byte."""

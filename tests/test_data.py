@@ -527,11 +527,13 @@ def per_line_load(path):
 
     The file is read ``LOAD_BLOCK_BYTES`` at a time, as the reader reads
     it, and a read error is raised as it comes.  After each read, the lines
-    that end before the last newline byte read so far are judged in file
-    order: the format's rules, then the line's ``FeatureRecord``, then the
-    first record's feature lengths.  A line splits at ``\\n``, ``\\r`` and
-    ``\\r\\n``, as text mode splits it, and one that is not UTF-8 is
-    refused with the decoder's message about that line alone."""
+    that end by the last line end read so far are judged in file order: the
+    format's rules, then the line's ``FeatureRecord``, then the first
+    record's feature lengths.  A line splits at ``\\n``, ``\\r`` and
+    ``\\r\\n``, as text mode splits it, so a ``\\r`` that is the last byte
+    read ends no line yet: the next byte may make it a ``\\r\\n``.  A line
+    that is not UTF-8 is refused with the decoder's message about that line
+    alone."""
     rows, first, lineno = [], None, 0
 
     def judge(raw):
@@ -582,11 +584,11 @@ def per_line_load(path):
         with opener(path, "rb") as handle:
             while block := handle.read(agrm.data.LOAD_BLOCK_BYTES):
                 pending += block
-                end = pending.rfind(b"\n") + 1
+                end = max(pending.rfind(b"\n"), pending.rfind(b"\r", 0, len(pending) - 1)) + 1
                 for raw in pending[:end].splitlines(keepends=True):
                     judge(raw)
                 pending = pending[end:]
-    except (EOFError, zlib.error) as exc:
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise ValueError(f"{path}: corrupt gzip data: {exc}") from exc
     for raw in pending.splitlines(keepends=True):
         judge(raw)
@@ -699,10 +701,24 @@ class TestBlockReader:
             mp.setattr(agrm.data, "LOAD_BLOCK_BYTES", block)
             calls = per_line_calls(mp)
             assert_same_outcome(path)
-            # a line end that text mode splits apart from "\n" (a bare
-            # "\r") sends the run holding it to the per-line reader, and
-            # nothing else in a valid file does
-            assert bool(calls) == ("\r" in text.replace("\r\n", ""))
+            # every line end, "\r" and "\r\n" included, takes the screen
+            assert calls == []
+
+    @settings(
+        derandomize=True, max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=record_texts(), block=BLOCK_SIZES)
+    def test_a_bad_line_after_any_line_ends_is_named_by_its_line(self, tmp_path, text, block):
+        """A "\r\n" counts as one line end when a block ends between its
+        two bytes, so the refusal of a later line names the oracle's line."""
+        path = tmp_path / "r.jsonl"
+        path.write_bytes((text + "\n[]\n").encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agrm.data, "LOAD_BLOCK_BYTES", block)
+            got = outcome(load_records, path)
+            assert got == outcome(per_line_load, path)
+            assert got[1].endswith(": expected an object, got list")
 
     @settings(
         derandomize=True, max_examples=300, deadline=None,
@@ -817,13 +833,42 @@ class TestBlockReader:
             3 * LOAD_BLOCK_BYTES
         )
 
+    @pytest.mark.parametrize("suffix", ["jsonl", "jsonl.gz"])
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_files_load_as_the_lf_file_in_bounded_runs(
+        self, tmp_path, monkeypatch, suffix, end
+    ):
+        """Each run the screen reads ends at the last line end of its block,
+        whichever the kind, so it holds about a block however the lines
+        end, and none reaches the per-line reader."""
+        recs, _ = synth_generate(SynthConfig(n=600, noise_sigma=0.2, seed=7))
+        lf = tmp_path / "lf.jsonl"
+        save_records(lf, recs)
+        raw = lf.read_bytes().replace(b"\n", end)
+        path = tmp_path / f"r.{suffix}"
+        path.write_bytes(gzip.compress(raw, mtime=0) if suffix.endswith(".gz") else raw)
+        runs, screen = [], agrm.data._screen_run
+
+        def spy(run, *state):
+            runs.append(len(run))
+            return screen(run, *state)
+
+        monkeypatch.setattr(agrm.data, "LOAD_BLOCK_BYTES", 4096)
+        monkeypatch.setattr(agrm.data, "_screen_run", spy)
+        calls = per_line_calls(monkeypatch)
+        assert_same_records(load_records(path), recs)
+        longest = max(map(len, raw.splitlines(keepends=True)))
+        assert calls == [] and len(runs) > 10 and max(runs) <= 4096 + longest
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_a_pipe_is_read_once(self, tmp_path):
-        """A run the screen doubts (a bare carriage return) is read line by
-        line from the bytes already read, so a pipe, which cannot be read
-        twice, loads it whole."""
-        loaded = load_from_pipe(tmp_path, self.GOOD + "\r" + self.GOOD + "\n")
+    def test_a_pipe_is_read_once(self, tmp_path, monkeypatch):
+        """A run the screen doubts (a blank line holding a form feed) is
+        read line by line from the bytes already read, so a pipe, which
+        cannot be read twice, loads it whole."""
+        calls = per_line_calls(monkeypatch)
+        loaded = load_from_pipe(tmp_path, self.GOOD + "\n\x0c\n" + self.GOOD)
         assert len(loaded) == 2 and loaded.id.tolist() == ["a", "a"]
+        assert len(calls) == 1
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_valid_pipe_never_reaches_the_per_line_reader(self, tmp_path, monkeypatch):
@@ -877,15 +922,16 @@ class TestBlockReader:
         text = self.OUTGROWN + "\n" + self.OUTGROWN + "\n"
         path = tmp_path / "r.jsonl"
         path.write_text(text)
-        bare_cr = tmp_path / "cr.jsonl"
-        bare_cr.write_text(text.replace("\n", "\r", 1), newline="")
+        # a blank line holding a form feed sends its run to the per-line reader
+        doubted = tmp_path / "doubted.jsonl"
+        doubted.write_text("\x0c\n" + text)
         want = per_line_load(path)
         assert want.x[0].tolist() == [sys.float_info.max] * 2 + [-0.0, 1.0]
         calls = per_line_calls(monkeypatch)
         assert_same_records(load_records(path), want)
         assert_same_records(load_from_pipe(tmp_path, text), want)
         assert calls == []
-        assert_same_records(load_records(bare_cr), want)
+        assert_same_records(load_records(doubted), want)
         assert len(calls) == 1
 
     def test_loaded_tags_are_the_dims_strings(self, tmp_path):

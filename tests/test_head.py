@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agrm import core, losses
-from agrm.gradients import batch_loss_and_grads
+from agrm.gradients import _flat_name, batch_loss_and_grads
 from agrm.head import (
     ABLATIONS,
     ACTIVATIONS,
@@ -38,6 +38,16 @@ from agrm.head import (
 
 def random_pair(rng, d_img=8, d_txt=8):
     return FeaturePair(f_i=rng.standard_normal(d_img), f_t=rng.standard_normal(d_txt))
+
+
+def argwhere_flat_name(hp, c):
+    """Flat weight ``c`` by its field name and its index in the field, found
+    by scanning every field's view of the flat indices: the oracle of
+    ``gradients._flat_name``."""
+    for name, at in hp.fields(np.arange(hp.flat.size)).items():
+        index = np.argwhere(at == c)
+        if len(index):
+            return name + (f"[{', '.join(map(str, index[0]))}]" if at.ndim else "")
 
 
 def difficulty(hp, fp):
@@ -177,6 +187,40 @@ class TestHeadParams:
                 assert views[name].shape == (3,) + getattr(one, name).shape
                 assert np.shares_memory(views[name], stack)
                 assert np.array_equal(views[name][b], getattr(one, name)), (b, name)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        k=st.integers(2, 12),
+        agg=st.sampled_from(AGG_MODES),
+        abl=st.sampled_from(ABLATIONS),
+        d_img=st.integers(1, 9),
+        d_txt=st.integers(1, 9),
+    )
+    def test_the_unit_table_is_the_one_layout_of_flat(self, k, agg, abl, d_img, d_txt):
+        """The table's runs tile ``flat`` in ``PARAM_FIELDS`` order, and the
+        fields, the views of a stack and the names of flat weights all
+        read them."""
+        hp = init_head(d_img, d_txt, HeadConfig(k=k, agg_mode=agg, ablation=abl), seed=0)
+        size = hp.flat.size
+        runs = [run for unit in hp._table for run in unit.runs()]
+        assert [name for name, *_ in runs] == list(PARAM_FIELDS)
+        assert [start for _, start, _, _ in runs] == [0] + [stop for _, _, stop, _ in runs[:-1]]
+        assert runs[-1][2] == size
+        index = np.arange(size)
+        views = hp.fields(index)
+        stack = np.zeros((3, size))
+        stack_views = hp.fields(stack)
+        for i, (name, start, stop, shape) in enumerate(runs):
+            assert stop - start == math.prod(shape)
+            assert views[name].shape == shape
+            assert np.array_equal(views[name].ravel(), index[start:stop])
+            assert np.array_equal(getattr(hp, name).ravel(), hp.flat[start:stop])
+            assert np.shares_memory(getattr(hp, name), hp.flat)
+            stack_views[name][...] = i + 1
+            assert (stack[:, start:stop] == i + 1).all()
+        assert stack.all()
+        names = [_flat_name(hp, c) for c in range(size)]
+        assert names == [argwhere_flat_name(hp, c) for c in range(size)]
 
 
 # ---------------------------------------------------------------------------

@@ -268,14 +268,14 @@ class TestTrain:
         exact = trainer._loss_and_grads
         steps = []
 
-        def poisoned(hp, x, t, lam, grads):
-            loss, item_losses = exact(hp, x, t, lam, grads)
+        def poisoned(hp, x, t, lam, grad):
+            loss, item_losses = exact(hp, x, t, lam, grad)
             steps.append(None)
             if len(steps) == 8:  # 36 records, batches of 8: 5 steps per epoch
                 if poison == "loss":
                     loss = float("nan")
                 else:
-                    grads[poison][...] += np.inf
+                    hp.fields(grad)[poison][...] += np.inf
             return loss, item_losses
 
         monkeypatch.setattr(trainer, "_loss_and_grads", poisoned)
@@ -329,9 +329,7 @@ class TestTrain:
         grad = np.zeros(hp.flat.shape)
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.concatenate((hp.flat, opt.v)).sum())
-            trainer._train_step(
-                hp, opt, grad, hp.fields(grad), recs.x[:8], recs.mos[:8], 1e-3, TrainConfig(lr=1e-3)
-            )
+            trainer._train_step(hp, opt, grad, recs.x[:8], recs.mos[:8], 1e-3, TrainConfig(lr=1e-3))
         assert opt.t == 1 and np.isfinite(opt.v).all() and np.isfinite(hp.flat).all()
 
     def test_rejects_small_train_set(self):
@@ -420,8 +418,9 @@ def test_train_matches_a_loop_over_the_checked_step(monkeypatch, config):
     exact = trainer._loss_and_grads
     temp_grads = []
 
-    def spy(hp, x, t, lam, grads):
-        out = exact(hp, x, t, lam, grads)
+    def spy(hp, x, t, lam, grad):
+        out = exact(hp, x, t, lam, grad)
+        grads = hp.fields(grad)
         temp_grads.append(np.append(grads["phi_i_w"], grads["phi_i_b"]))
         return out
 
